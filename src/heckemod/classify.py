@@ -4,10 +4,11 @@ standard tableaux and rebuild the unique shape/tableau pair.
 A weight is a pair of lists (a_1..a_n, b_1..b_n): rational u-eigenvalues and
 color exponents.  ``check_weight_condition`` tests the pairwise criterion
 (equal entries need intermediate +ell and -ell steps in the same color
-class), ``reconstruct`` replays the weight box by box, growing components per
-(color, fractional content) group, merging components when a new box pulls
-their content intervals within touching distance.  Boxes in different groups
-never interact, so each group is rebuilt independently.
+class), ``reconstruct`` replays the weight box by box without any search:
+within a (color, fractional content) group the row of each new box is fixed
+by the lowest boxes already on its own diagonal and the two next to it, and
+two components merge when a new box lands between them.  Boxes in different
+groups never interact, so each group is rebuilt independently.
 """
 
 from __future__ import annotations
@@ -15,13 +16,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 
 from .cyclo import fraction_to_str
 from .errors import ConditionFailed, NoAddablePosition
 from .modules import RelationCheck, VerificationReport
-from .shapes import (SkewShapeL, Tableau, Weight, _closure_ok, _connected,
-                     _points, enumerate_syt, is_standard,
+from .shapes import (SkewShapeL, Tableau, Weight, enumerate_syt, is_standard,
                      validate_and_canonicalize, weight_of)
 
 ADJACENT_EQUAL = "AdjacentEqual"
@@ -103,164 +102,76 @@ def violation_holds(w: Weight, ell: int, violation: ConditionViolation) -> bool:
 # reconstruction
 
 Cell = tuple[int, int]
-State = tuple[dict, ...]  # per-component {cell: label}
 
 
-def _interval(comp: dict) -> tuple[int, int]:
-    cs = [c for _, c in comp]
-    return min(cs), max(cs)
-
-
-def _normalize_comp(comp: dict) -> dict:
-    shift = 1 - min(r for r, _ in comp)
-    return {(r + shift, c): lab for (r, c), lab in comp.items()}
-
-
-def _comp_key(comp: dict):
-    comp = _normalize_comp(comp)
-    return tuple(sorted((r, c, lab) for (r, c), lab in comp.items()))
-
-
-def _state_key(comps) -> tuple:
-    return tuple(sorted(_comp_key(c) for c in comps))
-
-
-def _labels_standard(comp: dict) -> bool:
-    for (r, c), lab in comp.items():
-        right = comp.get((r, c + 1))
-        below = comp.get((r + 1, c - 1))
-        if (right is not None and right < lab) or (below is not None and below < lab):
-            return False
-    return True
-
-
-def _attach_cells(comp: dict, m: int) -> list[Cell]:
-    """Cells of integer content m where a new maximal label can extend the
-    component: edge-adjacent, closure preserved, no smaller label to the
-    right or below."""
-    out = []
-    cells = set(comp)
-    candidates = set()
-    for r, c in cells:
-        for q in ((r, c + 1), (r, c - 1), (r - 1, c + 1), (r + 1, c - 1)):
-            if q not in cells and q[1] == m:
-                candidates.add(q)
-    for q in sorted(candidates):
-        if (q[0], q[1] + 1) in cells or (q[0] + 1, q[1] - 1) in cells:
-            continue
-        if _closure_ok(_points(cells | {q})):
-            out.append(q)
-    return out
-
-
-def _resolve_merges(grown: dict, others: list[dict]) -> list[list[dict]]:
-    """All group states extending ``grown``: components whose content
-    intervals now touch it (gap < 2, transitively) must fold into one
-    connected component at some vertical shift; the rest stay put."""
-    lo, hi = _interval(grown)
-    cluster: list[dict] = []
-    separate = list(others)
-    changed = True
-    while changed:
-        changed = False
-        for comp in separate[:]:
-            clo, chi = _interval(comp)
-            if not (chi <= lo - 2 or clo >= hi + 2):
-                cluster.append(comp)
-                separate.remove(comp)
-                lo, hi = min(lo, clo), max(hi, chi)
-                changed = True
-    if not cluster:
-        return [separate + [grown]]
-
-    span = (max(r for r, _ in grown)
-            + sum(max(r for r, _ in c) - min(r for r, _ in c) + 1 for c in cluster) + 1)
-    out = []
-    for shifts in product(range(-span, span + 1), repeat=len(cluster)):
-        union = dict(grown)
-        ok = True
-        for comp, t in zip(cluster, shifts):
-            for (r, c), lab in comp.items():
-                q = (r + t, c)
-                if q in union:
-                    ok = False
-                    break
-                union[q] = lab
-            if not ok:
-                break
-        if not ok:
-            continue
-        cells = set(union)
-        if not _connected(cells) or not _closure_ok(_points(cells)):
-            continue
-        if not _labels_standard(union):
-            continue
-        out.append(separate + [union])
-    return out
-
-
-def _placements(comps: list[dict], m: int, label: int) -> list[tuple[str, list[dict]]]:
-    out = []
-    if all(m <= lo - 2 or m >= hi + 2 for lo, hi in map(_interval, comps)):
-        out.append(("fresh", comps + [{(1, m): label}]))
-    for idx, comp in enumerate(comps):
-        others = comps[:idx] + comps[idx + 1:]
-        for q in _attach_cells(comp, m):
-            grown = dict(comp)
-            grown[q] = label
-            for state in _resolve_merges(grown, others):
-                out.append(("attach", state))
-    return out
+def _shift_run(cells: dict, low: dict, start: int, t: int) -> None:
+    """Slide the component whose contents run upwards from ``start`` by t
+    rows (``cells`` maps cell -> label, ``low`` content -> lowest row)."""
+    stop = start
+    while stop in low:
+        low[stop] += t
+        stop += 1
+    moved = [(cell, lab) for cell, lab in cells.items() if start <= cell[1] < stop]
+    for cell, _ in moved:
+        del cells[cell]
+    cells.update(((r + t, c), lab) for (r, c), lab in moved)
 
 
 def reconstruct(w: Weight, ell: int) -> tuple[SkewShapeL, Tableau]:
     """Rebuild the unique (shape, tableau) with the given weight.
 
-    Grows one box per index: content a_i/ell in coordinate b_i, placed at the
-    single legal position (attachment preferred over a fresh component,
-    canonically least state on ties).  Raises ConditionFailed when the
-    pairwise condition fails, NoAddablePosition when no placement is legal.
+    Label i goes to content m = floor(a_i/ell) in the group of color b_i and
+    fractional content a_i/ell - m.  Within a group the boxes of one content
+    lie on consecutive rows of their diagonal in label order, so the row of
+    the new box follows from the lowest boxes of diagonals m-1, m and m+1:
+    one row below the lowest box of content m; else just right of the
+    lowest box of content m-1 (first sliding the component that starts at
+    m+1, if any, so its lowest box sits directly above: the merge); else one
+    row below the lowest box of content m+1; else a fresh component.
+    Raises ConditionFailed when the pairwise condition fails,
+    NoAddablePosition when the box so found is not addable.
     """
     violation = check_weight_condition(w, ell)
     if violation is not None:
         raise ConditionFailed(violation)
     w = _normalize_weight(w, ell)
 
-    groups: dict[tuple[int, Fraction], list[dict]] = {}
+    groups: dict[tuple[int, Fraction], tuple[dict, dict]] = {}
     for i, (a, b) in enumerate(zip(w.a, w.b), start=1):
         content = a / ell
         m = math.floor(content)
-        key = (b, content - m)
-        comps = groups.setdefault(key, [])
-        candidates = _placements(comps, m, i)
-        if not candidates:
+        cells, low = groups.setdefault((b, content - m), ({}, {}))
+        addable = True
+        if m in low:
+            r = low[m] + 1
+            addable = (r, m - 1) in cells and (r - 1, m + 1) in cells
+        elif m - 1 in low:
+            r = low[m - 1]
+            if m + 1 in low:
+                _shift_run(cells, low, m + 1, r - 1 - low[m + 1])
+        else:
+            r = low[m + 1] + 1 if m + 1 in low else 1
+        if not addable or (r, m + 1) in cells or (r + 1, m - 1) in cells:
             raise NoAddablePosition(
                 f"label {i}: no legal box of content {content} in coordinate {b}")
-        attachments = {_state_key(st): st for kind, st in candidates if kind == "attach"}
-        pool = attachments or {_state_key(st): st
-                               for kind, st in candidates if kind == "fresh"}
-        chosen = pool[min(pool)]
-        groups[key] = [_normalize_comp(c) for c in chosen]
+        cells[(r, m)] = i
+        low[m] = r
 
-    labeled = []
-    for (b, frac), comps in groups.items():
-        for comp in comps:
-            cells = tuple(sorted(comp))
-            labels = tuple(comp[cell] for cell in cells)
-            labeled.append((b, frac, cells, labels))
-    labeled.sort()
-    shape = validate_and_canonicalize(ell, [(b, f, cells) for b, f, cells, _ in labeled])
-    remaining = list(labeled)
-    tab_labels = []
-    for comp in shape.components:
-        for idx, (b, f, cells, labels) in enumerate(remaining):
-            if (b, f, cells) == (comp.beta, comp.offset, comp.cells):
-                tab_labels.append(labels)
-                del remaining[idx]
-                break
-        else:  # pragma: no cover - canonicalization preserves components
-            raise AssertionError("component lost during canonicalization")
-    tableau = Tableau(shape, tuple(tab_labels))
+    labels: dict[tuple[int, Fraction, tuple[Cell, ...]], tuple[int, ...]] = {}
+    for (b, frac), (cells, low) in groups.items():
+        run_start: dict[int, int] = {}
+        for c in sorted(low):
+            run_start[c] = run_start.get(c - 1, c)
+        comps: dict[int, dict] = {}
+        for cell, lab in cells.items():
+            comps.setdefault(run_start[cell[1]], {})[cell] = lab
+        for comp in comps.values():
+            shift = 1 - min(r for r, _ in comp)
+            shifted = {(r + shift, c): lab for (r, c), lab in comp.items()}
+            key = (b, frac, tuple(sorted(shifted)))
+            labels[key] = tuple(shifted[cell] for cell in key[2])
+    shape = validate_and_canonicalize(ell, list(labels))
+    tableau = Tableau(shape, tuple(labels[comp.sort_key()] for comp in shape.components))
     assert is_standard(tableau)
     assert weight_of(tableau) == w
     return shape, tableau

@@ -399,10 +399,7 @@ def module_weights(module: ModuleRep) -> list[Weight]:
         a = []
         b = []
         for i in range(n):
-            q = module.mat_u[i][t, t].as_rational()
-            if q is None:
-                raise ValueError(f"u_{i + 1} eigenvalue at {t} is not rational")
-            a.append(q)
+            a.append(module.mat_u[i][t, t].as_rational())
             val = module.mat_zeta[i][t, t]
             for k, p in enumerate(powers):
                 if val == p:

@@ -14,9 +14,9 @@ component list is sorted by ``(beta, offset, cells)``.  Two components in
 the same coordinate with equal offset interact: their content intervals
 must be disjoint with gaps of at least 2, which is exactly the condition
 for a simultaneous placement of all components whose union satisfies the
-skew-closure condition.  ``joint_placement`` searches for such a placement
-directly and is used both as the validator's final check and as an
-independent oracle in tests.
+skew-closure condition.  The validator checks the gaps;
+``joint_placement`` searches for such a placement directly and is kept as
+the independent oracle the gap criterion is tested against.
 """
 
 from __future__ import annotations
@@ -224,9 +224,6 @@ def _assemble(ell: int, comps: list[Component]) -> SkewShapeL:
     for group in cosets.values():
         if len(group) > 1:
             _check_coset_gaps(group)
-            if joint_placement(group) is None:
-                raise DegenerateShape(
-                    "no simultaneous placement of same-coordinate components")
     return SkewShapeL(ell, tuple(sorted(comps, key=Component.sort_key)))
 
 
@@ -404,7 +401,7 @@ class _ShapeContext:
     def __init__(self, shape: SkewShapeL):
         self.shape = shape
         self.boxes = _reading_boxes(shape)
-        index = {box: i for i, box in enumerate(self.boxes)}
+        self.index = index = {box: i for i, box in enumerate(self.boxes)}
         n = len(self.boxes)
         self.preds = [[] for _ in range(n)]
         self.blocked = [set() for _ in range(n)]
@@ -426,8 +423,7 @@ class _ShapeContext:
         return k1 < k2 or (k1 == k2 and r1 < r2)
 
     def positions_of(self, tab: Tableau) -> tuple[int, ...]:
-        index = {box: i for i, box in enumerate(self.boxes)}
-        return tuple(index[box] for box in tab.boxes())
+        return tuple(self.index[box] for box in tab.boxes())
 
     def tableau_from_positions(self, pos) -> Tableau:
         labels = [[0] * comp.size for comp in self.shape.components]
@@ -439,10 +435,6 @@ class _ShapeContext:
             k, cell = self.boxes[b]
             labels[k][cell_slot[(k, cell)]] = lab0 + 1
         return Tableau(self.shape, tuple(tuple(row) for row in labels))
-
-    def standard_positions(self, pos) -> bool:
-        place = {b: i for i, b in enumerate(pos)}
-        return all(place[p] < place[b] for b in pos for p in self.preds[b])
 
     def all_positions(self) -> list[tuple[int, ...]]:
         """Every standard filling as a label->box tuple, lexicographic."""
@@ -496,8 +488,15 @@ def row_reading_tableau(shape: SkewShapeL) -> Tableau:
 
 
 def is_standard(tab: Tableau) -> bool:
-    ctx = _context(tab.shape)
-    return ctx.standard_positions(ctx.positions_of(tab))
+    """Every label exceeds its left (r, c-1) and upper (r-1, c+1) neighbors
+    within its component."""
+    for comp, labels in zip(tab.shape.components, tab.labels):
+        entry = dict(zip(comp.cells, labels))
+        for (r, c), lab in entry.items():
+            for q in ((r, c - 1), (r - 1, c + 1)):
+                if q in entry and entry[q] >= lab:
+                    return False
+    return True
 
 
 def weight_of(tab: Tableau) -> Weight:
@@ -625,9 +624,15 @@ def weight_to_json(weight: Weight, ell: int) -> dict:
 
 
 def weight_from_json(data: dict) -> tuple[Weight, int]:
-    ell = int(data["ell"])
+    """Parse a weight; ``ell`` must be a positive integer and the entries of
+    ``b`` integers (bools are rejected), reduced mod ell."""
+    ell = data["ell"]
+    if isinstance(ell, bool) or not isinstance(ell, int) or ell < 1:
+        raise ValueError(f"weight field 'ell' must be a positive integer, got {ell!r}")
+    if any(isinstance(x, bool) or not isinstance(x, int) for x in data["b"]):
+        raise ValueError(f"weight field 'b' must hold integers, got {data['b']!r}")
     a = tuple(fraction_from_str(x) for x in data["a"])
-    b = tuple(int(x) % ell for x in data["b"])
+    b = tuple(x % ell for x in data["b"])
     if len(a) != len(b):
         raise ValueError("weight lists have different lengths")
     return Weight(a, b), ell

@@ -161,6 +161,16 @@ def test_exit_codes_for_bad_input(capsys, tmp_path):
         "components": [{"beta": 0, "offset": "0", "cells": [[1, 0], [1, 2]]}]}))
     assert main(["syt", "--shape", str(broken)]) == 2
     assert main(["build", "--shape", str(broken)]) == 2
+    # weight fields that are not integers as the format requires
+    for field, bad in (("b", {"ell": 2, "a": ["0", "1"], "b": [True, 0]}),
+                       ("ell", {"ell": 0, "a": ["0"], "b": [0]}),
+                       ("ell", {"ell": -1, "a": ["0"], "b": [0]}),
+                       ("ell", {"ell": True, "a": ["0"], "b": [0]})):
+        weight = tmp_path / "bad_weight.json"
+        weight.write_text(json.dumps(bad))
+        capsys.readouterr()
+        assert main(["classify", "--weight", str(weight)]) == 1
+        assert f"'{field}'" in capsys.readouterr().err
     # usage problems
     assert main(["shapes", "--ell", "1", "--n", "3"]) == 1
     assert main(["no-such-command"]) == 1

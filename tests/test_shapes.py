@@ -137,6 +137,19 @@ def test_gap_criterion_matches_joint_placement():
                 continue
             placed = joint_placement([comps[0][2], comps[1][2]])
             assert accepted == (placed is not None), (comps, placed)
+    # groups of three components, which only the gap criterion now validates
+    for cells1, cells2, cells3 in itertools.product(pool[:4], repeat=3):
+        for d2, d3 in itertools.product(range(0, 6), repeat=2):
+            comps = [(0, 0, cells1),
+                     (0, 0, [(r, c + d2) for r, c in cells2]),
+                     (0, 0, [(r, c + d3) for r, c in cells3])]
+            try:
+                validate_and_canonicalize(1, comps)
+                accepted = True
+            except DegenerateShape:
+                accepted = False
+            placed = joint_placement([cells for _, _, cells in comps])
+            assert accepted == (placed is not None), (comps, placed)
 
 
 # ---------------------------------------------------------------------------
