@@ -11,7 +11,7 @@ the shape and tableau from a weight.
 from .classify import (ConditionViolation, check_weight_condition,
                        classify_roundtrip, is_isomorphic, reconstruct,
                        violation_holds)
-from .cyclo import Cyc, cyc_make, cyclotomic_polynomial, degree, root_of_unity
+from .cyclo import Cyc, cyclotomic_polynomial, degree, root_of_unity
 from .errors import (ConditionFailed, DegenerateShape, DimensionMismatch,
                      EmptyShape, HeckemodError, MismatchedField,
                      NoAddablePosition, NotAPartition, NotConnected, NotScalar,
@@ -35,7 +35,7 @@ from .shapes import (Component, SkewShapeL, Tableau, Weight,
                      weight_of, weight_to_json)
 
 __all__ = [
-    "Cyc", "cyc_make", "cyclotomic_polynomial", "degree", "root_of_unity",
+    "Cyc", "cyclotomic_polynomial", "degree", "root_of_unity",
     "Component", "SkewShapeL", "Tableau", "Weight",
     "validate_and_canonicalize", "shift_contents", "partition_shape",
     "hook_dimension", "enumerate_shapes", "enumerate_syt",

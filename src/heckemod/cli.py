@@ -31,6 +31,17 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for --ell, --n and --max-n: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _emit(data) -> None:
     json.dump(data, sys.stdout, indent=2)
     sys.stdout.write("\n")
@@ -199,8 +210,8 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("shapes", help="enumerate canonical shapes")
-    p.add_argument("--ell", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--ell", type=_positive_int, required=True)
+    p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--window", type=int, required=True)
     p.set_defaults(func=_cmd_shapes)
 
@@ -240,8 +251,8 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_jm_check)
 
     p = sub.add_parser("suite", help="run the verification corpus")
-    p.add_argument("--ell", type=int, required=True)
-    p.add_argument("--max-n", type=int, required=True)
+    p.add_argument("--ell", type=_positive_int, required=True)
+    p.add_argument("--max-n", type=_positive_int, required=True)
     p.set_defaults(func=_cmd_suite)
 
     return parser

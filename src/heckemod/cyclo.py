@@ -1,11 +1,24 @@
 """Exact arithmetic in the cyclotomic field Q(zeta_ell).
 
-An element is stored by its coefficient vector on the power basis
-``1, zeta, ..., zeta**(phi(ell)-1)`` after reduction modulo the ell-th
-cyclotomic polynomial, with arbitrary-precision rational coefficients.
-Reducing modulo the cyclotomic polynomial (rather than ``x**ell - 1``)
-makes the representation canonical and the ring a field, so equality is
-plain coefficient comparison and every nonzero element has an inverse.
+An element is stored on the power basis ``1, zeta, ..., zeta**(phi-1)``,
+phi = phi(ell), after reduction modulo the ell-th cyclotomic polynomial
+Phi_ell: as a tuple of phi integer numerators over one positive common
+denominator, in lowest terms (the gcd of the denominator and every
+numerator is 1, and zero is all zeros over 1).  Reducing modulo Phi_ell
+(rather than ``x**ell - 1``) makes the representation canonical and the ring
+a field, so equality is plain integer comparison and every nonzero element
+has an inverse.
+
+Phi_ell is monic with integer coefficients, so reduction never leaves the
+integers.  Sums and differences work on the numerators alone, with a fast
+path for equal denominators.  A product convolves the numerators and folds
+degrees phi .. 2*phi - 2 back with a per-ell table of ``x**k mod Phi_ell``,
+built once.  Fields of degree 1 (ell in {1, 2}) take a one-numerator
+branch, and products in fields of degree 2 (ell in {3, 4, 6}) are unrolled.
+The inverse of a rational element is read off directly; other inverses,
+which are rare, go through the extended Euclidean algorithm over Q.
+``coeffs`` gives the coefficients as ``Fraction``s, and ``zero`` and
+``one`` are built once per ell.
 
 No floating point is used anywhere.
 """
@@ -14,14 +27,70 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 
 from .errors import MismatchedField
 
 # ---------------------------------------------------------------------------
-# dense polynomial helpers over Q (lists of Fractions, lowest degree first)
+# integer polynomials (lists of ints, lowest degree first)
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+
+def _divmod_monic(a, b):
+    """Quotient and remainder of a by the monic b; the remainder is padded to
+    ``len(b) - 1`` entries."""
+    db = len(b) - 1
+    r = list(a) + [0] * (db - len(a))
+    q = [0] * max(len(r) - db, 0)
+    for top in range(len(r) - 1, db - 1, -1):
+        c = r[top]
+        if c:
+            base = top - db
+            q[base] = c
+            for i in range(db):
+                r[base + i] -= c * b[i]
+    return q, r[:db]
+
+
+@lru_cache(maxsize=None)
+def _cyclotomic_ints(ell: int) -> tuple[int, ...]:
+    if ell < 1:
+        raise ValueError("ell must be a positive integer")
+    num = [-1] + [0] * (ell - 1) + [1]
+    for d in range(1, ell):
+        if ell % d == 0:
+            num, rem = _divmod_monic(num, _cyclotomic_ints(d))
+            if any(rem):
+                raise AssertionError("cyclotomic division left a remainder")
+    return tuple(num)
+
+
+@lru_cache(maxsize=None)
+def cyclotomic_polynomial(ell: int) -> tuple[Fraction, ...]:
+    """Coefficients of the ell-th cyclotomic polynomial, lowest degree first.
+
+    Computed by dividing ``x**ell - 1`` by the cyclotomic polynomials of all
+    proper divisors of ell; exact over Z.
+    """
+    return tuple(Fraction(c) for c in _cyclotomic_ints(ell))
+
+
+@lru_cache(maxsize=None)
+def degree(ell: int) -> int:
+    """Degree of Q(zeta_ell) over Q, i.e. Euler's totient of ell."""
+    return len(_cyclotomic_ints(ell)) - 1
+
+
+@lru_cache(maxsize=None)
+def _fold_table(ell: int) -> tuple[tuple[int, ...], ...]:
+    """Row k - phi holds ``x**k mod Phi_ell`` for k = phi .. 2*phi - 2."""
+    poly = _cyclotomic_ints(ell)
+    phi = len(poly) - 1
+    return tuple(tuple(_divmod_monic([0] * k + [1], poly)[1])
+                 for k in range(phi, 2 * phi - 1))
+
+
+# ---------------------------------------------------------------------------
+# rational polynomials, for the extended Euclidean algorithm only
 
 
 def _poly_trim(p):
@@ -30,167 +99,195 @@ def _poly_trim(p):
     return p
 
 
-def _poly_mul(a, b):
-    out = [_ZERO] * (len(a) + len(b) - 1) if a and b else []
-    for i, ai in enumerate(a):
-        if not ai:
-            continue
-        for j, bj in enumerate(b):
-            if bj:
-                out[i + j] += ai * bj
-    return _poly_trim(out)
-
-
-def _poly_divmod(a, b):
-    """Quotient and remainder of a by b over Q; b need not be monic."""
-    a = list(a)
-    _poly_trim(a)
-    db, lead = len(b) - 1, b[-1]
-    if db < 0:
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [_ZERO] * max(len(a) - db, 0)
-    while len(a) - 1 >= db:
-        c = a[-1] / lead
-        q[len(a) - 1 - db] = c
-        for k in range(db + 1):
-            a[len(a) - 1 - db + k] -= c * b[k]
-        _poly_trim(a)
-        if not a:
-            break
-    return q, a
-
-
-@lru_cache(maxsize=None)
-def cyclotomic_polynomial(ell: int) -> tuple[Fraction, ...]:
-    """Coefficients of the ell-th cyclotomic polynomial, lowest degree first.
-
-    Computed by dividing ``x**ell - 1`` by the cyclotomic polynomials of all
-    proper divisors of ell; exact over Q.
-    """
-    if ell < 1:
-        raise ValueError("ell must be a positive integer")
-    if ell == 1:
-        return (Fraction(-1), _ONE)
-    num = [Fraction(-1)] + [_ZERO] * (ell - 1) + [_ONE]
-    for d in range(1, ell):
-        if ell % d == 0:
-            num, rem = _poly_divmod(num, list(cyclotomic_polynomial(d)))
-            if rem:
-                raise AssertionError("cyclotomic division left a remainder")
-    return tuple(num)
-
-
-@lru_cache(maxsize=None)
-def degree(ell: int) -> int:
-    """Degree of Q(zeta_ell) over Q, i.e. Euler's totient of ell."""
-    return len(cyclotomic_polynomial(ell)) - 1
-
-
-def _reduce(ell, raw):
-    phi = degree(ell)
-    p = [c if isinstance(c, Fraction) else Fraction(c) for c in raw]
-    _poly_trim(p)
-    if len(p) > phi:
-        _, p = _poly_divmod(p, list(cyclotomic_polynomial(ell)))
-    p += [_ZERO] * (phi - len(p))
-    return tuple(p)
-
-
-def _poly_sub(a, b):
-    n = max(len(a), len(b))
-    out = [(a[i] if i < len(a) else _ZERO) - (b[i] if i < len(b) else _ZERO)
-           for i in range(n)]
-    return _poly_trim(out)
-
-
-def _ext_gcd(a, b):
-    """Return (g, s) with s*a == g modulo b, g a nonzero constant, for a
-    coprime to b over Q[x]."""
-    r0, r1 = list(a), list(b)
-    s0, s1 = [_ONE], []
-    while r1:
-        q, r = _poly_divmod(r0, r1)
+def _ext_gcd_inverse(a, m):
+    """s with s * a == 1 modulo m over Q, for a coprime to m (lists of
+    Fractions, lowest degree first, a trimmed and nonzero)."""
+    r0, r1 = list(m), a
+    s0, s1 = [], [Fraction(1)]
+    while len(r1) > 1:
+        q = [Fraction(0)] * (len(r0) - len(r1) + 1)
+        r = list(r0)
+        while len(r) >= len(r1):
+            c = r[-1] / r1[-1]
+            shift = len(r) - len(r1)
+            q[shift] = c
+            for k, v in enumerate(r1):
+                r[shift + k] -= c * v
+            _poly_trim(r)
+        qs = [Fraction(0)] * max(len(q) + len(s1) - 1, 0)
+        for i, x in enumerate(q):
+            for j, y in enumerate(s1):
+                qs[i + j] += x * y
+        width = max(len(s0), len(qs))
+        s0, s1 = s1, _poly_trim([(s0[k] if k < len(s0) else 0)
+                                 - (qs[k] if k < len(qs) else 0)
+                                 for k in range(width)])
         r0, r1 = r1, r
-        s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-    if len(r0) != 1:
+    if not r1:
         raise ZeroDivisionError("element is not invertible")
-    return r0[0], s0
+    g = r1[0]
+    return [c / g for c in s1]
+
+
+# ---------------------------------------------------------------------------
+# the field
+
+_new = object.__new__
+
+
+def _raw(ell, num, den):
+    """An element from canonical data, unchecked."""
+    c = _new(Cyc)
+    c._ell = ell
+    c._num = num
+    c._den = den
+    return c
+
+
+def _reduced(ell, num, den):
+    """An element from integer numerators of length phi over den > 0."""
+    if den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            num = [x // g for x in num]
+            den //= g
+    return _raw(ell, tuple(num), den)
+
+
+@lru_cache(maxsize=None)
+def _zero(ell: int) -> "Cyc":
+    return _raw(int(ell), (0,) * degree(ell), 1)
+
+
+@lru_cache(maxsize=None)
+def _one(ell: int) -> "Cyc":
+    return _raw(int(ell), (1,) + (0,) * (degree(ell) - 1), 1)
 
 
 class Cyc:
     """An element of Q(zeta_ell) in canonical power-basis form.
 
-    ``Cyc(ell, coeffs)`` accepts coefficients of any length and reduces them
-    modulo the ell-th cyclotomic polynomial, so construction is idempotent on
-    already-canonical data.
+    ``Cyc(ell, coeffs)`` accepts rational coefficients of any length and
+    reduces them modulo the ell-th cyclotomic polynomial, so construction is
+    idempotent on already-canonical data.  Elements are immutable: ``ell``
+    and ``coeffs`` are read-only.
     """
 
-    __slots__ = ("ell", "coeffs")
+    __slots__ = ("_ell", "_num", "_den")
 
     def __init__(self, ell: int, coeffs):
-        object.__setattr__(self, "ell", int(ell))
-        object.__setattr__(self, "coeffs", _reduce(self.ell, coeffs))
+        ell = int(ell)
+        poly = _cyclotomic_ints(ell)
+        fracs = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coeffs]
+        den = lcm(*(c.denominator for c in fracs))
+        num = [c.numerator * (den // c.denominator) for c in fracs]
+        num = _divmod_monic(num, poly)[1]
+        g = gcd(den, *num)
+        self._ell = ell
+        self._num = tuple(x // g for x in num)
+        self._den = den // g
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Cyc is immutable")
+    @property
+    def ell(self) -> int:
+        return self._ell
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The power-basis coefficients as Fractions."""
+        den = self._den
+        return tuple(Fraction(x, den) for x in self._num)
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def from_rational(cls, ell, value) -> "Cyc":
-        return cls(ell, [Fraction(value)])
+        if value.__class__ is not int:
+            value = Fraction(value)
+        return _raw(int(ell), (value.numerator,) + _zero(ell)._num[1:], value.denominator)
 
     @classmethod
     def zero(cls, ell) -> "Cyc":
-        return cls(ell, [])
+        return _zero(ell)
 
     @classmethod
     def one(cls, ell) -> "Cyc":
-        return cls(ell, [_ONE])
+        return _one(ell)
 
     # -- predicates and conversions -----------------------------------------
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self._num)
 
     def is_rational(self) -> bool:
-        return not any(self.coeffs[1:])
+        return not any(self._num[1:])
 
     def as_rational(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self!r} is not rational")
-        return self.coeffs[0]
+        return Fraction(self._num[0], self._den)
 
     def __bool__(self):
-        return any(self.coeffs)
+        return any(self._num)
 
     # -- field operations ----------------------------------------------------
 
     def _coerce(self, other):
         if isinstance(other, Cyc):
-            if other.ell != self.ell:
-                raise MismatchedField(f"ell={self.ell} vs ell={other.ell}")
+            if other._ell != self._ell:
+                raise MismatchedField(f"ell={self._ell} vs ell={other._ell}")
             return other
         if isinstance(other, (int, Fraction)):
-            return Cyc.from_rational(self.ell, other)
+            return Cyc.from_rational(self._ell, other)
         return None
 
     def __add__(self, other):
-        o = self._coerce(other)
+        o = (other if other.__class__ is Cyc and other._ell == self._ell
+             else self._coerce(other))
         if o is None:
             return NotImplemented
-        return Cyc(self.ell, [a + b for a, b in zip(self.coeffs, o.coeffs)])
+        a, da, b, db = self._num, self._den, o._num, o._den
+        if len(a) == 1:
+            if da == db:
+                x = a[0] + b[0]
+            else:
+                x = a[0] * db + b[0] * da
+                da *= db
+            if da != 1:
+                g = gcd(x, da)
+                if g != 1:
+                    x //= g
+                    da //= g
+            return _raw(self._ell, (x,), da)
+        if da == db:
+            return _reduced(self._ell, [x + y for x, y in zip(a, b)], da)
+        return _reduced(self._ell, [x * db + y * da for x, y in zip(a, b)], da * db)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyc(self.ell, [-a for a in self.coeffs])
+        return _raw(self._ell, tuple(-x for x in self._num), self._den)
 
     def __sub__(self, other):
-        o = self._coerce(other)
+        o = (other if other.__class__ is Cyc and other._ell == self._ell
+             else self._coerce(other))
         if o is None:
             return NotImplemented
-        return Cyc(self.ell, [a - b for a, b in zip(self.coeffs, o.coeffs)])
+        a, da, b, db = self._num, self._den, o._num, o._den
+        if len(a) == 1:
+            if da == db:
+                x = a[0] - b[0]
+            else:
+                x = a[0] * db - b[0] * da
+                da *= db
+            if da != 1:
+                g = gcd(x, da)
+                if g != 1:
+                    x //= g
+                    da //= g
+            return _raw(self._ell, (x,), da)
+        if da == db:
+            return _reduced(self._ell, [x - y for x, y in zip(a, b)], da)
+        return _reduced(self._ell, [x * db - y * da for x, y in zip(a, b)], da * db)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -199,19 +296,50 @@ class Cyc:
         return o - self
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        o = (other if other.__class__ is Cyc and other._ell == self._ell
+             else self._coerce(other))
         if o is None:
             return NotImplemented
-        return Cyc(self.ell, _poly_mul(list(self.coeffs), list(o.coeffs)))
+        a, b, den = self._num, o._num, self._den * o._den
+        phi = len(a)
+        if phi == 1:
+            x = a[0] * b[0]
+            if den != 1:
+                g = gcd(x, den)
+                if g != 1:
+                    x //= g
+                    den //= g
+            return _raw(self._ell, (x,), den)
+        if phi == 2:
+            (f0, f1), = _fold_table(self._ell)  # x**2 == f0 + f1*x
+            a0, a1 = a
+            b0, b1 = b
+            t = a1 * b1
+            return _reduced(self._ell, [a0 * b0 + t * f0, a0 * b1 + a1 * b0 + t * f1], den)
+        out = [0] * (2 * phi - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b, i):
+                    out[j] += x * y
+        for row, c in zip(_fold_table(self._ell), out[phi:]):
+            if c:
+                for i, t in enumerate(row):
+                    out[i] += c * t
+        del out[phi:]
+        return _reduced(self._ell, out, den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "Cyc":
-        if self.is_zero():
-            raise ZeroDivisionError("division by zero in Q(zeta_ell)")
-        g, s = _ext_gcd(_poly_trim(list(self.coeffs)),
-                        list(cyclotomic_polynomial(self.ell)))
-        return Cyc(self.ell, [c / g for c in s])
+        a, den = self._num, self._den
+        x = a[0]
+        if not any(a[1:]):  # a rational element, in particular every one when phi = 1
+            if not x:
+                raise ZeroDivisionError("division by zero in Q(zeta_ell)")
+            return _raw(self._ell, (den if x > 0 else -den,) + a[1:], abs(x))
+        s = _ext_gcd_inverse(_poly_trim([Fraction(x) for x in a]),
+                             [Fraction(c) for c in _cyclotomic_ints(self._ell)])
+        return Cyc(self._ell, [c * den for c in s])
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -228,7 +356,7 @@ class Cyc:
     def __pow__(self, k: int):
         if k < 0:
             return self.inverse() ** (-k)
-        out = Cyc.one(self.ell)
+        out = Cyc.one(self._ell)
         base = self
         while k:
             if k & 1:
@@ -240,37 +368,35 @@ class Cyc:
     # -- comparison / hashing -------------------------------------------------
 
     def __eq__(self, other):
+        if isinstance(other, Cyc):
+            return (self._ell == other._ell and self._den == other._den
+                    and self._num == other._num)
         if isinstance(other, (int, Fraction)):
-            other = Cyc.from_rational(self.ell, other)
-        if not isinstance(other, Cyc):
-            return NotImplemented
-        return self.ell == other.ell and self.coeffs == other.coeffs
+            a = self._num
+            return (self._den == other.denominator and a[0] == other.numerator
+                    and not any(a[1:]))
+        return NotImplemented
 
     def __hash__(self):
-        return hash((self.ell, self.coeffs))
+        return hash((self._ell, self._num, self._den))
 
     def __repr__(self):
-        return f"Cyc({self.ell}, {[str(c) for c in self.coeffs]})"
+        return f"Cyc({self._ell}, {[str(c) for c in self.coeffs]})"
 
     # -- serialization --------------------------------------------------------
 
     def to_json(self) -> dict:
-        return {"ell": self.ell, "coeffs": [fraction_to_str(c) for c in self.coeffs]}
+        return {"ell": self._ell, "coeffs": [fraction_to_str(c) for c in self.coeffs]}
 
     @classmethod
     def from_json(cls, data: dict) -> "Cyc":
         return cls(int(data["ell"]), [fraction_from_str(c) for c in data["coeffs"]])
 
 
-def cyc_make(ell: int, coeffs) -> Cyc:
-    """Build a canonical element of Q(zeta_ell) from raw power-basis data."""
-    return Cyc(ell, coeffs)
-
-
 def root_of_unity(ell: int, k: int) -> Cyc:
     """zeta_ell**k as a canonical field element (k taken modulo ell)."""
     k %= ell
-    return Cyc(ell, [_ZERO] * k + [_ONE])
+    return Cyc(ell, [0] * k + [1])
 
 
 def fraction_to_str(q) -> str:

@@ -12,7 +12,6 @@ matching the conjugation rule w zeta_j w^{-1} = zeta_{w(j)}.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .cyclo import Cyc
 from .errors import DimensionMismatch
@@ -136,7 +135,7 @@ class GroupAlgebraElement:
             if c.ell != self.ell:
                 raise DimensionMismatch("coefficient over a different field")
             return c
-        return Cyc.from_rational(self.ell, Fraction(c))
+        return Cyc.from_rational(self.ell, c)
 
     def _add_term(self, g: GroupElement, c: Cyc):
         _same_group(self, g)

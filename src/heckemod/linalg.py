@@ -7,8 +7,6 @@ simplicity rather than asymptotics.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .cyclo import Cyc
 from .errors import DimensionMismatch
 
@@ -62,10 +60,11 @@ class Mat:
                 raise DimensionMismatch(
                     f"entry over Q(zeta_{value.ell}) in a matrix over Q(zeta_{self.ell})")
             return value
-        return Cyc.from_rational(self.ell, Fraction(value))
+        return Cyc.from_rational(self.ell, value)
 
     def __getitem__(self, key) -> Cyc:
-        return self.data.get(key, Cyc.zero(self.ell))
+        v = self.data.get(key)
+        return Cyc.zero(self.ell) if v is None else v
 
     def __setitem__(self, key, value):
         value = self._coerce(value)

@@ -171,7 +171,7 @@ def _pi_diagonal(module: ModuleRep, i: int) -> Mat:
     """Diagonal matrix ell * [zeta_i and zeta_{i+1} eigenvalues agree]."""
     ell = module.ell
     zi, zj = module.mat_zeta[i - 1], module.mat_zeta[i]
-    values = [Cyc.from_rational(ell, Fraction(ell)) if zi[t, t] == zj[t, t]
+    values = [Cyc.from_rational(ell, ell) if zi[t, t] == zj[t, t]
               else Cyc.zero(ell) for t in range(module.dim)]
     return Mat.diagonal(ell, values)
 
@@ -190,7 +190,7 @@ def _tau_matrix(module: ModuleRep, i: int) -> Mat:
                 raise ZeroDivisionError(
                     f"intertwiner {i} undefined: equal u-eigenvalues with "
                     f"matching color at basis vector {t}")
-            m[t, t] = m[t, t] - Cyc.from_rational(ell, Fraction(ell)) * d.inverse()
+            m[t, t] = m[t, t] - Cyc.from_rational(ell, ell) * d.inverse()
     return m
 
 
@@ -284,7 +284,7 @@ def verify_intertwiners(module: ModuleRep) -> VerificationReport:
     u, z = module.mat_u, module.mat_zeta
     checks = []
     taus = [_tau_matrix(module, i) for i in range(1, n)]
-    ell_sq = Cyc.from_rational(ell, Fraction(ell * ell))
+    ell_sq = Cyc.from_rational(ell, ell * ell)
 
     for i in range(1, n):
         tau = taus[i - 1]
@@ -377,7 +377,7 @@ def central_character(module: ModuleRep) -> list[Cyc]:
     for mats, label in ((module.mat_u, "u"), (module.mat_zeta, "zeta")):
         per_vector = [elementary(vals) for vals in diag_vectors(mats, label)]
         for k in range(n):
-            scalars = {tuple(pv[k].coeffs) for pv in per_vector}
+            scalars = {pv[k] for pv in per_vector}
             if len(scalars) > 1:
                 raise NotScalar(
                     f"e_{k + 1}({label}) takes {len(scalars)} distinct values")

@@ -204,13 +204,18 @@ def joint_placement(components) -> list[int] | None:
 
 
 def _check_coset_gaps(comps: list[Component]):
-    """Same-coordinate, same-offset components must keep content gaps >= 2."""
-    ivals = sorted((c.min_content, c.max_content) for c in comps)
+    """Same-coordinate, same-offset components must keep content gaps >= 2.
+
+    The components share their offset, so the integer content parts are
+    compared and the offset is added only to the message."""
+    ivals = sorted((min(c for _, c in comp.cells), max(c for _, c in comp.cells))
+                   for comp in comps)
     for (lo1, hi1), (lo2, hi2) in zip(ivals, ivals[1:]):
         if lo2 - hi1 < 2:
+            off = comps[0].offset
             raise DegenerateShape(
-                f"content intervals [{lo1},{hi1}] and [{lo2},{hi2}] in one "
-                f"coordinate are closer than 2")
+                f"content intervals [{lo1 + off},{hi1 + off}] and "
+                f"[{lo2 + off},{hi2 + off}] in one coordinate are closer than 2")
 
 
 def _assemble(ell: int, comps: list[Component]) -> SkewShapeL:

@@ -194,3 +194,18 @@ def test_console_main_raises_system_exit(capsys, shape_file):
         console_main(["syt", "--shape", shape_file])
     assert exc.value.code == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["shapes", "--ell", "0", "--n", "2", "--window", "2"], "--ell"),
+    (["shapes", "--ell", "1", "--n", "-1", "--window", "2"], "--n"),
+    (["shapes", "--ell", "1", "--n", "0", "--window", "2"], "--n"),
+    (["shapes", "--ell", "two", "--n", "2", "--window", "2"], "--ell"),
+    (["suite", "--ell", "0", "--max-n", "2"], "--ell"),
+    (["suite", "--ell", "1", "--max-n", "0"], "--max-n"),
+])
+def test_sizes_below_one_are_usage_errors(capsys, argv, flag):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {flag}:" in captured.err

@@ -1,11 +1,14 @@
+import json
 import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from heckemod import Cyc, MismatchedField, cyc_make, cyclotomic_polynomial, root_of_unity
-from heckemod.cyclo import degree, fraction_from_str, fraction_to_str
+from heckemod import Cyc, MismatchedField, cyclotomic_polynomial, root_of_unity
+from heckemod.cyclo import _fold_table, degree, fraction_from_str, fraction_to_str
+
+from cyclo_reference import RefCyc, _poly_divmod as ref_divmod
 
 
 def test_cyclotomic_polynomial_small():
@@ -74,7 +77,7 @@ def test_inverse_examples():
     assert inv == -z
     assert (1 + z) * inv == 1
     i = root_of_unity(4, 1)
-    assert (1 - i).inverse() == cyc_make(4, ["1/2", "1/2"])
+    assert (1 - i).inverse() == Cyc(4, ["1/2", "1/2"])
     with pytest.raises(ZeroDivisionError):
         Cyc.zero(5).inverse()
 
@@ -85,7 +88,7 @@ def test_rational_detection():
     assert not z.is_rational()
     with pytest.raises(ValueError):
         z.as_rational()
-    assert cyc_make(6, ["2/3"]).as_rational() == Fraction(2, 3)
+    assert Cyc(6, ["2/3"]).as_rational() == Fraction(2, 3)
 
 
 def test_mismatched_field():
@@ -96,7 +99,7 @@ def test_mismatched_field():
 
 
 def test_json_roundtrip():
-    x = cyc_make(5, ["1/2", "-3", "0", "7/4"])
+    x = Cyc(5, ["1/2", "-3", "0", "7/4"])
     data = x.to_json()
     assert data["ell"] == 5
     assert Cyc.from_json(data) == x
@@ -125,7 +128,7 @@ def field_elements(draw, ell=None):
     if ell is None:
         ell = draw(st.integers(min_value=1, max_value=6))
     coeffs = draw(st.lists(rationals, min_size=1, max_size=degree(ell)))
-    return cyc_make(ell, coeffs)
+    return Cyc(ell, coeffs)
 
 
 @st.composite
@@ -160,3 +163,131 @@ def test_multiplicative_inverse(x):
 @given(field_elements())
 def test_json_roundtrip_property(x):
     assert Cyc.from_json(x.to_json()) == x
+
+
+# ---------------------------------------------------------------------------
+# differential tests against the Fraction-polynomial reference oracle
+
+# small denominators with common factors, so sums and products cancel
+small_rationals = st.builds(Fraction, st.integers(-12, 12),
+                            st.sampled_from([1, 2, 3, 4, 6, 12]))
+
+
+@st.composite
+def raw_pairs(draw, max_ell=12):
+    """(ell, coefficient list) with lists up to twice the degree plus three,
+    so inputs longer than phi(ell) are reduced."""
+    ell = draw(st.integers(min_value=1, max_value=max_ell))
+    coeffs = draw(st.lists(small_rationals, max_size=2 * degree(ell) + 3))
+    return ell, coeffs
+
+
+def same(x, ref):
+    assert isinstance(x, Cyc)
+    assert x.ell == ref.ell
+    assert all(type(c) is Fraction for c in x.coeffs)
+    assert x.coeffs == ref.coeffs
+    assert repr(x) == repr(ref)
+    assert json.dumps(x.to_json()) == json.dumps(ref.to_json())
+
+
+def canonical(x):
+    num, den = x._num, x._den
+    assert len(num) == degree(x.ell) and den > 0
+    assert math.gcd(den, *num) == 1
+    return x
+
+
+@given(raw_pairs(), st.data())
+def test_matches_reference(pair, data):
+    ell, ca = pair
+    cb = data.draw(st.lists(small_rationals, max_size=2 * degree(ell) + 3))
+    a, b = canonical(Cyc(ell, ca)), canonical(Cyc(ell, cb))
+    ra, rb = RefCyc(ell, ca), RefCyc(ell, cb)
+    same(a, ra)
+    same(b, rb)
+    same(canonical(a + b), ra + rb)
+    same(canonical(a - b), ra - rb)
+    same(canonical(-a), -ra)
+    same(canonical(a * b), ra * rb)
+    q = data.draw(small_rationals)
+    k = data.draw(st.integers(-5, 5))
+    for x, rx in ((q, q), (k, k)):
+        same(a + x, ra + rx)
+        same(x + a, rx + ra)
+        same(a - x, ra - rx)
+        same(x - a, rx - ra)
+        same(a * x, ra * rx)
+        same(x * a, rx * ra)
+        assert (a == x) == (ra == rx)
+        assert Cyc.from_rational(ell, x) == x == Cyc(ell, [x])
+        assert Cyc(ell, [x]) != x + 1
+    if b:
+        same(canonical(b.inverse()), rb.inverse())
+        same(a / b, ra / rb)
+        same(k / b, k / rb)
+    e = data.draw(st.integers(-3, 3))
+    if a or e >= 0:
+        same(canonical(a ** e), ra ** e)
+    assert (a == b) == (ra == rb)
+    assert Cyc.from_json(json.loads(json.dumps(a.to_json()))) == a
+
+
+@given(raw_pairs(), st.data())
+def test_hash_agrees_with_equality(pair, data):
+    ell, coeffs = pair
+    x = Cyc(ell, coeffs)
+    # the same element, reached by adding a multiple of Phi_ell and by
+    # rescaling numerator and denominator
+    m = data.draw(small_rationals)
+    phi_multiple = [m * c for c in cyclotomic_polynomial(ell)]
+    padded = list(coeffs) + [0] * (len(phi_multiple) - len(coeffs))
+    y = Cyc(ell, [p + f for p, f in zip(padded, phi_multiple)]
+            + padded[len(phi_multiple):])
+    z = (x * 6) / 6
+    for other in (y, z, x + 0, Cyc.from_json(x.to_json())):
+        assert other == x and hash(other) == hash(x)
+    if x.is_rational():
+        assert x == x.as_rational()
+
+
+def test_shared_factors_cancel():
+    x = Cyc(3, ["1/6", "1/3"]) + Cyc(3, ["1/3", "1/6"])
+    assert x.coeffs == (Fraction(1, 2), Fraction(1, 2))
+    assert canonical(x)._den == 2
+    y = Cyc(4, ["2/4", "6/4", "0", "0", "1/2"])  # x**4 = 1 modulo x**2 + 1
+    assert y.coeffs == (Fraction(1), Fraction(3, 2))
+    assert canonical(Cyc(5, ["1/3", "-1/3"]) * 3)._den == 1
+    assert canonical(Cyc(1, ["2/3"]) - Fraction(2, 3)) == 0
+    assert Cyc(2, [4]) / 6 == Fraction(2, 3)
+
+
+def test_fold_table_matches_polynomial_division():
+    for ell in range(1, 31):
+        phi = degree(ell)
+        table = _fold_table(ell)
+        assert len(table) == max(phi - 1, 0)
+        for k, row in zip(range(phi, 2 * phi - 1), table):
+            _, rem = ref_divmod([Fraction(0)] * k + [Fraction(1)],
+                                list(cyclotomic_polynomial(ell)))
+            assert list(row) == rem + [0] * (phi - len(rem))
+            assert all(type(c) is int for c in row)
+
+
+def test_elements_are_read_only():
+    x = root_of_unity(3, 1)
+    with pytest.raises(AttributeError):
+        x.ell = 4
+    with pytest.raises(AttributeError):
+        x.coeffs = (Fraction(1), Fraction(0))
+    with pytest.raises(AttributeError):
+        x.extra = 1
+
+
+def test_zero_and_one_are_shared():
+    assert Cyc.zero(3) is Cyc.zero(3) and Cyc.one(3) is Cyc.one(3)
+    assert Cyc.zero(3).coeffs == (0, 0) and Cyc.one(3).coeffs == (1, 0)
+    assert Cyc.zero(3) + root_of_unity(3, 1) == root_of_unity(3, 1)
+    # the field is named by an int, whatever equal value first asked for it
+    for make in (Cyc.zero, Cyc.one, lambda ell: Cyc.from_rational(ell, 2)):
+        assert make(True).to_json()["ell"] == 1 and type(make(1).ell) is int

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from heckemod import Cyc, DimensionMismatch, Mat, block_diag, cyc_make, nullspace_dim, root_of_unity
+from heckemod import Cyc, DimensionMismatch, Mat, block_diag, nullspace_dim, root_of_unity
 
 
 def test_constructors_and_indexing():

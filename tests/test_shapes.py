@@ -105,6 +105,21 @@ def test_degenerate_gap():
     assert len(ok.components) == 2
 
 
+def test_degenerate_gap_half_integer_offset():
+    half = Fraction(1, 2)
+    domino, single, pair = [(1, 0), (2, -1)], [(1, 3)], [(1, 4), (1, 5)]
+    with pytest.raises(DegenerateShape) as info:
+        validate_and_canonicalize(
+            2, [(1, half, pair), (1, half, domino), (1, half, single)])
+    # the offset is part of the reported contents
+    assert str(info.value) == ("content intervals [7/2,7/2] and [9/2,11/2] in one "
+                               "coordinate are closer than 2")
+    # the middle box one content to the left keeps both gaps at 2
+    ok = validate_and_canonicalize(
+        2, [(1, half, pair), (1, half, domino), (1, half, [(1, 2)])])
+    assert [c.offset for c in ok.components] == [half] * 3
+
+
 def test_empty_shape():
     with pytest.raises(EmptyShape):
         validate_and_canonicalize(1, [])
