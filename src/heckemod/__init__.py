@@ -9,8 +9,7 @@ the shape and tableau from a weight.
 """
 
 from .classify import (ConditionViolation, check_weight_condition,
-                       classify_roundtrip, is_isomorphic, reconstruct,
-                       violation_holds)
+                       classify_roundtrip, reconstruct, violation_holds)
 from .cyclo import Cyc, cyclotomic_polynomial, degree, root_of_unity
 from .errors import (ConditionFailed, DegenerateShape, DimensionMismatch,
                      EmptyShape, HeckemodError, MismatchedField,
@@ -52,7 +51,7 @@ __all__ = [
     "commutant_dimension", "central_character", "module_weights", "twist",
     "direct_sum", "jm_consistency", "is_partition_shape", "module_to_json",
     "ConditionViolation", "check_weight_condition", "violation_holds",
-    "reconstruct", "is_isomorphic", "classify_roundtrip",
+    "reconstruct", "classify_roundtrip",
     "HeckemodError", "MismatchedField", "ShapeError", "NotSkew",
     "NotConnected", "DegenerateShape", "EmptyShape", "NotAPartition",
     "NotStandard", "DimensionMismatch", "NotScalar", "ConditionFailed",

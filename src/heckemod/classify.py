@@ -177,12 +177,6 @@ def reconstruct(w: Weight, ell: int) -> tuple[SkewShapeL, Tableau]:
     return shape, tableau
 
 
-def is_isomorphic(d1: SkewShapeL, d2: SkewShapeL) -> bool:
-    """Modules of canonical shapes are isomorphic exactly when the shapes
-    coincide (diagonal slides are already quotiented out)."""
-    return d1 == d2
-
-
 def classify_roundtrip(shape: SkewShapeL) -> VerificationReport:
     """For every standard tableau of the shape: the weight passes the
     condition and reconstructs to exactly this (shape, tableau)."""
@@ -200,7 +194,7 @@ def classify_roundtrip(shape: SkewShapeL) -> VerificationReport:
         except (ConditionFailed, NoAddablePosition) as exc:
             checks.append(RelationCheck(name, False, (t_index, 0, repr(exc))))
             continue
-        if is_isomorphic(shape, shape2) and tab2 == tab:
+        if shape2 == shape and tab2 == tab:
             checks.append(RelationCheck(name, True))
         else:
             checks.append(RelationCheck(name, False,

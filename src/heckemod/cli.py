@@ -31,15 +31,17 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _positive_int(text: str) -> int:
-    """argparse type for --ell, --n and --max-n: an integer of at least 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(low: int):
+    """argparse type: an integer of at least ``low``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return parse
 
 
 def _emit(data) -> None:
@@ -210,9 +212,9 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("shapes", help="enumerate canonical shapes")
-    p.add_argument("--ell", type=_positive_int, required=True)
-    p.add_argument("--n", type=_positive_int, required=True)
-    p.add_argument("--window", type=int, required=True)
+    p.add_argument("--ell", type=_int_at_least(1), required=True)
+    p.add_argument("--n", type=_int_at_least(1), required=True)
+    p.add_argument("--window", type=_int_at_least(0), required=True)
     p.set_defaults(func=_cmd_shapes)
 
     p = sub.add_parser("syt", help="list standard tableaux of a shape")
@@ -251,8 +253,8 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_jm_check)
 
     p = sub.add_parser("suite", help="run the verification corpus")
-    p.add_argument("--ell", type=_positive_int, required=True)
-    p.add_argument("--max-n", type=_positive_int, required=True)
+    p.add_argument("--ell", type=_int_at_least(1), required=True)
+    p.add_argument("--max-n", type=_int_at_least(1), required=True)
     p.set_defaults(func=_cmd_suite)
 
     return parser

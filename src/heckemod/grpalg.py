@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cyclo import Cyc
+from .cyclo import Cyc, root_of_unity
 from .errors import DimensionMismatch
 
 
@@ -225,25 +225,24 @@ def pi_element(ell: int, n: int, i: int) -> GroupAlgebraElement:
 
 
 def evaluate_in_module(x, module):
-    """Matrix of a group (algebra) element in a module.
-
-    ``module`` provides ell, n, dim, mat_zeta (list of n matrices) and mat_s
-    (list of n-1 matrices).  zeta^a w maps to Z_1^{a_1} ... Z_n^{a_n} times
-    the product of simple-transposition matrices spelling w.
+    """Matrix of a group (algebra) element in a module (ell, n, dim, mat_s
+    and the weights of its basis vectors).  zeta^a w maps to the diagonal
+    matrix with entry zeta^(a_1 b_1 + ... + a_n b_n) on a basis vector with
+    color exponents b, times the product of s-matrices spelling w.
     """
     from .linalg import Mat
 
     if isinstance(x, GroupElement):
         x = GroupAlgebraElement.from_group(x)
-    if x.ell != module.ell or x.n != module.n:
+    ell = module.ell
+    if x.ell != ell or x.n != module.n:
         raise DimensionMismatch(
-            f"element of C[G({x.ell},1,{x.n})] in a module for ({module.ell},{module.n})")
-    total = Mat.zero(module.ell, module.dim)
+            f"element of C[G({x.ell},1,{x.n})] in a module for ({ell},{module.n})")
+    powers = [root_of_unity(ell, k) for k in range(ell)]
+    total = Mat.zero(ell, module.dim)
     for g, coeff in x.terms.items():
-        m = Mat.identity(module.ell, module.dim)
-        for i, a in enumerate(g.colors):
-            for _ in range(a):
-                m = m * module.mat_zeta[i]
+        m = Mat.diagonal(ell, [powers[sum(a * b for a, b in zip(g.colors, w.b)) % ell]
+                               for w in module.weights])
         for i in _perm_word(g.perm):
             m = m * module.mat_s[i - 1]
         total = total + m.scale(coeff)

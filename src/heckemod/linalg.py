@@ -16,14 +16,11 @@ class Mat:
 
     __slots__ = ("ell", "nrows", "ncols", "data")
 
-    def __init__(self, ell: int, nrows: int, ncols: int, data=None):
+    def __init__(self, ell: int, nrows: int, ncols: int):
         self.ell = ell
         self.nrows = nrows
         self.ncols = ncols
         self.data: dict[tuple[int, int], Cyc] = {}
-        if data:
-            for (i, j), v in data.items():
-                self[i, j] = v
 
     # -- construction -------------------------------------------------------
 
@@ -82,19 +79,27 @@ class Mat:
         if self.ell != other.ell:
             raise DimensionMismatch("matrices over different fields")
 
-    def __add__(self, other: "Mat") -> "Mat":
+    def _combine(self, other: "Mat", subtract: bool) -> "Mat":
+        """self - other or self + other, merged on the canonical entries."""
         self._check_same_size(other)
         out = self.copy()
         for key, v in other.data.items():
-            out[key] = out[key] + v
+            w = out.data.get(key)
+            if w is None:
+                out.data[key] = -v if subtract else v
+                continue
+            w = w - v if subtract else w + v
+            if w.is_zero():
+                del out.data[key]
+            else:
+                out.data[key] = w
         return out
 
+    def __add__(self, other: "Mat") -> "Mat":
+        return self._combine(other, False)
+
     def __sub__(self, other: "Mat") -> "Mat":
-        self._check_same_size(other)
-        out = self.copy()
-        for key, v in other.data.items():
-            out[key] = out[key] - v
-        return out
+        return self._combine(other, True)
 
     def __neg__(self) -> "Mat":
         out = Mat(self.ell, self.nrows, self.ncols)
@@ -148,9 +153,6 @@ class Mat:
         for (i, j), v in self.data.items():
             rows[i][j] = v
         return rows
-
-    def column(self, j: int) -> dict[int, Cyc]:
-        return {i: v for (i, jj), v in self.data.items() if jj == j}
 
     def diagonal_entries(self) -> list[Cyc]:
         return [self[i, i] for i in range(min(self.nrows, self.ncols))]

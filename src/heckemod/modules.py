@@ -12,42 +12,37 @@ automorphism twists (content shift and index reversal).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import repeat
+from operator import mul
 
 from . import grpalg
 from .cyclo import Cyc, root_of_unity
-from .errors import DimensionMismatch, NotAPartition, NotScalar
-from .linalg import Mat, block_diag
+from .errors import DegenerateShape, DimensionMismatch, NotAPartition, NotScalar
+from .linalg import Mat, block_diag, nullspace_dim
 from .shapes import (SkewShapeL, Tableau, Weight, _context, enumerate_syt,
-                     shape_to_json, tableau_to_json)
+                     shape_to_json, tableau_to_json, weight_to_json)
 
 
 @dataclass(frozen=True)
 class ModuleRep:
-    """A module given by explicit generator matrices on an ordered basis.
+    """A module given by its s-matrices and the weights of its basis vectors.
 
-    ``shape``/``basis`` are metadata describing how the matrices were built;
-    twists and direct sums return matrix-only modules with both set to None.
-    Equality compares the matrices (and sizes), not the metadata.
+    u_i and zeta_i act diagonally: on basis vector t, u_i by the eigenvalue
+    ``weights[t].a[i-1]`` and zeta_i by zeta^``weights[t].b[i-1]`` (a color
+    exponent in 0..ell-1); ``generator_matrix`` turns them into matrices.
+    ``shape``/``basis`` are metadata describing how the module was built;
+    twists and direct sums set both to None, and equality ignores them.
     """
 
     ell: int
     n: int
     dim: int
     mat_s: tuple[Mat, ...]
-    mat_zeta: tuple[Mat, ...]
-    mat_u: tuple[Mat, ...]
-    shape: SkewShapeL | None = None
-    basis: tuple[Tableau, ...] | None = None
-
-    def __eq__(self, other):
-        if not isinstance(other, ModuleRep):
-            return NotImplemented
-        return ((self.ell, self.n, self.dim) == (other.ell, other.n, other.dim)
-                and self.mat_s == other.mat_s
-                and self.mat_zeta == other.mat_zeta
-                and self.mat_u == other.mat_u)
+    weights: tuple[Weight, ...]
+    shape: SkewShapeL | None = field(default=None, compare=False)
+    basis: tuple[Tableau, ...] | None = field(default=None, compare=False)
 
     __hash__ = None
 
@@ -90,6 +85,45 @@ def _residual(name: str, left: Mat, right: Mat) -> RelationCheck:
     return RelationCheck(name, False, (i, j, repr(v)))
 
 
+def _diagonal_check(name: str, x: Mat, col: list, row: list,
+                    extra: Mat | None = None, x_first: bool = True) -> RelationCheck:
+    """Check x.diag(col) + extra = diag(row).x entry by entry: entry (p, q)
+    of the residual is x[p, q] (col[q] - row[p]) + extra[p, q].  With
+    ``x_first=False`` the relation reads diag(row).x = x.diag(col), and the
+    witness is negated so that it always carries left minus right."""
+    residual = {key: v * (col[key[1]] - row[key[0]])
+                for key, v in x.data.items() if col[key[1]] != row[key[0]]}
+    if extra is not None:
+        for key, v in extra.data.items():
+            residual[key] = residual[key] + v if key in residual else v
+    bad = [key for key, v in residual.items() if v]
+    if not bad:
+        return RelationCheck(name, True)
+    key = min(bad)
+    value = residual[key] if x_first else -residual[key]
+    return RelationCheck(name, False, (*key, repr(value)))
+
+
+def _vector_check(name: str, left, right) -> RelationCheck:
+    """A relation between diagonal matrices, given the values of both sides
+    on each basis vector."""
+    for t, (x, y) in enumerate(zip(left, right)):
+        if x != y:
+            return RelationCheck(name, False, (t, t, repr(x - y)))
+    return RelationCheck(name, True)
+
+
+def _eigenvalues(module: ModuleRep) -> tuple[list[list[Cyc]], list[list[Cyc]]]:
+    """u[i][t] and z[i][t]: the eigenvalues of u_{i+1} and zeta_{i+1} on
+    basis vector t, each converted to a field element once."""
+    ell, weights = module.ell, module.weights
+    powers = [root_of_unity(ell, k) for k in range(ell)]
+    field_of = {x: Cyc.from_rational(ell, x) for w in weights for x in w.a}
+    u = [[field_of[w.a[i]] for w in weights] for i in range(module.n)]
+    z = [[powers[w.b[i]] for w in weights] for i in range(module.n)]
+    return u, z
+
+
 # ---------------------------------------------------------------------------
 # construction
 
@@ -105,8 +139,6 @@ def build_module(shape: SkewShapeL) -> ModuleRep:
       * otherwise s_i f_T = (1/d) f_T + gamma f_{s_i T}, where gamma = 1 when
         i sits in the reading-earlier box and 1 - 1/d^2 when it does not.
     """
-    from .errors import DegenerateShape
-
     ell = shape.ell
     n = shape.n
     ctx = _context(shape)
@@ -121,13 +153,9 @@ def build_module(shape: SkewShapeL) -> ModuleRep:
         content.append(c + comp.offset)
         beta.append(comp.beta)
 
-    mat_u = tuple(
-        Mat.diagonal(ell, [Cyc.from_rational(ell, ell * content[pos[i]])
-                           for pos in positions])
-        for i in range(n))
-    mat_zeta = tuple(
-        Mat.diagonal(ell, [root_of_unity(ell, beta[pos[i]]) for pos in positions])
-        for i in range(n))
+    weights = tuple(Weight(tuple(ell * content[b] for b in pos),
+                           tuple(beta[b] for b in pos))
+                    for pos in positions)
 
     mats = []
     for i in range(1, n):
@@ -150,18 +178,15 @@ def build_module(shape: SkewShapeL) -> ModuleRep:
             m[index[swapped], t] = 1 if b1 < b2 else 1 - Fraction(1, 1) / (d * d)
         mats.append(m)
 
-    return ModuleRep(ell, n, dim, tuple(mats), mat_zeta, mat_u,
-                     shape, enumerate_syt(shape))
+    return ModuleRep(ell, n, dim, tuple(mats), weights, shape, enumerate_syt(shape))
 
 
 def direct_sum(m1: ModuleRep, m2: ModuleRep) -> ModuleRep:
     if (m1.ell, m1.n) != (m2.ell, m2.n):
         raise DimensionMismatch("summands over different algebras")
-    pair = lambda a, b: tuple(block_diag(m1.ell, [x, y]) for x, y in zip(a, b))
     return ModuleRep(m1.ell, m1.n, m1.dim + m2.dim,
-                     pair(m1.mat_s, m2.mat_s),
-                     pair(m1.mat_zeta, m2.mat_zeta),
-                     pair(m1.mat_u, m2.mat_u))
+                     tuple(block_diag(m1.ell, [x, y]) for x, y in zip(m1.mat_s, m2.mat_s)),
+                     m1.weights + m2.weights)
 
 
 # ---------------------------------------------------------------------------
@@ -170,38 +195,35 @@ def direct_sum(m1: ModuleRep, m2: ModuleRep) -> ModuleRep:
 def _pi_diagonal(module: ModuleRep, i: int) -> Mat:
     """Diagonal matrix ell * [zeta_i and zeta_{i+1} eigenvalues agree]."""
     ell = module.ell
-    zi, zj = module.mat_zeta[i - 1], module.mat_zeta[i]
-    values = [Cyc.from_rational(ell, ell) if zi[t, t] == zj[t, t]
-              else Cyc.zero(ell) for t in range(module.dim)]
-    return Mat.diagonal(ell, values)
+    return Mat.diagonal(ell, [ell if w.b[i - 1] == w.b[i] else 0
+                              for w in module.weights])
 
 
 def _tau_matrix(module: ModuleRep, i: int) -> Mat:
     """s_i minus the diagonal correction pi/(u_{i+1} - u_i) on each basis
     vector; zero correction where the zeta eigenvalues differ."""
-    ell = module.ell
-    ui, uj = module.mat_u[i - 1], module.mat_u[i]
-    zi, zj = module.mat_zeta[i - 1], module.mat_zeta[i]
+    ell = Fraction(module.ell)
     m = module.mat_s[i - 1].copy()
-    for t in range(module.dim):
-        if zi[t, t] == zj[t, t]:
-            d = uj[t, t] - ui[t, t]
-            if d.is_zero():
+    for t, w in enumerate(module.weights):
+        if w.b[i - 1] == w.b[i]:
+            d = w.a[i] - w.a[i - 1]
+            if not d:
                 raise ZeroDivisionError(
                     f"intertwiner {i} undefined: equal u-eigenvalues with "
                     f"matching color at basis vector {t}")
-            m[t, t] = m[t, t] - Cyc.from_rational(ell, ell) * d.inverse()
+            m[t, t] = m[t, t] - ell / d
     return m
 
 
 def generator_matrix(module: ModuleRep, kind: str, i: int) -> Mat:
     """Matrix of a named generator: kind in {"u", "zeta", "s", "tau", "pi"},
     index 1-based (u/zeta: 1..n, s/tau/pi: 1..n-1)."""
-    n = module.n
+    ell, n = module.ell, module.n
     if kind in ("u", "zeta"):
         if not 1 <= i <= n:
             raise IndexError(f"{kind}_{i} out of range for n={n}")
-        return (module.mat_u if kind == "u" else module.mat_zeta)[i - 1].copy()
+        u, z = _eigenvalues(module)
+        return Mat.diagonal(ell, (u if kind == "u" else z)[i - 1])
     if kind in ("s", "tau", "pi"):
         if not 1 <= i <= n - 1:
             raise IndexError(f"{kind}_{i} out of range for n={n}")
@@ -217,13 +239,19 @@ def generator_matrix(module: ModuleRep, kind: str, i: int) -> Mat:
 # verification
 
 def verify_relations(module: ModuleRep) -> VerificationReport:
-    """Exact matrix check of every defining relation: the symmetric-group
-    and color-group relations, the commutation relations between the
-    polynomial and group generators, and the mixed crossing relation
+    """Exact check of every defining relation: the symmetric-group and
+    color-group relations, the commutation relations between the polynomial
+    and group generators, and the mixed crossing relation
     s_i u_i = u_{i+1} s_i - pi_i (pi evaluated honestly in the group
-    algebra, not via the diagonal shortcut)."""
+    algebra, not via the diagonal shortcut).
+
+    The s-only relations are matrix products.  A relation with a diagonal
+    side, X D = D' X, holds exactly when X[p, q] (d_q - d'_p) vanishes at
+    every nonzero entry of X, and relations between diagonal generators are
+    checked on the eigenvalues of each basis vector."""
     ell, n = module.ell, module.n
-    s, z, u = module.mat_s, module.mat_zeta, module.mat_u
+    s = module.mat_s
+    u, z = _eigenvalues(module)
     one = Mat.identity(ell, module.dim)
     checks = []
     add = checks.append
@@ -238,50 +266,47 @@ def verify_relations(module: ModuleRep) -> VerificationReport:
             add(_residual(f"s{i}s{j}=s{j}s{i}",
                           s[i - 1] * s[j - 1], s[j - 1] * s[i - 1]))
     for i in range(1, n + 1):
-        m = one
-        for _ in range(ell):
-            m = m * z[i - 1]
-        add(_residual(f"zeta{i}^{ell}=1", m, one))
+        add(_vector_check(f"zeta{i}^{ell}=1", (x ** ell for x in z[i - 1]), repeat(1)))
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            add(_residual(f"zeta{i}zeta{j}=zeta{j}zeta{i}",
-                          z[i - 1] * z[j - 1], z[j - 1] * z[i - 1]))
+            add(_vector_check(f"zeta{i}zeta{j}=zeta{j}zeta{i}",
+                              map(mul, z[i - 1], z[j - 1]), map(mul, z[j - 1], z[i - 1])))
     for i in range(1, n):
-        add(_residual(f"s{i}zeta{i}=zeta{i + 1}s{i}",
-                      s[i - 1] * z[i - 1], z[i] * s[i - 1]))
+        add(_diagonal_check(f"s{i}zeta{i}=zeta{i + 1}s{i}", s[i - 1], z[i - 1], z[i]))
         for j in range(1, n + 1):
             if j not in (i, i + 1):
-                add(_residual(f"s{i}zeta{j}=zeta{j}s{i}",
-                              s[i - 1] * z[j - 1], z[j - 1] * s[i - 1]))
+                add(_diagonal_check(f"s{i}zeta{j}=zeta{j}s{i}",
+                                    s[i - 1], z[j - 1], z[j - 1]))
     for i in range(1, n + 1):
         for j in range(1, n + 1):
-            add(_residual(f"zeta{i}u{j}=u{j}zeta{i}",
-                          z[i - 1] * u[j - 1], u[j - 1] * z[i - 1]))
+            add(_vector_check(f"zeta{i}u{j}=u{j}zeta{i}",
+                              map(mul, z[i - 1], u[j - 1]), map(mul, u[j - 1], z[i - 1])))
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            add(_residual(f"u{i}u{j}=u{j}u{i}",
-                          u[i - 1] * u[j - 1], u[j - 1] * u[i - 1]))
+            add(_vector_check(f"u{i}u{j}=u{j}u{i}",
+                              map(mul, u[i - 1], u[j - 1]), map(mul, u[j - 1], u[i - 1])))
     for i in range(1, n):
         for j in range(1, n + 1):
             if j not in (i, i + 1):
-                add(_residual(f"s{i}u{j}=u{j}s{i}",
-                              s[i - 1] * u[j - 1], u[j - 1] * s[i - 1]))
+                add(_diagonal_check(f"s{i}u{j}=u{j}s{i}",
+                                    s[i - 1], u[j - 1], u[j - 1]))
         pi = grpalg.evaluate_in_module(grpalg.pi_element(ell, n, i), module)
-        add(_residual(f"s{i}u{i}=u{i + 1}s{i}-pi{i}",
-                      s[i - 1] * u[i - 1], u[i] * s[i - 1] - pi))
+        add(_diagonal_check(f"s{i}u{i}=u{i + 1}s{i}-pi{i}",
+                            s[i - 1], u[i - 1], u[i], extra=pi))
     return VerificationReport(tuple(checks))
 
 
 def verify_intertwiners(module: ModuleRep) -> VerificationReport:
     """Exact checks that the tau_i behave as weight intertwiners:
 
-    (a) u_j tau_i = tau_i u_{s_i(j)} and the same with zeta;
+    (a) u_j tau_i = tau_i u_{s_i(j)} and the same with zeta, entry by entry
+        as in ``verify_relations``;
     (b) tau_i^2 is diagonal with entry ((u_i-u_{i+1})^2 - pi^2)/(u_i-u_{i+1})^2
         evaluated on each basis vector (taken to be 1 where pi vanishes);
     (c) the braid relation for tau.
     """
     ell, n = module.ell, module.n
-    u, z = module.mat_u, module.mat_zeta
+    u, z = _eigenvalues(module)
     checks = []
     taus = [_tau_matrix(module, i) for i in range(1, n)]
     ell_sq = Cyc.from_rational(ell, ell * ell)
@@ -290,14 +315,14 @@ def verify_intertwiners(module: ModuleRep) -> VerificationReport:
         tau = taus[i - 1]
         for j in range(1, n + 1):
             k = {i: i + 1, i + 1: i}.get(j, j)
-            checks.append(_residual(f"u{j}tau{i}=tau{i}u{k}",
-                                    u[j - 1] * tau, tau * u[k - 1]))
-            checks.append(_residual(f"zeta{j}tau{i}=tau{i}zeta{k}",
-                                    z[j - 1] * tau, tau * z[k - 1]))
+            checks.append(_diagonal_check(f"u{j}tau{i}=tau{i}u{k}", tau,
+                                          u[k - 1], u[j - 1], x_first=False))
+            checks.append(_diagonal_check(f"zeta{j}tau{i}=tau{i}zeta{k}", tau,
+                                          z[k - 1], z[j - 1], x_first=False))
         expected = Mat.zero(ell, module.dim)
         for t in range(module.dim):
-            if z[i - 1][t, t] == z[i][t, t]:
-                d = u[i - 1][t, t] - u[i][t, t]
+            if z[i - 1][t] == z[i][t]:
+                d = u[i - 1][t] - u[i][t]
                 expected[t, t] = (d * d - ell_sq) * (d * d).inverse()
             else:
                 expected[t, t] = 1
@@ -319,21 +344,17 @@ def commutant_dimension(module: ModuleRep) -> int:
     entries are kept as unknowns; the s-matrix commutation equations are then
     solved exactly.  Value 1 certifies irreducibility.
     """
-    from .linalg import nullspace_dim
-
-    ell, dim = module.ell, module.dim
-    key = [tuple(m[t, t] for m in module.mat_u) + tuple(m[t, t] for m in module.mat_zeta)
-           for t in range(dim)]
+    ell = module.ell
     classes: dict = {}
-    for t, k in enumerate(key):
-        classes.setdefault(k, []).append(t)
+    for t, w in enumerate(module.weights):
+        classes.setdefault(w, []).append(t)
     var: dict[tuple[int, int], int] = {}
     for members in classes.values():
         for a in members:
             for b in members:
                 var[(a, b)] = len(var)
 
-    same = {t: classes[key[t]] for t in range(dim)}
+    same = {t: classes[w] for t, w in enumerate(module.weights)}
     system = []
     for g in module.mat_s:
         eqs: dict[tuple[int, int], dict[int, Cyc]] = {}
@@ -357,13 +378,7 @@ def central_character(module: ModuleRep) -> list[Cyc]:
     """Scalars of the elementary symmetric polynomials e_1..e_n in the u's
     followed by e_1..e_n in the zetas.  NotScalar if any evaluation fails to
     be a scalar matrix."""
-    ell, n, dim = module.ell, module.n, module.dim
-
-    def diag_vectors(mats, label):
-        for m in mats:
-            if any(i != j for (i, j) in m.data):
-                raise NotScalar(f"{label} matrix is not diagonal")
-        return [[m[t, t] for m in mats] for t in range(dim)]
+    ell = module.ell
 
     def elementary(values):
         # coefficients of prod (x + v): e_0..e_n
@@ -374,9 +389,9 @@ def central_character(module: ModuleRep) -> list[Cyc]:
         return coeffs[1:]
 
     out = []
-    for mats, label in ((module.mat_u, "u"), (module.mat_zeta, "zeta")):
-        per_vector = [elementary(vals) for vals in diag_vectors(mats, label)]
-        for k in range(n):
+    for per_generator, label in zip(_eigenvalues(module), ("u", "zeta")):
+        per_vector = [elementary(vals) for vals in zip(*per_generator)]
+        for k in range(module.n):
             scalars = {pv[k] for pv in per_vector}
             if len(scalars) > 1:
                 raise NotScalar(
@@ -386,29 +401,9 @@ def central_character(module: ModuleRep) -> list[Cyc]:
 
 
 def module_weights(module: ModuleRep) -> list[Weight]:
-    """Weights read off the diagonal matrices: rational u-eigenvalues and
-    the zeta-eigenvalue exponents, one Weight per basis vector."""
-    ell, n, dim = module.ell, module.n, module.dim
-    powers = [root_of_unity(ell, k) for k in range(ell)]
-    for mats in (module.mat_u, module.mat_zeta):
-        for m in mats:
-            if any(i != j for (i, j) in m.data):
-                raise ValueError("weights require diagonal u- and zeta-matrices")
-    out = []
-    for t in range(dim):
-        a = []
-        b = []
-        for i in range(n):
-            a.append(module.mat_u[i][t, t].as_rational())
-            val = module.mat_zeta[i][t, t]
-            for k, p in enumerate(powers):
-                if val == p:
-                    b.append(k)
-                    break
-            else:
-                raise ValueError(f"zeta_{i + 1} eigenvalue at {t} is not a root of unity")
-        out.append(Weight(tuple(a), tuple(b)))
-    return out
+    """The weight of each basis vector: rational u-eigenvalues and the
+    zeta-eigenvalue exponents."""
+    return list(module.weights)
 
 
 # ---------------------------------------------------------------------------
@@ -417,25 +412,26 @@ def module_weights(module: ModuleRep) -> list[Weight]:
 def twist(module: ModuleRep, auto: str, kappa=None) -> ModuleRep:
     """Relabel the module through an automorphism.
 
-    ``auto="t"`` shifts every u-matrix by the rational kappa; ``auto="rho"``
-    reverses indices: u_i -> -u_{n-i+1}, zeta_i -> zeta_{n-i+1}, s_i -> s_{n-i}.
-    The result carries no shape/basis metadata (matrices only).
+    ``auto="t"`` shifts every u-eigenvalue by the rational kappa;
+    ``auto="rho"`` reverses indices: u_i -> -u_{n-i+1},
+    zeta_i -> zeta_{n-i+1}, s_i -> s_{n-i}.  The result carries no
+    shape/basis metadata.
     """
     ell, n = module.ell, module.n
     if auto == "t":
         if kappa is None:
             raise ValueError("content-shift twist needs a rational kappa")
-        shift = Mat.identity(ell, module.dim).scale(Fraction(kappa))
-        return ModuleRep(ell, n, module.dim, module.mat_s, module.mat_zeta,
-                         tuple(m + shift for m in module.mat_u))
+        kappa = Fraction(kappa)
+        return ModuleRep(ell, n, module.dim, module.mat_s, tuple(
+            Weight(tuple(x + kappa for x in w.a), w.b) for w in module.weights))
     if auto == "rho":
         if kappa is not None:
             raise ValueError("index-reversal twist takes no parameter")
         return ModuleRep(
             ell, n, module.dim,
             tuple(module.mat_s[n - 2 - i] for i in range(n - 1)),
-            tuple(module.mat_zeta[n - 1 - i] for i in range(n)),
-            tuple(module.mat_u[n - 1 - i].scale(-1) for i in range(n)))
+            tuple(Weight(tuple(-x for x in reversed(w.a)), w.b[::-1])
+                  for w in module.weights))
     raise ValueError(f"unknown automorphism {auto!r}")
 
 
@@ -477,7 +473,7 @@ def jm_consistency(module: ModuleRep) -> VerificationReport:
     for i in range(1, module.n + 1):
         phi = grpalg.evaluate_in_module(
             grpalg.jm_element(module.ell, module.n, i), module)
-        checks.append(_residual(f"phi{i}=u{i}", phi, module.mat_u[i - 1]))
+        checks.append(_residual(f"phi{i}=u{i}", phi, generator_matrix(module, "u", i)))
     return VerificationReport(tuple(checks))
 
 
@@ -494,24 +490,19 @@ def _mat_to_dense_json(m: Mat) -> list:
 
 
 def module_to_json(module: ModuleRep, include_matrices=False, dense=False) -> dict:
-    from .shapes import weight_of, weight_to_json
-
-    if module.basis is not None:
-        weights = [weight_of(t) for t in module.basis]
-    else:
-        weights = module_weights(module)
     data = {
         "ell": module.ell,
         "n": module.n,
         "dim": module.dim,
         "shape": shape_to_json(module.shape) if module.shape is not None else None,
-        "weights": [weight_to_json(w, module.ell) for w in weights],
+        "weights": [weight_to_json(w, module.ell) for w in module.weights],
     }
     if module.basis is not None:
         data["basis"] = [tableau_to_json(t) for t in module.basis]
     if include_matrices:
         conv = _mat_to_dense_json if dense else _mat_to_json
-        data["mat_u"] = [conv(m) for m in module.mat_u]
-        data["mat_zeta"] = [conv(m) for m in module.mat_zeta]
+        for kind in ("u", "zeta"):
+            data[f"mat_{kind}"] = [conv(generator_matrix(module, kind, i))
+                                   for i in range(1, module.n + 1)]
         data["mat_s"] = [conv(m) for m in module.mat_s]
     return data

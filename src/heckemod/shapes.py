@@ -81,10 +81,6 @@ class Tableau:
                 out[lab - 1] = (k, cell)
         return out
 
-    def entry(self, comp_index: int, cell: Cell) -> int:
-        comp = self.shape.components[comp_index]
-        return self.labels[comp_index][comp.cells.index(cell)]
-
 
 @dataclass(frozen=True)
 class Weight:
@@ -587,12 +583,25 @@ def shape_to_json(shape: SkewShapeL) -> dict:
     }
 
 
+def _ell_from_json(data: dict, kind: str) -> int:
+    ell = data["ell"]
+    if type(ell) is not int or ell < 1:  # type(True) is bool: bools are rejected
+        raise ValueError(f"{kind} field 'ell' must be a positive integer, got {ell!r}")
+    return ell
+
+
 def shape_from_json(data: dict) -> SkewShapeL:
-    return validate_and_canonicalize(
-        int(data["ell"]),
-        [(comp["beta"], fraction_from_str(comp["offset"]),
-          [tuple(cell) for cell in comp["cells"]])
-         for comp in data["components"]])
+    """Parse a shape; ``ell`` must be a positive integer, and ``beta`` and
+    every cell coordinate integers (bools are rejected)."""
+    ell = _ell_from_json(data, "shape")
+    comps = [(comp["beta"], fraction_from_str(comp["offset"]),
+              [tuple(cell) for cell in comp["cells"]]) for comp in data["components"]]
+    for beta, _, cells in comps:
+        if type(beta) is not int:
+            raise ValueError(f"shape field 'beta' must be an integer, got {beta!r}")
+        if not all(type(x) is int for cell in cells for x in cell):
+            raise ValueError(f"shape field 'cells' must hold integers, got {cells!r}")
+    return validate_and_canonicalize(ell, comps)
 
 
 def tableau_to_json(tab: Tableau) -> dict:
@@ -631,10 +640,8 @@ def weight_to_json(weight: Weight, ell: int) -> dict:
 def weight_from_json(data: dict) -> tuple[Weight, int]:
     """Parse a weight; ``ell`` must be a positive integer and the entries of
     ``b`` integers (bools are rejected), reduced mod ell."""
-    ell = data["ell"]
-    if isinstance(ell, bool) or not isinstance(ell, int) or ell < 1:
-        raise ValueError(f"weight field 'ell' must be a positive integer, got {ell!r}")
-    if any(isinstance(x, bool) or not isinstance(x, int) for x in data["b"]):
+    ell = _ell_from_json(data, "weight")
+    if not all(type(x) is int for x in data["b"]):
         raise ValueError(f"weight field 'b' must hold integers, got {data['b']!r}")
     a = tuple(fraction_from_str(x) for x in data["a"])
     b = tuple(x % ell for x in data["b"])

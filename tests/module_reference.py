@@ -1,0 +1,222 @@
+"""Reference oracle for the verification in ``heckemod.modules``: full
+matrix products throughout.
+
+These are the relation, intertwiner, commutant, central-character and
+weight routines heckemod used while a module stored u_i and zeta_i as
+diagonal matrices.  Every relation is a product of whole matrices compared by
+``Mat`` subtraction, and every eigenvalue is read back off a diagonal.  The
+matrices come from ``generator_matrix``.  The production path keeps one
+weight per basis vector and checks relations with a diagonal side entry by
+entry, so the tests compare the two.
+"""
+
+from __future__ import annotations
+
+from heckemod import grpalg
+from heckemod.cyclo import Cyc, root_of_unity
+from heckemod.errors import NotScalar
+from heckemod.grpalg import GroupAlgebraElement, GroupElement, _perm_word
+from heckemod.linalg import Mat, nullspace_dim
+from heckemod.modules import RelationCheck, VerificationReport, generator_matrix
+from heckemod.shapes import Weight
+
+
+def _residual(name: str, left: Mat, right: Mat) -> RelationCheck:
+    diff = left - right
+    if diff.is_zero():
+        return RelationCheck(name, True)
+    (i, j), v = min(diff.data.items())
+    return RelationCheck(name, False, (i, j, repr(v)))
+
+
+def _diagonals(module):
+    """The u- and zeta-matrices, built by ``generator_matrix``."""
+    n = module.n
+    return ([generator_matrix(module, "u", i) for i in range(1, n + 1)],
+            [generator_matrix(module, "zeta", i) for i in range(1, n + 1)])
+
+
+def evaluate(x, module, z) -> Mat:
+    """zeta^a w as Z_1^{a_1} ... Z_n^{a_n} times the s-matrices spelling w,
+    for the zeta-matrices z."""
+    if isinstance(x, GroupElement):
+        x = GroupAlgebraElement.from_group(x)
+    total = Mat.zero(module.ell, module.dim)
+    for g, coeff in x.terms.items():
+        m = Mat.identity(module.ell, module.dim)
+        for i, a in enumerate(g.colors):
+            for _ in range(a):
+                m = m * z[i]
+        for i in _perm_word(g.perm):
+            m = m * module.mat_s[i - 1]
+        total = total + m.scale(coeff)
+    return total
+
+
+def tau_matrix(module, i: int, u, z) -> Mat:
+    ell = module.ell
+    ui, uj = u[i - 1], u[i]
+    zi, zj = z[i - 1], z[i]
+    m = module.mat_s[i - 1].copy()
+    for t in range(module.dim):
+        if zi[t, t] == zj[t, t]:
+            d = uj[t, t] - ui[t, t]
+            if d.is_zero():
+                raise ZeroDivisionError(f"intertwiner {i} undefined at {t}")
+            m[t, t] = m[t, t] - Cyc.from_rational(ell, ell) * d.inverse()
+    return m
+
+
+def verify_relations(module) -> VerificationReport:
+    ell, n = module.ell, module.n
+    s = module.mat_s
+    u, z = _diagonals(module)
+    one = Mat.identity(ell, module.dim)
+    checks = []
+    add = checks.append
+
+    for i in range(1, n):
+        add(_residual(f"s{i}^2=1", s[i - 1] * s[i - 1], one))
+    for i in range(1, n - 1):
+        add(_residual(f"s{i}s{i + 1}s{i}=s{i + 1}s{i}s{i + 1}",
+                      s[i - 1] * s[i] * s[i - 1], s[i] * s[i - 1] * s[i]))
+    for i in range(1, n):
+        for j in range(i + 2, n):
+            add(_residual(f"s{i}s{j}=s{j}s{i}",
+                          s[i - 1] * s[j - 1], s[j - 1] * s[i - 1]))
+    for i in range(1, n + 1):
+        m = one
+        for _ in range(ell):
+            m = m * z[i - 1]
+        add(_residual(f"zeta{i}^{ell}=1", m, one))
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            add(_residual(f"zeta{i}zeta{j}=zeta{j}zeta{i}",
+                          z[i - 1] * z[j - 1], z[j - 1] * z[i - 1]))
+    for i in range(1, n):
+        add(_residual(f"s{i}zeta{i}=zeta{i + 1}s{i}",
+                      s[i - 1] * z[i - 1], z[i] * s[i - 1]))
+        for j in range(1, n + 1):
+            if j not in (i, i + 1):
+                add(_residual(f"s{i}zeta{j}=zeta{j}s{i}",
+                              s[i - 1] * z[j - 1], z[j - 1] * s[i - 1]))
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            add(_residual(f"zeta{i}u{j}=u{j}zeta{i}",
+                          z[i - 1] * u[j - 1], u[j - 1] * z[i - 1]))
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            add(_residual(f"u{i}u{j}=u{j}u{i}",
+                          u[i - 1] * u[j - 1], u[j - 1] * u[i - 1]))
+    for i in range(1, n):
+        for j in range(1, n + 1):
+            if j not in (i, i + 1):
+                add(_residual(f"s{i}u{j}=u{j}s{i}",
+                              s[i - 1] * u[j - 1], u[j - 1] * s[i - 1]))
+        pi = evaluate(grpalg.pi_element(ell, n, i), module, z)
+        add(_residual(f"s{i}u{i}=u{i + 1}s{i}-pi{i}",
+                      s[i - 1] * u[i - 1], u[i] * s[i - 1] - pi))
+    return VerificationReport(tuple(checks))
+
+
+def verify_intertwiners(module) -> VerificationReport:
+    ell, n = module.ell, module.n
+    u, z = _diagonals(module)
+    checks = []
+    taus = [tau_matrix(module, i, u, z) for i in range(1, n)]
+    ell_sq = Cyc.from_rational(ell, ell * ell)
+
+    for i in range(1, n):
+        tau = taus[i - 1]
+        for j in range(1, n + 1):
+            k = {i: i + 1, i + 1: i}.get(j, j)
+            checks.append(_residual(f"u{j}tau{i}=tau{i}u{k}",
+                                    u[j - 1] * tau, tau * u[k - 1]))
+            checks.append(_residual(f"zeta{j}tau{i}=tau{i}zeta{k}",
+                                    z[j - 1] * tau, tau * z[k - 1]))
+        expected = Mat.zero(ell, module.dim)
+        for t in range(module.dim):
+            if z[i - 1][t, t] == z[i][t, t]:
+                d = u[i - 1][t, t] - u[i][t, t]
+                expected[t, t] = (d * d - ell_sq) * (d * d).inverse()
+            else:
+                expected[t, t] = 1
+        checks.append(_residual(f"tau{i}^2=((u{i}-u{i + 1})^2-pi^2)/(u{i}-u{i + 1})^2",
+                                tau * tau, expected))
+    for i in range(1, n - 1):
+        checks.append(_residual(
+            f"tau{i}tau{i + 1}tau{i}=tau{i + 1}tau{i}tau{i + 1}",
+            taus[i - 1] * taus[i] * taus[i - 1],
+            taus[i] * taus[i - 1] * taus[i]))
+    return VerificationReport(tuple(checks))
+
+
+def jm_consistency(module) -> VerificationReport:
+    u, z = _diagonals(module)
+    return VerificationReport(tuple(
+        _residual(f"phi{i}=u{i}",
+                  evaluate(grpalg.jm_element(module.ell, module.n, i), module, z), u[i - 1])
+        for i in range(1, module.n + 1)))
+
+
+def commutant_dimension(module) -> int:
+    ell, dim = module.ell, module.dim
+    u, z = _diagonals(module)
+    key = [tuple(m[t, t] for m in u) + tuple(m[t, t] for m in z) for t in range(dim)]
+    classes: dict = {}
+    for t, k in enumerate(key):
+        classes.setdefault(k, []).append(t)
+    var: dict[tuple[int, int], int] = {}
+    for members in classes.values():
+        for a in members:
+            for b in members:
+                var[(a, b)] = len(var)
+    same = {t: classes[key[t]] for t in range(dim)}
+    system = []
+    for g in module.mat_s:
+        eqs: dict[tuple[int, int], dict[int, Cyc]] = {}
+
+        def bump(eq_key, v, coef):
+            row = eqs.setdefault(eq_key, {})
+            row[v] = row.get(v, Cyc.zero(ell)) + coef
+
+        for (k, j), gv in g.data.items():
+            for i in same[k]:
+                bump((i, j), var[(i, k)], gv)
+        for (i, k), gv in g.data.items():
+            for j in same[k]:
+                bump((i, j), var[(k, j)], -gv)
+        system.extend(eqs.values())
+    return nullspace_dim(system, len(var), ell)
+
+
+def central_character(module) -> list[Cyc]:
+    ell, n, dim = module.ell, module.n, module.dim
+
+    def elementary(values):
+        coeffs = [Cyc.one(ell)] + [Cyc.zero(ell)] * len(values)
+        for v in values:
+            for k in range(len(values), 0, -1):
+                coeffs[k] = coeffs[k] + v * coeffs[k - 1]
+        return coeffs[1:]
+
+    out = []
+    for mats, label in zip(_diagonals(module), ("u", "zeta")):
+        per_vector = [elementary([m[t, t] for m in mats]) for t in range(dim)]
+        for k in range(n):
+            scalars = {pv[k] for pv in per_vector}
+            if len(scalars) > 1:
+                raise NotScalar(f"e_{k + 1}({label}) takes {len(scalars)} distinct values")
+        out.extend(per_vector[0] if per_vector else [])
+    return out
+
+
+def module_weights(module) -> list[Weight]:
+    """Rational u-eigenvalues and zeta exponents, found by searching the
+    powers of zeta."""
+    ell = module.ell
+    powers = [root_of_unity(ell, k) for k in range(ell)]
+    u, z = _diagonals(module)
+    return [Weight(tuple(m[t, t].as_rational() for m in u),
+                   tuple(powers.index(m[t, t]) for m in z))
+            for t in range(module.dim)]

@@ -171,7 +171,23 @@ def test_exit_codes_for_bad_input(capsys, tmp_path):
         capsys.readouterr()
         assert main(["classify", "--weight", str(weight)]) == 1
         assert f"'{field}'" in capsys.readouterr().err
+    # shape fields that are not integers as the format requires
+    cell = {"beta": 0, "offset": "0", "cells": [[1, 0]]}
+    for field, bad in (("ell", {"ell": -1, "components": [cell]}),
+                       ("ell", {"ell": 1.5, "components": [cell]}),
+                       ("ell", {"ell": True, "components": [cell]}),
+                       ("beta", {"ell": 1, "components": [{**cell, "beta": False}]}),
+                       ("cells", {"ell": 1,
+                                  "components": [{**cell, "cells": [[True, 0]]}]})):
+        shape = tmp_path / "bad_shape.json"
+        shape.write_text(json.dumps(bad))
+        capsys.readouterr()
+        assert main(["verify", "--shape", str(shape)]) == 1
+        assert f"'{field}'" in capsys.readouterr().err
     # usage problems
+    capsys.readouterr()
+    assert main(["shapes", "--ell", "1", "--n", "3", "--window", "-3"]) == 1
+    assert "argument --window:" in capsys.readouterr().err
     assert main(["shapes", "--ell", "1", "--n", "3"]) == 1
     assert main(["no-such-command"]) == 1
     assert main([]) == 1

@@ -9,6 +9,7 @@ from heckemod import (
     NotAPartition,
     NotScalar,
     NotStandard,
+    Weight,
     apply_transposition,
     build_module,
     central_character,
@@ -17,6 +18,7 @@ from heckemod import (
     enumerate_shapes,
     enumerate_syt,
     generator_matrix,
+    is_partition_shape,
     jm_consistency,
     module_to_json,
     module_weights,
@@ -147,9 +149,9 @@ def test_tau_kills_exactly_the_blocked_same_color_vectors():
 
 def test_tau_guard_on_colliding_eigenvalues():
     M = module_21()
-    bad_u = list(M.mat_u)
-    bad_u[1] = M.mat_u[0].copy()
-    bad = dataclasses.replace(M, mat_u=tuple(bad_u))
+    # u_2 takes the eigenvalues of u_1 on every basis vector
+    bad = dataclasses.replace(M, weights=tuple(
+        Weight((w.a[0], w.a[0]) + w.a[2:], w.b) for w in M.weights))
     with pytest.raises(ZeroDivisionError):
         generator_matrix(bad, "tau", 1)
 
@@ -198,11 +200,9 @@ def test_central_character_values():
 
 def test_central_character_rejects_non_scalar():
     M = module_21()
-    bad_u = list(M.mat_u)
-    m = bad_u[0].copy()
-    m[0, 0] = 5
-    bad_u[0] = m
-    bad = dataclasses.replace(M, mat_u=tuple(bad_u))
+    w = M.weights[0]
+    bad = dataclasses.replace(
+        M, weights=(Weight((Fraction(5),) + w.a[1:], w.b),) + M.weights[1:])
     with pytest.raises(NotScalar):
         central_character(bad)
 
@@ -300,3 +300,63 @@ def test_verify_relations_full_small_corpus():
         assert verify_relations(M).ok
         assert verify_intertwiners(M).ok
         assert commutant_dimension(M) == 1
+
+
+def _outcome(fn, module):
+    try:
+        return fn(module)
+    except Exception as exc:  # noqa: BLE001 - the exception type is compared
+        return type(exc)
+
+
+def _corrupted(M, rng, kind):
+    """M with one s entry, one u eigenvalue or one zeta exponent changed."""
+    if kind == "s" and M.mat_s:
+        k = rng.randrange(len(M.mat_s))
+        m = M.mat_s[k].copy()
+        key = rng.choice(sorted(m.data))
+        m[key] = m[key] + rng.choice([1, -1, Fraction(1, 2)])
+        return dataclasses.replace(M, mat_s=M.mat_s[:k] + (m,) + M.mat_s[k + 1:])
+    t, i = rng.randrange(M.dim), rng.randrange(M.n)
+    w = M.weights[t]
+    if kind == "zeta" and M.ell > 1:
+        w = Weight(w.a, w.b[:i] + ((w.b[i] + 1) % M.ell,) + w.b[i + 1:])
+    else:
+        shift = rng.choice([1, -1, Fraction(1, 2)])
+        w = Weight(w.a[:i] + (w.a[i] + shift,) + w.a[i + 1:], w.b)
+    return dataclasses.replace(M, weights=M.weights[:t] + (w,) + M.weights[t + 1:])
+
+
+def test_matches_matrix_reference():
+    # every report, witness, value and raised exception type agrees with the
+    # matrix-product oracle, on sound modules and on corrupted ones
+    import random
+
+    import module_reference as ref
+    from test_acceptance import half_offset_shapes
+
+    rng = random.Random(6)
+    shapes = [D for ell in (1, 2, 3) for n in (1, 2, 3, 4)
+              for D in enumerate_shapes(ell, n, n)] + half_offset_shapes()
+    modules = [build_module(D) for D in shapes]
+    sums = [direct_sum(modules[k], modules[k + 1]) for k in range(0, len(modules) - 1, 23)
+            if (modules[k].ell, modules[k].n) == (modules[k + 1].ell, modules[k + 1].n)]
+    sums.append(direct_sum(module_21(), module_21()))
+    corrupted = [_corrupted(M, rng, ("s", "u", "zeta")[k % 3])
+                 for k, M in enumerate(modules[::2])]
+    pairs = [(verify_relations, ref.verify_relations),
+             (verify_intertwiners, ref.verify_intertwiners),
+             (commutant_dimension, ref.commutant_dimension),
+             (central_character, ref.central_character),
+             (module_weights, ref.module_weights)]
+    seen = set()
+    for M in modules + sums + corrupted:
+        for fast, slow in pairs:
+            got = _outcome(fast, M)
+            assert got == _outcome(slow, M), (fast.__name__, M.weights)
+            seen.add(got if isinstance(got, type) else getattr(got, "ok", None))
+        if M.shape is not None and is_partition_shape(M.shape):
+            assert jm_consistency(M) == ref.jm_consistency(M)
+    # the corruptions reach failing reports and both guarded exceptions
+    assert len(sums) > 10
+    assert {True, False, ZeroDivisionError, NotScalar} <= seen
