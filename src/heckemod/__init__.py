@@ -21,13 +21,14 @@ from .grpalg import (GroupAlgebraElement, GroupElement, color_generator,
 from .linalg import Mat, block_diag, nullspace_dim
 from .modules import (ModuleRep, RelationCheck, VerificationReport,
                       build_module, central_character, commutant_dimension,
-                      direct_sum, generator_matrix, is_partition_shape,
-                      jm_consistency, module_to_json, module_weights, twist,
+                      direct_sum, generator_matrix, jm_consistency,
+                      module_to_json, module_weights, twist,
                       verify_intertwiners, verify_relations)
 from .shapes import (Component, SkewShapeL, Tableau, Weight,
                      apply_transposition, enumerate_shapes, enumerate_syt,
-                     hook_dimension, inversion_set, is_standard,
-                     joint_placement, partition_shape, row_reading_tableau,
+                     hook_dimension, inversion_set, is_partition_shape,
+                     is_standard, joint_placement, partition_shape,
+                     partitions_of, row_reading_tableau,
                      shape_from_json, shape_to_json, shift_contents,
                      tableau_from_json, tableau_path, tableau_to_json,
                      validate_and_canonicalize, weight_from_json,
@@ -37,7 +38,8 @@ __all__ = [
     "Cyc", "cyclotomic_polynomial", "degree", "root_of_unity",
     "Component", "SkewShapeL", "Tableau", "Weight",
     "validate_and_canonicalize", "shift_contents", "partition_shape",
-    "hook_dimension", "enumerate_shapes", "enumerate_syt",
+    "partitions_of", "is_partition_shape", "hook_dimension",
+    "enumerate_shapes", "enumerate_syt",
     "row_reading_tableau", "is_standard", "weight_of", "inversion_set",
     "apply_transposition", "tableau_path", "joint_placement",
     "shape_to_json", "shape_from_json", "tableau_to_json", "tableau_from_json",
@@ -49,7 +51,7 @@ __all__ = [
     "ModuleRep", "RelationCheck", "VerificationReport", "build_module",
     "generator_matrix", "verify_relations", "verify_intertwiners",
     "commutant_dimension", "central_character", "module_weights", "twist",
-    "direct_sum", "jm_consistency", "is_partition_shape", "module_to_json",
+    "direct_sum", "jm_consistency", "module_to_json",
     "ConditionViolation", "check_weight_condition", "violation_holds",
     "reconstruct", "classify_roundtrip",
     "HeckemodError", "MismatchedField", "ShapeError", "NotSkew",

@@ -183,15 +183,13 @@ def classify_roundtrip(shape: SkewShapeL) -> VerificationReport:
     checks = []
     for t_index, tab in enumerate(enumerate_syt(shape), start=1):
         name = f"T{t_index}"
-        w = weight_of(tab)
-        violation = check_weight_condition(w, shape.ell)
-        if violation is not None:
-            checks.append(RelationCheck(name, False,
-                                        (t_index, 0, f"condition: {violation}")))
-            continue
         try:
-            shape2, tab2 = reconstruct(w, shape.ell)
-        except (ConditionFailed, NoAddablePosition) as exc:
+            shape2, tab2 = reconstruct(weight_of(tab), shape.ell)
+        except ConditionFailed as exc:
+            checks.append(RelationCheck(name, False,
+                                        (t_index, 0, f"condition: {exc.violation}")))
+            continue
+        except NoAddablePosition as exc:
             checks.append(RelationCheck(name, False, (t_index, 0, repr(exc))))
             continue
         if shape2 == shape and tab2 == tab:

@@ -17,9 +17,8 @@ from . import classify as cl
 from . import modules as md
 from . import shapes as sh
 from .cyclo import fraction_to_str
-from .errors import (ConditionFailed, DimensionMismatch, HeckemodError,
-                     MismatchedField, NoAddablePosition, NotScalar,
-                     NotStandard, ShapeError)
+from .errors import (ConditionFailed, HeckemodError, NoAddablePosition,
+                     NotScalar, NotStandard, ShapeError)
 
 
 class _UsageError(Exception):
@@ -58,16 +57,6 @@ def _load_shape(path: str) -> sh.SkewShapeL:
     return sh.shape_from_json(_load_json(path))
 
 
-def _partitions_of(shape: sh.SkewShapeL) -> list[list[int]]:
-    parts: list[list[int]] = [[] for _ in range(shape.ell)]
-    for comp in shape.components:
-        rows: dict[int, int] = {}
-        for r, _ in comp.cells:
-            rows[r] = rows.get(r, 0) + 1
-        parts[comp.beta] = [rows[r] for r in sorted(rows)]
-    return parts
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -83,8 +72,9 @@ def _cmd_syt(args) -> int:
     tableaux = sh.enumerate_syt(shape)
     data = {"shape": sh.shape_to_json(shape), "count": len(tableaux),
             "tableaux": [sh.tableau_to_json(t) for t in tableaux]}
-    if md.is_partition_shape(shape):
-        data["hook_dimension"] = sh.hook_dimension(shape.ell, _partitions_of(shape))
+    parts = sh.partitions_of(shape)
+    if parts is not None:
+        data["hook_dimension"] = sh.hook_dimension(shape.ell, parts)
     _emit(data)
     return 0
 
@@ -119,12 +109,11 @@ def _cmd_verify(args) -> int:
 
 def _cmd_classify(args) -> int:
     weight, ell = sh.weight_from_json(_load_json(args.weight))
-    violation = cl.check_weight_condition(weight, ell)
-    if violation is not None:
-        _emit({"rejected": violation.to_json()})
-        return 2
     try:
         shape, tableau = cl.reconstruct(weight, ell)
+    except ConditionFailed as exc:
+        _emit({"rejected": exc.violation.to_json()})
+        return 2
     except NoAddablePosition as exc:
         _emit({"rejected": {"kind": "NoAddablePosition", "detail": str(exc)}})
         return 2
@@ -182,13 +171,13 @@ def _cmd_suite(args) -> int:
                 fails["central_character"] += 1
             counts["roundtrip"] += 1
             fails["roundtrip"] += not cl.classify_roundtrip(shape).ok
-            if md.is_partition_shape(shape):
+            parts = sh.partitions_of(shape)
+            if parts is not None:
                 counts["jucys_murphy"] += 1
                 fails["jucys_murphy"] += not md.jm_consistency(module).ok
                 counts["hook_dimension"] += 1
-                fails["hook_dimension"] += (
-                    sh.hook_dimension(shape.ell, _partitions_of(shape))
-                    != len(sh.enumerate_syt(shape)))
+                fails["hook_dimension"] += (sh.hook_dimension(shape.ell, parts)
+                                            != len(sh.enumerate_syt(shape)))
         for check in counts:
             if counts[check]:
                 ok = fails[check] == 0
@@ -274,7 +263,7 @@ def main(argv=None) -> int:
     except (ShapeError, NotStandard, ConditionFailed, NoAddablePosition) as exc:
         print(f"rejected: {exc}", file=sys.stderr)
         return 2
-    except (NotScalar, DimensionMismatch, MismatchedField, HeckemodError) as exc:
+    except HeckemodError as exc:
         print(f"internal verification failure: {exc}", file=sys.stderr)
         return 3
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:

@@ -15,8 +15,11 @@ path for equal denominators.  A product convolves the numerators and folds
 degrees phi .. 2*phi - 2 back with a per-ell table of ``x**k mod Phi_ell``,
 built once.  Fields of degree 1 (ell in {1, 2}) take a one-numerator
 branch, and products in fields of degree 2 (ell in {3, 4, 6}) are unrolled.
-The inverse of a rational element is read off directly; other inverses,
-which are rare, go through the extended Euclidean algorithm over Q.
+The inverse of a rational element is read off directly.  Any other
+element a = A/den, A with integer coefficients, is inverted through its norm:
+with sigma_k the Galois automorphism zeta -> zeta**k, the product
+P = prod(sigma_k(A)) over 1 < k < ell with gcd(k, ell) = 1 makes A*P = N(A) a
+nonzero integer, so a**-1 = den * P / N(A), all in integer arithmetic.
 ``coeffs`` gives the coefficients as ``Fraction``s, and ``zero`` and
 ``one`` are built once per ell.
 
@@ -87,46 +90,6 @@ def _fold_table(ell: int) -> tuple[tuple[int, ...], ...]:
     phi = len(poly) - 1
     return tuple(tuple(_divmod_monic([0] * k + [1], poly)[1])
                  for k in range(phi, 2 * phi - 1))
-
-
-# ---------------------------------------------------------------------------
-# rational polynomials, for the extended Euclidean algorithm only
-
-
-def _poly_trim(p):
-    while p and not p[-1]:
-        p.pop()
-    return p
-
-
-def _ext_gcd_inverse(a, m):
-    """s with s * a == 1 modulo m over Q, for a coprime to m (lists of
-    Fractions, lowest degree first, a trimmed and nonzero)."""
-    r0, r1 = list(m), a
-    s0, s1 = [], [Fraction(1)]
-    while len(r1) > 1:
-        q = [Fraction(0)] * (len(r0) - len(r1) + 1)
-        r = list(r0)
-        while len(r) >= len(r1):
-            c = r[-1] / r1[-1]
-            shift = len(r) - len(r1)
-            q[shift] = c
-            for k, v in enumerate(r1):
-                r[shift + k] -= c * v
-            _poly_trim(r)
-        qs = [Fraction(0)] * max(len(q) + len(s1) - 1, 0)
-        for i, x in enumerate(q):
-            for j, y in enumerate(s1):
-                qs[i + j] += x * y
-        width = max(len(s0), len(qs))
-        s0, s1 = s1, _poly_trim([(s0[k] if k < len(s0) else 0)
-                                 - (qs[k] if k < len(qs) else 0)
-                                 for k in range(width)])
-        r0, r1 = r1, r
-    if not r1:
-        raise ZeroDivisionError("element is not invertible")
-    g = r1[0]
-    return [c / g for c in s1]
 
 
 # ---------------------------------------------------------------------------
@@ -337,9 +300,18 @@ class Cyc:
             if not x:
                 raise ZeroDivisionError("division by zero in Q(zeta_ell)")
             return _raw(self._ell, (den if x > 0 else -den,) + a[1:], abs(x))
-        s = _ext_gcd_inverse(_poly_trim([Fraction(x) for x in a]),
-                             [Fraction(c) for c in _cyclotomic_ints(self._ell)])
-        return Cyc(self._ell, [c * den for c in s])
+        # 1/a = den * P / N(A) with a = A/den, as in the module docstring
+        ell = self._ell
+        conj = _one(ell)
+        for k in range(2, ell):
+            if gcd(k, ell) == 1:
+                img = [0] * ell  # sigma_k sends zeta**j to zeta**(j*k mod ell)
+                for j, c in enumerate(a):
+                    img[j * k % ell] += c
+                conj = conj * Cyc(ell, img)
+        norm = conj * _raw(ell, a, 1)
+        assert norm.is_rational(), "the norm of a field element is rational"
+        return conj * (den / norm.as_rational())
 
     def __truediv__(self, other):
         o = self._coerce(other)

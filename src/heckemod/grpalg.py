@@ -147,10 +147,6 @@ class GroupAlgebraElement:
             self.terms[g] = acc
 
     @classmethod
-    def zero(cls, ell: int, n: int) -> "GroupAlgebraElement":
-        return cls(ell, n)
-
-    @classmethod
     def from_group(cls, g: GroupElement, coeff=1) -> "GroupAlgebraElement":
         return cls(g.ell, g.n, [(g, coeff)])
 

@@ -22,7 +22,8 @@ from .cyclo import Cyc, root_of_unity
 from .errors import DegenerateShape, DimensionMismatch, NotAPartition, NotScalar
 from .linalg import Mat, block_diag, nullspace_dim
 from .shapes import (SkewShapeL, Tableau, Weight, _context, enumerate_syt,
-                     shape_to_json, tableau_to_json, weight_to_json)
+                     is_partition_shape, shape_to_json, tableau_to_json,
+                     weight_to_json)
 
 
 @dataclass(frozen=True)
@@ -437,28 +438,6 @@ def twist(module: ModuleRep, auto: str, kappa=None) -> ModuleRep:
 
 # ---------------------------------------------------------------------------
 # Jucys-Murphy consistency
-
-def is_partition_shape(shape: SkewShapeL) -> bool:
-    """True when every component is a left-anchored partition with corner
-    content 0 (at most one component per coordinate, offset 0)."""
-    seen = set()
-    for comp in shape.components:
-        if comp.beta in seen or comp.offset != 0:
-            return False
-        seen.add(comp.beta)
-        rows: dict[int, list[int]] = {}
-        for r, c in comp.cells:
-            rows.setdefault(r, []).append(c)
-        lengths = {}
-        for r, cs in rows.items():
-            cs.sort()
-            if cs[0] != 1 - r or cs != list(range(cs[0], cs[-1] + 1)):
-                return False
-            lengths[r] = len(cs)
-        if sorted(rows) != list(range(1, len(rows) + 1)):
-            return False
-    return True
-
 
 def jm_consistency(module: ModuleRep) -> VerificationReport:
     """Check that the group-algebra Jucys-Murphy sums reproduce the diagonal

@@ -43,14 +43,6 @@ class Component:
     def size(self) -> int:
         return len(self.cells)
 
-    @property
-    def min_content(self) -> Fraction:
-        return min(c for _, c in self.cells) + self.offset
-
-    @property
-    def max_content(self) -> Fraction:
-        return max(c for _, c in self.cells) + self.offset
-
     def sort_key(self):
         return (self.beta, self.offset, self.cells)
 
@@ -256,35 +248,58 @@ def shift_contents(shape: SkewShapeL, delta) -> SkewShapeL:
 # ---------------------------------------------------------------------------
 # partitions
 
+def _partition_rows(ell: int, partitions) -> list[list[int]]:
+    """The ell row-length lists of a multipartition, checked."""
+    lams = [[int(p) for p in lam] for lam in partitions]
+    if len(lams) != ell:
+        raise NotAPartition(f"expected {ell} partitions, got {len(lams)}")
+    for lam in lams:
+        if any(p <= 0 for p in lam) or any(a < b for a, b in zip(lam, lam[1:])):
+            raise NotAPartition(f"{lam} is not weakly decreasing and positive")
+    return lams
+
+
 def partition_shape(ell: int, partitions) -> SkewShapeL:
     """Shape of a tuple of partitions, one per coordinate, each anchored with
     its corner box at content 0."""
-    if len(partitions) != ell:
-        raise NotAPartition(f"expected {ell} partitions, got {len(partitions)}")
     comps = []
-    for beta, lam in enumerate(partitions):
-        lam = [int(p) for p in lam]
-        if any(p <= 0 for p in lam) or any(a < b for a, b in zip(lam, lam[1:])):
-            raise NotAPartition(f"{lam} is not weakly decreasing and positive")
-        if not lam:
-            continue
-        cells = [(r + 1, x - (r + 1)) for r, row_len in enumerate(lam)
-                 for x in range(1, row_len + 1)]
-        comps.append(_component_checked(ell, beta, Fraction(0), cells))
+    for beta, lam in enumerate(_partition_rows(ell, partitions)):
+        if lam:
+            cells = [(r + 1, x - (r + 1)) for r, row_len in enumerate(lam)
+                     for x in range(1, row_len + 1)]
+            comps.append(_component_checked(ell, beta, Fraction(0), cells))
     return _assemble(ell, comps)
+
+
+def partitions_of(shape: SkewShapeL) -> list[list[int]] | None:
+    """The row lengths in each coordinate when every component is a
+    partition anchored with its corner box at content 0 (offset 0); None for
+    any other shape.  Canonical form implies the rest: two such components
+    would share content 0 against the gap rule, and a connected skew
+    component whose rows start in grid column 1 is a partition."""
+    parts: list[list[int]] = [[] for _ in range(shape.ell)]
+    for comp in shape.components:
+        if comp.offset:
+            return None
+        rows: dict[int, int] = {}
+        for r, c in comp.cells:  # sorted by (row, c): each row runs left to right
+            length = rows.get(r, 0) + 1
+            if c + r != length:  # the grid column x = c + r must count 1, 2, ...
+                return None
+            rows[r] = length
+        parts[comp.beta] = list(rows.values())
+    return parts
+
+
+def is_partition_shape(shape: SkewShapeL) -> bool:
+    """True when ``partitions_of`` reads a multipartition off the shape."""
+    return partitions_of(shape) is not None
 
 
 def hook_dimension(ell: int, partitions) -> int:
     """Number of standard fillings of an ell-tuple of partitions, by the
     hook-product formula ``n! * prod(1/h_b)`` over all boxes."""
-    lams = []
-    for lam in partitions:
-        lam = [int(p) for p in lam]
-        if any(p <= 0 for p in lam) or any(a < b for a, b in zip(lam, lam[1:])):
-            raise NotAPartition(f"{lam} is not weakly decreasing and positive")
-        lams.append(lam)
-    if len(lams) != ell:
-        raise NotAPartition(f"expected {ell} partitions, got {len(lams)}")
+    lams = _partition_rows(ell, partitions)
     n = sum(sum(lam) for lam in lams)
     if n == 0:
         raise EmptyShape("empty multipartition")
@@ -619,9 +634,15 @@ def tableau_from_json(data: dict) -> Tableau:
     shape = shape_from_json(data)
     labels = [[0] * comp.size for comp in shape.components]
     seen = set()
-    for r, c, k, lab in data["entries"]:
-        comp = shape.components[k]
-        labels[k][comp.cells.index((r, c))] = int(lab)
+    for entry in data["entries"]:
+        r, c, k, lab = entry
+        if type(k) is not int or not 0 <= k < len(shape.components):
+            raise ValueError(f"tableau field 'entries' needs a component index in "
+                             f"0..{len(shape.components) - 1}, got {entry!r}")
+        if (r, c) not in shape.components[k].cells:
+            raise ValueError(f"tableau field 'entries' names a cell outside "
+                             f"its component: {entry!r}")
+        labels[k][shape.components[k].cells.index((r, c))] = int(lab)
         seen.add(int(lab))
     if seen != set(range(1, shape.n + 1)):
         raise NotStandard("entries are not a bijection onto 1..n")

@@ -103,6 +103,17 @@ def test_classify_reject(capsys, tmp_path):
     assert data["rejected"]["required_a"] == "1"
 
 
+@pytest.mark.parametrize("a, rejected", [
+    ([0, 0], {"kind": "AdjacentEqual", "i": 1, "j": 2}),
+    ([0, 1, 0], {"kind": "MissingDownStep", "i": 1, "j": 3, "required_a": "-1"}),
+])
+def test_classify_rejects_each_kind(capsys, tmp_path, a, rejected):
+    weight_file = write_weight(tmp_path, a, [0] * len(a), 1)
+    code, out = run(capsys, ["classify", "--weight", weight_file])
+    assert code == 2
+    assert out == json.dumps({"rejected": rejected}, indent=2) + "\n"
+
+
 def test_twist(capsys, shape_file):
     code, out = run(capsys, ["twist", "--shape", shape_file, "--t", "1/2"])
     assert code == 0

@@ -3,7 +3,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from heckemod import Cyc, MismatchedField, cyclotomic_polynomial, root_of_unity
 from heckemod.cyclo import _fold_table, degree, fraction_from_str, fraction_to_str
@@ -231,6 +231,18 @@ def test_matches_reference(pair, data):
         same(canonical(a ** e), ra ** e)
     assert (a == b) == (ra == rb)
     assert Cyc.from_json(json.loads(json.dumps(a.to_json()))) == a
+
+
+@given(raw_pairs(max_ell=30))
+@settings(deadline=None)
+def test_inverse_matches_reference_up_to_degree_28(pair):
+    ell, coeffs = pair
+    x = Cyc(ell, coeffs)
+    if x:
+        same(canonical(x.inverse()), RefCyc(ell, coeffs).inverse())
+    else:
+        with pytest.raises(ZeroDivisionError):
+            x.inverse()
 
 
 @given(raw_pairs(), st.data())

@@ -1,4 +1,5 @@
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
@@ -24,6 +25,7 @@ from heckemod import (
     is_standard,
     joint_placement,
     partition_shape,
+    partitions_of,
     row_reading_tableau,
     shape_from_json,
     shape_to_json,
@@ -36,6 +38,7 @@ from heckemod import (
     weight_of,
     weight_to_json,
 )
+from test_acceptance import half_offset_shapes, multipartitions
 
 
 def shape_21():
@@ -68,7 +71,7 @@ def test_offset_folding():
     comp = D.components[0]
     assert comp.offset == Fraction(1, 2)
     assert comp.cells == ((1, 1), (1, 2))
-    assert comp.min_content == Fraction(3, 2)
+    assert min(c for _, c in comp.cells) + comp.offset == Fraction(3, 2)
 
 
 def test_component_ordering_is_canonical():
@@ -278,30 +281,12 @@ def test_hook_dimension_values():
     assert hook_dimension(3, [[1], [], [2]]) == 3
 
 
-def partitions_of(n):
-    if n == 0:
-        yield []
-        return
-    def rec(left, cap):
-        if left == 0:
-            yield []
-            return
-        for first in range(min(left, cap), 0, -1):
-            for rest in rec(left - first, first):
-                yield [first] + rest
-    yield from rec(n, n)
-
-
 def test_hook_dimension_counts_tableaux():
     for ell in (1, 2):
         for n in (1, 2, 3, 4):
-            for split in itertools.product(*(range(n + 1) for _ in range(ell))):
-                if sum(split) != n:
-                    continue
-                for parts in itertools.product(*(list(partitions_of(k)) for k in split)):
-                    parts = [list(p) for p in parts]
-                    D = partition_shape(ell, parts)
-                    assert hook_dimension(ell, parts) == len(enumerate_syt(D))
+            for parts in multipartitions(ell, n):
+                D = partition_shape(ell, parts)
+                assert hook_dimension(ell, parts) == len(enumerate_syt(D))
 
 
 def test_partition_shape_rejects_non_partition():
@@ -320,6 +305,50 @@ def test_is_partition_shape():
     assert not is_partition_shape(skew)
     shifted = shift_contents(shape_21(), 1)
     assert not is_partition_shape(shifted)
+
+
+def anchored_partition_oracle(shape):
+    """Independent check: every component is a left-anchored partition with
+    corner content 0, at most one per coordinate, offset 0."""
+    seen = set()
+    for comp in shape.components:
+        if comp.beta in seen or comp.offset != 0:
+            return False
+        seen.add(comp.beta)
+        rows = {}
+        for r, c in comp.cells:
+            rows.setdefault(r, []).append(c)
+        for r, cs in rows.items():
+            cs.sort()
+            if cs[0] != 1 - r or cs != list(range(cs[0], cs[-1] + 1)):
+                return False
+        if sorted(rows) != list(range(1, len(rows) + 1)):
+            return False
+    return True
+
+
+def test_partitions_of_agrees_with_oracle():
+    shapes = [D for ell in (1, 2, 3) for n in range(1, 6)
+              for D in enumerate_shapes(ell, n, n)]
+    shapes += half_offset_shapes()
+    shapes += [shift_contents(D, delta) for D in shapes if anchored_partition_oracle(D)
+               for delta in (1, Fraction(1, 2))]
+    found = 0
+    for D in shapes:
+        assert (partitions_of(D) is not None) == anchored_partition_oracle(D), D
+        assert is_partition_shape(D) == anchored_partition_oracle(D)
+        found += partitions_of(D) is not None
+    assert 0 < found < len(shapes)
+
+
+def test_partitions_of_inverts_partition_shape():
+    count = 0
+    for ell in (1, 2, 3):
+        for n in range(1, 7):
+            for parts in multipartitions(ell, n):
+                assert partitions_of(partition_shape(ell, parts)) == parts
+                count += 1
+    assert count > 100
 
 
 def test_shift_contents_moves_weights():
@@ -452,6 +481,19 @@ def test_tableau_json_rejects_bad_entries():
         [r, c, k, {1: 2, 2: 1}.get(lab, lab)] for r, c, k, lab in data["entries"]]
     with pytest.raises(NotStandard):
         tableau_from_json(swapped)
+
+
+@pytest.mark.parametrize("entry, bad", [
+    (0, [1, 0, 5, 1]),     # component index out of range
+    (0, [1, 0, -1, 1]),    # would wrap to the last component
+    (0, [1, 0, False, 1]),  # a bool is not an index
+    (2, [1, 5, 0, 3]),     # cell not in its component
+])
+def test_tableau_json_rejects_bad_entry_positions(entry, bad):
+    data = tableau_to_json(enumerate_syt(partition_shape(2, [[1], [2]]))[0])
+    data["entries"][entry] = bad
+    with pytest.raises(ValueError, match=r"'entries'.*" + re.escape(repr(bad))):
+        tableau_from_json(data)
 
 
 def test_weight_json_roundtrip():
