@@ -12,6 +12,7 @@ matching the conjugation rule w zeta_j w^{-1} = zeta_{w(j)}.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 
 from .cyclo import Cyc, root_of_unity
 from .errors import DimensionMismatch
@@ -224,7 +225,9 @@ def evaluate_in_module(x, module):
     """Matrix of a group (algebra) element in a module (ell, n, dim, mat_s
     and the weights of its basis vectors).  zeta^a w maps to the diagonal
     matrix with entry zeta^(a_1 b_1 + ... + a_n b_n) on a basis vector with
-    color exponents b, times the product of s-matrices spelling w.
+    color exponents b, times the product of s-matrices spelling w.  Terms
+    sharing a permutation w are summed into one diagonal first, so each w
+    is multiplied out once.
     """
     from .linalg import Mat
 
@@ -235,11 +238,16 @@ def evaluate_in_module(x, module):
         raise DimensionMismatch(
             f"element of C[G({x.ell},1,{x.n})] in a module for ({ell},{module.n})")
     powers = [root_of_unity(ell, k) for k in range(ell)]
-    total = Mat.zero(ell, module.dim)
+    diagonals: dict[tuple[int, ...], list[Cyc]] = {}
     for g, coeff in x.terms.items():
-        m = Mat.diagonal(ell, [powers[sum(a * b for a, b in zip(g.colors, w.b)) % ell]
-                               for w in module.weights])
-        for i in _perm_word(g.perm):
+        column = [coeff * powers[sum(a * b for a, b in zip(g.colors, w.b)) % ell]
+                  for w in module.weights]
+        acc = diagonals.get(g.perm)
+        diagonals[g.perm] = column if acc is None else list(map(add, acc, column))
+    total = Mat.zero(ell, module.dim)
+    for perm, diagonal in diagonals.items():
+        m = Mat.diagonal(ell, diagonal)
+        for i in _perm_word(perm):
             m = m * module.mat_s[i - 1]
-        total = total + m.scale(coeff)
+        total = total + m
     return total

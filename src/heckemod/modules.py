@@ -114,12 +114,22 @@ def _vector_check(name: str, left, right) -> RelationCheck:
     return RelationCheck(name, True)
 
 
+def _field_of(ell: int, rationals) -> dict:
+    """Each distinct rational among ``rationals`` as a field element,
+    converted once."""
+    return {x: Cyc.from_rational(ell, x) for x in set(rationals)}
+
+
+def _powers(ell: int) -> list[Cyc]:
+    return [root_of_unity(ell, k) for k in range(ell)]
+
+
 def _eigenvalues(module: ModuleRep) -> tuple[list[list[Cyc]], list[list[Cyc]]]:
     """u[i][t] and z[i][t]: the eigenvalues of u_{i+1} and zeta_{i+1} on
-    basis vector t, each converted to a field element once."""
+    basis vector t."""
     ell, weights = module.ell, module.weights
-    powers = [root_of_unity(ell, k) for k in range(ell)]
-    field_of = {x: Cyc.from_rational(ell, x) for w in weights for x in w.a}
+    powers = _powers(ell)
+    field_of = _field_of(ell, (x for w in weights for x in w.a))
     u = [[field_of[w.a[i]] for w in weights] for i in range(module.n)]
     z = [[powers[w.b[i]] for w in weights] for i in range(module.n)]
     return u, z
@@ -223,8 +233,12 @@ def generator_matrix(module: ModuleRep, kind: str, i: int) -> Mat:
     if kind in ("u", "zeta"):
         if not 1 <= i <= n:
             raise IndexError(f"{kind}_{i} out of range for n={n}")
-        u, z = _eigenvalues(module)
-        return Mat.diagonal(ell, (u if kind == "u" else z)[i - 1])
+        if kind == "zeta":
+            powers = _powers(ell)
+            return Mat.diagonal(ell, [powers[w.b[i - 1]] for w in module.weights])
+        values = [w.a[i - 1] for w in module.weights]
+        field_of = _field_of(ell, values)
+        return Mat.diagonal(ell, [field_of[x] for x in values])
     if kind in ("s", "tau", "pi"):
         if not 1 <= i <= n - 1:
             raise IndexError(f"{kind}_{i} out of range for n={n}")
@@ -378,8 +392,13 @@ def commutant_dimension(module: ModuleRep) -> int:
 def central_character(module: ModuleRep) -> list[Cyc]:
     """Scalars of the elementary symmetric polynomials e_1..e_n in the u's
     followed by e_1..e_n in the zetas.  NotScalar if any evaluation fails to
-    be a scalar matrix."""
+    be a scalar matrix.
+
+    e_k on a basis vector depends only on the multiset of its eigenvalues,
+    so it is evaluated once per distinct multiset, keyed by the sorted
+    values themselves."""
     ell = module.ell
+    powers = _powers(ell)
 
     def elementary(values):
         # coefficients of prod (x + v): e_0..e_n
@@ -389,15 +408,18 @@ def central_character(module: ModuleRep) -> list[Cyc]:
                 coeffs[k] = coeffs[k] + v * coeffs[k - 1]
         return coeffs[1:]
 
+    u_values = [elementary([Cyc.from_rational(ell, x) for x in key])
+                for key in {tuple(sorted(w.a)) for w in module.weights}]
+    zeta_values = [elementary([powers[x] for x in key])
+                   for key in {tuple(sorted(w.b)) for w in module.weights}]
     out = []
-    for per_generator, label in zip(_eigenvalues(module), ("u", "zeta")):
-        per_vector = [elementary(vals) for vals in zip(*per_generator)]
+    for per_multiset, label in ((u_values, "u"), (zeta_values, "zeta")):
         for k in range(module.n):
-            scalars = {pv[k] for pv in per_vector}
+            scalars = {e[k] for e in per_multiset}
             if len(scalars) > 1:
                 raise NotScalar(
                     f"e_{k + 1}({label}) takes {len(scalars)} distinct values")
-        out.extend(per_vector[0] if per_vector else [])
+        out.extend(per_multiset[0] if per_multiset else [])
     return out
 
 
@@ -439,19 +461,52 @@ def twist(module: ModuleRep, auto: str, kappa=None) -> ModuleRep:
 # ---------------------------------------------------------------------------
 # Jucys-Murphy consistency
 
+def _conjugates(s, i: int, product):
+    """(j, W_{i,j}) for j = i-1 down to 1, by the conjugation recurrence
+    W_{i,i-1} = s_{i-1}, W_{i,j} = s_j W_{i,j+1} s_j: the word
+    s_j ... s_{i-1} ... s_j that ``grpalg._perm_word`` spells for the
+    transposition (j i), multiplied out with ``product`` from the
+    generators ``s`` (s[k - 1] standing for s_k)."""
+    w = s[i - 2]
+    yield i - 1, w
+    for j in range(i - 2, 0, -1):
+        w = product(product(s[j - 1], w), s[j - 1])
+        yield j, w
+
+
 def jm_consistency(module: ModuleRep) -> VerificationReport:
     """Check that the group-algebra Jucys-Murphy sums reproduce the diagonal
     u-matrices.  Only meaningful when the module comes from a tuple of
     partitions (so its restriction to the group is the usual seminormal
-    module); anything else is refused."""
+    module); anything else is refused.
+
+    phi_i = sum over j < i and colors k of zeta_i^k zeta_j^-k (j i) acts as
+    sum_j C_ij W_ij, where W_ij is the matrix of (j i) from
+    ``_conjugates`` and C_ij the diagonal with entry sum_k zeta^(k r),
+    r = b_i - b_j mod ell, on a basis vector with color exponents b.  The
+    words are those of ``grpalg.evaluate_in_module``, so the matrices agree
+    with it exactly, braid relations or not."""
     if module.shape is None or not is_partition_shape(module.shape):
         raise NotAPartition(
             "Jucys-Murphy comparison needs a module built from partitions "
             "anchored at content 0")
+    ell, weights = module.ell, module.weights
+    powers = _powers(ell)
+    color_sum = [sum((powers[k * r % ell] for k in range(ell)), Cyc.zero(ell))
+                 for r in range(ell)]
     checks = []
     for i in range(1, module.n + 1):
-        phi = grpalg.evaluate_in_module(
-            grpalg.jm_element(module.ell, module.n, i), module)
+        phi = Mat.zero(ell, module.dim)
+        acc = phi.data
+        if i > 1:
+            for j, conj in _conjugates(module.mat_s, i, mul):
+                rows = [color_sum[(w.b[i - 1] - w.b[j - 1]) % ell] for w in weights]
+                for key, v in conj.data.items():
+                    c = rows[key[0]]
+                    if c:
+                        x = c * v
+                        acc[key] = acc[key] + x if key in acc else x
+        phi.data = {key: v for key, v in acc.items() if v}
         checks.append(_residual(f"phi{i}=u{i}", phi, generator_matrix(module, "u", i)))
     return VerificationReport(tuple(checks))
 

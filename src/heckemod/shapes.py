@@ -636,14 +636,17 @@ def tableau_from_json(data: dict) -> Tableau:
     seen = set()
     for entry in data["entries"]:
         r, c, k, lab = entry
+        if any(type(x) is not int for x in (r, c, lab)):
+            raise ValueError(f"tableau field 'entries' needs an integer row, column "
+                             f"and label, got {entry!r}")
         if type(k) is not int or not 0 <= k < len(shape.components):
             raise ValueError(f"tableau field 'entries' needs a component index in "
                              f"0..{len(shape.components) - 1}, got {entry!r}")
         if (r, c) not in shape.components[k].cells:
             raise ValueError(f"tableau field 'entries' names a cell outside "
                              f"its component: {entry!r}")
-        labels[k][shape.components[k].cells.index((r, c))] = int(lab)
-        seen.add(int(lab))
+        labels[k][shape.components[k].cells.index((r, c))] = lab
+        seen.add(lab)
     if seen != set(range(1, shape.n + 1)):
         raise NotStandard("entries are not a bijection onto 1..n")
     tab = Tableau(shape, tuple(tuple(row) for row in labels))

@@ -10,6 +10,7 @@ from heckemod import (
     GroupElement,
     build_module,
     color_generator,
+    enumerate_shapes,
     evaluate_in_module,
     generator_matrix,
     identity,
@@ -238,6 +239,41 @@ def test_evaluate_in_module_checks_parameters():
         evaluate_in_module(GroupAlgebraElement.from_group(identity(2, 3)), M)
     with pytest.raises(DimensionMismatch):
         evaluate_in_module(GroupAlgebraElement.from_group(identity(1, 4)), M)
+
+
+@st.composite
+def elements_in_modules(draw):
+    """A module for ell <= 3, n <= 4, sound or corrupted in one s entry, u
+    eigenvalue or color exponent, with a group-algebra element whose terms
+    often share a permutation."""
+    import random
+
+    from test_modules import _corrupted
+
+    ell = draw(st.integers(min_value=1, max_value=3))
+    n = draw(st.integers(min_value=1, max_value=4))
+    shapes = enumerate_shapes(ell, n, n)
+    M = build_module(draw(st.sampled_from(shapes)))
+    kind = draw(st.sampled_from([None, "s", "u", "zeta"]))
+    if kind is not None:
+        M = _corrupted(M, random.Random(draw(st.integers(0, 2 ** 16))), kind)
+    perms = draw(st.lists(st.permutations(list(range(1, n + 1))), min_size=1, max_size=3))
+    colors = st.tuples(*(st.integers(min_value=0, max_value=ell - 1) for _ in range(n)))
+    coeff = st.lists(st.integers(min_value=-3, max_value=3), min_size=1, max_size=ell)
+    terms = draw(st.lists(st.tuples(colors, st.sampled_from(perms), coeff), max_size=8))
+    x = GroupAlgebraElement(ell, n, [(GroupElement(ell, n, a, tuple(p)), Cyc(ell, c))
+                                     for a, p, c in terms])
+    return x, M
+
+
+@given(elements_in_modules())
+@settings(max_examples=150, deadline=None)
+def test_evaluate_in_module_matches_reference(case):
+    import module_reference as ref
+
+    x, M = case
+    z = [generator_matrix(M, "zeta", i) for i in range(1, M.n + 1)]
+    assert evaluate_in_module(x, M) == ref.evaluate(x, M, z)
 
 
 @st.composite

@@ -247,6 +247,52 @@ def test_jm_consistency():
         assert len(report.checks) == M.n
 
 
+def test_conjugation_recurrence_spells_the_transposition_words():
+    # with words for matrices and concatenation for the product, the
+    # recurrence behind jm_consistency rebuilds the word that
+    # evaluate_in_module multiplies out for each transposition (j i)
+    from operator import add
+
+    from heckemod.grpalg import _perm_word, transposition
+    from heckemod.modules import _conjugates
+
+    for n in range(2, 9):
+        s = [[k] for k in range(1, n)]
+        for i in range(2, n + 1):
+            words = dict(_conjugates(s, i, add))
+            assert sorted(words) == list(range(1, i))
+            for j, word in words.items():
+                assert word == _perm_word(transposition(1, n, j, i).perm)
+
+
+def test_jm_matches_matrix_reference_at_n5_n6():
+    # the conjugation recurrence agrees with term-by-term evaluation report
+    # for report, on sound modules and on modules corrupted in one s entry
+    # or one color exponent
+    import random
+
+    import module_reference as ref
+    from test_acceptance import multipartitions
+
+    rng = random.Random(56)
+    bipartitions = [p for n in (5, 6) for p in multipartitions(2, n)][::4]
+    partitions = [p for n in (5, 6) for p in multipartitions(1, n)][::2]
+    sound = ([build_module(partition_shape(2, p)) for p in bipartitions]
+             + [build_module(partition_shape(1, p)) for p in partitions])
+    corrupted = [_corrupted(M, rng, "s") for M in sound]
+    corrupted += [_corrupted(M, rng, "zeta") for M in sound if M.ell == 2]
+    assert len(bipartitions) >= 20 and {M.n for M in sound} == {5, 6}
+    for M in sound:
+        report = jm_consistency(M)
+        assert report.ok and report == ref.jm_consistency(M)
+    failing = 0
+    for M in corrupted:
+        report = jm_consistency(M)
+        assert report == ref.jm_consistency(M)
+        failing += not report.ok
+    assert failing > len(corrupted) // 2
+
+
 def test_jm_consistency_requires_partition_shape():
     skew = validate_and_canonicalize(1, [(0, 0, [(1, 1), (2, 0), (2, -1)])])
     with pytest.raises(NotAPartition):

@@ -488,6 +488,12 @@ def test_tableau_json_rejects_bad_entries():
     (0, [1, 0, -1, 1]),    # would wrap to the last component
     (0, [1, 0, False, 1]),  # a bool is not an index
     (2, [1, 5, 0, 3]),     # cell not in its component
+    (0, [1, 0, 0, 1.5]),   # a fractional label is not truncated
+    (0, [1, 0, 0, True]),  # a bool is not a label
+    (1, [1, 0, 1, "2"]),   # nor is a string
+    (0, [True, 0, 0, 1]),  # a bool is not a row
+    (2, [1, True, 1, 3]),  # nor a column
+    (0, [1.0, 0, 0, 1]),   # a float row is refused even when integral
 ])
 def test_tableau_json_rejects_bad_entry_positions(entry, bad):
     data = tableau_to_json(enumerate_syt(partition_shape(2, [[1], [2]]))[0])
