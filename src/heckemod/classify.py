@@ -1,27 +1,25 @@
 """Weight classification: decide which joint eigenvalue lists arise from
 standard tableaux and rebuild the unique shape/tableau pair.
 
-A weight is a pair of lists (a_1..a_n, b_1..b_n): rational u-eigenvalues and
-color exponents.  ``check_weight_condition`` tests the pairwise criterion
-(equal entries need intermediate +ell and -ell steps in the same color
-class), ``reconstruct`` replays the weight box by box without any search:
-within a (color, fractional content) group the row of each new box is fixed
-by the lowest boxes already on its own diagonal and the two next to it, and
-two components merge when a new box lands between them.  Boxes in different
-groups never interact, so each group is rebuilt independently.
+A weight is a pair of lists (a_1..a_n, b_1..b_n): rational u-eigenvalues
+(ints or Fractions) and integer color exponents, normalised once to integer
+triples.  ``check_weight_condition`` tests the pairwise criterion (equal
+entries need intermediate +ell and -ell steps in the same color class) in
+one pass; ``reconstruct`` replays the weight box by box without any search
+and builds the canonical shape and tableau directly.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 
 from .cyclo import fraction_to_str
-from .errors import ConditionFailed, NoAddablePosition
+from .errors import ConditionFailed, EmptyShape, NoAddablePosition
 from .modules import RelationCheck, VerificationReport
-from .shapes import (SkewShapeL, Tableau, Weight, enumerate_syt, is_standard,
-                     validate_and_canonicalize, weight_of)
+from .shapes import (Component, SkewShapeL, Tableau, Weight, _checked_ell,
+                     enumerate_syt, is_standard, weight_of)
 
 ADJACENT_EQUAL = "AdjacentEqual"
 MISSING_UP = "MissingUpStep"
@@ -46,11 +44,36 @@ class ConditionViolation:
         return data
 
 
-def _normalize_weight(w: Weight, ell: int) -> Weight:
+def _normalize_weight(w: Weight, ell: int) -> list[tuple[int, int, int]]:
+    """Type-check a weight; entry k becomes (p, q, b_k mod ell), a_k = p/q in lowest terms."""
+    _checked_ell(ell, "weight")
     if len(w.a) != len(w.b):
         raise ValueError("weight lists have different lengths")
-    return Weight(tuple(Fraction(x) for x in w.a),
-                  tuple(int(x) % ell for x in w.b))
+    if not all(type(x) is int for x in w.b):  # type(True) is bool: bools are rejected
+        raise ValueError(f"weight field 'b' must hold integers, got {w.b!r}")
+    if not all(type(x) is int or type(x) is Fraction for x in w.a):
+        raise ValueError(f"weight field 'a' must hold integers or Fractions, got {w.a!r}")
+    return [(x.numerator, x.denominator, y % ell) for x, y in zip(w.a, w.b)]
+
+
+def _first_violation(entries: list[tuple[int, int, int]], ell: int) -> ConditionViolation | None:
+    """One pass: only the next entry j equal to entry i can fail (later equal
+    entries see more entries in between), so each j is paired with the last
+    index i of its value, and a step a +- ell counts when its last index is after i."""
+    last: dict[tuple[int, int, int], int] = {}
+    found = None
+    for j, (p, q, b) in enumerate(entries, start=1):
+        i = last.get((p, q, b))
+        last[(p, q, b)] = j
+        if i is None or (found is not None and found.i < i):
+            continue
+        if j == i + 1:
+            found = ConditionViolation(ADJACENT_EQUAL, i, j)
+        elif last.get((p + ell * q, q, b), 0) < i:
+            found = ConditionViolation(MISSING_UP, i, j, Fraction(p + ell * q, q))
+        elif last.get((p - ell * q, q, b), 0) < i:
+            found = ConditionViolation(MISSING_DOWN, i, j, Fraction(p - ell * q, q))
+    return found
 
 
 def check_weight_condition(w: Weight, ell: int) -> ConditionViolation | None:
@@ -59,50 +82,28 @@ def check_weight_condition(w: Weight, ell: int) -> ConditionViolation | None:
     For every i < j with a_i = a_j and b_i = b_j there must exist k and m
     strictly between with the same color, a_k = a_i + ell and a_m = a_i - ell.
     A pair at adjacent positions can have neither and gets its own kind.
+    The reported pair has the smallest i, with j the next index equal to i;
+    the up step is tested before the down step.
     """
-    w = _normalize_weight(w, ell)
-    n = len(w.a)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if w.a[i] != w.a[j] or w.b[i] != w.b[j]:
-                continue
-            if j == i + 1:
-                return ConditionViolation(ADJACENT_EQUAL, i + 1, j + 1)
-            between = [k for k in range(i + 1, j) if w.b[k] == w.b[i]]
-            if not any(w.a[k] == w.a[i] + ell for k in between):
-                return ConditionViolation(MISSING_UP, i + 1, j + 1, w.a[i] + ell)
-            if not any(w.a[k] == w.a[i] - ell for k in between):
-                return ConditionViolation(MISSING_DOWN, i + 1, j + 1, w.a[i] - ell)
-    return None
+    return _first_violation(_normalize_weight(w, ell), ell)
 
 
 def violation_holds(w: Weight, ell: int, violation: ConditionViolation) -> bool:
     """Re-check a reported violation against the weight it came from."""
-    w = _normalize_weight(w, ell)
+    entries = _normalize_weight(w, ell)
     i, j = violation.i - 1, violation.j - 1
-    if not (0 <= i < j < len(w.a)):
-        return False
-    if w.a[i] != w.a[j] or w.b[i] != w.b[j]:
+    if not (0 <= i < j < len(entries)) or entries[i] != entries[j]:
         return False
     if violation.kind == ADJACENT_EQUAL:
         return j == i + 1
-    if violation.kind == MISSING_UP:
-        expected = w.a[i] + ell
-    elif violation.kind == MISSING_DOWN:
-        expected = w.a[i] - ell
-    else:
-        return False
-    if violation.required_a != expected:
-        return False
-    return not any(w.a[k] == expected and w.b[k] == w.b[i]
-                   for k in range(i + 1, j))
+    p, q, b = entries[i]
+    step = {MISSING_UP: ell, MISSING_DOWN: -ell}.get(violation.kind, 0)
+    return (step != 0 and violation.required_a == Fraction(p + step * q, q)
+            and (p + step * q, q, b) not in entries[i + 1:j])
 
 
 # ---------------------------------------------------------------------------
 # reconstruction
-
-Cell = tuple[int, int]
-
 
 def _shift_run(cells: dict, low: dict, start: int, t: int) -> None:
     """Slide the component whose contents run upwards from ``start`` by t
@@ -128,19 +129,24 @@ def reconstruct(w: Weight, ell: int) -> tuple[SkewShapeL, Tableau]:
     lowest box of content m-1 (first sliding the component that starts at
     m+1, if any, so its lowest box sits directly above: the merge); else one
     row below the lowest box of content m+1; else a fresh component.
+    Each maximal run of consecutive contents in a group is one component;
+    it is emitted in canonical form (rows from 1, cells sorted) and the
+    components are sorted, so the result needs no further validation.
     Raises ConditionFailed when the pairwise condition fails,
     NoAddablePosition when the box so found is not addable.
     """
-    violation = check_weight_condition(w, ell)
-    if violation is not None:
+    entries = _normalize_weight(w, ell)
+    if (violation := _first_violation(entries, ell)) is not None:
         raise ConditionFailed(violation)
-    w = _normalize_weight(w, ell)
+    if not entries:
+        raise EmptyShape("a shape needs at least one box")
 
-    groups: dict[tuple[int, Fraction], tuple[dict, dict]] = {}
-    for i, (a, b) in enumerate(zip(w.a, w.b), start=1):
-        content = a / ell
-        m = math.floor(content)
-        cells, low = groups.setdefault((b, content - m), ({}, {}))
+    # a_i = p/q in lowest terms: m = floor(p / (q*ell)) and the group of
+    # fractional content rem / (q*ell) is keyed by the integers (b, q, rem)
+    groups: dict[tuple[int, int, int], tuple[dict, dict]] = {}
+    for i, (p, q, b) in enumerate(entries, start=1):
+        m, rem = divmod(p, q * ell)
+        cells, low = groups.setdefault((b, q, rem), ({}, {}))
         addable = True
         if m in low:
             r = low[m] + 1
@@ -152,28 +158,26 @@ def reconstruct(w: Weight, ell: int) -> tuple[SkewShapeL, Tableau]:
         else:
             r = low[m + 1] + 1 if m + 1 in low else 1
         if not addable or (r, m + 1) in cells or (r + 1, m - 1) in cells:
-            raise NoAddablePosition(
-                f"label {i}: no legal box of content {content} in coordinate {b}")
+            raise NoAddablePosition(f"label {i}: no legal box of content "
+                                    f"{Fraction(p, q * ell)} in coordinate {b}")
         cells[(r, m)] = i
         low[m] = r
 
-    labels: dict[tuple[int, Fraction, tuple[Cell, ...]], tuple[int, ...]] = {}
-    for (b, frac), (cells, low) in groups.items():
-        run_start: dict[int, int] = {}
-        for c in sorted(low):
-            run_start[c] = run_start.get(c - 1, c)
-        comps: dict[int, dict] = {}
-        for cell, lab in cells.items():
-            comps.setdefault(run_start[cell[1]], {})[cell] = lab
-        for comp in comps.values():
-            shift = 1 - min(r for r, _ in comp)
-            shifted = {(r + shift, c): lab for (r, c), lab in comp.items()}
-            key = (b, frac, tuple(sorted(shifted)))
-            labels[key] = tuple(shifted[cell] for cell in key[2])
-    shape = validate_and_canonicalize(ell, list(labels))
-    tableau = Tableau(shape, tuple(labels[comp.sort_key()] for comp in shape.components))
+    filled: list[tuple[Component, tuple[int, ...]]] = []
+    for (b, q, rem), (cells, low) in groups.items():
+        offset = Fraction(rem, q * ell)
+        run_of = {c: c - k for k, c in enumerate(sorted(low))}  # constant on a run
+        ordered = sorted(cells.items(), key=lambda item: (run_of[item[0][1]], item[0]))
+        for _, run in groupby(ordered, key=lambda item: run_of[item[0][1]]):
+            run_cells, run_labels = zip(*run)
+            shift = 1 - run_cells[0][0]  # sorted by row: the first row is the least
+            filled.append((Component(b, offset, tuple((r + shift, c) for r, c in run_cells)),
+                           run_labels))
+    comps, labels = zip(*sorted(filled, key=lambda pair: pair[0].sort_key()))
+    shape = SkewShapeL(ell, comps)
+    tableau = Tableau(shape, labels)
     assert is_standard(tableau)
-    assert weight_of(tableau) == w
+    assert _normalize_weight(weight_of(tableau), ell) == entries
     return shape, tableau
 
 
@@ -182,19 +186,13 @@ def classify_roundtrip(shape: SkewShapeL) -> VerificationReport:
     condition and reconstructs to exactly this (shape, tableau)."""
     checks = []
     for t_index, tab in enumerate(enumerate_syt(shape), start=1):
-        name = f"T{t_index}"
         try:
-            shape2, tab2 = reconstruct(weight_of(tab), shape.ell)
+            witness = (None if reconstruct(weight_of(tab), shape.ell) == (shape, tab)
+                       else "reconstructed a different pair")
         except ConditionFailed as exc:
-            checks.append(RelationCheck(name, False,
-                                        (t_index, 0, f"condition: {exc.violation}")))
-            continue
+            witness = f"condition: {exc.violation}"
         except NoAddablePosition as exc:
-            checks.append(RelationCheck(name, False, (t_index, 0, repr(exc))))
-            continue
-        if shape2 == shape and tab2 == tab:
-            checks.append(RelationCheck(name, True))
-        else:
-            checks.append(RelationCheck(name, False,
-                                        (t_index, 0, "reconstructed a different pair")))
+            witness = repr(exc)
+        checks.append(RelationCheck(f"T{t_index}", witness is None,
+                                    None if witness is None else (t_index, 0, witness)))
     return VerificationReport(tuple(checks))

@@ -422,6 +422,9 @@ class _ShapeContext:
         self.preds = [[] for _ in range(n)]
         self.blocked = [set() for _ in range(n)]
         self.rank = []  # (component, row) used for "strictly above" tests
+        slot = {(k, cell): j for k, comp in enumerate(shape.components)
+                for j, cell in enumerate(comp.cells)}
+        self.slot = [slot[box] for box in self.boxes]  # box -> index in comp.cells
         for i, (k, (r, c)) in enumerate(self.boxes):
             self.rank.append((k, r))
             for q in ((k, (r, c - 1)), (k, (r - 1, c + 1))):
@@ -443,13 +446,8 @@ class _ShapeContext:
 
     def tableau_from_positions(self, pos) -> Tableau:
         labels = [[0] * comp.size for comp in self.shape.components]
-        cell_slot = {}
-        for k, comp in enumerate(self.shape.components):
-            for j, cell in enumerate(comp.cells):
-                cell_slot[(k, cell)] = j
         for lab0, b in enumerate(pos):
-            k, cell = self.boxes[b]
-            labels[k][cell_slot[(k, cell)]] = lab0 + 1
+            labels[self.boxes[b][0]][self.slot[b]] = lab0 + 1
         return Tableau(self.shape, tuple(tuple(row) for row in labels))
 
     def all_positions(self) -> list[tuple[int, ...]]:
@@ -598,8 +596,7 @@ def shape_to_json(shape: SkewShapeL) -> dict:
     }
 
 
-def _ell_from_json(data: dict, kind: str) -> int:
-    ell = data["ell"]
+def _checked_ell(ell, kind: str) -> int:
     if type(ell) is not int or ell < 1:  # type(True) is bool: bools are rejected
         raise ValueError(f"{kind} field 'ell' must be a positive integer, got {ell!r}")
     return ell
@@ -608,7 +605,7 @@ def _ell_from_json(data: dict, kind: str) -> int:
 def shape_from_json(data: dict) -> SkewShapeL:
     """Parse a shape; ``ell`` must be a positive integer, and ``beta`` and
     every cell coordinate integers (bools are rejected)."""
-    ell = _ell_from_json(data, "shape")
+    ell = _checked_ell(data["ell"], "shape")
     comps = [(comp["beta"], fraction_from_str(comp["offset"]),
               [tuple(cell) for cell in comp["cells"]]) for comp in data["components"]]
     for beta, _, cells in comps:
@@ -634,7 +631,12 @@ def tableau_from_json(data: dict) -> Tableau:
     shape = shape_from_json(data)
     labels = [[0] * comp.size for comp in shape.components]
     seen = set()
+    if not isinstance(data["entries"], (list, tuple)):
+        raise ValueError(f"tableau field 'entries' must be a list, got {data['entries']!r}")
     for entry in data["entries"]:
+        if not isinstance(entry, (list, tuple)) or len(entry) != 4:
+            raise ValueError(f"tableau field 'entries' needs [row, column, component, "
+                             f"label] lists, got {entry!r}")
         r, c, k, lab = entry
         if any(type(x) is not int for x in (r, c, lab)):
             raise ValueError(f"tableau field 'entries' needs an integer row, column "
@@ -664,7 +666,7 @@ def weight_to_json(weight: Weight, ell: int) -> dict:
 def weight_from_json(data: dict) -> tuple[Weight, int]:
     """Parse a weight; ``ell`` must be a positive integer and the entries of
     ``b`` integers (bools are rejected), reduced mod ell."""
-    ell = _ell_from_json(data, "weight")
+    ell = _checked_ell(data["ell"], "weight")
     if not all(type(x) is int for x in data["b"]):
         raise ValueError(f"weight field 'b' must hold integers, got {data['b']!r}")
     a = tuple(fraction_from_str(x) for x in data["a"])

@@ -4,13 +4,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from classify_reference import first_violation
 from heckemod import (
     ConditionFailed,
+    EmptyShape,
     Weight,
     check_weight_condition,
     classify_roundtrip,
     enumerate_shapes,
     enumerate_syt,
+    is_standard,
     partition_shape,
     reconstruct,
     shift_contents,
@@ -131,6 +134,11 @@ def test_reconstruct_offset_groups():
     assert T.labels == ((1,), (2,))
 
 
+def test_reconstruct_rejects_empty_weight():
+    with pytest.raises(EmptyShape, match="at least one box"):
+        reconstruct(Weight((), ()), 1)
+
+
 def test_reconstruct_rejects_bad_weights():
     with pytest.raises(ConditionFailed) as exc:
         reconstruct(w([0, 0]), 1)
@@ -215,3 +223,96 @@ def test_condition_failure_witnesses_hold(a):
         return
     assert violation_holds(weight, 1, v)
     assert 1 <= v.i < v.j <= len(a)
+
+
+# ---------------------------------------------------------------------------
+# library weights are strict
+
+
+@pytest.mark.parametrize("weight, ell, field", [
+    (Weight((Fraction(0), Fraction(1)), (0, 1.5)), 2, "'b'"),   # not read as colour 1
+    (Weight((Fraction(0), Fraction(1)), (0, True)), 2, "'b'"),  # nor is a bool
+    (Weight((Fraction(0), 0.5), (0, 1)), 2, "'a'"),             # a float is no rational
+    (Weight((Fraction(0), "1/2"), (0, 1)), 2, "'a'"),           # nor is a string
+    (Weight((Fraction(0), Fraction(1)), (0, 1)), 0, "'ell'"),   # no bare ZeroDivisionError
+    (Weight((Fraction(0),), (0,)), True, "'ell'"),
+])
+def test_library_weights_are_strict(weight, ell, field):
+    for call in (lambda: reconstruct(weight, ell),
+                 lambda: check_weight_condition(weight, ell)):
+        with pytest.raises(ValueError, match=f"weight field {field}"):
+            call()
+
+
+def test_library_weights_accept_int_eigenvalues():
+    assert reconstruct(Weight((0, 1, -1), (0, 0, 0)), 1) == reconstruct(w([0, 1, -1]), 1)
+    v = check_weight_condition(Weight((0, -1, 0), (2, 2, 0)), 2)
+    assert (v.kind, v.required_a) == ("MissingUpStep", Fraction(2))
+    assert type(v.required_a) is Fraction
+
+
+# ---------------------------------------------------------------------------
+# the one-pass condition scan against the quadratic pair scan
+
+
+def test_condition_matches_reference_exhaustively():
+    compared = 0
+    for ell in (1, 2):
+        for n in range(1, 5):
+            for a in itertools.product(range(-2, 3), repeat=n):
+                for b in itertools.product(range(ell), repeat=n):
+                    weight = w(a, b)
+                    assert check_weight_condition(weight, ell) == first_violation(weight, ell)
+                    compared += 1
+    assert compared == 780 + 11110
+
+
+@st.composite
+def random_weights(draw):
+    ell = draw(st.integers(min_value=1, max_value=4))
+    den = draw(st.sampled_from([1, 2]))
+    n = draw(st.integers(min_value=1, max_value=12))
+    a = draw(st.lists(st.integers(min_value=-2 * ell * den, max_value=2 * ell * den),
+                      min_size=n, max_size=n))
+    b = draw(st.lists(st.integers(min_value=0, max_value=ell - 1), min_size=n, max_size=n))
+    return ell, Weight(tuple(Fraction(x, den) for x in a), tuple(b))
+
+
+@given(random_weights())
+@settings(max_examples=400, deadline=None)
+def test_condition_matches_reference(args):
+    ell, weight = args
+    v = check_weight_condition(weight, ell)
+    assert v == first_violation(weight, ell)
+    assert v is None or violation_holds(weight, ell, v)
+
+
+@st.composite
+def passing_weights(draw):
+    """Weights grown one entry at a time among the entries that keep the
+    condition: appending only adds the pair ending at the new entry.  Values
+    stay in a narrow band so that boxes meet and merge; a value far from all
+    others (content 100 * step) always keeps the condition."""
+    ell = draw(st.integers(min_value=1, max_value=4))
+    colours = draw(st.integers(min_value=1, max_value=ell))
+    den = draw(st.sampled_from([1, 2]))
+    n = draw(st.integers(min_value=1, max_value=12))
+    values = [Fraction(x, den) for x in range(-2 * ell * den, 2 * ell * den + 1)]
+    a, b = (), ()
+    for step in range(1, n + 1):
+        options = [(x, c) for x in values for c in range(colours)
+                   if check_weight_condition(Weight(a + (x,), b + (c,)), ell) is None]
+        x, c = draw(st.sampled_from(options + [(Fraction(100 * ell * step), 0)]))
+        a, b = a + (x,), b + (c,)
+    return ell, Weight(a, b)
+
+
+@given(passing_weights())
+@settings(max_examples=200, deadline=None)
+def test_passing_weights_reconstruct_canonically(args):
+    ell, weight = args
+    assert check_weight_condition(weight, ell) is None
+    D, T = reconstruct(weight, ell)
+    assert validate_and_canonicalize(ell, D.components) == D
+    assert is_standard(T)
+    assert weight_of(T) == weight

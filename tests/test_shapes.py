@@ -494,10 +494,16 @@ def test_tableau_json_rejects_bad_entries():
     (0, [True, 0, 0, 1]),  # a bool is not a row
     (2, [1, True, 1, 3]),  # nor a column
     (0, [1.0, 0, 0, 1]),   # a float row is refused even when integral
+    (0, [1, 0, 0]),        # three values, not four
+    (1, 2),                # a bare int is no entry
+    (None, 5),             # "entries" itself is not a list
 ])
 def test_tableau_json_rejects_bad_entry_positions(entry, bad):
     data = tableau_to_json(enumerate_syt(partition_shape(2, [[1], [2]]))[0])
-    data["entries"][entry] = bad
+    if entry is None:
+        data["entries"] = bad
+    else:
+        data["entries"][entry] = bad
     with pytest.raises(ValueError, match=r"'entries'.*" + re.escape(repr(bad))):
         tableau_from_json(data)
 
