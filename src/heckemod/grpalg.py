@@ -16,6 +16,7 @@ from operator import add
 
 from .cyclo import Cyc, root_of_unity
 from .errors import DimensionMismatch
+from .linalg import Mat
 
 
 @dataclass(frozen=True)
@@ -229,8 +230,6 @@ def evaluate_in_module(x, module):
     sharing a permutation w are summed into one diagonal first, so each w
     is multiplied out once.
     """
-    from .linalg import Mat
-
     if isinstance(x, GroupElement):
         x = GroupAlgebraElement.from_group(x)
     ell = module.ell

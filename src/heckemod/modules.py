@@ -14,16 +14,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from itertools import repeat
 from operator import mul
 
-from . import grpalg
 from .cyclo import Cyc, root_of_unity
 from .errors import DegenerateShape, DimensionMismatch, NotAPartition, NotScalar
 from .linalg import Mat, block_diag, nullspace_dim
-from .shapes import (SkewShapeL, Tableau, Weight, _context, enumerate_syt,
-                     is_partition_shape, shape_to_json, tableau_to_json,
-                     weight_to_json)
+from .shapes import (SkewShapeL, Tableau, Weight, _context, is_partition_shape,
+                     shape_to_json, tableau_to_json, weight_to_json)
 
 
 @dataclass(frozen=True)
@@ -78,40 +77,31 @@ class VerificationReport:
         }
 
 
-def _residual(name: str, left: Mat, right: Mat) -> RelationCheck:
-    diff = left - right
-    if diff.is_zero():
+def _report(name: str, residual: dict, negate: bool = False) -> RelationCheck:
+    """A relation's check from the nonzero entries {(row, col): value} of its
+    residual, left minus right (right minus left with ``negate``, so that the
+    witness still carries left minus right): the least entry is the witness."""
+    if not residual:
         return RelationCheck(name, True)
-    (i, j), v = min(diff.data.items())
-    return RelationCheck(name, False, (i, j, repr(v)))
+    key = min(residual)
+    value = residual[key]
+    return RelationCheck(name, False, (*key, repr(-value if negate else value)))
 
 
-def _diagonal_check(name: str, x: Mat, col: list, row: list,
-                    extra: Mat | None = None, x_first: bool = True) -> RelationCheck:
-    """Check x.diag(col) + extra = diag(row).x entry by entry: entry (p, q)
-    of the residual is x[p, q] (col[q] - row[p]) + extra[p, q].  With
-    ``x_first=False`` the relation reads diag(row).x = x.diag(col), and the
-    witness is negated so that it always carries left minus right."""
+def _diagonal_residual(x: Mat, col: list, row: list, extra: Mat | None = None) -> dict:
+    """The nonzero entries of x.diag(col) + extra - diag(row).x; an entry of x
+    whose two sides agree (col[q] == row[p]) is skipped, not subtracted."""
     residual = {key: v * (col[key[1]] - row[key[0]])
                 for key, v in x.data.items() if col[key[1]] != row[key[0]]}
     if extra is not None:
         for key, v in extra.data.items():
             residual[key] = residual[key] + v if key in residual else v
-    bad = [key for key, v in residual.items() if v]
-    if not bad:
-        return RelationCheck(name, True)
-    key = min(bad)
-    value = residual[key] if x_first else -residual[key]
-    return RelationCheck(name, False, (*key, repr(value)))
+    return {key: v for key, v in residual.items() if v}
 
 
-def _vector_check(name: str, left, right) -> RelationCheck:
-    """A relation between diagonal matrices, given the values of both sides
-    on each basis vector."""
-    for t, (x, y) in enumerate(zip(left, right)):
-        if x != y:
-            return RelationCheck(name, False, (t, t, repr(x - y)))
-    return RelationCheck(name, True)
+def _vector_residual(left, right) -> dict:
+    """The residual of diag(left) = diag(right); equal values are not subtracted."""
+    return {(t, t): x - y for t, (x, y) in enumerate(zip(left, right)) if x != y}
 
 
 def _field_of(ell: int, rationals) -> dict:
@@ -122,6 +112,15 @@ def _field_of(ell: int, rationals) -> dict:
 
 def _powers(ell: int) -> list[Cyc]:
     return [root_of_unity(ell, k) for k in range(ell)]
+
+
+@lru_cache(maxsize=None)
+def _color_sums(ell: int) -> tuple[Cyc, ...]:
+    """sum_k zeta^(k r), summed in the field, for each residue r mod ell: the
+    eigenvalue of sum_k zeta_i^k zeta_j^-k where b_i - b_j = r (mod ell)."""
+    powers = _powers(ell)
+    return tuple(sum((powers[k * r % ell] for k in range(ell)), Cyc.zero(ell))
+                 for r in range(ell))
 
 
 def _eigenvalues(module: ModuleRep) -> tuple[list[list[Cyc]], list[list[Cyc]]]:
@@ -189,7 +188,8 @@ def build_module(shape: SkewShapeL) -> ModuleRep:
             m[index[swapped], t] = 1 if b1 < b2 else 1 - Fraction(1, 1) / (d * d)
         mats.append(m)
 
-    return ModuleRep(ell, n, dim, tuple(mats), weights, shape, enumerate_syt(shape))
+    return ModuleRep(ell, n, dim, tuple(mats), weights, shape,
+                     tuple(ctx.tableau_from_positions(pos) for pos in positions))
 
 
 def direct_sum(m1: ModuleRep, m2: ModuleRep) -> ModuleRep:
@@ -204,10 +204,11 @@ def direct_sum(m1: ModuleRep, m2: ModuleRep) -> ModuleRep:
 # generator access
 
 def _pi_diagonal(module: ModuleRep, i: int) -> Mat:
-    """Diagonal matrix ell * [zeta_i and zeta_{i+1} eigenvalues agree]."""
+    """pi_i = sum_k zeta_i^k zeta_{i+1}^-k, diagonal: on each basis vector
+    the color sum of b_i - b_{i+1}."""
     ell = module.ell
-    return Mat.diagonal(ell, [ell if w.b[i - 1] == w.b[i] else 0
-                              for w in module.weights])
+    sums = _color_sums(ell)
+    return Mat.diagonal(ell, [sums[(w.b[i - 1] - w.b[i]) % ell] for w in module.weights])
 
 
 def _tau_matrix(module: ModuleRep, i: int) -> Mat:
@@ -257,8 +258,9 @@ def verify_relations(module: ModuleRep) -> VerificationReport:
     """Exact check of every defining relation: the symmetric-group and
     color-group relations, the commutation relations between the polynomial
     and group generators, and the mixed crossing relation
-    s_i u_i = u_{i+1} s_i - pi_i (pi evaluated honestly in the group
-    algebra, not via the diagonal shortcut).
+    s_i u_i = u_{i+1} s_i - pi_i (pi_i = sum_k zeta_i^k zeta_{i+1}^-k,
+    summed in the field on each basis vector, not via the shortcut
+    ell * [b_i = b_{i+1}]).
 
     The s-only relations are matrix products.  A relation with a diagonal
     side, X D = D' X, holds exactly when X[p, q] (d_q - d'_p) vanishes at
@@ -272,42 +274,43 @@ def verify_relations(module: ModuleRep) -> VerificationReport:
     add = checks.append
 
     for i in range(1, n):
-        add(_residual(f"s{i}^2=1", s[i - 1] * s[i - 1], one))
+        add(_report(f"s{i}^2=1", (s[i - 1] * s[i - 1] - one).data))
     for i in range(1, n - 1):
-        add(_residual(f"s{i}s{i + 1}s{i}=s{i + 1}s{i}s{i + 1}",
-                      s[i - 1] * s[i] * s[i - 1], s[i] * s[i - 1] * s[i]))
+        add(_report(f"s{i}s{i + 1}s{i}=s{i + 1}s{i}s{i + 1}",
+                    (s[i - 1] * s[i] * s[i - 1] - s[i] * s[i - 1] * s[i]).data))
     for i in range(1, n):
         for j in range(i + 2, n):
-            add(_residual(f"s{i}s{j}=s{j}s{i}",
-                          s[i - 1] * s[j - 1], s[j - 1] * s[i - 1]))
+            add(_report(f"s{i}s{j}=s{j}s{i}",
+                        (s[i - 1] * s[j - 1] - s[j - 1] * s[i - 1]).data))
     for i in range(1, n + 1):
-        add(_vector_check(f"zeta{i}^{ell}=1", (x ** ell for x in z[i - 1]), repeat(1)))
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            add(_vector_check(f"zeta{i}zeta{j}=zeta{j}zeta{i}",
-                              map(mul, z[i - 1], z[j - 1]), map(mul, z[j - 1], z[i - 1])))
-    for i in range(1, n):
-        add(_diagonal_check(f"s{i}zeta{i}=zeta{i + 1}s{i}", s[i - 1], z[i - 1], z[i]))
-        for j in range(1, n + 1):
-            if j not in (i, i + 1):
-                add(_diagonal_check(f"s{i}zeta{j}=zeta{j}s{i}",
-                                    s[i - 1], z[j - 1], z[j - 1]))
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            add(_vector_check(f"zeta{i}u{j}=u{j}zeta{i}",
-                              map(mul, z[i - 1], u[j - 1]), map(mul, u[j - 1], z[i - 1])))
+        add(_report(f"zeta{i}^{ell}=1",
+                    _vector_residual((x ** ell for x in z[i - 1]), repeat(1))))
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            add(_vector_check(f"u{i}u{j}=u{j}u{i}",
-                              map(mul, u[i - 1], u[j - 1]), map(mul, u[j - 1], u[i - 1])))
+            add(_report(f"zeta{i}zeta{j}=zeta{j}zeta{i}", _vector_residual(
+                map(mul, z[i - 1], z[j - 1]), map(mul, z[j - 1], z[i - 1]))))
+    for i in range(1, n):
+        add(_report(f"s{i}zeta{i}=zeta{i + 1}s{i}",
+                    _diagonal_residual(s[i - 1], z[i - 1], z[i])))
+        for j in range(1, n + 1):
+            if j not in (i, i + 1):
+                add(_report(f"s{i}zeta{j}=zeta{j}s{i}",
+                            _diagonal_residual(s[i - 1], z[j - 1], z[j - 1])))
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            add(_report(f"zeta{i}u{j}=u{j}zeta{i}", _vector_residual(
+                map(mul, z[i - 1], u[j - 1]), map(mul, u[j - 1], z[i - 1]))))
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            add(_report(f"u{i}u{j}=u{j}u{i}", _vector_residual(
+                map(mul, u[i - 1], u[j - 1]), map(mul, u[j - 1], u[i - 1]))))
     for i in range(1, n):
         for j in range(1, n + 1):
             if j not in (i, i + 1):
-                add(_diagonal_check(f"s{i}u{j}=u{j}s{i}",
-                                    s[i - 1], u[j - 1], u[j - 1]))
-        pi = grpalg.evaluate_in_module(grpalg.pi_element(ell, n, i), module)
-        add(_diagonal_check(f"s{i}u{i}=u{i + 1}s{i}-pi{i}",
-                            s[i - 1], u[i - 1], u[i], extra=pi))
+                add(_report(f"s{i}u{j}=u{j}s{i}",
+                            _diagonal_residual(s[i - 1], u[j - 1], u[j - 1])))
+        add(_report(f"s{i}u{i}=u{i + 1}s{i}-pi{i}", _diagonal_residual(
+            s[i - 1], u[i - 1], u[i], extra=_pi_diagonal(module, i))))
     return VerificationReport(tuple(checks))
 
 
@@ -330,10 +333,10 @@ def verify_intertwiners(module: ModuleRep) -> VerificationReport:
         tau = taus[i - 1]
         for j in range(1, n + 1):
             k = {i: i + 1, i + 1: i}.get(j, j)
-            checks.append(_diagonal_check(f"u{j}tau{i}=tau{i}u{k}", tau,
-                                          u[k - 1], u[j - 1], x_first=False))
-            checks.append(_diagonal_check(f"zeta{j}tau{i}=tau{i}zeta{k}", tau,
-                                          z[k - 1], z[j - 1], x_first=False))
+            checks.append(_report(f"u{j}tau{i}=tau{i}u{k}",
+                                  _diagonal_residual(tau, u[k - 1], u[j - 1]), negate=True))
+            checks.append(_report(f"zeta{j}tau{i}=tau{i}zeta{k}",
+                                  _diagonal_residual(tau, z[k - 1], z[j - 1]), negate=True))
         expected = Mat.zero(ell, module.dim)
         for t in range(module.dim):
             if z[i - 1][t] == z[i][t]:
@@ -341,13 +344,12 @@ def verify_intertwiners(module: ModuleRep) -> VerificationReport:
                 expected[t, t] = (d * d - ell_sq) * (d * d).inverse()
             else:
                 expected[t, t] = 1
-        checks.append(_residual(f"tau{i}^2=((u{i}-u{i + 1})^2-pi^2)/(u{i}-u{i + 1})^2",
-                                tau * tau, expected))
+        checks.append(_report(f"tau{i}^2=((u{i}-u{i + 1})^2-pi^2)/(u{i}-u{i + 1})^2",
+                              (tau * tau - expected).data))
     for i in range(1, n - 1):
-        checks.append(_residual(
+        checks.append(_report(
             f"tau{i}tau{i + 1}tau{i}=tau{i + 1}tau{i}tau{i + 1}",
-            taus[i - 1] * taus[i] * taus[i - 1],
-            taus[i] * taus[i - 1] * taus[i]))
+            (taus[i - 1] * taus[i] * taus[i - 1] - taus[i] * taus[i - 1] * taus[i]).data))
     return VerificationReport(tuple(checks))
 
 
@@ -491,9 +493,7 @@ def jm_consistency(module: ModuleRep) -> VerificationReport:
             "Jucys-Murphy comparison needs a module built from partitions "
             "anchored at content 0")
     ell, weights = module.ell, module.weights
-    powers = _powers(ell)
-    color_sum = [sum((powers[k * r % ell] for k in range(ell)), Cyc.zero(ell))
-                 for r in range(ell)]
+    color_sum = _color_sums(ell)
     checks = []
     for i in range(1, module.n + 1):
         phi = Mat.zero(ell, module.dim)
@@ -507,7 +507,7 @@ def jm_consistency(module: ModuleRep) -> VerificationReport:
                         x = c * v
                         acc[key] = acc[key] + x if key in acc else x
         phi.data = {key: v for key, v in acc.items() if v}
-        checks.append(_residual(f"phi{i}=u{i}", phi, generator_matrix(module, "u", i)))
+        checks.append(_report(f"phi{i}=u{i}", (phi - generator_matrix(module, "u", i)).data))
     return VerificationReport(tuple(checks))
 
 

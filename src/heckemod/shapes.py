@@ -6,17 +6,20 @@ is stored as a set of cells ``(row, c)`` where ``c`` is the integer part of
 the box content; the component's rational ``offset`` in ``[0, 1)`` is added
 to ``c`` to obtain the actual content.  A cell ``(row, c)`` sits at grid
 position ``x = c + row, y = row``, so content is ``x - y`` as usual and
-sliding a component along its diagonal only renumbers rows.
+sliding a component along its diagonal only renumbers rows.  A component
+must be skew (it holds the whole grid rectangle between comparable boxes)
+and edge-connected; ``_shape_fault`` decides both in one linear pass over
+its rows, and the brute-force closure it replaced is the test oracle.
 
 Canonical form: every component has minimal row 1, offset in ``[0, 1)``
 (the integer part of a supplied offset is folded into the cells), and the
 component list is sorted by ``(beta, offset, cells)``.  Two components in
 the same coordinate with equal offset interact: their content intervals
 must be disjoint with gaps of at least 2, which is exactly the condition
-for a simultaneous placement of all components whose union satisfies the
-skew-closure condition.  The validator checks the gaps;
-``joint_placement`` searches for such a placement directly and is kept as
-the independent oracle the gap criterion is tested against.
+for a simultaneous placement of all components whose union is skew.  The
+validator checks the gaps; ``joint_placement`` searches for such a
+placement directly and is kept as the independent oracle the gap criterion
+is tested against.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 
 from .cyclo import fraction_from_str, fraction_to_str
 from .errors import (DegenerateShape, EmptyShape, NotAPartition, NotConnected,
@@ -86,43 +90,33 @@ class Weight:
 _NEIGHBOR_STEPS = ((0, 1), (0, -1), (-1, 1), (1, -1))  # right, left, up, down
 
 
-def _points(cells) -> set[tuple[int, int]]:
-    """Grid realization (x, y) of cells (row, c)."""
-    return {(c + r, r) for r, c in cells}
-
-
-def _closure_ok(points: set[tuple[int, int]]) -> bool:
-    """Whole-rectangle condition: comparable pairs span filled rectangles."""
-    for x1, y1 in points:
-        for x2, y2 in points:
-            k, l = x2 - x1, y2 - y1
-            if k >= 0 and l >= 0 and (k or l):
-                if (k + 1) * (l + 1) > len(points):
-                    return False
-                for xx in range(x1, x2 + 1):
-                    for yy in range(y1, y2 + 1):
-                        if (xx, yy) not in points:
-                            return False
-    return True
-
-
-def _connected(cells: set[Cell]) -> bool:
-    start = next(iter(cells))
-    seen = {start}
-    stack = [start]
-    while stack:
-        r, c = stack.pop()
-        for dr, dc in _NEIGHBOR_STEPS:
-            q = (r + dr, c + dc)
-            if q in cells and q not in seen:
-                seen.add(q)
-                stack.append(q)
-    return len(seen) == len(cells)
-
-
-def _normalize_cells(cells) -> tuple[Cell, ...]:
-    shift = 1 - min(r for r, _ in cells)
-    return tuple(sorted((r + shift, c) for r, c in cells))
+def _shape_fault(cells) -> type[NotSkew] | type[NotConnected] | None:
+    """The rule a nonempty set of distinct cells breaks: NotSkew, else
+    NotConnected, else None.  Skew means equal to the intersection of its up-
+    and down-sets: each row y from the first to the last holds exactly the x
+    from the least x over rows <= y to the greatest over rows >= y (its count
+    decides), and a gap's empty rows share one such range, which must be
+    empty.  A skew set is connected exactly when each row y reaches back to
+    the least x over rows < y, sharing a column with the row above."""
+    rows: dict[int, list[int]] = {}
+    for r, c in cells:
+        rows.setdefault(r, []).append(c + r)
+    ys = sorted(rows)
+    # y -> greatest x over the rows >= y
+    reach = dict(zip(ys[::-1], accumulate((max(rows[y]) for y in ys[::-1]), max)))
+    connected = True
+    prev = ys[0]
+    left = min(rows[prev])  # least x over the rows read so far
+    for y in ys:
+        if reach[y] < left:
+            connected = False
+        elif y > prev + 1:
+            return NotSkew  # the empty rows between would hold [left, reach[y]]
+        left = min(left, min(rows[y]))
+        if len(rows[y]) != reach[y] - left + 1:
+            return NotSkew
+        prev = y
+    return None if connected else NotConnected
 
 
 def _component_checked(ell: int, beta, offset, cells) -> Component:
@@ -133,16 +127,15 @@ def _component_checked(ell: int, beta, offset, cells) -> Component:
     if not 0 <= beta < ell:
         raise NotSkew(f"coordinate {beta} out of range for ell={ell}")
     offset = Fraction(offset)
-    whole = math.floor(offset)
-    if whole:
-        offset -= whole
-        cells = {(r, c + whole) for r, c in cells}
-    cells = set(_normalize_cells(cells))
-    if not _closure_ok(_points(cells)):
-        raise NotSkew(f"cells {sorted(cells)} violate skew closure")
-    if not _connected(cells):
-        raise NotConnected(f"cells {sorted(cells)} split into several parts")
-    return Component(beta, offset, tuple(sorted(cells)))
+    whole = math.floor(offset)  # moves into the contents; rows restart at 1
+    shift = 1 - min(r for r, _ in cells)
+    cells = tuple(sorted((r + shift, c + whole) for r, c in cells))
+    fault = _shape_fault(cells)
+    if fault is NotSkew:
+        raise NotSkew(f"cells {list(cells)} violate skew closure")
+    if fault is NotConnected:
+        raise NotConnected(f"cells {list(cells)} split into several parts")
+    return Component(beta, offset - whole, cells)
 
 
 def joint_placement(components) -> list[int] | None:
@@ -162,33 +155,28 @@ def joint_placement(components) -> list[int] | None:
     spans = sum(max(r for r, _ in cc) - min(r for r, _ in cc) + 1 for cc in comps)
     allc = [c for cc in comps for _, c in cc]
     window = (max(allc) - min(allc)) + spans + 2
-    shifts: list[int | None] = [None] * len(comps)
-    shifts[order[0]] = 0
-    placed = _points(comps[order[0]])
+    shifts = [0] * len(comps)
 
     def attempt(rank: int, placed: set) -> bool:
         if rank == len(order):
             return True
         idx = order[rank]
         for t in range(-window, window + 1):
-            pts = _points((r + t, c) for r, c in comps[idx])
-            union = placed | pts
-            if len(union) != len(placed) + len(pts):
+            cells = {(r + t, c) for r, c in comps[idx]}
+            union = placed | cells
+            if len(union) != len(placed) + len(cells):
                 continue
-            if any((x + dx, y + dy) in placed
-                   for x, y in pts
-                   for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1))):
+            if any((r + dr, c + dc) in placed
+                   for r, c in cells for dr, dc in _NEIGHBOR_STEPS):
                 continue  # touching components would merge
-            if not _closure_ok(union):
+            if _shape_fault(union) is NotSkew:
                 continue
             shifts[idx] = t
             if attempt(rank + 1, union):
                 return True
         return False
 
-    if attempt(1, placed):
-        return [s for s in shifts]  # type: ignore[misc]
-    return None
+    return shifts if attempt(1, set(comps[order[0]])) else None
 
 
 def _check_coset_gaps(comps: list[Component]):
@@ -332,7 +320,7 @@ def _connected_classes(m: int) -> tuple[frozenset, ...]:
                 if q in smaller:
                     continue
                 cand = set(smaller) | {q}
-                if not _closure_ok(_points(cand)):
+                if _shape_fault(cand) is not None:
                     continue
                 rshift = 1 - min(rr for rr, _ in cand)
                 cshift = -min(cc for _, cc in cand)
@@ -602,17 +590,29 @@ def _checked_ell(ell, kind: str) -> int:
     return ell
 
 
+def _array(data: dict, kind: str, field: str) -> list:
+    """``data[field]``, which the JSON format makes an array."""
+    value = data[field]
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{kind} field '{field}' must be an array, got {value!r}")
+    return value
+
+
 def shape_from_json(data: dict) -> SkewShapeL:
-    """Parse a shape; ``ell`` must be a positive integer, and ``beta`` and
-    every cell coordinate integers (bools are rejected)."""
+    """Parse a shape; ``ell`` must be a positive integer, ``components`` and
+    each ``cells`` arrays, ``beta`` an integer and every cell a [row,
+    content] pair of integers (bools are rejected)."""
     ell = _checked_ell(data["ell"], "shape")
-    comps = [(comp["beta"], fraction_from_str(comp["offset"]),
-              [tuple(cell) for cell in comp["cells"]]) for comp in data["components"]]
-    for beta, _, cells in comps:
+    comps = []
+    for comp in _array(data, "shape", "components"):
+        beta, cells = comp["beta"], _array(comp, "shape", "cells")
         if type(beta) is not int:
             raise ValueError(f"shape field 'beta' must be an integer, got {beta!r}")
-        if not all(type(x) is int for cell in cells for x in cell):
-            raise ValueError(f"shape field 'cells' must hold integers, got {cells!r}")
+        if not all(isinstance(cell, (list, tuple)) and len(cell) == 2
+                   and all(type(x) is int for x in cell) for cell in cells):
+            raise ValueError(f"shape field 'cells' needs [row, content] integer "
+                             f"pairs, got {cells!r}")
+        comps.append((beta, fraction_from_str(comp["offset"]), cells))
     return validate_and_canonicalize(ell, comps)
 
 
@@ -631,9 +631,7 @@ def tableau_from_json(data: dict) -> Tableau:
     shape = shape_from_json(data)
     labels = [[0] * comp.size for comp in shape.components]
     seen = set()
-    if not isinstance(data["entries"], (list, tuple)):
-        raise ValueError(f"tableau field 'entries' must be a list, got {data['entries']!r}")
-    for entry in data["entries"]:
+    for entry in _array(data, "tableau", "entries"):
         if not isinstance(entry, (list, tuple)) or len(entry) != 4:
             raise ValueError(f"tableau field 'entries' needs [row, column, component, "
                              f"label] lists, got {entry!r}")
@@ -664,13 +662,15 @@ def weight_to_json(weight: Weight, ell: int) -> dict:
 
 
 def weight_from_json(data: dict) -> tuple[Weight, int]:
-    """Parse a weight; ``ell`` must be a positive integer and the entries of
-    ``b`` integers (bools are rejected), reduced mod ell."""
+    """Parse a weight; ``ell`` must be a positive integer, ``a`` and ``b``
+    arrays, and the entries of ``b`` integers (bools are rejected), reduced
+    mod ell."""
     ell = _checked_ell(data["ell"], "weight")
-    if not all(type(x) is int for x in data["b"]):
-        raise ValueError(f"weight field 'b' must hold integers, got {data['b']!r}")
-    a = tuple(fraction_from_str(x) for x in data["a"])
-    b = tuple(x % ell for x in data["b"])
+    a, b = _array(data, "weight", "a"), _array(data, "weight", "b")
+    if not all(type(x) is int for x in b):
+        raise ValueError(f"weight field 'b' must hold integers, got {b!r}")
+    a = tuple(fraction_from_str(x) for x in a)
+    b = tuple(x % ell for x in b)
     if len(a) != len(b):
         raise ValueError("weight lists have different lengths")
     return Weight(a, b), ell

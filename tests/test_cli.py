@@ -176,7 +176,12 @@ def test_exit_codes_for_bad_input(capsys, tmp_path):
     for field, bad in (("b", {"ell": 2, "a": ["0", "1"], "b": [True, 0]}),
                        ("ell", {"ell": 0, "a": ["0"], "b": [0]}),
                        ("ell", {"ell": -1, "a": ["0"], "b": [0]}),
-                       ("ell", {"ell": True, "a": ["0"], "b": [0]})):
+                       ("ell", {"ell": True, "a": ["0"], "b": [0]}),
+                       # containers that are not JSON arrays
+                       ("a", {"ell": 1, "a": "01", "b": [0, 0]}),
+                       ("a", {"ell": 2, "a": {"0": 1, "2": 1}, "b": [0, 0]}),
+                       ("b", {"ell": 1, "a": ["0", "1"], "b": "00"}),
+                       ("b", {"ell": 1, "a": ["0"], "b": {"0": 0}})):
         weight = tmp_path / "bad_weight.json"
         weight.write_text(json.dumps(bad))
         capsys.readouterr()
@@ -189,7 +194,15 @@ def test_exit_codes_for_bad_input(capsys, tmp_path):
                        ("ell", {"ell": True, "components": [cell]}),
                        ("beta", {"ell": 1, "components": [{**cell, "beta": False}]}),
                        ("cells", {"ell": 1,
-                                  "components": [{**cell, "cells": [[True, 0]]}]})):
+                                  "components": [{**cell, "cells": [[True, 0]]}]}),
+                       # containers that are not JSON arrays, cells that are
+                       # not [row, content] pairs
+                       ("components", {"ell": 1, "components": cell}),
+                       ("cells", {"ell": 1, "components": [{**cell, "cells": "10"}]}),
+                       ("cells", {"ell": 1, "components": [{**cell, "cells": [[1]]}]}),
+                       ("cells", {"ell": 1, "components": [{**cell, "cells": [[1, 0, 0]]}]}),
+                       ("cells", {"ell": 1, "components": [{**cell, "cells": [10]}]}),
+                       ("cells", {"ell": 1, "components": [{**cell, "cells": {"1": 0}}]})):
         shape = tmp_path / "bad_shape.json"
         shape.write_text(json.dumps(bad))
         capsys.readouterr()

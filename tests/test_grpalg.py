@@ -227,10 +227,11 @@ def test_evaluate_in_module():
     assert evaluate_in_module(word, M) == (
         generator_matrix(M, "s", 1) * generator_matrix(M, "s", 2))
     # pi as an algebra element evaluates to the diagonal projector matrix
-    M2 = build_module(partition_shape(2, [[2], [1]]))
-    for i in (1, 2):
-        assert evaluate_in_module(pi_element(2, 3, i), M2) == (
-            generator_matrix(M2, "pi", i))
+    for ell, parts in ((2, [[2], [1]]), (3, [[1], [], [2]])):
+        M2 = build_module(partition_shape(ell, parts))
+        for i in (1, 2):
+            assert evaluate_in_module(pi_element(ell, 3, i), M2) == (
+                generator_matrix(M2, "pi", i))
 
 
 def test_evaluate_in_module_checks_parameters():

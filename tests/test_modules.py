@@ -161,6 +161,7 @@ def test_module_weights_match_tableaux():
               partition_shape(2, [[2], [1]]),
               validate_and_canonicalize(2, [(1, Fraction(1, 2), [(1, 0), (2, -1)])])):
         M = build_module(D)
+        assert M.basis == enumerate_syt(D)
         assert module_weights(M) == [weight_of(t) for t in enumerate_syt(D)]
 
 

@@ -38,6 +38,8 @@ from heckemod import (
     weight_of,
     weight_to_json,
 )
+from heckemod import shapes
+from shapes_reference import connected_classes, shape_fault
 from test_acceptance import half_offset_shapes, multipartitions
 
 
@@ -168,6 +170,73 @@ def test_gap_criterion_matches_joint_placement():
                 accepted = False
             placed = joint_placement([cells for _, _, cells in comps])
             assert accepted == (placed is not None), (comps, placed)
+
+
+def grid_subsets(width, height):
+    """Every nonempty set of boxes at grid positions x < width, 1 <= y <=
+    height, as cells (row, c) = (y, x - y)."""
+    grid = [(y, x - y) for x in range(width) for y in range(1, height + 1)]
+    for mask in range(1, 1 << len(grid)):
+        yield {cell for k, cell in enumerate(grid) if mask >> k & 1}
+
+
+GRIDS = [(4, 4), (3, 5), (5, 3)]
+
+
+@pytest.mark.parametrize("width, height", GRIDS)
+def test_shape_fault_matches_reference_on_grid_subsets(width, height):
+    for cells in grid_subsets(width, height):
+        assert shapes._shape_fault(cells) is shape_fault(cells), sorted(cells)
+
+
+def _validated(cells):
+    try:
+        return validate_and_canonicalize(1, [(0, 0, cells)])
+    except (NotSkew, NotConnected) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("width, height", GRIDS)
+def test_validation_matches_reference_on_grid_subsets(width, height, monkeypatch):
+    subsets = list(grid_subsets(width, height))
+    got = [_validated(cells) for cells in subsets]
+    monkeypatch.setattr(shapes, "_shape_fault", shape_fault)
+    assert got == [_validated(cells) for cells in subsets]
+
+
+BOX = st.tuples(st.integers(1, 12), st.integers(1, 12))  # grid position (x, y)
+
+
+@st.composite
+def box_sets(draw):
+    """Sets of at most 30 boxes in a 12 x 12 box, as cells: arbitrary sets,
+    and skew sets (row bounds falling from row to row, empty rows allowed;
+    possibly empty) of at most 5 rows within 6 columns, with one box maybe
+    toggled."""
+    if draw(st.booleans()):
+        points = draw(st.sets(BOX, min_size=1, max_size=30))
+    else:
+        x0, y0 = draw(st.integers(0, 6)), draw(st.integers(1, 8))
+        rows = draw(st.integers(1, 5))
+        bounds = [sorted(draw(st.lists(st.integers(1, 6), min_size=rows, max_size=rows)),
+                         reverse=True) for _ in range(2)]
+        points = {(x0 + x, y0 + k) for k, (lo, hi) in enumerate(zip(*bounds))
+                  for x in range(lo, hi + 1)}
+        flip = draw(st.none() | BOX)
+        if flip is not None and len(points ^ {flip}) <= 30:
+            points ^= {flip}
+    return {(y, x - y) for x, y in points}
+
+
+@given(box_sets().filter(bool))
+@settings(max_examples=400, deadline=None)
+def test_shape_fault_matches_reference_in_a_box(cells):
+    assert shapes._shape_fault(cells) is shape_fault(cells)
+
+
+def test_connected_classes_match_reference_growth():
+    for m in range(1, 8):
+        assert shapes._connected_classes(m) == connected_classes(m), m
 
 
 # ---------------------------------------------------------------------------
