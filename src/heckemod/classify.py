@@ -18,7 +18,7 @@ from itertools import groupby
 from .cyclo import fraction_to_str
 from .errors import ConditionFailed, EmptyShape, NoAddablePosition
 from .modules import RelationCheck, VerificationReport
-from .shapes import (Component, SkewShapeL, Tableau, Weight, _checked_ell,
+from .shapes import (Component, SkewShapeL, Tableau, Weight, _check_weight_fields,
                      enumerate_syt, is_standard, weight_of)
 
 ADJACENT_EQUAL = "AdjacentEqual"
@@ -46,11 +46,7 @@ class ConditionViolation:
 
 def _normalize_weight(w: Weight, ell: int) -> list[tuple[int, int, int]]:
     """Type-check a weight; entry k becomes (p, q, b_k mod ell), a_k = p/q in lowest terms."""
-    _checked_ell(ell, "weight")
-    if len(w.a) != len(w.b):
-        raise ValueError("weight lists have different lengths")
-    if not all(type(x) is int for x in w.b):  # type(True) is bool: bools are rejected
-        raise ValueError(f"weight field 'b' must hold integers, got {w.b!r}")
+    _check_weight_fields(ell, w.a, w.b)
     if not all(type(x) is int or type(x) is Fraction for x in w.a):
         raise ValueError(f"weight field 'a' must hold integers or Fractions, got {w.a!r}")
     return [(x.numerator, x.denominator, y % ell) for x, y in zip(w.a, w.b)]

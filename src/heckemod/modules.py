@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import repeat
 from operator import mul
 
 from .cyclo import Cyc, root_of_unity
@@ -99,11 +98,6 @@ def _diagonal_residual(x: Mat, col: list, row: list, extra: Mat | None = None) -
     return {key: v for key, v in residual.items() if v}
 
 
-def _vector_residual(left, right) -> dict:
-    """The residual of diag(left) = diag(right); equal values are not subtracted."""
-    return {(t, t): x - y for t, (x, y) in enumerate(zip(left, right)) if x != y}
-
-
 def _field_of(ell: int, rationals) -> dict:
     """Each distinct rational among ``rationals`` as a field element,
     converted once."""
@@ -121,6 +115,14 @@ def _color_sums(ell: int) -> tuple[Cyc, ...]:
     powers = _powers(ell)
     return tuple(sum((powers[k * r % ell] for k in range(ell)), Cyc.zero(ell))
                  for r in range(ell))
+
+
+def _pi_values(module: ModuleRep, i: int) -> list[Cyc]:
+    """The eigenvalue of pi_i = sum_k zeta_i^k zeta_{i+1}^-k on each basis
+    vector: the color sum of b_i - b_{i+1}."""
+    ell = module.ell
+    sums = _color_sums(ell)
+    return [sums[(w.b[i - 1] - w.b[i]) % ell] for w in module.weights]
 
 
 def _eigenvalues(module: ModuleRep) -> tuple[list[list[Cyc]], list[list[Cyc]]]:
@@ -203,27 +205,18 @@ def direct_sum(m1: ModuleRep, m2: ModuleRep) -> ModuleRep:
 # ---------------------------------------------------------------------------
 # generator access
 
-def _pi_diagonal(module: ModuleRep, i: int) -> Mat:
-    """pi_i = sum_k zeta_i^k zeta_{i+1}^-k, diagonal: on each basis vector
-    the color sum of b_i - b_{i+1}."""
-    ell = module.ell
-    sums = _color_sums(ell)
-    return Mat.diagonal(ell, [sums[(w.b[i - 1] - w.b[i]) % ell] for w in module.weights])
-
-
 def _tau_matrix(module: ModuleRep, i: int) -> Mat:
     """s_i minus the diagonal correction pi/(u_{i+1} - u_i) on each basis
-    vector; zero correction where the zeta eigenvalues differ."""
-    ell = Fraction(module.ell)
+    vector; zero correction where pi vanishes."""
     m = module.mat_s[i - 1].copy()
-    for t, w in enumerate(module.weights):
-        if w.b[i - 1] == w.b[i]:
+    for t, (w, pi) in enumerate(zip(module.weights, _pi_values(module, i))):
+        if pi:
             d = w.a[i] - w.a[i - 1]
             if not d:
                 raise ZeroDivisionError(
                     f"intertwiner {i} undefined: equal u-eigenvalues with "
                     f"matching color at basis vector {t}")
-            m[t, t] = m[t, t] - ell / d
+            m[t, t] = m[t, t] - pi / d
     return m
 
 
@@ -247,7 +240,7 @@ def generator_matrix(module: ModuleRep, kind: str, i: int) -> Mat:
             return module.mat_s[i - 1].copy()
         if kind == "tau":
             return _tau_matrix(module, i)
-        return _pi_diagonal(module, i)
+        return Mat.diagonal(ell, _pi_values(module, i))
     raise ValueError(f"unknown generator kind {kind!r}")
 
 
@@ -258,14 +251,15 @@ def verify_relations(module: ModuleRep) -> VerificationReport:
     """Exact check of every defining relation: the symmetric-group and
     color-group relations, the commutation relations between the polynomial
     and group generators, and the mixed crossing relation
-    s_i u_i = u_{i+1} s_i - pi_i (pi_i = sum_k zeta_i^k zeta_{i+1}^-k,
-    summed in the field on each basis vector, not via the shortcut
-    ell * [b_i = b_{i+1}]).
+    s_i u_i = u_{i+1} s_i - pi_i (pi_i from ``_pi_values``).
 
     The s-only relations are matrix products.  A relation with a diagonal
     side, X D = D' X, holds exactly when X[p, q] (d_q - d'_p) vanishes at
-    every nonzero entry of X, and relations between diagonal generators are
-    checked on the eigenvalues of each basis vector."""
+    every nonzero entry of X.  The relations among the diagonal generators
+    (zeta_i^ell = 1 and the zeta/u commutations) hold by the storage, which
+    gives each zeta_i as zeta^b with an integer b and every diagonal
+    generator as an eigenvalue vector on one basis, so they are reported
+    without arithmetic."""
     ell, n = module.ell, module.n
     s = module.mat_s
     u, z = _eigenvalues(module)
@@ -283,12 +277,10 @@ def verify_relations(module: ModuleRep) -> VerificationReport:
             add(_report(f"s{i}s{j}=s{j}s{i}",
                         (s[i - 1] * s[j - 1] - s[j - 1] * s[i - 1]).data))
     for i in range(1, n + 1):
-        add(_report(f"zeta{i}^{ell}=1",
-                    _vector_residual((x ** ell for x in z[i - 1]), repeat(1))))
+        add(RelationCheck(f"zeta{i}^{ell}=1", True))
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            add(_report(f"zeta{i}zeta{j}=zeta{j}zeta{i}", _vector_residual(
-                map(mul, z[i - 1], z[j - 1]), map(mul, z[j - 1], z[i - 1]))))
+            add(RelationCheck(f"zeta{i}zeta{j}=zeta{j}zeta{i}", True))
     for i in range(1, n):
         add(_report(f"s{i}zeta{i}=zeta{i + 1}s{i}",
                     _diagonal_residual(s[i - 1], z[i - 1], z[i])))
@@ -298,19 +290,18 @@ def verify_relations(module: ModuleRep) -> VerificationReport:
                             _diagonal_residual(s[i - 1], z[j - 1], z[j - 1])))
     for i in range(1, n + 1):
         for j in range(1, n + 1):
-            add(_report(f"zeta{i}u{j}=u{j}zeta{i}", _vector_residual(
-                map(mul, z[i - 1], u[j - 1]), map(mul, u[j - 1], z[i - 1]))))
+            add(RelationCheck(f"zeta{i}u{j}=u{j}zeta{i}", True))
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            add(_report(f"u{i}u{j}=u{j}u{i}", _vector_residual(
-                map(mul, u[i - 1], u[j - 1]), map(mul, u[j - 1], u[i - 1]))))
+            add(RelationCheck(f"u{i}u{j}=u{j}u{i}", True))
     for i in range(1, n):
         for j in range(1, n + 1):
             if j not in (i, i + 1):
                 add(_report(f"s{i}u{j}=u{j}s{i}",
                             _diagonal_residual(s[i - 1], u[j - 1], u[j - 1])))
-        add(_report(f"s{i}u{i}=u{i + 1}s{i}-pi{i}", _diagonal_residual(
-            s[i - 1], u[i - 1], u[i], extra=_pi_diagonal(module, i))))
+        pi = Mat.diagonal(ell, _pi_values(module, i))
+        add(_report(f"s{i}u{i}=u{i + 1}s{i}-pi{i}",
+                    _diagonal_residual(s[i - 1], u[i - 1], u[i], extra=pi)))
     return VerificationReport(tuple(checks))
 
 
@@ -327,7 +318,6 @@ def verify_intertwiners(module: ModuleRep) -> VerificationReport:
     u, z = _eigenvalues(module)
     checks = []
     taus = [_tau_matrix(module, i) for i in range(1, n)]
-    ell_sq = Cyc.from_rational(ell, ell * ell)
 
     for i in range(1, n):
         tau = taus[i - 1]
@@ -338,10 +328,10 @@ def verify_intertwiners(module: ModuleRep) -> VerificationReport:
             checks.append(_report(f"zeta{j}tau{i}=tau{i}zeta{k}",
                                   _diagonal_residual(tau, z[k - 1], z[j - 1]), negate=True))
         expected = Mat.zero(ell, module.dim)
-        for t in range(module.dim):
-            if z[i - 1][t] == z[i][t]:
+        for t, pi in enumerate(_pi_values(module, i)):
+            if pi:
                 d = u[i - 1][t] - u[i][t]
-                expected[t, t] = (d * d - ell_sq) * (d * d).inverse()
+                expected[t, t] = (d * d - pi * pi) * (d * d).inverse()
             else:
                 expected[t, t] = 1
         checks.append(_report(f"tau{i}^2=((u{i}-u{i + 1})^2-pi^2)/(u{i}-u{i + 1})^2",

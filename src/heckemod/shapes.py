@@ -590,6 +590,16 @@ def _checked_ell(ell, kind: str) -> int:
     return ell
 
 
+def _object(data, what: str, keys: tuple[str, ...]) -> dict:
+    """``data``, which the JSON format makes an object holding ``keys``."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} must be a JSON object, got {data!r}")
+    for key in keys:
+        if key not in data:
+            raise ValueError(f"{what} field '{key}' is missing")
+    return data
+
+
 def _array(data: dict, kind: str, field: str) -> list:
     """``data[field]``, which the JSON format makes an array."""
     value = data[field]
@@ -602,10 +612,11 @@ def shape_from_json(data: dict) -> SkewShapeL:
     """Parse a shape; ``ell`` must be a positive integer, ``components`` and
     each ``cells`` arrays, ``beta`` an integer and every cell a [row,
     content] pair of integers (bools are rejected)."""
-    ell = _checked_ell(data["ell"], "shape")
+    ell = _checked_ell(_object(data, "shape", ("ell", "components"))["ell"], "shape")
     comps = []
     for comp in _array(data, "shape", "components"):
-        beta, cells = comp["beta"], _array(comp, "shape", "cells")
+        beta = _object(comp, "shape component", ("beta", "offset", "cells"))["beta"]
+        cells = _array(comp, "shape", "cells")
         if type(beta) is not int:
             raise ValueError(f"shape field 'beta' must be an integer, got {beta!r}")
         if not all(isinstance(cell, (list, tuple)) and len(cell) == 2
@@ -628,7 +639,7 @@ def tableau_to_json(tab: Tableau) -> dict:
 
 
 def tableau_from_json(data: dict) -> Tableau:
-    shape = shape_from_json(data)
+    shape = shape_from_json(_object(data, "tableau", ("entries",)))
     labels = [[0] * comp.size for comp in shape.components]
     seen = set()
     for entry in _array(data, "tableau", "entries"):
@@ -661,16 +672,21 @@ def weight_to_json(weight: Weight, ell: int) -> dict:
             "b": list(weight.b)}
 
 
-def weight_from_json(data: dict) -> tuple[Weight, int]:
-    """Parse a weight; ``ell`` must be a positive integer, ``a`` and ``b``
-    arrays, and the entries of ``b`` integers (bools are rejected), reduced
-    mod ell."""
-    ell = _checked_ell(data["ell"], "weight")
-    a, b = _array(data, "weight", "a"), _array(data, "weight", "b")
-    if not all(type(x) is int for x in b):
-        raise ValueError(f"weight field 'b' must hold integers, got {b!r}")
-    a = tuple(fraction_from_str(x) for x in a)
-    b = tuple(x % ell for x in b)
+def _check_weight_fields(ell, a, b) -> None:
+    """The rules every weight obeys, read from JSON or passed to the library:
+    ``ell`` a positive integer, ``a`` and ``b`` of equal length and the
+    entries of ``b`` integers (bools are rejected)."""
+    _checked_ell(ell, "weight")
     if len(a) != len(b):
         raise ValueError("weight lists have different lengths")
-    return Weight(a, b), ell
+    if not all(type(x) is int for x in b):
+        raise ValueError(f"weight field 'b' must hold integers, got {b!r}")
+
+
+def weight_from_json(data: dict) -> tuple[Weight, int]:
+    """Parse a weight object; ``a`` and ``b`` must be arrays and obey
+    ``_check_weight_fields``, and ``b`` is reduced mod ell."""
+    ell = _object(data, "weight", ("ell", "a", "b"))["ell"]
+    a, b = _array(data, "weight", "a"), _array(data, "weight", "b")
+    _check_weight_fields(ell, a, b)
+    return Weight(tuple(fraction_from_str(x) for x in a), tuple(x % ell for x in b)), ell

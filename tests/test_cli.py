@@ -181,7 +181,9 @@ def test_exit_codes_for_bad_input(capsys, tmp_path):
                        ("a", {"ell": 1, "a": "01", "b": [0, 0]}),
                        ("a", {"ell": 2, "a": {"0": 1, "2": 1}, "b": [0, 0]}),
                        ("b", {"ell": 1, "a": ["0", "1"], "b": "00"}),
-                       ("b", {"ell": 1, "a": ["0"], "b": {"0": 0}})):
+                       ("b", {"ell": 1, "a": ["0"], "b": {"0": 0}}),
+                       # a required field that is missing
+                       ("a", {"ell": 1, "b": [0]})):
         weight = tmp_path / "bad_weight.json"
         weight.write_text(json.dumps(bad))
         capsys.readouterr()
@@ -202,12 +204,24 @@ def test_exit_codes_for_bad_input(capsys, tmp_path):
                        ("cells", {"ell": 1, "components": [{**cell, "cells": [[1]]}]}),
                        ("cells", {"ell": 1, "components": [{**cell, "cells": [[1, 0, 0]]}]}),
                        ("cells", {"ell": 1, "components": [{**cell, "cells": [10]}]}),
-                       ("cells", {"ell": 1, "components": [{**cell, "cells": {"1": 0}}]})):
+                       ("cells", {"ell": 1, "components": [{**cell, "cells": {"1": 0}}]}),
+                       # a required field that is missing
+                       ("offset", {"ell": 1, "components": [{"beta": 0, "cells": [[1, 0]]}]})):
         shape = tmp_path / "bad_shape.json"
         shape.write_text(json.dumps(bad))
         capsys.readouterr()
         assert main(["verify", "--shape", str(shape)]) == 1
         assert f"'{field}'" in capsys.readouterr().err
+    # documents and components that are not JSON objects
+    for command, bad in (("classify", [2, ["0"], [0]]),
+                         ("verify", [1, [cell]]),
+                         ("verify", {"ell": 1, "components": [5]})):
+        path = tmp_path / "not_an_object.json"
+        path.write_text(json.dumps(bad))
+        capsys.readouterr()
+        flag = "--weight" if command == "classify" else "--shape"
+        assert main([command, flag, str(path)]) == 1
+        assert "must be a JSON object" in capsys.readouterr().err
     # usage problems
     capsys.readouterr()
     assert main(["shapes", "--ell", "1", "--n", "3", "--window", "-3"]) == 1
