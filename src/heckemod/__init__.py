@@ -22,8 +22,8 @@ from .linalg import Mat, block_diag, nullspace_dim
 from .modules import (ModuleRep, RelationCheck, VerificationReport,
                       build_module, central_character, commutant_dimension,
                       direct_sum, generator_matrix, jm_consistency,
-                      module_to_json, module_weights, twist,
-                      verify_intertwiners, verify_relations)
+                      module_to_json, twist, verify_intertwiners,
+                      verify_relations)
 from .shapes import (Component, SkewShapeL, Tableau, Weight,
                      apply_transposition, enumerate_shapes, enumerate_syt,
                      hook_dimension, inversion_set, is_partition_shape,
@@ -50,7 +50,7 @@ __all__ = [
     "Mat", "block_diag", "nullspace_dim",
     "ModuleRep", "RelationCheck", "VerificationReport", "build_module",
     "generator_matrix", "verify_relations", "verify_intertwiners",
-    "commutant_dimension", "central_character", "module_weights", "twist",
+    "commutant_dimension", "central_character", "twist",
     "direct_sum", "jm_consistency", "module_to_json",
     "ConditionViolation", "check_weight_condition", "violation_holds",
     "reconstruct", "classify_roundtrip",

@@ -19,7 +19,7 @@ from .cyclo import fraction_to_str
 from .errors import ConditionFailed, EmptyShape, NoAddablePosition
 from .modules import RelationCheck, VerificationReport
 from .shapes import (Component, SkewShapeL, Tableau, Weight, _check_weight_fields,
-                     enumerate_syt, is_standard, weight_of)
+                     enumerate_syt, weight_of)
 
 ADJACENT_EQUAL = "AdjacentEqual"
 MISSING_UP = "MissingUpStep"
@@ -128,6 +128,7 @@ def reconstruct(w: Weight, ell: int) -> tuple[SkewShapeL, Tableau]:
     Each maximal run of consecutive contents in a group is one component;
     it is emitted in canonical form (rows from 1, cells sorted) and the
     components are sorted, so the result needs no further validation.
+    Nor is it re-read: the tests check it against is_standard and weight_of.
     Raises ConditionFailed when the pairwise condition fails,
     NoAddablePosition when the box so found is not addable.
     """
@@ -171,10 +172,7 @@ def reconstruct(w: Weight, ell: int) -> tuple[SkewShapeL, Tableau]:
                            run_labels))
     comps, labels = zip(*sorted(filled, key=lambda pair: pair[0].sort_key()))
     shape = SkewShapeL(ell, comps)
-    tableau = Tableau(shape, labels)
-    assert is_standard(tableau)
-    assert _normalize_weight(weight_of(tableau), ell) == entries
-    return shape, tableau
+    return shape, Tableau(shape, labels)
 
 
 def classify_roundtrip(shape: SkewShapeL) -> VerificationReport:

@@ -16,7 +16,7 @@ from fractions import Fraction
 from . import classify as cl
 from . import modules as md
 from . import shapes as sh
-from .cyclo import fraction_to_str
+from .cyclo import fraction_from_str, fraction_to_str
 from .errors import (ConditionFailed, HeckemodError, NoAddablePosition,
                      NotScalar, NotStandard, ShapeError)
 
@@ -41,6 +41,14 @@ def _int_at_least(low: int):
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
         return value
     return parse
+
+
+def _rational(text: str) -> Fraction:
+    """argparse type: a rational, read as in the JSON formats."""
+    try:
+        return fraction_from_str(text, "KAPPA")
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _emit(data) -> None:
@@ -125,13 +133,12 @@ def _cmd_twist(args) -> int:
     shape = _load_shape(args.shape)
     module = md.build_module(shape)
     if args.t is not None:
-        kappa = Fraction(args.t)
-        twisted = md.twist(module, "t", kappa)
-        auto = {"kind": "t", "kappa": fraction_to_str(kappa)}
+        twisted = md.twist(module, "t", args.t)
+        auto = {"kind": "t", "kappa": fraction_to_str(args.t)}
     else:
         twisted = md.twist(module, "rho")
         auto = {"kind": "rho"}
-    reconstructed = {cl.reconstruct(w, shape.ell)[0] for w in md.module_weights(twisted)}
+    reconstructed = {cl.reconstruct(w, shape.ell)[0] for w in twisted.weights}
     if len(reconstructed) != 1:
         raise NotScalar("twisted module weights classify to several shapes")
     _emit({"automorphism": auto,
@@ -169,8 +176,7 @@ def _cmd_suite(args) -> int:
             if parts is not None:
                 partition_count += 1
                 fails["jucys_murphy"] += not md.jm_consistency(module).ok
-                fails["hook_dimension"] += (sh.hook_dimension(shape.ell, parts)
-                                            != len(sh.enumerate_syt(shape)))
+                fails["hook_dimension"] += sh.hook_dimension(shape.ell, parts) != module.dim
         for check, failed in fails.items():
             partitions_only = check in ("jucys_murphy", "hook_dimension")
             count = partition_count if partitions_only else len(shapes)
@@ -226,7 +232,8 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("twist", help="classify an automorphism twist of a module")
     p.add_argument("--shape", required=True, metavar="FILE")
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--t", metavar="KAPPA", help="shift contents by the rational KAPPA")
+    group.add_argument("--t", metavar="KAPPA", type=_rational,
+                       help="shift contents by the rational KAPPA")
     group.add_argument("--rho", action="store_true", help="reverse indices")
     p.set_defaults(func=_cmd_twist)
 
@@ -247,10 +254,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, json.JSONDecodeError) as exc:
+    except (_UsageError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ShapeError, NotStandard, ConditionFailed, NoAddablePosition) as exc:

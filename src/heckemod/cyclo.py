@@ -377,10 +377,15 @@ def fraction_to_str(q) -> str:
     return str(q)
 
 
-def fraction_from_str(s) -> Fraction:
-    """Parse "p" or "p/q" (also accepts ints for convenience)."""
-    if isinstance(s, bool):
-        raise ValueError("not a rational")
-    if isinstance(s, int):
+def fraction_from_str(s, what: str = "value") -> Fraction:
+    """An exact rational: an int or a string such as "p/q".  A float, bool,
+    unreadable string or zero denominator raises a ValueError naming ``what``."""
+    if type(s) is int:
         return Fraction(s)
-    return Fraction(str(s))
+    if type(s) is str:
+        try:
+            return Fraction(s)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ValueError(f"{what} must be a rational (an integer or a string such as "
+                     f"-3/2), got {s!r}")

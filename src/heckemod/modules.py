@@ -20,7 +20,7 @@ from operator import mul
 from .cyclo import Cyc, root_of_unity
 from .errors import DegenerateShape, DimensionMismatch, NotAPartition, NotScalar
 from .linalg import Mat, block_diag, nullspace_dim
-from .shapes import (SkewShapeL, Tableau, Weight, _context, is_partition_shape,
+from .shapes import (SkewShapeL, Weight, _context, enumerate_syt, is_partition_shape,
                      shape_to_json, tableau_to_json, weight_to_json)
 
 
@@ -31,8 +31,8 @@ class ModuleRep:
     u_i and zeta_i act diagonally: on basis vector t, u_i by the eigenvalue
     ``weights[t].a[i-1]`` and zeta_i by zeta^``weights[t].b[i-1]`` (a color
     exponent in 0..ell-1); ``generator_matrix`` turns them into matrices.
-    ``shape``/``basis`` are metadata describing how the module was built;
-    twists and direct sums set both to None, and equality ignores them.
+    ``shape`` is the shape it was built from, its basis ``enumerate_syt(shape)``;
+    twists and direct sums set it to None, and equality ignores it.
     """
 
     ell: int
@@ -41,7 +41,6 @@ class ModuleRep:
     mat_s: tuple[Mat, ...]
     weights: tuple[Weight, ...]
     shape: SkewShapeL | None = field(default=None, compare=False)
-    basis: tuple[Tableau, ...] | None = field(default=None, compare=False)
 
     __hash__ = None
 
@@ -190,8 +189,7 @@ def build_module(shape: SkewShapeL) -> ModuleRep:
             m[index[swapped], t] = 1 if b1 < b2 else 1 - Fraction(1, 1) / (d * d)
         mats.append(m)
 
-    return ModuleRep(ell, n, dim, tuple(mats), weights, shape,
-                     tuple(ctx.tableau_from_positions(pos) for pos in positions))
+    return ModuleRep(ell, n, dim, tuple(mats), weights, shape)
 
 
 def direct_sum(m1: ModuleRep, m2: ModuleRep) -> ModuleRep:
@@ -415,12 +413,6 @@ def central_character(module: ModuleRep) -> list[Cyc]:
     return out
 
 
-def module_weights(module: ModuleRep) -> list[Weight]:
-    """The weight of each basis vector: rational u-eigenvalues and the
-    zeta-eigenvalue exponents."""
-    return list(module.weights)
-
-
 # ---------------------------------------------------------------------------
 # twists
 
@@ -429,8 +421,7 @@ def twist(module: ModuleRep, auto: str, kappa=None) -> ModuleRep:
 
     ``auto="t"`` shifts every u-eigenvalue by the rational kappa;
     ``auto="rho"`` reverses indices: u_i -> -u_{n-i+1},
-    zeta_i -> zeta_{n-i+1}, s_i -> s_{n-i}.  The result carries no
-    shape/basis metadata.
+    zeta_i -> zeta_{n-i+1}, s_i -> s_{n-i}.  The result carries no shape.
     """
     ell, n = module.ell, module.n
     if auto == "t":
@@ -521,8 +512,8 @@ def module_to_json(module: ModuleRep, include_matrices=False, dense=False) -> di
         "shape": shape_to_json(module.shape) if module.shape is not None else None,
         "weights": [weight_to_json(w, module.ell) for w in module.weights],
     }
-    if module.basis is not None:
-        data["basis"] = [tableau_to_json(t) for t in module.basis]
+    if module.shape is not None:
+        data["basis"] = [tableau_to_json(t) for t in enumerate_syt(module.shape)]
     if include_matrices:
         conv = _mat_to_dense_json if dense else _mat_to_json
         for kind in ("u", "zeta"):

@@ -474,10 +474,9 @@ def _context(shape: SkewShapeL) -> _ShapeContext:
     return _ShapeContext(shape)
 
 
-@lru_cache(maxsize=None)
 def enumerate_syt(shape: SkewShapeL) -> tuple[Tableau, ...]:
     """All standard fillings, deterministically ordered; the first one is the
-    row-reading tableau."""
+    row-reading tableau.  Not cached: only the shape's ``_context`` is."""
     ctx = _context(shape)
     return tuple(ctx.tableau_from_positions(p) for p in ctx.all_positions())
 
@@ -610,8 +609,8 @@ def _array(data: dict, kind: str, field: str) -> list:
 
 def shape_from_json(data: dict) -> SkewShapeL:
     """Parse a shape; ``ell`` must be a positive integer, ``components`` and
-    each ``cells`` arrays, ``beta`` an integer and every cell a [row,
-    content] pair of integers (bools are rejected)."""
+    each ``cells`` arrays, ``beta`` an integer, every cell a [row, content]
+    pair of integers (bools are rejected) and ``offset`` a rational."""
     ell = _checked_ell(_object(data, "shape", ("ell", "components"))["ell"], "shape")
     comps = []
     for comp in _array(data, "shape", "components"):
@@ -623,7 +622,7 @@ def shape_from_json(data: dict) -> SkewShapeL:
                    and all(type(x) is int for x in cell) for cell in cells):
             raise ValueError(f"shape field 'cells' needs [row, content] integer "
                              f"pairs, got {cells!r}")
-        comps.append((beta, fraction_from_str(comp["offset"]), cells))
+        comps.append((beta, fraction_from_str(comp["offset"], "shape field 'offset'"), cells))
     return validate_and_canonicalize(ell, comps)
 
 
@@ -685,8 +684,9 @@ def _check_weight_fields(ell, a, b) -> None:
 
 def weight_from_json(data: dict) -> tuple[Weight, int]:
     """Parse a weight object; ``a`` and ``b`` must be arrays and obey
-    ``_check_weight_fields``, and ``b`` is reduced mod ell."""
+    ``_check_weight_fields``, ``a`` holds rationals and ``b`` is reduced mod ell."""
     ell = _object(data, "weight", ("ell", "a", "b"))["ell"]
     a, b = _array(data, "weight", "a"), _array(data, "weight", "b")
     _check_weight_fields(ell, a, b)
-    return Weight(tuple(fraction_from_str(x) for x in a), tuple(x % ell for x in b)), ell
+    return Weight(tuple(fraction_from_str(x, "weight field 'a'") for x in a),
+                  tuple(x % ell for x in b)), ell

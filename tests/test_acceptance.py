@@ -30,7 +30,6 @@ from heckemod import (
     is_standard,
     jm_consistency,
     jm_element,
-    module_weights,
     partition_shape,
     pi_element,
     reconstruct,
@@ -296,17 +295,17 @@ def test_criterion_09_automorphism_twists():
         for kappa in (1, Fraction(1, 2)):
             shifted = twist(M, "t", kappa)
             target = shift_contents(D, Fraction(kappa, M.ell))
-            for w, labels in zip(module_weights(shifted), base):
+            for w, labels in zip(shifted.weights, base):
                 got_D, got_T = reconstruct(w, M.ell)
                 assert got_D == target and got_T.labels == labels
             twisted += 1
         R = twist(M, "rho")
         assert verify_relations(R).ok, D
-        images = {reconstruct(w, M.ell)[0] for w in module_weights(R)}
+        images = {reconstruct(w, M.ell)[0] for w in R.weights}
         assert len(images) == 1
         back = twist(R, "rho")
         assert back == M
-        assert {reconstruct(w, M.ell)[0] for w in module_weights(back)} == {D}
+        assert {reconstruct(w, M.ell)[0] for w in back.weights} == {D}
         twisted += 1
     print(f"\nCRITERION 9 PASS: {twisted} twists classified over "
           f"{len(shapes)} shapes")
@@ -318,7 +317,7 @@ def test_criterion_10_central_character(modules_n4):
         assert len(cc) == 2 * M.n
         # the top zeta value is the product of all color eigenvalues
         prod = Cyc.from_rational(M.ell, 1)
-        for b in module_weights(M)[0].b:
+        for b in M.weights[0].b:
             prod = prod * root_of_unity(M.ell, b)
         assert cc[2 * M.n - 1] == prod
     # frozen spot values for the (2,1) module

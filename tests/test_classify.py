@@ -211,6 +211,8 @@ def test_condition_passing_weights_always_reconstruct(a):
     if check_weight_condition(weight, 1) is not None:
         return
     D, T = reconstruct(weight, 1)
+    assert validate_and_canonicalize(1, D.components) == D
+    assert is_standard(T)
     assert weight_of(T) == weight
 
 

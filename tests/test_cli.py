@@ -183,7 +183,14 @@ def test_exit_codes_for_bad_input(capsys, tmp_path):
                        ("b", {"ell": 1, "a": ["0", "1"], "b": "00"}),
                        ("b", {"ell": 1, "a": ["0"], "b": {"0": 0}}),
                        # a required field that is missing
-                       ("a", {"ell": 1, "b": [0]})):
+                       ("a", {"ell": 1, "b": [0]}),
+                       # rationals that are inexact, not numbers or not finite
+                       ("a", {"ell": 1, "a": [0.5], "b": [0]}),
+                       ("a", {"ell": 1, "a": [float("nan")], "b": [0]}),
+                       ("a", {"ell": 1, "a": [float("inf")], "b": [0]}),
+                       ("a", {"ell": 1, "a": [True], "b": [0]}),
+                       ("a", {"ell": 1, "a": ["1/0"], "b": [0]}),
+                       ("a", {"ell": 1, "a": ["x"], "b": [0]})):
         weight = tmp_path / "bad_weight.json"
         weight.write_text(json.dumps(bad))
         capsys.readouterr()
@@ -206,7 +213,14 @@ def test_exit_codes_for_bad_input(capsys, tmp_path):
                        ("cells", {"ell": 1, "components": [{**cell, "cells": [10]}]}),
                        ("cells", {"ell": 1, "components": [{**cell, "cells": {"1": 0}}]}),
                        # a required field that is missing
-                       ("offset", {"ell": 1, "components": [{"beta": 0, "cells": [[1, 0]]}]})):
+                       ("offset", {"ell": 1, "components": [{"beta": 0, "cells": [[1, 0]]}]}),
+                       # offsets that are inexact, not numbers or not finite
+                       ("offset", {"ell": 1, "components": [{**cell, "offset": 0.25}]}),
+                       ("offset", {"ell": 1, "components": [{**cell, "offset": float("nan")}]}),
+                       ("offset", {"ell": 1, "components": [{**cell, "offset": float("-inf")}]}),
+                       ("offset", {"ell": 1, "components": [{**cell, "offset": False}]}),
+                       ("offset", {"ell": 1, "components": [{**cell, "offset": "1/0"}]}),
+                       ("offset", {"ell": 1, "components": [{**cell, "offset": "x"}]})):
         shape = tmp_path / "bad_shape.json"
         shape.write_text(json.dumps(bad))
         capsys.readouterr()
@@ -227,6 +241,9 @@ def test_exit_codes_for_bad_input(capsys, tmp_path):
     assert main(["shapes", "--ell", "1", "--n", "3", "--window", "-3"]) == 1
     assert "argument --window:" in capsys.readouterr().err
     assert main(["shapes", "--ell", "1", "--n", "3"]) == 1
+    for kappa in ("1/0", "x", "nan"):
+        assert main(["twist", "--shape", str(broken), "--t", kappa]) == 1
+        assert "argument --t:" in capsys.readouterr().err
     assert main(["no-such-command"]) == 1
     assert main([]) == 1
     capsys.readouterr()

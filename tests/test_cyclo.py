@@ -111,6 +111,11 @@ def test_fraction_strings():
     assert fraction_to_str(Fraction(5)) == "5"
     assert fraction_from_str("-3/7") == Fraction(-3, 7)
     assert fraction_from_str("5") == Fraction(5)
+    assert fraction_from_str(-2) == Fraction(-2)
+    # inexact, non-numeric and non-finite values are refused by name
+    for bad in (0.5, float("nan"), float("inf"), True, "1/0", "x", None):
+        with pytest.raises(ValueError, match="^coefficient must be a rational"):
+            fraction_from_str(bad, "coefficient")
 
 
 def test_power_identities():

@@ -21,9 +21,9 @@ from heckemod import (
     is_partition_shape,
     jm_consistency,
     module_to_json,
-    module_weights,
     partition_shape,
     shift_contents,
+    tableau_to_json,
     twist,
     validate_and_canonicalize,
     verify_intertwiners,
@@ -136,7 +136,7 @@ def test_tau_kills_exactly_the_blocked_same_color_vectors():
             tau = generator_matrix(M, "tau", i)
             zi = generator_matrix(M, "zeta", i)
             zj = generator_matrix(M, "zeta", i + 1)
-            for t, T in enumerate(M.basis):
+            for t, T in enumerate(enumerate_syt(D)):
                 column_zero = all(tau[r, t].is_zero() for r in range(M.dim))
                 same_color = zi[t, t] == zj[t, t]
                 try:
@@ -161,8 +161,7 @@ def test_module_weights_match_tableaux():
               partition_shape(2, [[2], [1]]),
               validate_and_canonicalize(2, [(1, Fraction(1, 2), [(1, 0), (2, -1)])])):
         M = build_module(D)
-        assert M.basis == enumerate_syt(D)
-        assert module_weights(M) == [weight_of(t) for t in enumerate_syt(D)]
+        assert list(M.weights) == [weight_of(t) for t in enumerate_syt(D)]
 
 
 def test_commutant_dimension():
@@ -181,7 +180,7 @@ def test_direct_sum():
     other = build_module(partition_shape(1, [[3]]))
     S = direct_sum(M, other)
     assert S.dim == M.dim + other.dim
-    assert module_weights(S) == module_weights(M) + module_weights(other)
+    assert S.weights == M.weights + other.weights
     assert verify_relations(S).ok
     assert S.shape is None
 
@@ -213,7 +212,7 @@ def test_twist_translation():
     assert twist(M, "t", 0) == M
     shifted = twist(M, "t", Fraction(1, 2))
     assert verify_relations(shifted).ok
-    for w, w0 in zip(module_weights(shifted), module_weights(M)):
+    for w, w0 in zip(shifted.weights, M.weights):
         assert [x - x0 for x, x0 in zip(w.a, w0.a)] == [Fraction(1, 2)] * 3
         assert w.b == w0.b
     # composing translations adds offsets
@@ -227,7 +226,7 @@ def test_twist_rho_is_an_involution():
         assert verify_relations(R).ok
         assert twist(R, "rho") == M
         # weights are reversed and negated
-        for w, w0 in zip(module_weights(R), module_weights(M)):
+        for w, w0 in zip(R.weights, M.weights):
             assert w.a == tuple(-x for x in reversed(w0.a))
             assert w.b == tuple((-b) % M.ell for b in reversed(w0.b))
 
@@ -312,13 +311,13 @@ def test_offset_half_module():
     assert verify_relations(M).ok
     assert verify_intertwiners(M).ok
     # the half-offset coordinate contributes odd eigenvalues for ell = 2
-    ws = module_weights(M)
+    ws = M.weights
     assert [list(w.a) for w in ws] == [[0, 2, 1], [0, 1, 2], [1, 0, 2]]
     assert [w.b for w in ws] == [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
     # a genuinely fractional offset shows up in the eigenvalues themselves
     frac = build_module(validate_and_canonicalize(
         2, [(0, Fraction(1, 3), [(1, 0)])]))
-    assert module_weights(frac)[0].a == (Fraction(2, 3),)
+    assert frac.weights[0].a == (Fraction(2, 3),)
 
 
 def test_module_to_json():
@@ -326,7 +325,12 @@ def test_module_to_json():
     data = module_to_json(M)
     assert data["ell"] == 1 and data["n"] == 3 and data["dim"] == 2
     assert "mat_s" not in data
-    assert len(data["weights"]) == 2 and len(data["basis"]) == 2
+    assert len(data["weights"]) == 2
+    # the basis is read off the shape, so modules without one have none
+    D = partition_shape(1, [[2, 1]])
+    assert data["basis"] == [tableau_to_json(t) for t in enumerate_syt(D)]
+    for derived in (twist(M, "rho"), direct_sum(M, M)):
+        assert "basis" not in module_to_json(derived)
     full = module_to_json(M, include_matrices=True)
     assert len(full["mat_s"]) == 2 and len(full["mat_u"]) == 3
     assert full["mat_u"][0] == {"rows": 2, "entries": []}
@@ -394,11 +398,15 @@ def test_matches_matrix_reference():
     sums.append(direct_sum(module_21(), module_21()))
     corrupted = [_corrupted(M, rng, ("s", "u", "zeta")[k % 3])
                  for k, M in enumerate(modules[::2])]
+
+    def stored_weights(M):  # the weights as stored, against the diagonals read back
+        return list(M.weights)
+
     pairs = [(verify_relations, ref.verify_relations),
              (verify_intertwiners, ref.verify_intertwiners),
              (commutant_dimension, ref.commutant_dimension),
              (central_character, ref.central_character),
-             (module_weights, ref.module_weights)]
+             (stored_weights, ref.module_weights)]
     seen = set()
     for M in modules + sums + corrupted:
         for fast, slow in pairs:

@@ -321,6 +321,9 @@ def test_enumerate_syt_shape_21():
     assert [t.labels for t in ts] == [((1, 2, 3),), ((1, 3, 2),)]
     assert ts[0] == row_reading_tableau(shape_21())
     assert all(is_standard(t) for t in ts)
+    # built afresh on each call: no tableau list is kept once its caller is done
+    assert not hasattr(enumerate_syt, "cache_clear")
+    assert enumerate_syt(shape_21()) == ts and enumerate_syt(shape_21()) is not ts
 
 
 def test_enumerate_syt_against_permutation_filter():
