@@ -14,12 +14,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import partial
+from math import lcm
 from operator import mul
 
-from .cyclo import Cyc, root_of_unity
+from .cyclo import Cyc, fraction_from_str, root_of_unity
 from .errors import DegenerateShape, DimensionMismatch, NotAPartition, NotScalar
-from .linalg import Mat, block_diag, nullspace_dim
+from .linalg import Mat, _ScaledMat, block_diag, nullspace_dim
 from .shapes import (SkewShapeL, Weight, _context, enumerate_syt, is_partition_shape,
                      shape_to_json, tableau_to_json, weight_to_json)
 
@@ -75,64 +76,60 @@ class VerificationReport:
         }
 
 
-def _report(name: str, residual: dict, negate: bool = False) -> RelationCheck:
-    """A relation's check from the nonzero entries {(row, col): value} of its
-    residual, left minus right (right minus left with ``negate``, so that the
-    witness still carries left minus right): the least entry is the witness."""
-    if not residual:
+def _report(name: str, residual: _ScaledMat, negate: bool = False) -> RelationCheck:
+    """A relation's check from its residual, left minus right (right minus
+    left with ``negate``, so that the witness still carries left minus
+    right): the least nonzero entry is the witness, read out as a Cyc."""
+    key = residual.first()
+    if key is None:
         return RelationCheck(name, True)
-    key = min(residual)
-    value = residual[key]
+    value = residual.entry(*key)
     return RelationCheck(name, False, (*key, repr(-value if negate else value)))
 
 
-def _diagonal_residual(x: Mat, col: list, row: list, extra: Mat | None = None) -> dict:
-    """The nonzero entries of x.diag(col) + extra - diag(row).x; an entry of x
-    whose two sides agree (col[q] == row[p]) is skipped, not subtracted."""
-    residual = {key: v * (col[key[1]] - row[key[0]])
-                for key, v in x.data.items() if col[key[1]] != row[key[0]]}
-    if extra is not None:
-        for key, v in extra.data.items():
-            residual[key] = residual[key] + v if key in residual else v
-    return {key: v for key, v in residual.items() if v}
-
-
-def _field_of(ell: int, rationals) -> dict:
-    """Each distinct rational among ``rationals`` as a field element,
-    converted once."""
-    return {x: Cyc.from_rational(ell, x) for x in set(rationals)}
+def _side_report(name: str, x: _ScaledMat, col: list[int], row: list[int], value,
+                 negate: bool = False) -> RelationCheck:
+    """``_report`` for x diag(value(col)) - diag(value(row)) x, for integer
+    keys col and row of an injective ``value``: the u-eigenvalues as
+    integers over their common denominator, or the color exponents of
+    zeta.  Its entry (p, q) is x[p, q] (value(col[q]) - value(row[p])),
+    nonzero exactly where x[p, q] is and col[q] != row[p], so only the
+    witness is computed in the field."""
+    key = x.first_mismatch(col, row)
+    if key is None:
+        return RelationCheck(name, True)
+    p, q = key
+    witness = x.entry(p, q) * (value(col[q]) - value(row[p]))
+    return RelationCheck(name, False, (p, q, repr(-witness if negate else witness)))
 
 
 def _powers(ell: int) -> list[Cyc]:
     return [root_of_unity(ell, k) for k in range(ell)]
 
 
-@lru_cache(maxsize=None)
-def _color_sums(ell: int) -> tuple[Cyc, ...]:
-    """sum_k zeta^(k r), summed in the field, for each residue r mod ell: the
-    eigenvalue of sum_k zeta_i^k zeta_j^-k where b_i - b_j = r (mod ell)."""
-    powers = _powers(ell)
-    return tuple(sum((powers[k * r % ell] for k in range(ell)), Cyc.zero(ell))
-                 for r in range(ell))
+def _color_sum(ell: int, r: int) -> int:
+    """sum_k zeta^(k r) over k = 0..ell-1: ell where r = 0 mod ell, else 0
+    (the geometric sum of a nontrivial ell-th root of unity).  It is the
+    eigenvalue of sum_k zeta_i^k zeta_j^-k where b_i - b_j = r."""
+    return 0 if r % ell else ell
 
 
-def _pi_values(module: ModuleRep, i: int) -> list[Cyc]:
+def _pi_values(module: ModuleRep, i: int) -> list[int]:
     """The eigenvalue of pi_i = sum_k zeta_i^k zeta_{i+1}^-k on each basis
     vector: the color sum of b_i - b_{i+1}."""
-    ell = module.ell
-    sums = _color_sums(ell)
-    return [sums[(w.b[i - 1] - w.b[i]) % ell] for w in module.weights]
+    return [_color_sum(module.ell, w.b[i - 1] - w.b[i]) for w in module.weights]
 
 
-def _eigenvalues(module: ModuleRep) -> tuple[list[list[Cyc]], list[list[Cyc]]]:
-    """u[i][t] and z[i][t]: the eigenvalues of u_{i+1} and zeta_{i+1} on
-    basis vector t."""
+def _scaled_weights(module: ModuleRep) -> tuple[list[list[int]], int, list[list[int]]]:
+    """U, den and B: u_{i+1} acts on basis vector t by U[i][t] / den (den the
+    common denominator of every u-eigenvalue) and zeta_{i+1} by
+    zeta^B[i][t], B[i][t] in 0..ell-1."""
     ell, weights = module.ell, module.weights
-    powers = _powers(ell)
-    field_of = _field_of(ell, (x for w in weights for x in w.a))
-    u = [[field_of[w.a[i]] for w in weights] for i in range(module.n)]
-    z = [[powers[w.b[i]] for w in weights] for i in range(module.n)]
-    return u, z
+    den = lcm(*(x.denominator for w in weights for x in w.a))
+    u = [[w.a[i].numerator * (den // w.a[i].denominator) for w in weights]
+         for i in range(module.n)]
+    b = [[w.b[i] % ell for w in weights] for i in range(module.n)]
+    return u, den, b
 
 
 # ---------------------------------------------------------------------------
@@ -203,19 +200,23 @@ def direct_sum(m1: ModuleRep, m2: ModuleRep) -> ModuleRep:
 # ---------------------------------------------------------------------------
 # generator access
 
-def _tau_matrix(module: ModuleRep, i: int) -> Mat:
-    """s_i minus the diagonal correction pi/(u_{i+1} - u_i) on each basis
-    vector; zero correction where pi vanishes."""
-    m = module.mat_s[i - 1].copy()
-    for t, (w, pi) in enumerate(zip(module.weights, _pi_values(module, i))):
-        if pi:
-            d = w.a[i] - w.a[i - 1]
-            if not d:
-                raise ZeroDivisionError(
-                    f"intertwiner {i} undefined: equal u-eigenvalues with "
-                    f"matching color at basis vector {t}")
-            m[t, t] = m[t, t] - pi / d
-    return m
+def _tau(module: ModuleRep, i: int, s: _ScaledMat, u: list[list[int]],
+         den: int) -> tuple[_ScaledMat, _ScaledMat]:
+    """tau_i and its correction c, from s = s_i and the u-eigenvalues u / den
+    of ``_scaled_weights``: tau_i = s_i - c with c the diagonal
+    pi/(u_{i+1} - u_i) = pi den/(u[i] - u[i-1]) on each basis vector, zero
+    where pi vanishes."""
+    pis = _pi_values(module, i)
+    gaps = [hi - lo for hi, lo in zip(u[i], u[i - 1])]
+    for t, (pi, gap) in enumerate(zip(pis, gaps)):
+        if pi and not gap:
+            raise ZeroDivisionError(
+                f"intertwiner {i} undefined: equal u-eigenvalues with "
+                f"matching color at basis vector {t}")
+    scale = lcm(*(gap for pi, gap in zip(pis, gaps) if pi))
+    c = _ScaledMat.diagonal(module.ell, [pi * den * (scale // gap) if pi else 0
+                                         for pi, gap in zip(pis, gaps)], scale)
+    return s - c, c
 
 
 def generator_matrix(module: ModuleRep, kind: str, i: int) -> Mat:
@@ -228,16 +229,15 @@ def generator_matrix(module: ModuleRep, kind: str, i: int) -> Mat:
         if kind == "zeta":
             powers = _powers(ell)
             return Mat.diagonal(ell, [powers[w.b[i - 1]] for w in module.weights])
-        values = [w.a[i - 1] for w in module.weights]
-        field_of = _field_of(ell, values)
-        return Mat.diagonal(ell, [field_of[x] for x in values])
+        return Mat.diagonal(ell, [w.a[i - 1] for w in module.weights])
     if kind in ("s", "tau", "pi"):
         if not 1 <= i <= n - 1:
             raise IndexError(f"{kind}_{i} out of range for n={n}")
         if kind == "s":
             return module.mat_s[i - 1].copy()
         if kind == "tau":
-            return _tau_matrix(module, i)
+            u, den, _ = _scaled_weights(module)
+            return _tau(module, i, _ScaledMat.of(module.mat_s[i - 1]), u, den)[0].to_mat()
         return Mat.diagonal(ell, _pi_values(module, i))
     raise ValueError(f"unknown generator kind {kind!r}")
 
@@ -251,41 +251,46 @@ def verify_relations(module: ModuleRep) -> VerificationReport:
     and group generators, and the mixed crossing relation
     s_i u_i = u_{i+1} s_i - pi_i (pi_i from ``_pi_values``).
 
-    The s-only relations are matrix products.  A relation with a diagonal
-    side, X D = D' X, holds exactly when X[p, q] (d_q - d'_p) vanishes at
-    every nonzero entry of X.  The relations among the diagonal generators
-    (zeta_i^ell = 1 and the zeta/u commutations) hold by the storage, which
-    gives each zeta_i as zeta^b with an integer b and every diagonal
-    generator as an eigenvalue vector on one basis, so they are reported
-    without arithmetic."""
+    Everything runs on the integer-scaled s-matrices S_i = L_i s_i of
+    ``linalg._ScaledMat``.  The s-only relations are integer products:
+    S_i^2 = L_i^2 I, L_{i+1} S_i S_{i+1} S_i = L_i S_{i+1} S_i S_{i+1} and
+    S_i S_j = S_j S_i.  A relation with a diagonal side, X D = D' X, holds
+    exactly when X[p, q] (d_q - d'_p) vanishes at every nonzero entry of X:
+    an integer test for the u-eigenvalues over their common denominator,
+    and for zeta a comparison of color exponents.  The crossing relation is
+    the integer product S_i U_i - U_{i+1} S_i + pi_i, with U_i the diagonal of
+    u_i over that denominator.  The relations among the
+    diagonal generators (zeta_i^ell = 1 and the zeta/u commutations) hold by
+    the storage, which gives each zeta_i as zeta^b with an integer b and
+    every diagonal generator as an eigenvalue vector on one basis, so they
+    are reported without arithmetic."""
     ell, n = module.ell, module.n
-    s = module.mat_s
-    u, z = _eigenvalues(module)
-    one = Mat.identity(ell, module.dim)
+    s = [_ScaledMat.of(m) for m in module.mat_s]
+    u, den, z = _scaled_weights(module)
+    rational, root = partial(Fraction, denominator=den), partial(root_of_unity, ell)
     checks = []
     add = checks.append
 
     for i in range(1, n):
-        add(_report(f"s{i}^2=1", (s[i - 1] * s[i - 1] - one).data))
+        sq = s[i - 1] * s[i - 1]  # against L_i^2 I, at the same scale
+        one = _ScaledMat.diagonal(ell, [sq.scale] * module.dim, sq.scale)
+        add(_report(f"s{i}^2=1", sq - one))
     for i in range(1, n - 1):
         add(_report(f"s{i}s{i + 1}s{i}=s{i + 1}s{i}s{i + 1}",
-                    (s[i - 1] * s[i] * s[i - 1] - s[i] * s[i - 1] * s[i]).data))
+                    s[i - 1] * s[i] * s[i - 1] - s[i] * s[i - 1] * s[i]))
     for i in range(1, n):
         for j in range(i + 2, n):
-            add(_report(f"s{i}s{j}=s{j}s{i}",
-                        (s[i - 1] * s[j - 1] - s[j - 1] * s[i - 1]).data))
+            add(_report(f"s{i}s{j}=s{j}s{i}", s[i - 1] * s[j - 1] - s[j - 1] * s[i - 1]))
     for i in range(1, n + 1):
         add(RelationCheck(f"zeta{i}^{ell}=1", True))
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             add(RelationCheck(f"zeta{i}zeta{j}=zeta{j}zeta{i}", True))
     for i in range(1, n):
-        add(_report(f"s{i}zeta{i}=zeta{i + 1}s{i}",
-                    _diagonal_residual(s[i - 1], z[i - 1], z[i])))
+        add(_side_report(f"s{i}zeta{i}=zeta{i + 1}s{i}", s[i - 1], z[i - 1], z[i], root))
         for j in range(1, n + 1):
             if j not in (i, i + 1):
-                add(_report(f"s{i}zeta{j}=zeta{j}s{i}",
-                            _diagonal_residual(s[i - 1], z[j - 1], z[j - 1])))
+                add(_side_report(f"s{i}zeta{j}=zeta{j}s{i}", s[i - 1], z[j - 1], z[j - 1], root))
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             add(RelationCheck(f"zeta{i}u{j}=u{j}zeta{i}", True))
@@ -295,11 +300,10 @@ def verify_relations(module: ModuleRep) -> VerificationReport:
     for i in range(1, n):
         for j in range(1, n + 1):
             if j not in (i, i + 1):
-                add(_report(f"s{i}u{j}=u{j}s{i}",
-                            _diagonal_residual(s[i - 1], u[j - 1], u[j - 1])))
-        pi = Mat.diagonal(ell, _pi_values(module, i))
-        add(_report(f"s{i}u{i}=u{i + 1}s{i}-pi{i}",
-                    _diagonal_residual(s[i - 1], u[i - 1], u[i], extra=pi)))
+                add(_side_report(f"s{i}u{j}=u{j}s{i}", s[i - 1], u[j - 1], u[j - 1], rational))
+        pi = _ScaledMat.diagonal(ell, _pi_values(module, i))
+        ui, unext = (_ScaledMat.diagonal(ell, u[k], den) for k in (i - 1, i))
+        add(_report(f"s{i}u{i}=u{i + 1}s{i}-pi{i}", s[i - 1] * ui - unext * s[i - 1] + pi))
     return VerificationReport(tuple(checks))
 
 
@@ -311,34 +315,54 @@ def verify_intertwiners(module: ModuleRep) -> VerificationReport:
     (b) tau_i^2 is diagonal with entry ((u_i-u_{i+1})^2 - pi^2)/(u_i-u_{i+1})^2
         evaluated on each basis vector (taken to be 1 where pi vanishes);
     (c) the braid relation for tau.
+
+    Each tau_i is built once by ``_tau`` as an integer-scaled matrix, and
+    every check runs on those, as in ``verify_relations``; the expected
+    tau_i^2 is 1 - c^2 for the correction c = pi/(u_{i+1} - u_i) of tau_i.
     """
     ell, n = module.ell, module.n
-    u, z = _eigenvalues(module)
+    u, den, z = _scaled_weights(module)
+    rational, root = partial(Fraction, denominator=den), partial(root_of_unity, ell)
     checks = []
-    taus = [_tau_matrix(module, i) for i in range(1, n)]
+    one = _ScaledMat.diagonal(ell, [1] * module.dim)
+    pairs = [_tau(module, i, _ScaledMat.of(module.mat_s[i - 1]), u, den) for i in range(1, n)]
+    taus = [tau for tau, _ in pairs]
 
     for i in range(1, n):
         tau = taus[i - 1]
         for j in range(1, n + 1):
             k = {i: i + 1, i + 1: i}.get(j, j)
-            checks.append(_report(f"u{j}tau{i}=tau{i}u{k}",
-                                  _diagonal_residual(tau, u[k - 1], u[j - 1]), negate=True))
-            checks.append(_report(f"zeta{j}tau{i}=tau{i}zeta{k}",
-                                  _diagonal_residual(tau, z[k - 1], z[j - 1]), negate=True))
-        expected = Mat.zero(ell, module.dim)
-        for t, pi in enumerate(_pi_values(module, i)):
-            if pi:
-                d = u[i - 1][t] - u[i][t]
-                expected[t, t] = (d * d - pi * pi) * (d * d).inverse()
-            else:
-                expected[t, t] = 1
+            checks.append(_side_report(f"u{j}tau{i}=tau{i}u{k}",
+                                       tau, u[k - 1], u[j - 1], rational, negate=True))
+            checks.append(_side_report(f"zeta{j}tau{i}=tau{i}zeta{k}",
+                                       tau, z[k - 1], z[j - 1], root, negate=True))
+        c = pairs[i - 1][1]  # ((u_i-u_{i+1})^2 - pi^2)/(u_i-u_{i+1})^2 = 1 - c^2
         checks.append(_report(f"tau{i}^2=((u{i}-u{i + 1})^2-pi^2)/(u{i}-u{i + 1})^2",
-                              (tau * tau - expected).data))
+                              tau * tau - (one - c * c)))
     for i in range(1, n - 1):
         checks.append(_report(
             f"tau{i}tau{i + 1}tau{i}=tau{i + 1}tau{i}tau{i + 1}",
-            (taus[i - 1] * taus[i] * taus[i - 1] - taus[i] * taus[i - 1] * taus[i]).data))
+            taus[i - 1] * taus[i] * taus[i - 1] - taus[i] * taus[i - 1] * taus[i]))
     return VerificationReport(tuple(checks))
+
+
+def _components(size: int, edges) -> int:
+    """The number of connected components of the graph on 0..size-1 with the
+    given edges, by union-find."""
+    parent = list(range(size))
+
+    def root(x):
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    count = size
+    for p, q in edges:
+        a, b = root(p), root(q)
+        if a != b:
+            parent[a] = b
+            count -= 1
+    return count
 
 
 def commutant_dimension(module: ModuleRep) -> int:
@@ -346,13 +370,18 @@ def commutant_dimension(module: ModuleRep) -> int:
 
     Commuting with the diagonal u- and zeta-matrices forces X[s, t] = 0
     unless basis vectors s, t carry the same full weight, so only those
-    entries are kept as unknowns; the s-matrix commutation equations are then
-    solved exactly.  Value 1 certifies irreducibility.
+    entries are kept as unknowns.  When every weight is distinct, the
+    unknowns are the diagonal entries x_t and the s-matrix equations read
+    g[p, q] (x_p - x_q) = 0, so the dimension is the number of connected
+    components of the support graph of the s_i.  Otherwise the equations
+    are solved exactly.  Value 1 certifies irreducibility.
     """
     ell = module.ell
     classes: dict = {}
     for t, w in enumerate(module.weights):
         classes.setdefault(w, []).append(t)
+    if len(classes) == module.dim:
+        return _components(module.dim, (key for g in module.mat_s for key in g.data))
     var: dict[tuple[int, int], int] = {}
     for members in classes.values():
         for a in members:
@@ -419,7 +448,8 @@ def central_character(module: ModuleRep) -> list[Cyc]:
 def twist(module: ModuleRep, auto: str, kappa=None) -> ModuleRep:
     """Relabel the module through an automorphism.
 
-    ``auto="t"`` shifts every u-eigenvalue by the rational kappa;
+    ``auto="t"`` shifts every u-eigenvalue by the rational kappa (an int, a
+    Fraction or a string such as "-3/2"; a float or bool raises ValueError);
     ``auto="rho"`` reverses indices: u_i -> -u_{n-i+1},
     zeta_i -> zeta_{n-i+1}, s_i -> s_{n-i}.  The result carries no shape.
     """
@@ -427,7 +457,7 @@ def twist(module: ModuleRep, auto: str, kappa=None) -> ModuleRep:
     if auto == "t":
         if kappa is None:
             raise ValueError("content-shift twist needs a rational kappa")
-        kappa = Fraction(kappa)
+        kappa = kappa if type(kappa) is Fraction else fraction_from_str(kappa, "kappa")
         return ModuleRep(ell, n, module.dim, module.mat_s, tuple(
             Weight(tuple(x + kappa for x in w.a), w.b) for w in module.weights))
     if auto == "rho":
@@ -465,30 +495,26 @@ def jm_consistency(module: ModuleRep) -> VerificationReport:
 
     phi_i = sum over j < i and colors k of zeta_i^k zeta_j^-k (j i) acts as
     sum_j C_ij W_ij, where W_ij is the matrix of (j i) from
-    ``_conjugates`` and C_ij the diagonal with entry sum_k zeta^(k r),
-    r = b_i - b_j mod ell, on a basis vector with color exponents b.  The
-    words are those of ``grpalg.evaluate_in_module``, so the matrices agree
-    with it exactly, braid relations or not."""
+    ``_conjugates`` and C_ij the diagonal with entry ``_color_sum`` of
+    r = b_i - b_j on a basis vector with color exponents b.  The words are
+    those of ``grpalg.evaluate_in_module``, so the matrices agree with it
+    exactly, braid relations or not; they are multiplied out on the
+    integer-scaled s-matrices."""
     if module.shape is None or not is_partition_shape(module.shape):
         raise NotAPartition(
             "Jucys-Murphy comparison needs a module built from partitions "
             "anchored at content 0")
     ell, weights = module.ell, module.weights
-    color_sum = _color_sums(ell)
+    s = [_ScaledMat.of(m) for m in module.mat_s]
+    u, den, _ = _scaled_weights(module)
     checks = []
     for i in range(1, module.n + 1):
-        phi = Mat.zero(ell, module.dim)
-        acc = phi.data
+        phi = _ScaledMat.diagonal(ell, [0] * module.dim)
         if i > 1:
-            for j, conj in _conjugates(module.mat_s, i, mul):
-                rows = [color_sum[(w.b[i - 1] - w.b[j - 1]) % ell] for w in weights]
-                for key, v in conj.data.items():
-                    c = rows[key[0]]
-                    if c:
-                        x = c * v
-                        acc[key] = acc[key] + x if key in acc else x
-        phi.data = {key: v for key, v in acc.items() if v}
-        checks.append(_report(f"phi{i}=u{i}", (phi - generator_matrix(module, "u", i)).data))
+            for j, conj in _conjugates(s, i, mul):
+                color = [_color_sum(ell, w.b[i - 1] - w.b[j - 1]) for w in weights]
+                phi = phi + _ScaledMat.diagonal(ell, color) * conj
+        checks.append(_report(f"phi{i}=u{i}", phi - _ScaledMat.diagonal(ell, u[i - 1], den)))
     return VerificationReport(tuple(checks))
 
 

@@ -226,8 +226,10 @@ def validate_and_canonicalize(ell: int, components) -> SkewShapeL:
 
 
 def shift_contents(shape: SkewShapeL, delta) -> SkewShapeL:
-    """The same shape with every box content increased by delta."""
-    delta = Fraction(delta)
+    """The same shape with every box content increased by the rational delta
+    (an int, a Fraction or a string such as "-3/2"; a float or bool raises
+    ValueError)."""
+    delta = delta if type(delta) is Fraction else fraction_from_str(delta, "delta")
     return validate_and_canonicalize(
         shape.ell,
         [(c.beta, c.offset + delta, c.cells) for c in shape.components])

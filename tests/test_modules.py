@@ -22,6 +22,7 @@ from heckemod import (
     jm_consistency,
     module_to_json,
     partition_shape,
+    root_of_unity,
     shift_contents,
     tableau_to_json,
     twist,
@@ -30,6 +31,7 @@ from heckemod import (
     verify_relations,
     weight_of,
 )
+from heckemod.linalg import _ScaledMat
 
 
 def module_21():
@@ -238,6 +240,16 @@ def test_twist_rejects_unknown_automorphism():
         twist(module_21(), "t")  # missing kappa
 
 
+def test_twist_reads_kappa_exactly():
+    M = module_21()
+    half = twist(M, "t", Fraction(1, 2))
+    assert twist(M, "t", "1/2") == half
+    assert twist(M, "t", 2) == twist(M, "t", "2")
+    for bad in (0.1, 0.5, True, "x", "1/0"):
+        with pytest.raises(ValueError, match="kappa must be a rational"):
+            twist(M, "t", bad)
+
+
 def test_jm_consistency():
     for ell, parts in ((1, [[2, 1]]), (2, [[2], [1]]), (2, [[1], [1]]),
                        (3, [[1], [], [2]])):
@@ -291,6 +303,15 @@ def test_jm_matches_matrix_reference_at_n5_n6():
         assert report == ref.jm_consistency(M)
         failing += not report.ok
     assert failing > len(corrupted) // 2
+    # the relation checks too, where the integer scales of the s-matrices
+    # are larger than anywhere in the n <= 4 corpus
+    assert max(_ScaledMat.of(m).scale for M in sound for m in M.mat_s) >= 100
+    for k, M in enumerate(sound + corrupted):
+        for fast, slow in ((verify_relations, ref.verify_relations),
+                           (verify_intertwiners, ref.verify_intertwiners)):
+            got = _outcome(fast, M)
+            assert got == _outcome(slow, M), (fast.__name__, M.weights)
+            assert k >= len(sound) or got.ok
 
 
 def test_jm_consistency_requires_partition_shape():
@@ -360,6 +381,16 @@ def _outcome(fn, module):
         return type(exc)
 
 
+def _zeta_conjugated(M, rng):
+    """M in a basis rescaled by powers of zeta: each s-matrix becomes
+    D s D^-1 for D = diag(zeta^k_t) with random exponents.  The weights do
+    not change, the module stays sound, and its s-entries leave Q."""
+    exponents = [rng.randrange(M.ell) for _ in range(M.dim)]
+    d = Mat.diagonal(M.ell, [root_of_unity(M.ell, k) for k in exponents])
+    d_inv = Mat.diagonal(M.ell, [root_of_unity(M.ell, -k) for k in exponents])
+    return dataclasses.replace(M, mat_s=tuple(d * m * d_inv for m in M.mat_s))
+
+
 def _corrupted(M, rng, kind):
     """M with one s entry, one u eigenvalue or one zeta exponent changed."""
     if kind == "s" and M.mat_s:
@@ -398,6 +429,17 @@ def test_matches_matrix_reference():
     sums.append(direct_sum(module_21(), module_21()))
     corrupted = [_corrupted(M, rng, ("s", "u", "zeta")[k % 3])
                  for k, M in enumerate(modules[::2])]
+    # modules with irrational s-entries, sound and corrupted: the integer
+    # kernel's coefficients beyond the first (phi(ell) = 2 and 4)
+    rng_zeta = random.Random(13)
+    irrational = [_zeta_conjugated(build_module(partition_shape(ell, parts)), rng_zeta)
+                  for ell, parts in ((3, [[2, 1], [1], []]), (4, [[2], [1], [1], []]),
+                                     (5, [[1], [1], [1], [], []]))]
+    for M in irrational:
+        assert M.dim >= 3
+        assert any(not v.is_rational() for m in M.mat_s for v in m.data.values())
+        assert verify_relations(M).ok and verify_intertwiners(M).ok
+    irrational += [_corrupted(M, rng_zeta, "s") for M in irrational]
 
     def stored_weights(M):  # the weights as stored, against the diagonals read back
         return list(M.weights)
@@ -408,7 +450,7 @@ def test_matches_matrix_reference():
              (central_character, ref.central_character),
              (stored_weights, ref.module_weights)]
     seen = set()
-    for M in modules + sums + corrupted:
+    for M in modules + sums + corrupted + irrational:
         for fast, slow in pairs:
             got = _outcome(fast, M)
             assert got == _outcome(slow, M), (fast.__name__, M.weights)
@@ -418,3 +460,24 @@ def test_matches_matrix_reference():
     # the corruptions reach failing reports and both guarded exceptions
     assert len(sums) > 10
     assert {True, False, ZeroDivisionError, NotScalar} <= seen
+
+
+def test_commutant_counts_components_of_the_support():
+    # zeroing one off-diagonal pair of an s-matrix may split the support
+    # graph; with distinct weights the commutant dimension is then the
+    # number of components, which the exact solve of the oracle confirms
+    import module_reference as ref
+
+    split = 0
+    for D in (partition_shape(1, [[3, 2]]), partition_shape(2, [[2], [1]])):
+        M = build_module(D)
+        assert len(set(M.weights)) == M.dim
+        for k, m in enumerate(M.mat_s):
+            for p, q in sorted(key for key in m.data if key[0] < key[1]):
+                cut = m.copy()
+                cut[p, q] = cut[q, p] = 0
+                N = dataclasses.replace(M, mat_s=M.mat_s[:k] + (cut,) + M.mat_s[k + 1:])
+                dim = commutant_dimension(N)
+                assert dim == ref.commutant_dimension(N)
+                split += dim > 1
+    assert split > 0

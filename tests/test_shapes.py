@@ -433,6 +433,16 @@ def test_shift_contents_moves_weights():
     assert shift_contents(shifted, Fraction(-1, 2)) == D
 
 
+def test_shift_contents_reads_delta_exactly():
+    D = shape_21()
+    half = shift_contents(D, Fraction(1, 2))
+    assert shift_contents(D, "1/2") == half
+    assert shift_contents(D, 1) == shift_contents(D, "1")
+    for bad in (0.1, 0.5, True, "x", "1/0", None):
+        with pytest.raises(ValueError, match="delta must be a rational"):
+            shift_contents(D, bad)
+
+
 # ---------------------------------------------------------------------------
 # weights, inversions, transpositions, paths
 
