@@ -13,7 +13,9 @@ Phi_ell is monic with integer coefficients, so reduction never leaves the
 integers.  Sums and differences work on the numerators alone, with a fast
 path for equal denominators.  A product convolves the numerators and folds
 degrees phi .. 2*phi - 2 back with a per-ell table of ``x**k mod Phi_ell``,
-built once.  Fields of degree 1 (ell in {1, 2}) take a one-numerator
+built once, and read only by a product that reaches degree phi: building it
+costs about phi**3 steps, which a large ell with rational entries need not
+pay.  Fields of degree 1 (ell in {1, 2}) take a one-numerator
 branch, and products in fields of degree 2 (ell in {3, 4, 6}) are unrolled.
 The inverse of a rational element is read off directly.  Any other
 element a = A/den, A with integer coefficients, is inverted through its norm:
@@ -284,10 +286,11 @@ class Cyc:
             if x:
                 for j, y in enumerate(b, i):
                     out[j] += x * y
-        for row, c in zip(_fold_table(self._ell), out[phi:]):
-            if c:
-                for i, t in enumerate(row):
-                    out[i] += c * t
+        if any(out[phi:]):
+            for row, c in zip(_fold_table(self._ell), out[phi:]):
+                if c:
+                    for i, t in enumerate(row):
+                        out[i] += c * t
         del out[phi:]
         return _reduced(self._ell, out, den)
 

@@ -4,23 +4,25 @@ The public ``Mat`` keeps a dict mapping (row, col) -> nonzero Cyc entry.
 Sizes stay small (module dimensions), so the emphasis is on exactness and
 simplicity rather than asymptotics.
 
-The package's own verification runs on ``_ScaledMat``, the storage of
-``Cyc`` lifted to whole matrices: one positive integer scale L and phi(ell)
-integer matrices A_0 .. A_{phi-1} on the power basis, standing for
-(A_0 + zeta A_1 + ... + zeta**(phi-1) A_{phi-1}) / L, each kept as rows
-{row: {col: int}} with no zero entries and no empty rows.  A product
-multiplies only the nonempty pairs A_i B_j and folds degrees phi and up back
-with ``cyclo._fold_table``; a sum brings both sides to the lcm of their
-scales.  A module the package builds has rational s-matrices, so only A_0 is
-nonempty and every product is one plain integer product.  A ``Cyc`` is built
-only for an entry that is read out (``entry``, ``to_mat``).
+The package's own verification runs on ``_ScaledMat``: one positive integer
+scale L and one matrix A, standing for A / L, kept as rows
+{row: {col: x}} with no zero entries and no empty rows.  L is the lcm of the
+entries' denominators, so each x is a plain int or an integral ``Cyc``, and a
+matrix read from a ``Mat`` holds a ``Cyc`` only where its entry is not
+rational.  ``Cyc`` folds its own products, so this kernel never sees the
+power basis and builds no list of length phi(ell).  A product multiplies
+the rows at scale L_a L_b; a sum brings both sides to the lcm of their
+scales.  A module the package builds has rational s-matrices, so every
+product there is one plain integer product.  A ``Cyc`` is built for a
+rational entry only when it is read out (``entry``, ``to_mat``).
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import lcm
 
-from .cyclo import Cyc, _fold_table, _reduced, degree
+from .cyclo import Cyc
 from .errors import DimensionMismatch
 
 
@@ -218,10 +220,10 @@ def nullspace_dim(rows: list[dict[int, Cyc]], ncols: int, ell: int) -> int:
 # integer-scaled kernel
 
 def _int_product(a: dict, b: dict) -> dict:
-    """a b for integer matrices kept as rows {row: {col: int}}."""
+    """a b for matrices kept as rows {row: {col: x}}, x an int or an integral Cyc."""
     out = {}
     for r, arow in a.items():
-        acc: dict[int, int] = {}
+        acc: dict[int, int | Cyc] = {}
         get = acc.get
         for k, x in arow.items():
             brow = b.get(k)
@@ -236,7 +238,7 @@ def _int_product(a: dict, b: dict) -> dict:
 
 
 def _int_combine(a: dict, fa: int, b: dict, fb: int) -> dict:
-    """fa a + fb b for integer matrices kept as rows, fa and fb nonzero."""
+    """fa a + fb b for matrices kept as rows, fa and fb nonzero ints."""
     out = {r: ({c: v * fa for c, v in row.items()} if fa != 1 else dict(row))
            for r, row in a.items()}
     for r, row in b.items():
@@ -256,36 +258,33 @@ def _int_combine(a: dict, fa: int, b: dict, fb: int) -> dict:
 
 
 class _ScaledMat:
-    """A square matrix over Q(zeta_ell) as one positive integer ``scale`` and
-    phi(ell) integer matrices ``parts`` on the power basis (module
-    docstring).  Immutable by convention: every operation returns a new one."""
+    """A square matrix over Q(zeta_ell) as rows {row: {col: x}} over one
+    positive integer ``scale`` (module docstring), each x an int or an
+    integral Cyc.  Immutable by convention: every operation returns a new
+    one."""
 
-    __slots__ = ("ell", "dim", "scale", "parts")
+    __slots__ = ("ell", "dim", "scale", "rows")
 
-    def __init__(self, ell: int, dim: int, scale: int, parts: list[dict]):
+    def __init__(self, ell: int, dim: int, scale: int, rows: dict):
         self.ell = ell
         self.dim = dim
         self.scale = scale
-        self.parts = parts
+        self.rows = rows
 
     @classmethod
     def of(cls, m: Mat) -> "_ScaledMat":
         """The square Mat m, read once."""
         scale = lcm(*(v._den for v in m.data.values()))
-        parts: list[dict] = [{} for _ in range(degree(m.ell))]
+        rows: dict = {}
         for (i, j), v in m.data.items():
-            factor = scale // v._den
-            for part, x in zip(parts, v._num):
-                if x:
-                    part.setdefault(i, {})[j] = x * factor
-        return cls(m.ell, m.nrows, scale, parts)
+            rows.setdefault(i, {})[j] = (v._num[0] * (scale // v._den) if v.is_rational()
+                                         else v * scale)
+        return cls(m.ell, m.nrows, scale, rows)
 
     @classmethod
     def diagonal(cls, ell: int, values: list[int], den: int = 1) -> "_ScaledMat":
         """diag(values) / den for integer values and a positive integer den."""
-        parts: list[dict] = [{} for _ in range(degree(ell))]
-        parts[0] = {t: {t: x} for t, x in enumerate(values) if x}
-        return cls(ell, len(values), den, parts)
+        return cls(ell, len(values), den, {t: {t: x} for t, x in enumerate(values) if x})
 
     def _check_field(self, other: "_ScaledMat"):
         if self.ell != other.ell:
@@ -293,31 +292,17 @@ class _ScaledMat:
 
     def __mul__(self, other: "_ScaledMat") -> "_ScaledMat":
         self._check_field(other)
-        phi = len(self.parts)
-        slots: list = [None] * (2 * phi - 1)
-        for i, a in enumerate(self.parts):
-            if a:
-                for j, b in enumerate(other.parts):
-                    if b:
-                        p = _int_product(a, b)
-                        slots[i + j] = _int_combine(slots[i + j], 1, p, 1) if slots[i + j] else p
-        for row, high in zip(_fold_table(self.ell), slots[phi:]):  # zeta**k for k >= phi
-            if high:
-                for m, f in enumerate(row):
-                    if f:
-                        slots[m] = _int_combine(slots[m] or {}, 1, high, f)
         return _ScaledMat(self.ell, self.dim, self.scale * other.scale,
-                          [slot or {} for slot in slots[:phi]])
+                          _int_product(self.rows, other.rows))
 
     def _combine(self, other: "_ScaledMat", sign: int) -> "_ScaledMat":
         self._check_field(other)
-        if sign < 0 and self.scale == other.scale and self.parts == other.parts:
+        if sign < 0 and self.scale == other.scale and self.rows == other.rows:
             # the residual of a relation that holds, found by one dict comparison
-            return _ScaledMat(self.ell, self.dim, 1, [{} for _ in self.parts])
+            return _ScaledMat(self.ell, self.dim, 1, {})
         scale = lcm(self.scale, other.scale)
         fa, fb = scale // self.scale, sign * (scale // other.scale)
-        return _ScaledMat(self.ell, self.dim, scale,
-                          [_int_combine(a, fa, b, fb) for a, b in zip(self.parts, other.parts)])
+        return _ScaledMat(self.ell, self.dim, scale, _int_combine(self.rows, fa, other.rows, fb))
 
     def __add__(self, other: "_ScaledMat") -> "_ScaledMat":
         return self._combine(other, 1)
@@ -328,23 +313,23 @@ class _ScaledMat:
     def first_mismatch(self, col: list, row: list) -> tuple[int, int] | None:
         """The least position (p, q) of a nonzero entry with col[q] != row[p],
         or None."""
-        return min([(p, q) for part in self.parts for p, entries in part.items()
+        return min([(p, q) for p, entries in self.rows.items()
                     for q in entries if col[q] != row[p]], default=None)
 
     def first(self) -> tuple[int, int] | None:
         """The least position of a nonzero entry, or None for zero."""
-        parts = [part for part in self.parts if part]
-        if not parts:
+        if not self.rows:
             return None
-        p = min(min(part) for part in parts)
-        return p, min(min(part[p]) for part in parts if p in part)
+        p = min(self.rows)
+        return p, min(self.rows[p])
 
     def entry(self, p: int, q: int) -> Cyc:
-        return _reduced(self.ell, [part.get(p, {}).get(q, 0) for part in self.parts],
-                        self.scale)
+        x = self.rows.get(p, {}).get(q, 0)
+        if x.__class__ is int:
+            return Cyc.from_rational(self.ell, Fraction(x, self.scale))
+        return x * Fraction(1, self.scale)
 
     def to_mat(self) -> Mat:
         m = Mat(self.ell, self.dim, self.dim)
-        support = {(p, q) for part in self.parts for p, entries in part.items() for q in entries}
-        m.data = {key: self.entry(*key) for key in support}
+        m.data = {(p, q): self.entry(p, q) for p, entries in self.rows.items() for q in entries}
         return m

@@ -411,12 +411,13 @@ class _ShapeContext:
         n = len(self.boxes)
         self.preds = [[] for _ in range(n)]
         self.blocked = [set() for _ in range(n)]
-        self.rank = []  # (component, row) used for "strictly above" tests
+        self.rank = []  # dense rank of (component, row), non-decreasing in reading order
+        dense: dict[tuple[int, int], int] = {}
         slot = {(k, cell): j for k, comp in enumerate(shape.components)
                 for j, cell in enumerate(comp.cells)}
         self.slot = [slot[box] for box in self.boxes]  # box -> index in comp.cells
         for i, (k, (r, c)) in enumerate(self.boxes):
-            self.rank.append((k, r))
+            self.rank.append(dense.setdefault((k, r), len(dense)))
             for q in ((k, (r, c - 1)), (k, (r - 1, c + 1))):
                 if q in index:
                     self.preds[i].append(index[q])
@@ -427,9 +428,7 @@ class _ShapeContext:
 
     def above(self, b1: int, b2: int) -> bool:
         """Is box b1 strictly above box b2 (cross-component: earlier wins)?"""
-        k1, r1 = self.rank[b1]
-        k2, r2 = self.rank[b2]
-        return k1 < k2 or (k1 == k2 and r1 < r2)
+        return self.rank[b1] < self.rank[b2]
 
     def positions_of(self, tab: Tableau) -> tuple[int, ...]:
         return tuple(self.index[box] for box in tab.boxes())

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from heckemod import Cyc, MismatchedField, cyclotomic_polynomial, root_of_unity
 from heckemod.cyclo import _fold_table, degree, fraction_from_str, fraction_to_str
 
-from cyclo_reference import RefCyc, _poly_divmod as ref_divmod
+from cyclo_reference import RefCyc, _poly_divmod as ref_divmod, ref_root_of_unity
 
 
 def test_cyclotomic_polynomial_small():
@@ -289,6 +289,21 @@ def test_fold_table_matches_polynomial_division():
                                 list(cyclotomic_polynomial(ell)))
             assert list(row) == rem + [0] * (phi - len(rem))
             assert all(type(c) is int for c in row)
+
+
+def test_products_below_degree_phi_never_build_the_fold_table():
+    # the table costs about phi**3 steps (phi = 210 here), so a product whose
+    # convolution stays below degree phi must not ask for it
+    ell = 211
+    phi = degree(ell)
+    _fold_table.cache_clear()
+    half, third = Cyc.from_rational(ell, Fraction(1, 2)), Cyc.from_rational(ell, Fraction(-2, 3))
+    assert half * third == Fraction(-1, 3)
+    assert half * root_of_unity(ell, 5) == Cyc(ell, [0] * 5 + [Fraction(1, 2)])
+    assert root_of_unity(ell, 100) * root_of_unity(ell, phi - 101) == root_of_unity(ell, phi - 1)
+    assert _fold_table.cache_info().currsize == 0
+    same(root_of_unity(ell, phi - 1) * root_of_unity(ell, 1),
+         ref_root_of_unity(ell, phi - 1) * ref_root_of_unity(ell, 1))
 
 
 def test_elements_are_read_only():

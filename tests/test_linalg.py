@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from heckemod import Cyc, DimensionMismatch, Mat, block_diag, nullspace_dim, root_of_unity
+from heckemod.linalg import _ScaledMat
 
 
 def test_constructors_and_indexing():
@@ -109,3 +110,48 @@ def test_matrix_ring_axioms(mats):
     assert a * (b + c) == a * b + a * c
     assert (a * b) * c == a * (b * c)
     assert a + b == b + a
+
+
+small_fractions = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 3, 4, 6]))
+
+
+@st.composite
+def kernel_pairs(draw):
+    """Two square matrices over one field with entries 0, small rationals
+    and rational multiples of zeta**k, so the kernel's rows mix ints and
+    integral Cycs."""
+    ell = draw(st.integers(min_value=1, max_value=6))
+    dim = draw(st.integers(min_value=1, max_value=4))
+    entries = st.one_of(st.just(0), small_fractions,
+                        st.builds(lambda q, k: q * root_of_unity(ell, k),
+                                  small_fractions, st.integers(0, ell - 1)))
+    mats = []
+    for _ in range(2):
+        m = Mat.zero(ell, dim)
+        for i in range(dim):
+            for j in range(dim):
+                m[i, j] = draw(entries)
+        mats.append(m)
+    return mats
+
+
+@given(kernel_pairs())
+def test_scaled_kernel_matches_mat(mats):
+    # Mat arithmetic is the oracle for the integer-scaled verification kernel
+    a, b = mats
+    sa, sb = _ScaledMat.of(a), _ScaledMat.of(b)
+    for m, s in ((a, sa), (b, sb)):
+        assert s.to_mat() == m
+        assert all(type(x) is int or (not x.is_rational() and x._den == 1)
+                   for row in s.rows.values() for x in row.values())
+    assert (sa * sb).to_mat() == a * b
+    assert (sa + sb).to_mat() == a + b
+    assert (sa - sb).to_mat() == a - b
+    assert (sa - sa).first() is None
+    diff = sa - sb
+    key = diff.first()
+    expected = min((a - b).data.items(), default=None)
+    if key is None:
+        assert expected is None
+    else:
+        assert (key, diff.entry(*key)) == expected

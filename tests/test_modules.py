@@ -31,6 +31,7 @@ from heckemod import (
     verify_relations,
     weight_of,
 )
+from heckemod.cyclo import _fold_table
 from heckemod.linalg import _ScaledMat
 
 
@@ -314,6 +315,18 @@ def test_jm_matches_matrix_reference_at_n5_n6():
             assert k >= len(sound) or got.ok
 
 
+def test_rational_module_verifies_without_the_fold_table():
+    # a module the package builds has rational s-matrices, so its checks
+    # never reach degree phi(ell) and never pay for the fold table
+    ell = 211
+    M = build_module(partition_shape(ell, [[2, 1], [1]] + [[]] * (ell - 2)))
+    assert M.dim == 8
+    _fold_table.cache_clear()
+    for check in (verify_relations, verify_intertwiners, jm_consistency):
+        assert check(M).ok, check.__name__
+    assert _fold_table.cache_info().currsize == 0
+
+
 def test_jm_consistency_requires_partition_shape():
     skew = validate_and_canonicalize(1, [(0, 0, [(1, 1), (2, 0), (2, -1)])])
     with pytest.raises(NotAPartition):
@@ -430,7 +443,7 @@ def test_matches_matrix_reference():
     corrupted = [_corrupted(M, rng, ("s", "u", "zeta")[k % 3])
                  for k, M in enumerate(modules[::2])]
     # modules with irrational s-entries, sound and corrupted: the integer
-    # kernel's coefficients beyond the first (phi(ell) = 2 and 4)
+    # kernel's integral Cyc entries (phi(ell) = 2 and 4)
     rng_zeta = random.Random(13)
     irrational = [_zeta_conjugated(build_module(partition_shape(ell, parts)), rng_zeta)
                   for ell, parts in ((3, [[2, 1], [1], []]), (4, [[2], [1], [1], []]),
