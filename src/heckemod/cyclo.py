@@ -10,13 +10,12 @@ a field, so equality is plain integer comparison and every nonzero element
 has an inverse.
 
 Phi_ell is monic with integer coefficients, so reduction never leaves the
-integers.  Sums and differences work on the numerators alone, with a fast
-path for equal denominators.  A product convolves the numerators and folds
-degrees phi .. 2*phi - 2 back with a per-ell table of ``x**k mod Phi_ell``,
-built once, and read only by a product that reaches degree phi: building it
-costs about phi**3 steps, which a large ell with rational entries need not
-pay.  Fields of degree 1 (ell in {1, 2}) take a one-numerator
-branch, and products in fields of degree 2 (ell in {3, 4, 6}) are unrolled.
+integers.  Each field operation has one code path for every ell.  Sums and
+differences share one body on the numerators alone, with a shortcut for
+equal denominators.  A product convolves the numerators and folds degrees
+phi .. 2*phi - 2 back with a per-ell table of ``x**k mod Phi_ell``, built
+once, and read only by a product that reaches degree phi: building it costs
+about phi**3 steps, which a large ell with rational entries need not pay.
 The inverse of a rational element is read off directly.  Any other
 element a = A/den, A with integer coefficients, is inverted through its norm:
 with sigma_k the Galois automorphism zeta -> zeta**k, the product
@@ -33,6 +32,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+from operator import add, sub
 
 from .errors import MismatchedField
 
@@ -132,10 +132,11 @@ def _one(ell: int) -> "Cyc":
 class Cyc:
     """An element of Q(zeta_ell) in canonical power-basis form.
 
-    ``Cyc(ell, coeffs)`` accepts rational coefficients of any length and
-    reduces them modulo the ell-th cyclotomic polynomial, so construction is
-    idempotent on already-canonical data.  Elements are immutable: ``ell``
-    and ``coeffs`` are read-only.
+    ``Cyc(ell, coeffs)`` accepts rational coefficients of any length (ints,
+    ``Fraction``s, or what ``fraction_from_str`` reads; a float or bool raises
+    ValueError) and reduces them modulo the ell-th cyclotomic polynomial, so
+    construction is idempotent on already-canonical data.  Elements are
+    immutable: ``ell`` and ``coeffs`` are read-only.
     """
 
     __slots__ = ("_ell", "_num", "_den")
@@ -143,7 +144,8 @@ class Cyc:
     def __init__(self, ell: int, coeffs):
         ell = int(ell)
         poly = _cyclotomic_ints(ell)
-        fracs = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coeffs]
+        fracs = [c if c.__class__ is int or c.__class__ is Fraction
+                 else fraction_from_str(c, "coefficient") for c in coeffs]
         den = lcm(*(c.denominator for c in fracs))
         num = [c.numerator * (den // c.denominator) for c in fracs]
         num = _divmod_monic(num, poly)[1]
@@ -166,8 +168,8 @@ class Cyc:
 
     @classmethod
     def from_rational(cls, ell, value) -> "Cyc":
-        if value.__class__ is not int:
-            value = Fraction(value)
+        if value.__class__ is not int and value.__class__ is not Fraction:
+            value = fraction_from_str(value, "coefficient")
         return _raw(int(ell), (value.numerator,) + _zero(ell)._num[1:], value.denominator)
 
     @classmethod
@@ -205,27 +207,23 @@ class Cyc:
             return Cyc.from_rational(self._ell, other)
         return None
 
-    def __add__(self, other):
+    def _addsub(self, other, op, reflected=False):
+        """self op other (other op self if ``reflected``) for op in {add, sub}:
+        the one body of the four sum and difference operators, which call it
+        directly so that none of them goes through another."""
         o = (other if other.__class__ is Cyc and other._ell == self._ell
              else self._coerce(other))
         if o is None:
             return NotImplemented
         a, da, b, db = self._num, self._den, o._num, o._den
-        if len(a) == 1:
-            if da == db:
-                x = a[0] + b[0]
-            else:
-                x = a[0] * db + b[0] * da
-                da *= db
-            if da != 1:
-                g = gcd(x, da)
-                if g != 1:
-                    x //= g
-                    da //= g
-            return _raw(self._ell, (x,), da)
+        if reflected:
+            a, da, b, db = b, db, a, da
         if da == db:
-            return _reduced(self._ell, [x + y for x, y in zip(a, b)], da)
-        return _reduced(self._ell, [x * db + y * da for x, y in zip(a, b)], da * db)
+            return _reduced(self._ell, list(map(op, a, b)), da)
+        return _reduced(self._ell, [op(x * db, y * da) for x, y in zip(a, b)], da * db)
+
+    def __add__(self, other):
+        return self._addsub(other, add)
 
     __radd__ = __add__
 
@@ -233,54 +231,18 @@ class Cyc:
         return _raw(self._ell, tuple(-x for x in self._num), self._den)
 
     def __sub__(self, other):
-        o = (other if other.__class__ is Cyc and other._ell == self._ell
-             else self._coerce(other))
-        if o is None:
-            return NotImplemented
-        a, da, b, db = self._num, self._den, o._num, o._den
-        if len(a) == 1:
-            if da == db:
-                x = a[0] - b[0]
-            else:
-                x = a[0] * db - b[0] * da
-                da *= db
-            if da != 1:
-                g = gcd(x, da)
-                if g != 1:
-                    x //= g
-                    da //= g
-            return _raw(self._ell, (x,), da)
-        if da == db:
-            return _reduced(self._ell, [x - y for x, y in zip(a, b)], da)
-        return _reduced(self._ell, [x * db - y * da for x, y in zip(a, b)], da * db)
+        return self._addsub(other, sub)
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
+        return self._addsub(other, sub, True)
 
     def __mul__(self, other):
         o = (other if other.__class__ is Cyc and other._ell == self._ell
              else self._coerce(other))
         if o is None:
             return NotImplemented
-        a, b, den = self._num, o._num, self._den * o._den
+        a, b = self._num, o._num
         phi = len(a)
-        if phi == 1:
-            x = a[0] * b[0]
-            if den != 1:
-                g = gcd(x, den)
-                if g != 1:
-                    x //= g
-                    den //= g
-            return _raw(self._ell, (x,), den)
-        if phi == 2:
-            (f0, f1), = _fold_table(self._ell)  # x**2 == f0 + f1*x
-            a0, a1 = a
-            b0, b1 = b
-            t = a1 * b1
-            return _reduced(self._ell, [a0 * b0 + t * f0, a0 * b1 + a1 * b0 + t * f1], den)
         out = [0] * (2 * phi - 1)
         for i, x in enumerate(a):
             if x:
@@ -292,7 +254,7 @@ class Cyc:
                     for i, t in enumerate(row):
                         out[i] += c * t
         del out[phi:]
-        return _reduced(self._ell, out, den)
+        return _reduced(self._ell, out, self._den * o._den)
 
     __rmul__ = __mul__
 

@@ -228,7 +228,8 @@ def evaluate_in_module(x, module):
     matrix with entry zeta^(a_1 b_1 + ... + a_n b_n) on a basis vector with
     color exponents b, times the product of s-matrices spelling w.  Terms
     sharing a permutation w are summed into one diagonal first, so each w
-    is multiplied out once.
+    is multiplied out once, and zeta^k is built once for each exponent k
+    that occurs.
     """
     if isinstance(x, GroupElement):
         x = GroupAlgebraElement.from_group(x)
@@ -236,11 +237,12 @@ def evaluate_in_module(x, module):
     if x.ell != ell or x.n != module.n:
         raise DimensionMismatch(
             f"element of C[G({x.ell},1,{x.n})] in a module for ({ell},{module.n})")
-    powers = [root_of_unity(ell, k) for k in range(ell)]
+    exponents = {g: [sum(a * b for a, b in zip(g.colors, w.b)) % ell for w in module.weights]
+                 for g in x.terms}
+    roots = {k: root_of_unity(ell, k) for k in set().union(*exponents.values())}
     diagonals: dict[tuple[int, ...], list[Cyc]] = {}
     for g, coeff in x.terms.items():
-        column = [coeff * powers[sum(a * b for a, b in zip(g.colors, w.b)) % ell]
-                  for w in module.weights]
+        column = [coeff * roots[k] for k in exponents[g]]
         acc = diagonals.get(g.perm)
         diagonals[g.perm] = column if acc is None else list(map(add, acc, column))
     total = Mat.zero(ell, module.dim)

@@ -103,10 +103,6 @@ def _side_report(name: str, x: _ScaledMat, col: list[int], row: list[int], value
     return RelationCheck(name, False, (p, q, repr(-witness if negate else witness)))
 
 
-def _powers(ell: int) -> list[Cyc]:
-    return [root_of_unity(ell, k) for k in range(ell)]
-
-
 def _color_sum(ell: int, r: int) -> int:
     """sum_k zeta^(k r) over k = 0..ell-1: ell where r = 0 mod ell, else 0
     (the geometric sum of a nontrivial ell-th root of unity).  It is the
@@ -227,8 +223,8 @@ def generator_matrix(module: ModuleRep, kind: str, i: int) -> Mat:
         if not 1 <= i <= n:
             raise IndexError(f"{kind}_{i} out of range for n={n}")
         if kind == "zeta":
-            powers = _powers(ell)
-            return Mat.diagonal(ell, [powers[w.b[i - 1]] for w in module.weights])
+            roots = {b: root_of_unity(ell, b) for b in {w.b[i - 1] for w in module.weights}}
+            return Mat.diagonal(ell, [roots[w.b[i - 1]] for w in module.weights])
         return Mat.diagonal(ell, [w.a[i - 1] for w in module.weights])
     if kind in ("s", "tau", "pi"):
         if not 1 <= i <= n - 1:
@@ -408,38 +404,41 @@ def commutant_dimension(module: ModuleRep) -> int:
     return nullspace_dim(system, len(var), ell)
 
 
+def _elementary(values) -> list:
+    """e_1..e_m of the m values (ints or field elements): the coefficients
+    of prod (x + v) below the leading one."""
+    coeffs = [1] + [0] * len(values)
+    for m, v in enumerate(values, 1):
+        for k in range(m, 0, -1):
+            coeffs[k] = coeffs[k] + v * coeffs[k - 1]
+    return coeffs[1:]
+
+
 def central_character(module: ModuleRep) -> list[Cyc]:
     """Scalars of the elementary symmetric polynomials e_1..e_n in the u's
     followed by e_1..e_n in the zetas.  NotScalar if any evaluation fails to
     be a scalar matrix.
 
     e_k on a basis vector depends only on the multiset of its eigenvalues,
-    so it is evaluated once per distinct multiset, keyed by the sorted
-    values themselves."""
+    so it is evaluated once per distinct multiset: for the u's in integers,
+    on the u-eigenvalues times den of ``_scaled_weights`` (so e_k is E_k /
+    den^k), and for the zetas in the field, on the roots of unity of the
+    color exponents that occur."""
     ell = module.ell
-    powers = _powers(ell)
-
-    def elementary(values):
-        # coefficients of prod (x + v): e_0..e_n
-        coeffs = [Cyc.one(ell)] + [Cyc.zero(ell)] * len(values)
-        for v in values:
-            for k in range(len(values), 0, -1):
-                coeffs[k] = coeffs[k] + v * coeffs[k - 1]
-        return coeffs[1:]
-
-    u_values = [elementary([Cyc.from_rational(ell, x) for x in key])
-                for key in {tuple(sorted(w.a)) for w in module.weights}]
-    zeta_values = [elementary([powers[x] for x in key])
-                   for key in {tuple(sorted(w.b)) for w in module.weights}]
-    out = []
+    u, den, b = _scaled_weights(module)
+    exponents = {tuple(sorted(v)) for v in zip(*b)}
+    roots = {k: root_of_unity(ell, k) for k in set().union(*exponents)}
+    u_values = [_elementary(key) for key in {tuple(sorted(v)) for v in zip(*u)}]
+    zeta_values = [_elementary([roots[k] for k in key]) for key in exponents]
     for per_multiset, label in ((u_values, "u"), (zeta_values, "zeta")):
         for k in range(module.n):
             scalars = {e[k] for e in per_multiset}
             if len(scalars) > 1:
                 raise NotScalar(
                     f"e_{k + 1}({label}) takes {len(scalars)} distinct values")
-        out.extend(per_multiset[0] if per_multiset else [])
-    return out
+    out = [Cyc.from_rational(ell, Fraction(e, den ** k))
+           for k, e in enumerate(u_values[0] if u_values else [], 1)]
+    return out + (zeta_values[0] if zeta_values else [])
 
 
 # ---------------------------------------------------------------------------

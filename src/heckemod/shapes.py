@@ -362,26 +362,28 @@ def enumerate_shapes(ell: int, n: int, window: int) -> tuple[SkewShapeL, ...]:
     Representatives are anchored: in every nonempty coordinate the minimal
     content is 0, and all contents lie in [0, window].  Shapes differing only
     by sliding whole coordinates along the diagonal are thus enumerated once.
+    The colors are filled one after another, in a loop rather than one
+    recursion level each, and a shape is complete once no box is left.
     """
     if n < 1:
         raise EmptyShape("n must be positive")
 
-    def rec(beta: int, remaining: int):
-        if beta == ell:
-            if remaining == 0:
-                yield []
-            return
-        for m in range(remaining + 1):
-            for fill in _one_coordinate_catalog(m, window):
-                comps = [
-                    Component(beta, Fraction(0),
-                              tuple(sorted((r, c + anchor) for r, c in cls)))
-                    for anchor, cls in fill
-                ]
-                for rest in rec(beta + 1, remaining - m):
-                    yield comps + rest
-
-    shapes = [_assemble(ell, comps) for comps in rec(0, n) if comps]
+    shapes = []
+    partial = [((), n)]  # (components of the colors so far, boxes left > 0)
+    for beta in range(ell):
+        grown = []
+        for comps, remaining in partial:
+            for m in range(remaining + 1):
+                for fill in _one_coordinate_catalog(m, window):
+                    more = comps + tuple(
+                        Component(beta, Fraction(0),
+                                  tuple(sorted((r, c + anchor) for r, c in cls)))
+                        for anchor, cls in fill)
+                    if m == remaining:
+                        shapes.append(_assemble(ell, list(more)))
+                    else:
+                        grown.append((more, remaining - m))
+        partial = grown
     shapes.sort(key=lambda s: tuple(c.sort_key() for c in s.components))
     return tuple(shapes)
 

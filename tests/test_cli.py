@@ -31,6 +31,9 @@ def test_shapes(capsys):
     data = json.loads(out)
     assert data["count"] == 8 and len(data["shapes"]) == 8
     assert all(shape_from_json(s).n == 3 for s in data["shapes"])
+    # more colors than Python's default recursion limit
+    code, out = run(capsys, ["shapes", "--ell", "1100", "--n", "1", "--window", "0"])
+    assert code == 0 and json.loads(out)["count"] == 1100
 
 
 def test_syt(capsys, shape_file):

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -116,6 +117,19 @@ def test_fraction_strings():
     for bad in (0.5, float("nan"), float("inf"), True, "1/0", "x", None):
         with pytest.raises(ValueError, match="^coefficient must be a rational"):
             fraction_from_str(bad, "coefficient")
+
+
+def test_coefficients_are_read_exactly():
+    # a coefficient that is not an int or a Fraction is read by
+    # fraction_from_str: strings are read, floats and bools refused by name
+    assert Cyc(3, ["1/2", -1, Fraction(2, 3)]) == Cyc(3, [Fraction(1, 2), -1, Fraction(2, 3)])
+    assert Cyc.from_rational(3, "-3/2") == Fraction(-3, 2)
+    for bad in (0.1, True, float("nan"), "x", None):
+        message = f"^coefficient must be a rational .*, got {re.escape(repr(bad))}$"
+        with pytest.raises(ValueError, match=message):
+            Cyc(1, [bad])
+        with pytest.raises(ValueError, match=message):
+            Cyc.from_rational(3, bad)
 
 
 def test_power_identities():

@@ -6,6 +6,7 @@ import pytest
 from heckemod import (
     Cyc,
     Mat,
+    ModuleRep,
     NotAPartition,
     NotScalar,
     NotStandard,
@@ -208,6 +209,37 @@ def test_central_character_rejects_non_scalar():
         M, weights=(Weight((Fraction(5),) + w.a[1:], w.b),) + M.weights[1:])
     with pytest.raises(NotScalar):
         central_character(bad)
+
+
+def test_central_character_witness_beyond_e1():
+    # two basis vectors whose eigenvalue multisets agree in e_1 and first
+    # differ at e_2: the message names k = 2, as the matrix oracle's does
+    import module_reference as ref
+
+    def two_vectors(ell, a, b):
+        return ModuleRep(ell, 2, 2, (Mat.zero(ell, 2),),
+                         tuple(Weight(tuple(map(Fraction, x)), y) for x, y in zip(a, b)))
+
+    for M, text in ((two_vectors(6, [(0, 0), (0, 0)], [(0, 3), (2, 5)]), "e_2(zeta)"),
+                    (two_vectors(1, [(1, -1), (2, -2)], [(0, 0), (0, 0)]), "e_2(u)")):
+        messages = []
+        for fn in (central_character, ref.central_character):
+            with pytest.raises(NotScalar) as info:
+                fn(M)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1] == f"{text} takes 2 distinct values"
+
+
+def test_central_character_and_zeta_matrix_at_large_ell():
+    # only the roots of unity that occur are built, so ell = 100003 is cheap
+    ell = 100003
+    for beta in (0, 5):
+        M = build_module(validate_and_canonicalize(ell, [(beta, 0, [(1, 0), (1, 1)])]))
+        z = root_of_unity(ell, beta)
+        assert M.dim == 1 and M.weights[0].b == (beta, beta)
+        assert generator_matrix(M, "zeta", 2) == Mat.diagonal(ell, [z])
+        assert central_character(M) == [Cyc.from_rational(ell, ell), Cyc.zero(ell),
+                                        z + z, z * z]
 
 
 def test_twist_translation():

@@ -247,6 +247,8 @@ def test_enumerate_shapes_counts():
     assert [len(enumerate_shapes(1, n, n)) for n in (1, 2, 3, 4)] == [1, 3, 8, 21]
     assert [len(enumerate_shapes(2, n, n)) for n in (1, 2, 3)] == [2, 7, 24]
     assert len(enumerate_shapes(3, 3, 3)) == 49
+    # one box in one of more colors than Python's default recursion limit
+    assert [D.components[0].beta for D in enumerate_shapes(1100, 1, 0)] == list(range(1100))
 
 
 def brute_force_shapes(ell, n, window):
