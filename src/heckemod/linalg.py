@@ -1,41 +1,80 @@
 """Sparse exact linear algebra over a fixed cyclotomic field.
 
-The public ``Mat`` keeps a dict mapping (row, col) -> nonzero Cyc entry.
-Sizes stay small (module dimensions), so the emphasis is on exactness and
-simplicity rather than asymptotics.
+A ``Mat`` over Q(zeta_ell) stores one positive integer denominator ``den``
+and one matrix A, standing for A / den, kept as ``rows`` {row: {col: x}}
+with no zero entries and no empty rows.  Each x is a plain int or an
+integral ``Cyc``.  A matrix built from its entries (set one by one, a
+diagonal, a copy, a negation, a block sum) stores an int for every rational
+entry and a ``Cyc`` only where the entry leaves Q, so every matrix of a
+module the package builds holds only ints.  A product, sum or scaling may
+hold a rational ``Cyc``, as a product of irrational entries can be rational
+(zeta_3 * zeta_3^2 = 1).  ``Cyc`` folds its own products, so this module
+never sees the power basis.
 
-The package's own verification runs on ``_ScaledMat``: one positive integer
-scale L and one matrix A, standing for A / L, kept as rows
-{row: {col: x}} with no zero entries and no empty rows.  L is the lcm of the
-entries' denominators, so each x is a plain int or an integral ``Cyc``, and a
-matrix read from a ``Mat`` holds a ``Cyc`` only where its entry is not
-rational.  ``Cyc`` folds its own products, so this kernel never sees the
-power basis and builds no list of length phi(ell).  A product multiplies
-the rows at scale L_a L_b; a sum brings both sides to the lcm of their
-scales.  A module the package builds has rational s-matrices, so every
-product there is one plain integer product.  A ``Cyc`` is built for a
-rational entry only when it is read out (``entry``, ``to_mat``).
+A product multiplies the rows at denominator den_a den_b, without
+reducing; a sum or difference brings both sides to the lcm of their
+denominators.  ``==`` compares values, whatever the two denominators are.
+A ``Cyc`` is built for an entry only when it is read out (``m[i, j]``,
+``dense``, the ``data`` view).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from types import MappingProxyType
 
-from .cyclo import Cyc
+from .cyclo import Cyc, _raw, _reduced, fraction_from_str
 from .errors import DimensionMismatch
 
 
-class Mat:
-    """Square-or-rectangular sparse matrix with entries in Q(zeta_ell)."""
+def _split(ell: int, value) -> tuple:
+    """value as (x, q): an int, or an integral Cyc where value leaves Q, over
+    the positive integer q."""
+    if isinstance(value, Cyc):
+        if value.ell != ell:
+            raise DimensionMismatch(f"entry over Q(zeta_{value.ell}) in a matrix over Q(zeta_{ell})")
+        if value.is_rational():
+            return value._num[0], value._den
+        return _raw(ell, value._num, 1), value._den
+    if value.__class__ is not int and value.__class__ is not Fraction:
+        value = fraction_from_str(value, "coefficient")
+    return value.numerator, value.denominator
 
-    __slots__ = ("ell", "nrows", "ncols", "data")
+
+def _entry(ell: int, x, den: int) -> Cyc:
+    """The canonical Cyc of the entry x / den."""
+    if x.__class__ is int:
+        return Cyc.from_rational(ell, Fraction(x, den))
+    return _reduced(ell, list(x._num), den)
+
+
+def _new(ell: int, nrows: int, ncols: int, den: int, rows: dict) -> "Mat":
+    m = Mat(ell, nrows, ncols)
+    m.den = den
+    m.rows = rows
+    return m
+
+
+def _diagonal(ell: int, values, den: int = 1) -> "Mat":
+    """diag(values) / den for int values and a positive integer den."""
+    values = list(values)
+    return _new(ell, len(values), len(values), den,
+                {t: {t: x} for t, x in enumerate(values) if x})
+
+
+class Mat:
+    """Square-or-rectangular sparse matrix with entries in Q(zeta_ell), kept
+    as integer ``rows`` over one positive ``den`` (module docstring)."""
+
+    __slots__ = ("ell", "nrows", "ncols", "den", "rows")
 
     def __init__(self, ell: int, nrows: int, ncols: int):
         self.ell = ell
         self.nrows = nrows
         self.ncols = ncols
-        self.data: dict[tuple[int, int], Cyc] = {}
+        self.den = 1
+        self.rows: dict[int, dict[int, int | Cyc]] = {}
 
     # -- construction -------------------------------------------------------
 
@@ -45,45 +84,46 @@ class Mat:
 
     @classmethod
     def identity(cls, ell: int, n: int) -> "Mat":
-        m = cls(ell, n, n)
-        one = Cyc.one(ell)
-        for i in range(n):
-            m.data[(i, i)] = one
-        return m
+        return _diagonal(ell, [1] * n)
 
     @classmethod
     def diagonal(cls, ell: int, values) -> "Mat":
-        values = list(values)
-        m = cls(ell, len(values), len(values))
-        for i, v in enumerate(values):
-            m[i, i] = v
-        return m
+        pairs = [_split(ell, v) for v in values]
+        den = lcm(*(q for _, q in pairs))
+        return _diagonal(ell, [x * (den // q) for x, q in pairs], den)
 
     def copy(self) -> "Mat":
-        m = Mat(self.ell, self.nrows, self.ncols)
-        m.data = dict(self.data)
-        return m
+        return _new(self.ell, self.nrows, self.ncols, self.den,
+                    {i: dict(row) for i, row in self.rows.items()})
 
     # -- entry access -------------------------------------------------------
 
-    def _coerce(self, value) -> Cyc:
-        if isinstance(value, Cyc):
-            if value.ell != self.ell:
-                raise DimensionMismatch(
-                    f"entry over Q(zeta_{value.ell}) in a matrix over Q(zeta_{self.ell})")
-            return value
-        return Cyc.from_rational(self.ell, value)
-
     def __getitem__(self, key) -> Cyc:
-        v = self.data.get(key)
-        return Cyc.zero(self.ell) if v is None else v
+        i, j = key
+        x = self.rows.get(i, {}).get(j)
+        return Cyc.zero(self.ell) if x is None else _entry(self.ell, x, self.den)
 
     def __setitem__(self, key, value):
-        value = self._coerce(value)
-        if value.is_zero():
-            self.data.pop(key, None)
-        else:
-            self.data[key] = value
+        i, j = key
+        x, q = _split(self.ell, value)
+        if not x:
+            row = self.rows.get(i)
+            if row is not None and row.pop(j, None) is not None and not row:
+                del self.rows[i]
+            return
+        den = lcm(self.den, q)
+        if den != self.den:
+            f = den // self.den
+            self.rows = {r: {c: v * f for c, v in row.items()} for r, row in self.rows.items()}
+            self.den = den
+        self.rows.setdefault(i, {})[j] = x * (den // q)
+
+    @property
+    def data(self) -> MappingProxyType:
+        """A read-only view {(row, col): Cyc} of the nonzero entries."""
+        ell, den = self.ell, self.den
+        return MappingProxyType({(i, j): _entry(ell, x, den)
+                                 for i, row in self.rows.items() for j, x in row.items()})
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -94,32 +134,26 @@ class Mat:
         if self.ell != other.ell:
             raise DimensionMismatch("matrices over different fields")
 
-    def _combine(self, other: "Mat", subtract: bool) -> "Mat":
-        """self - other or self + other, merged on the canonical entries."""
+    def _combine(self, other: "Mat", sign: int) -> "Mat":
+        """self + sign * other, at the lcm of the two denominators."""
         self._check_same_size(other)
-        out = self.copy()
-        for key, v in other.data.items():
-            w = out.data.get(key)
-            if w is None:
-                out.data[key] = -v if subtract else v
-                continue
-            w = w - v if subtract else w + v
-            if w.is_zero():
-                del out.data[key]
-            else:
-                out.data[key] = w
-        return out
+        if sign < 0 and self.den == other.den and self.rows == other.rows:
+            # the residual of a relation that holds, found by one dict comparison
+            return Mat(self.ell, self.nrows, self.ncols)
+        den = lcm(self.den, other.den)
+        return _new(self.ell, self.nrows, self.ncols, den,
+                    _int_combine(self.rows, den // self.den, other.rows,
+                                 sign * (den // other.den)))
 
     def __add__(self, other: "Mat") -> "Mat":
-        return self._combine(other, False)
+        return self._combine(other, 1)
 
     def __sub__(self, other: "Mat") -> "Mat":
-        return self._combine(other, True)
+        return self._combine(other, -1)
 
     def __neg__(self) -> "Mat":
-        out = Mat(self.ell, self.nrows, self.ncols)
-        out.data = {key: -v for key, v in self.data.items()}
-        return out
+        return _new(self.ell, self.nrows, self.ncols, self.den,
+                    {i: {j: -x for j, x in row.items()} for i, row in self.rows.items()})
 
     def __mul__(self, other: "Mat") -> "Mat":
         if self.ell != other.ell:
@@ -127,64 +161,62 @@ class Mat:
         if self.ncols != other.nrows:
             raise DimensionMismatch(
                 f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}")
-        by_row: dict[int, list[tuple[int, Cyc]]] = {}
-        for (i, j), v in other.data.items():
-            by_row.setdefault(i, []).append((j, v))
-        out = Mat(self.ell, self.nrows, other.ncols)
-        acc: dict[tuple[int, int], Cyc] = {}
-        for (i, k), u in self.data.items():
-            for j, v in by_row.get(k, ()):
-                key = (i, j)
-                prod = u * v
-                acc[key] = acc[key] + prod if key in acc else prod
-        out.data = {key: v for key, v in acc.items() if not v.is_zero()}
-        return out
+        return _new(self.ell, self.nrows, other.ncols, self.den * other.den,
+                    _int_product(self.rows, other.rows))
 
     def scale(self, scalar) -> "Mat":
-        scalar = self._coerce(scalar)
-        out = Mat(self.ell, self.nrows, self.ncols)
-        if scalar.is_zero():
-            return out
-        out.data = {key: scalar * v for key, v in self.data.items()}
-        return out
+        x, q = _split(self.ell, scalar)
+        if not x:
+            return Mat(self.ell, self.nrows, self.ncols)
+        return _new(self.ell, self.nrows, self.ncols, self.den * q,
+                    {i: {j: v * x for j, v in row.items()} for i, row in self.rows.items()})
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Mat):
             return NotImplemented
-        return (self.ell == other.ell and self.nrows == other.nrows
-                and self.ncols == other.ncols and self.data == other.data)
+        if (self.ell, self.nrows, self.ncols) != (other.ell, other.nrows, other.ncols):
+            return False
+        if self.den == other.den:
+            return self.rows == other.rows
+        den = lcm(self.den, other.den)
+        return not _int_combine(self.rows, den // self.den, other.rows, -(den // other.den))
 
     def is_zero(self) -> bool:
-        return not self.data
+        return not self.rows
 
     def __repr__(self) -> str:
-        return f"Mat({self.ell}, {self.nrows}x{self.ncols}, {len(self.data)} entries)"
+        nnz = sum(map(len, self.rows.values()))
+        return f"Mat({self.ell}, {self.nrows}x{self.ncols}, {nnz} entries)"
 
     # -- views --------------------------------------------------------------
 
     def dense(self) -> list[list[Cyc]]:
         zero = Cyc.zero(self.ell)
-        rows = [[zero] * self.ncols for _ in range(self.nrows)]
-        for (i, j), v in self.data.items():
-            rows[i][j] = v
-        return rows
+        out = [[zero] * self.ncols for _ in range(self.nrows)]
+        for i, row in self.rows.items():
+            for j, x in row.items():
+                out[i][j] = _entry(self.ell, x, self.den)
+        return out
 
     def diagonal_entries(self) -> list[Cyc]:
         return [self[i, i] for i in range(min(self.nrows, self.ncols))]
 
 
 def block_diag(ell: int, mats) -> Mat:
+    """The block-diagonal matrix of ``mats``, at the lcm of their denominators."""
     mats = list(mats)
-    out = Mat(ell, sum(m.nrows for m in mats), sum(m.ncols for m in mats))
+    if any(m.ell != ell for m in mats):
+        raise DimensionMismatch("block over a different field")
+    den = lcm(*(m.den for m in mats))
+    rows: dict = {}
     r = c = 0
     for m in mats:
-        if m.ell != ell:
-            raise DimensionMismatch("block over a different field")
-        for (i, j), v in m.data.items():
-            out.data[(r + i, c + j)] = v
+        f = den // m.den
+        for i, row in m.rows.items():
+            rows[r + i] = {c + j: x * f for j, x in row.items()}
         r += m.nrows
         c += m.ncols
-    return out
+    return _new(ell, r, c, den, rows)
 
 
 def nullspace_dim(rows: list[dict[int, Cyc]], ncols: int, ell: int) -> int:
@@ -215,9 +247,6 @@ def nullspace_dim(rows: list[dict[int, Cyc]], ncols: int, ell: int) -> int:
                 row = {}
     return ncols - len(pivots)
 
-
-# ---------------------------------------------------------------------------
-# integer-scaled kernel
 
 def _int_product(a: dict, b: dict) -> dict:
     """a b for matrices kept as rows {row: {col: x}}, x an int or an integral Cyc."""
@@ -255,81 +284,3 @@ def _int_combine(a: dict, fa: int, b: dict, fb: int) -> dict:
         if not target:
             del out[r]
     return out
-
-
-class _ScaledMat:
-    """A square matrix over Q(zeta_ell) as rows {row: {col: x}} over one
-    positive integer ``scale`` (module docstring), each x an int or an
-    integral Cyc.  Immutable by convention: every operation returns a new
-    one."""
-
-    __slots__ = ("ell", "dim", "scale", "rows")
-
-    def __init__(self, ell: int, dim: int, scale: int, rows: dict):
-        self.ell = ell
-        self.dim = dim
-        self.scale = scale
-        self.rows = rows
-
-    @classmethod
-    def of(cls, m: Mat) -> "_ScaledMat":
-        """The square Mat m, read once."""
-        scale = lcm(*(v._den for v in m.data.values()))
-        rows: dict = {}
-        for (i, j), v in m.data.items():
-            rows.setdefault(i, {})[j] = (v._num[0] * (scale // v._den) if v.is_rational()
-                                         else v * scale)
-        return cls(m.ell, m.nrows, scale, rows)
-
-    @classmethod
-    def diagonal(cls, ell: int, values: list[int], den: int = 1) -> "_ScaledMat":
-        """diag(values) / den for integer values and a positive integer den."""
-        return cls(ell, len(values), den, {t: {t: x} for t, x in enumerate(values) if x})
-
-    def _check_field(self, other: "_ScaledMat"):
-        if self.ell != other.ell:
-            raise DimensionMismatch("matrices over different fields")
-
-    def __mul__(self, other: "_ScaledMat") -> "_ScaledMat":
-        self._check_field(other)
-        return _ScaledMat(self.ell, self.dim, self.scale * other.scale,
-                          _int_product(self.rows, other.rows))
-
-    def _combine(self, other: "_ScaledMat", sign: int) -> "_ScaledMat":
-        self._check_field(other)
-        if sign < 0 and self.scale == other.scale and self.rows == other.rows:
-            # the residual of a relation that holds, found by one dict comparison
-            return _ScaledMat(self.ell, self.dim, 1, {})
-        scale = lcm(self.scale, other.scale)
-        fa, fb = scale // self.scale, sign * (scale // other.scale)
-        return _ScaledMat(self.ell, self.dim, scale, _int_combine(self.rows, fa, other.rows, fb))
-
-    def __add__(self, other: "_ScaledMat") -> "_ScaledMat":
-        return self._combine(other, 1)
-
-    def __sub__(self, other: "_ScaledMat") -> "_ScaledMat":
-        return self._combine(other, -1)
-
-    def first_mismatch(self, col: list, row: list) -> tuple[int, int] | None:
-        """The least position (p, q) of a nonzero entry with col[q] != row[p],
-        or None."""
-        return min([(p, q) for p, entries in self.rows.items()
-                    for q in entries if col[q] != row[p]], default=None)
-
-    def first(self) -> tuple[int, int] | None:
-        """The least position of a nonzero entry, or None for zero."""
-        if not self.rows:
-            return None
-        p = min(self.rows)
-        return p, min(self.rows[p])
-
-    def entry(self, p: int, q: int) -> Cyc:
-        x = self.rows.get(p, {}).get(q, 0)
-        if x.__class__ is int:
-            return Cyc.from_rational(self.ell, Fraction(x, self.scale))
-        return x * Fraction(1, self.scale)
-
-    def to_mat(self) -> Mat:
-        m = Mat(self.ell, self.dim, self.dim)
-        m.data = {(p, q): self.entry(p, q) for p, entries in self.rows.items() for q in entries}
-        return m

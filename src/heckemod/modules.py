@@ -15,12 +15,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 
 from .cyclo import Cyc, fraction_from_str, root_of_unity
 from .errors import DegenerateShape, DimensionMismatch, NotAPartition, NotScalar
-from .linalg import Mat, _ScaledMat, block_diag, nullspace_dim
+from .linalg import Mat, _diagonal, _new, block_diag, nullspace_dim
 from .shapes import (SkewShapeL, Weight, _context, enumerate_syt, is_partition_shape,
                      shape_to_json, tableau_to_json, weight_to_json)
 
@@ -76,18 +76,19 @@ class VerificationReport:
         }
 
 
-def _report(name: str, residual: _ScaledMat, negate: bool = False) -> RelationCheck:
+def _report(name: str, residual: Mat, negate: bool = False) -> RelationCheck:
     """A relation's check from its residual, left minus right (right minus
     left with ``negate``, so that the witness still carries left minus
     right): the least nonzero entry is the witness, read out as a Cyc."""
-    key = residual.first()
-    if key is None:
+    if residual.is_zero():
         return RelationCheck(name, True)
-    value = residual.entry(*key)
-    return RelationCheck(name, False, (*key, repr(-value if negate else value)))
+    p = min(residual.rows)
+    q = min(residual.rows[p])
+    value = residual[p, q]
+    return RelationCheck(name, False, (p, q, repr(-value if negate else value)))
 
 
-def _side_report(name: str, x: _ScaledMat, col: list[int], row: list[int], value,
+def _side_report(name: str, x: Mat, col: list[int], row: list[int], value,
                  negate: bool = False) -> RelationCheck:
     """``_report`` for x diag(value(col)) - diag(value(row)) x, for integer
     keys col and row of an injective ``value``: the u-eigenvalues as
@@ -95,11 +96,12 @@ def _side_report(name: str, x: _ScaledMat, col: list[int], row: list[int], value
     zeta.  Its entry (p, q) is x[p, q] (value(col[q]) - value(row[p])),
     nonzero exactly where x[p, q] is and col[q] != row[p], so only the
     witness is computed in the field."""
-    key = x.first_mismatch(col, row)
+    key = min([(p, q) for p, entries in x.rows.items() for q in entries if col[q] != row[p]],
+              default=None)
     if key is None:
         return RelationCheck(name, True)
     p, q = key
-    witness = x.entry(p, q) * (value(col[q]) - value(row[p]))
+    witness = x[p, q] * (value(col[q]) - value(row[p]))
     return RelationCheck(name, False, (p, q, repr(-witness if negate else witness)))
 
 
@@ -157,30 +159,47 @@ def build_module(shape: SkewShapeL) -> ModuleRep:
         content.append(c + comp.offset)
         beta.append(comp.beta)
 
-    weights = tuple(Weight(tuple(ell * content[b] for b in pos),
-                           tuple(beta[b] for b in pos))
+    u = [ell * x for x in content]
+    weights = tuple(Weight(tuple(u[b] for b in pos), tuple(beta[b] for b in pos))
                     for pos in positions)
 
+    # contents as integers over one common denominator cd: a content
+    # difference is D / cd, so 1/d = cd / D and 1 - 1/d^2 = (D^2 - cd^2) / D^2,
+    # and s_i is written as integer rows over the lcm of its entries'
+    # denominators, without a Fraction per entry
+    cd = lcm(*(x.denominator for x in content))
+    cint = [x.numerator * (cd // x.denominator) for x in content]
     mats = []
     for i in range(1, n):
-        m = Mat.zero(ell, dim)
+        # column t of s_i as (t, the row of its off-diagonal entry or None,
+        # D and cd over their gcd, with 0 for D where there is no diagonal
+        # entry, and whether the off-diagonal entry is 1)
+        cols = []
+        dens = {1}
         for t, pos in enumerate(positions):
             b1, b2 = pos[i - 1], pos[i]
             if beta[b1] != beta[b2]:
-                swapped = pos[:i - 1] + (b2, b1) + pos[i + 1:]
-                m[index[swapped], t] = 1
+                cols.append((t, index[pos[:i - 1] + (b2, b1) + pos[i + 1:]], 0, 1, True))
                 continue
-            d = content[b2] - content[b1]
+            d = cint[b2] - cint[b1]
             if b2 in ctx.blocked[b1]:
-                m[t, t] = Fraction(1, 1) / d  # d = +-1: row or column neighbor
+                cols.append((t, None, d // cd, 1, True))  # d = +-1: row or column neighbor
                 continue
-            if d in (0, 1, -1):
+            if d in (0, cd, -cd):
                 raise DegenerateShape(
-                    f"content difference {d} between non-adjacent boxes")
-            swapped = pos[:i - 1] + (b2, b1) + pos[i + 1:]
-            m[t, t] = Fraction(1, 1) / d
-            m[index[swapped], t] = 1 if b1 < b2 else 1 - Fraction(1, 1) / (d * d)
-        mats.append(m)
+                    f"content difference {Fraction(d, cd)} between non-adjacent boxes")
+            g = gcd(d, cd)
+            dd, cc, one = d // g, cd // g, b1 < b2
+            dens.add(abs(dd) if one else dd * dd)
+            cols.append((t, index[pos[:i - 1] + (b2, b1) + pos[i + 1:]], dd, cc, one))
+        den = lcm(*dens)
+        rows: dict = {}
+        for t, target, dd, cc, one in cols:
+            if dd:
+                rows.setdefault(t, {})[t] = den // dd * cc
+            if target is not None:
+                rows.setdefault(target, {})[t] = den if one else (dd * dd - cc * cc) * (den // (dd * dd))
+        mats.append(_new(ell, dim, dim, den, rows))
 
     return ModuleRep(ell, n, dim, tuple(mats), weights, shape)
 
@@ -196,8 +215,7 @@ def direct_sum(m1: ModuleRep, m2: ModuleRep) -> ModuleRep:
 # ---------------------------------------------------------------------------
 # generator access
 
-def _tau(module: ModuleRep, i: int, s: _ScaledMat, u: list[list[int]],
-         den: int) -> tuple[_ScaledMat, _ScaledMat]:
+def _tau(module: ModuleRep, i: int, s: Mat, u: list[list[int]], den: int) -> tuple[Mat, Mat]:
     """tau_i and its correction c, from s = s_i and the u-eigenvalues u / den
     of ``_scaled_weights``: tau_i = s_i - c with c the diagonal
     pi/(u_{i+1} - u_i) = pi den/(u[i] - u[i-1]) on each basis vector, zero
@@ -210,8 +228,8 @@ def _tau(module: ModuleRep, i: int, s: _ScaledMat, u: list[list[int]],
                 f"intertwiner {i} undefined: equal u-eigenvalues with "
                 f"matching color at basis vector {t}")
     scale = lcm(*(gap for pi, gap in zip(pis, gaps) if pi))
-    c = _ScaledMat.diagonal(module.ell, [pi * den * (scale // gap) if pi else 0
-                                         for pi, gap in zip(pis, gaps)], scale)
+    c = _diagonal(module.ell, [pi * den * (scale // gap) if pi else 0
+                               for pi, gap in zip(pis, gaps)], scale)
     return s - c, c
 
 
@@ -233,7 +251,7 @@ def generator_matrix(module: ModuleRep, kind: str, i: int) -> Mat:
             return module.mat_s[i - 1].copy()
         if kind == "tau":
             u, den, _ = _scaled_weights(module)
-            return _tau(module, i, _ScaledMat.of(module.mat_s[i - 1]), u, den)[0].to_mat()
+            return _tau(module, i, module.mat_s[i - 1], u, den)[0]
         return Mat.diagonal(ell, _pi_values(module, i))
     raise ValueError(f"unknown generator kind {kind!r}")
 
@@ -247,8 +265,8 @@ def verify_relations(module: ModuleRep) -> VerificationReport:
     and group generators, and the mixed crossing relation
     s_i u_i = u_{i+1} s_i - pi_i (pi_i from ``_pi_values``).
 
-    Everything runs on the integer-scaled s-matrices S_i = L_i s_i of
-    ``linalg._ScaledMat``.  The s-only relations are integer products:
+    Everything runs on the integer rows S_i = L_i s_i of the s-matrices,
+    L_i their denominator ``den``.  The s-only relations are integer products:
     S_i^2 = L_i^2 I, L_{i+1} S_i S_{i+1} S_i = L_i S_{i+1} S_i S_{i+1} and
     S_i S_j = S_j S_i.  A relation with a diagonal side, X D = D' X, holds
     exactly when X[p, q] (d_q - d'_p) vanishes at every nonzero entry of X:
@@ -261,15 +279,15 @@ def verify_relations(module: ModuleRep) -> VerificationReport:
     every diagonal generator as an eigenvalue vector on one basis, so they
     are reported without arithmetic."""
     ell, n = module.ell, module.n
-    s = [_ScaledMat.of(m) for m in module.mat_s]
+    s = module.mat_s
     u, den, z = _scaled_weights(module)
     rational, root = partial(Fraction, denominator=den), partial(root_of_unity, ell)
     checks = []
     add = checks.append
 
     for i in range(1, n):
-        sq = s[i - 1] * s[i - 1]  # against L_i^2 I, at the same scale
-        one = _ScaledMat.diagonal(ell, [sq.scale] * module.dim, sq.scale)
+        sq = s[i - 1] * s[i - 1]  # against L_i^2 I, at the same denominator
+        one = _diagonal(ell, [sq.den] * module.dim, sq.den)
         add(_report(f"s{i}^2=1", sq - one))
     for i in range(1, n - 1):
         add(_report(f"s{i}s{i + 1}s{i}=s{i + 1}s{i}s{i + 1}",
@@ -297,8 +315,8 @@ def verify_relations(module: ModuleRep) -> VerificationReport:
         for j in range(1, n + 1):
             if j not in (i, i + 1):
                 add(_side_report(f"s{i}u{j}=u{j}s{i}", s[i - 1], u[j - 1], u[j - 1], rational))
-        pi = _ScaledMat.diagonal(ell, _pi_values(module, i))
-        ui, unext = (_ScaledMat.diagonal(ell, u[k], den) for k in (i - 1, i))
+        pi = _diagonal(ell, _pi_values(module, i))
+        ui, unext = (_diagonal(ell, u[k], den) for k in (i - 1, i))
         add(_report(f"s{i}u{i}=u{i + 1}s{i}-pi{i}", s[i - 1] * ui - unext * s[i - 1] + pi))
     return VerificationReport(tuple(checks))
 
@@ -312,16 +330,15 @@ def verify_intertwiners(module: ModuleRep) -> VerificationReport:
         evaluated on each basis vector (taken to be 1 where pi vanishes);
     (c) the braid relation for tau.
 
-    Each tau_i is built once by ``_tau`` as an integer-scaled matrix, and
-    every check runs on those, as in ``verify_relations``; the expected
-    tau_i^2 is 1 - c^2 for the correction c = pi/(u_{i+1} - u_i) of tau_i.
+    Each tau_i is built once by ``_tau``, and every check runs on those, as
+    in ``verify_relations``; the expected tau_i^2 is 1 - c^2 for the correction c = pi/(u_{i+1} - u_i) of tau_i.
     """
     ell, n = module.ell, module.n
     u, den, z = _scaled_weights(module)
     rational, root = partial(Fraction, denominator=den), partial(root_of_unity, ell)
     checks = []
-    one = _ScaledMat.diagonal(ell, [1] * module.dim)
-    pairs = [_tau(module, i, _ScaledMat.of(module.mat_s[i - 1]), u, den) for i in range(1, n)]
+    one = Mat.identity(ell, module.dim)
+    pairs = [_tau(module, i, module.mat_s[i - 1], u, den) for i in range(1, n)]
     taus = [tau for tau, _ in pairs]
 
     for i in range(1, n):
@@ -377,7 +394,8 @@ def commutant_dimension(module: ModuleRep) -> int:
     for t, w in enumerate(module.weights):
         classes.setdefault(w, []).append(t)
     if len(classes) == module.dim:
-        return _components(module.dim, (key for g in module.mat_s for key in g.data))
+        return _components(module.dim, ((p, q) for g in module.mat_s
+                                        for p, row in g.rows.items() for q in row))
     var: dict[tuple[int, int], int] = {}
     for members in classes.values():
         for a in members:
@@ -394,10 +412,11 @@ def commutant_dimension(module: ModuleRep) -> int:
             row[v] = row.get(v, Cyc.zero(ell)) + coef
 
         # residual of X g - g X at (i, j), keeping only the allowed unknowns
-        for (k, j), gv in g.data.items():
+        entries = [(p, q, g[p, q]) for p, row in g.rows.items() for q in row]
+        for k, j, gv in entries:
             for i in same[k]:
                 bump((i, j), var[(i, k)], gv)
-        for (i, k), gv in g.data.items():
+        for i, k, gv in entries:
             for j in same[k]:
                 bump((i, j), var[(k, j)], -gv)
         system.extend(eqs.values())
@@ -497,23 +516,21 @@ def jm_consistency(module: ModuleRep) -> VerificationReport:
     ``_conjugates`` and C_ij the diagonal with entry ``_color_sum`` of
     r = b_i - b_j on a basis vector with color exponents b.  The words are
     those of ``grpalg.evaluate_in_module``, so the matrices agree with it
-    exactly, braid relations or not; they are multiplied out on the
-    integer-scaled s-matrices."""
+    exactly, braid relations or not."""
     if module.shape is None or not is_partition_shape(module.shape):
         raise NotAPartition(
             "Jucys-Murphy comparison needs a module built from partitions "
             "anchored at content 0")
     ell, weights = module.ell, module.weights
-    s = [_ScaledMat.of(m) for m in module.mat_s]
     u, den, _ = _scaled_weights(module)
     checks = []
     for i in range(1, module.n + 1):
-        phi = _ScaledMat.diagonal(ell, [0] * module.dim)
+        phi = Mat.zero(ell, module.dim)
         if i > 1:
-            for j, conj in _conjugates(s, i, mul):
+            for j, conj in _conjugates(module.mat_s, i, mul):
                 color = [_color_sum(ell, w.b[i - 1] - w.b[j - 1]) for w in weights]
-                phi = phi + _ScaledMat.diagonal(ell, color) * conj
-        checks.append(_report(f"phi{i}=u{i}", phi - _ScaledMat.diagonal(ell, u[i - 1], den)))
+                phi = phi + _diagonal(ell, color) * conj
+        checks.append(_report(f"phi{i}=u{i}", phi - _diagonal(ell, u[i - 1], den)))
     return VerificationReport(tuple(checks))
 
 
@@ -522,7 +539,7 @@ def jm_consistency(module: ModuleRep) -> VerificationReport:
 
 def _mat_to_json(m: Mat) -> dict:
     return {"rows": m.nrows,
-            "entries": [[i, j, v.to_json()] for (i, j), v in sorted(m.data.items())]}
+            "entries": [[i, j, m[i, j].to_json()] for i in sorted(m.rows) for j in sorted(m.rows[i])]}
 
 
 def _mat_to_dense_json(m: Mat) -> list:

@@ -120,7 +120,11 @@ def _shape_fault(cells) -> type[NotSkew] | type[NotConnected] | None:
 
 
 def _component_checked(ell: int, beta, offset, cells) -> Component:
-    cells = {(int(r), int(c)) for r, c in cells}
+    listed = [(int(r), int(c)) for r, c in cells]
+    cells = set(listed)
+    if len(cells) != len(listed):
+        repeated = next(cell for k, cell in enumerate(listed) if cell in listed[:k])
+        raise ValueError(f"shape field 'cells' repeats the cell {list(repeated)}")
     if not cells:
         raise EmptyShape("component with no cells")
     beta = int(beta)

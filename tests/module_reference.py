@@ -4,8 +4,10 @@ matrix products throughout.
 These are the relation, intertwiner, commutant, central-character and
 weight routines heckemod used while a module stored u_i and zeta_i as
 diagonal matrices.  Every relation is a product of whole matrices compared by
-``Mat`` subtraction, and every eigenvalue is read back off a diagonal.  The
-matrices come from ``generator_matrix``.  The production path keeps one
+subtraction, and every eigenvalue is read back off a diagonal.  The matrices
+come from ``generator_matrix`` and the module's s-matrices, read into
+``mat_reference.RefMat`` with ``Cyc`` entries, so no product or sum here goes
+through ``heckemod.linalg``.  The production path keeps one
 weight per basis vector and checks relations with a diagonal side entry by
 entry, so the tests compare the two.
 """
@@ -16,48 +18,54 @@ from heckemod import grpalg
 from heckemod.cyclo import Cyc, root_of_unity
 from heckemod.errors import NotScalar
 from heckemod.grpalg import GroupAlgebraElement, GroupElement, _perm_word
-from heckemod.linalg import Mat, nullspace_dim
+from heckemod.linalg import nullspace_dim
 from heckemod.modules import RelationCheck, VerificationReport, generator_matrix
 from heckemod.shapes import Weight
+from mat_reference import RefMat
 
 
-def _residual(name: str, left: Mat, right: Mat) -> RelationCheck:
-    diff = left - right
-    if diff.is_zero():
+def _residual(name: str, left: RefMat, right: RefMat) -> RelationCheck:
+    first = (left - right).first()
+    if first is None:
         return RelationCheck(name, True)
-    (i, j), v = min(diff.data.items())
+    (i, j), v = first
     return RelationCheck(name, False, (i, j, repr(v)))
 
 
-def _diagonals(module):
+def _s(module) -> list[RefMat]:
+    return [RefMat.of(m) for m in module.mat_s]
+
+
+def diagonals(module):
     """The u- and zeta-matrices, built by ``generator_matrix``."""
     n = module.n
-    return ([generator_matrix(module, "u", i) for i in range(1, n + 1)],
-            [generator_matrix(module, "zeta", i) for i in range(1, n + 1)])
+    return ([RefMat.of(generator_matrix(module, "u", i)) for i in range(1, n + 1)],
+            [RefMat.of(generator_matrix(module, "zeta", i)) for i in range(1, n + 1)])
 
 
-def evaluate(x, module, z) -> Mat:
+def evaluate(x, module, z) -> RefMat:
     """zeta^a w as Z_1^{a_1} ... Z_n^{a_n} times the s-matrices spelling w,
-    for the zeta-matrices z."""
+    for the zeta-matrices z of ``diagonals``."""
     if isinstance(x, GroupElement):
         x = GroupAlgebraElement.from_group(x)
-    total = Mat.zero(module.ell, module.dim)
+    s = _s(module)
+    total = RefMat(Cyc, module.ell, module.dim)
     for g, coeff in x.terms.items():
-        m = Mat.identity(module.ell, module.dim)
+        m = RefMat.identity(Cyc, module.ell, module.dim)
         for i, a in enumerate(g.colors):
             for _ in range(a):
                 m = m * z[i]
         for i in _perm_word(g.perm):
-            m = m * module.mat_s[i - 1]
+            m = m * s[i - 1]
         total = total + m.scale(coeff)
     return total
 
 
-def tau_matrix(module, i: int, u, z) -> Mat:
+def tau_matrix(module, i: int, u, z) -> RefMat:
     ell = module.ell
     ui, uj = u[i - 1], u[i]
     zi, zj = z[i - 1], z[i]
-    m = module.mat_s[i - 1].copy()
+    m = RefMat.of(module.mat_s[i - 1])
     for t in range(module.dim):
         if zi[t, t] == zj[t, t]:
             d = uj[t, t] - ui[t, t]
@@ -69,9 +77,9 @@ def tau_matrix(module, i: int, u, z) -> Mat:
 
 def verify_relations(module) -> VerificationReport:
     ell, n = module.ell, module.n
-    s = module.mat_s
-    u, z = _diagonals(module)
-    one = Mat.identity(ell, module.dim)
+    s = _s(module)
+    u, z = diagonals(module)
+    one = RefMat.identity(Cyc, ell, module.dim)
     checks = []
     add = checks.append
 
@@ -121,7 +129,7 @@ def verify_relations(module) -> VerificationReport:
 
 def verify_intertwiners(module) -> VerificationReport:
     ell, n = module.ell, module.n
-    u, z = _diagonals(module)
+    u, z = diagonals(module)
     checks = []
     taus = [tau_matrix(module, i, u, z) for i in range(1, n)]
     ell_sq = Cyc.from_rational(ell, ell * ell)
@@ -134,7 +142,7 @@ def verify_intertwiners(module) -> VerificationReport:
                                     u[j - 1] * tau, tau * u[k - 1]))
             checks.append(_residual(f"zeta{j}tau{i}=tau{i}zeta{k}",
                                     z[j - 1] * tau, tau * z[k - 1]))
-        expected = Mat.zero(ell, module.dim)
+        expected = RefMat(Cyc, ell, module.dim)
         for t in range(module.dim):
             if z[i - 1][t, t] == z[i][t, t]:
                 d = u[i - 1][t, t] - u[i][t, t]
@@ -152,7 +160,7 @@ def verify_intertwiners(module) -> VerificationReport:
 
 
 def jm_consistency(module) -> VerificationReport:
-    u, z = _diagonals(module)
+    u, z = diagonals(module)
     return VerificationReport(tuple(
         _residual(f"phi{i}=u{i}",
                   evaluate(grpalg.jm_element(module.ell, module.n, i), module, z), u[i - 1])
@@ -161,7 +169,7 @@ def jm_consistency(module) -> VerificationReport:
 
 def commutant_dimension(module) -> int:
     ell, dim = module.ell, module.dim
-    u, z = _diagonals(module)
+    u, z = diagonals(module)
     key = [tuple(m[t, t] for m in u) + tuple(m[t, t] for m in z) for t in range(dim)]
     classes: dict = {}
     for t, k in enumerate(key):
@@ -201,7 +209,7 @@ def central_character(module) -> list[Cyc]:
         return coeffs[1:]
 
     out = []
-    for mats, label in zip(_diagonals(module), ("u", "zeta")):
+    for mats, label in zip(diagonals(module), ("u", "zeta")):
         per_vector = [elementary([m[t, t] for m in mats]) for t in range(dim)]
         for k in range(n):
             scalars = {pv[k] for pv in per_vector}
@@ -216,7 +224,7 @@ def module_weights(module) -> list[Weight]:
     powers of zeta."""
     ell = module.ell
     powers = [root_of_unity(ell, k) for k in range(ell)]
-    u, z = _diagonals(module)
+    u, z = diagonals(module)
     return [Weight(tuple(m[t, t].as_rational() for m in u),
                    tuple(powers.index(m[t, t]) for m in z))
             for t in range(module.dim)]

@@ -204,14 +204,28 @@ def test_roundtrip_property(args):
     assert got_D == D and got_T == T
 
 
-@given(st.lists(st.integers(min_value=-3, max_value=3), min_size=1, max_size=5))
-@settings(max_examples=120, deadline=None)
-def test_condition_passing_weights_always_reconstruct(a):
-    weight = w(a)
-    if check_weight_condition(weight, 1) is not None:
+@st.composite
+def colored_weights(draw):
+    """ell <= 4 and n <= 10, with colour exponents and rational u-eigenvalues
+    of denominator at most 3."""
+    ell = draw(st.integers(min_value=1, max_value=4))
+    n = draw(st.integers(min_value=1, max_value=10))
+    a = draw(st.lists(st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 3])),
+                      min_size=n, max_size=n))
+    b = draw(st.lists(st.integers(min_value=0, max_value=ell - 1), min_size=n, max_size=n))
+    return ell, Weight(tuple(a), tuple(b))
+
+
+@given(colored_weights())
+@settings(max_examples=200, deadline=None)
+def test_condition_passing_weights_always_reconstruct(case):
+    # the classification theorem: every weight that passes the condition
+    # comes from a shape and a standard tableau
+    ell, weight = case
+    if check_weight_condition(weight, ell) is not None:
         return
-    D, T = reconstruct(weight, 1)
-    assert validate_and_canonicalize(1, D.components) == D
+    D, T = reconstruct(weight, ell)
+    assert validate_and_canonicalize(ell, D.components) == D
     assert is_standard(T)
     assert weight_of(T) == weight
 

@@ -215,6 +215,8 @@ def test_exit_codes_for_bad_input(capsys, tmp_path):
                        ("cells", {"ell": 1, "components": [{**cell, "cells": [[1, 0, 0]]}]}),
                        ("cells", {"ell": 1, "components": [{**cell, "cells": [10]}]}),
                        ("cells", {"ell": 1, "components": [{**cell, "cells": {"1": 0}}]}),
+                       # a cell listed twice is not read as one box
+                       ("cells", {"ell": 1, "components": [{**cell, "cells": [[1, 0], [1, 0]]}]}),
                        # a required field that is missing
                        ("offset", {"ell": 1, "components": [{"beta": 0, "cells": [[1, 0]]}]}),
                        # offsets that are inexact, not numbers or not finite

@@ -271,10 +271,10 @@ def elements_in_modules(draw):
 @settings(max_examples=150, deadline=None)
 def test_evaluate_in_module_matches_reference(case):
     import module_reference as ref
+    from mat_reference import RefMat
 
     x, M = case
-    z = [generator_matrix(M, "zeta", i) for i in range(1, M.n + 1)]
-    assert evaluate_in_module(x, M) == ref.evaluate(x, M, z)
+    assert RefMat.of(evaluate_in_module(x, M)) == ref.evaluate(x, M, ref.diagonals(M)[1])
 
 
 @st.composite

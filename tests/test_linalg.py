@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from heckemod import Cyc, DimensionMismatch, Mat, block_diag, nullspace_dim, root_of_unity
-from heckemod.linalg import _ScaledMat
+from cyclo_reference import RefCyc, ref_root_of_unity
+from mat_reference import RefMat, block_diag as ref_block_diag
 
 
 def test_constructors_and_indexing():
@@ -20,6 +21,12 @@ def test_constructors_and_indexing():
     d = Mat.diagonal(2, [1, Fraction(1, 2), -1])
     assert d[1, 1] == Fraction(1, 2)
     assert d.nrows == d.ncols == 3
+    # the entries as Cycs, in a view that cannot be written through
+    assert d.data == {(0, 0): 1, (1, 1): Fraction(1, 2), (2, 2): -1}
+    with pytest.raises(TypeError):
+        d.data[0, 1] = 1
+    with pytest.raises(AttributeError):
+        d.data = {}
 
 
 def test_arithmetic():
@@ -115,43 +122,125 @@ def test_matrix_ring_axioms(mats):
 small_fractions = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 3, 4, 6]))
 
 
-@st.composite
-def kernel_pairs(draw):
-    """Two square matrices over one field with entries 0, small rationals
-    and rational multiples of zeta**k, so the kernel's rows mix ints and
-    integral Cycs."""
-    ell = draw(st.integers(min_value=1, max_value=6))
-    dim = draw(st.integers(min_value=1, max_value=4))
-    entries = st.one_of(st.just(0), small_fractions,
-                        st.builds(lambda q, k: q * root_of_unity(ell, k),
-                                  small_fractions, st.integers(0, ell - 1)))
-    mats = []
-    for _ in range(2):
-        m = Mat.zero(ell, dim)
-        for i in range(dim):
-            for j in range(dim):
-                m[i, j] = draw(entries)
-        mats.append(m)
-    return mats
+def pair(ell, nrows, ncols, entries):
+    """A Mat and a reference matrix over RefCyc with the same entries, given
+    as {(row, col): Fraction or RefCyc}."""
+    m = Mat.zero(ell, nrows, ncols)
+    ref = RefMat(RefCyc, ell, nrows, ncols)
+    for key, v in entries.items():
+        m[key] = Cyc(ell, v.coeffs) if isinstance(v, RefCyc) else v
+        ref[key] = v
+    return m, ref
 
 
-@given(kernel_pairs())
-def test_scaled_kernel_matches_mat(mats):
-    # Mat arithmetic is the oracle for the integer-scaled verification kernel
-    a, b = mats
-    sa, sb = _ScaledMat.of(a), _ScaledMat.of(b)
-    for m, s in ((a, sa), (b, sb)):
-        assert s.to_mat() == m
-        assert all(type(x) is int or (not x.is_rational() and x._den == 1)
-                   for row in s.rows.values() for x in row.values())
-    assert (sa * sb).to_mat() == a * b
-    assert (sa + sb).to_mat() == a + b
-    assert (sa - sb).to_mat() == a - b
-    assert (sa - sa).first() is None
-    diff = sa - sb
-    key = diff.first()
-    expected = min((a - b).data.items(), default=None)
-    if key is None:
-        assert expected is None
+def agrees(m, ref, from_entries=False):
+    """m holds ref's values, in integer rows over one positive denominator.
+
+    Each stored x is an int or an integral Cyc.  A matrix built from its
+    entries (``from_entries``: set entry by entry, copied, negated, a
+    diagonal or a block sum) stores an int for every rational entry, so a
+    Cyc only where the entry leaves Q; a product, sum or scaling may hold a
+    rational integral Cyc, as zeta_3 * zeta_3**2 = 1."""
+    assert m.den > 0 and all(m.rows.values())
+    xs = [x for row in m.rows.values() for x in row.values()]
+    if from_entries:
+        assert all(type(x) is int or (not x.is_rational() and x._den == 1) for x in xs)
     else:
-        assert (key, diff.entry(*key)) == expected
+        assert all(type(x) is int or x._den == 1 for x in xs)
+    return (m.nrows, m.ncols) == (ref.nrows, ref.ncols) and RefMat.of(m, RefCyc) == ref
+
+
+@st.composite
+def kernel_triples(draw):
+    """Matrices a, a2 (r x k) and b (k x c) over one field, with entries 0,
+    small rationals and rational multiples of zeta**k, so the rows mix ints
+    and integral Cycs."""
+    ell = draw(st.integers(min_value=1, max_value=6))
+    r, k, c = (draw(st.integers(min_value=1, max_value=4)) for _ in range(3))
+    entries = st.one_of(st.just(Fraction(0)), small_fractions,
+                        st.builds(lambda q, e: q * ref_root_of_unity(ell, e),
+                                  small_fractions, st.integers(0, ell - 1)))
+
+    def draw_pair(nrows, ncols):
+        return pair(ell, nrows, ncols, {(i, j): draw(entries)
+                                        for i in range(nrows) for j in range(ncols)})
+    return draw_pair(r, k), draw_pair(r, k), draw_pair(k, c), draw(entries)
+
+
+@given(kernel_triples())
+def test_scaled_kernel_matches_mat(case):
+    # the dict-of-entries reference over RefCyc is the oracle for Mat's
+    # integer rows: no code is shared with linalg or cyclo
+    (a, ra), (a2, ra2), (b, rb), scalar = case
+    for m, ref in ((a, ra), (a2, ra2), (b, rb)):
+        assert agrees(m, ref, from_entries=True)
+        assert agrees(m.copy(), ref, from_entries=True) and agrees(-m, -ref, from_entries=True)
+        assert [[RefCyc(m.ell, v.coeffs) for v in row] for row in m.dense()] == \
+            [[ref[i, j] for j in range(ref.ncols)] for i in range(ref.nrows)]
+        values = [ref[0, j] for j in range(ref.ncols)]
+        assert agrees(Mat.diagonal(m.ell, [Cyc(m.ell, v.coeffs) for v in values]),
+                      RefMat(RefCyc, m.ell, ref.ncols, ref.ncols,
+                             (((t, t), v) for t, v in enumerate(values))),
+                      from_entries=True)
+    assert agrees(block_diag(a.ell, [a, b]), ref_block_diag(RefCyc, a.ell, [ra, rb]),
+                  from_entries=True)
+    assert agrees(a * b, ra * rb)
+    assert agrees(a + a2, ra + ra2)
+    assert agrees(a - a2, ra - ra2)
+    assert (a - a).is_zero() and a - a == Mat.zero(a.ell, a.nrows, a.ncols)
+    c = Cyc(a.ell, scalar.coeffs) if isinstance(scalar, RefCyc) else scalar
+    assert agrees(a.scale(c), ra.scale(scalar))
+    assert (a == a2) == (ra == ra2)
+    first = min((a - a2).data.items(), default=None)
+    expected = (ra - ra2).first()
+    assert (first if first is None else (first[0], RefCyc(a.ell, first[1].coeffs))) == expected
+
+
+def test_equality_across_denominators():
+    third = Fraction(1, 3)
+    a, ra = pair(1, 2, 2, {(0, 0): Fraction(1, 2), (1, 1): Fraction(1)})
+    b, rb = pair(1, 2, 2, {(0, 1): third, (0, 0): Fraction(1, 2), (1, 1): Fraction(1)})
+    b[0, 1] = 0
+    rb[0, 1] = 0
+    assert (a.den, b.den) == (2, 6)
+    assert agrees(a, ra, from_entries=True) and agrees(b, rb, from_entries=True) and ra == rb
+    assert a == b and b == a
+    b[1, 0] = third
+    rb[1, 0] = third
+    assert a != b and ra != rb
+    assert (a - b) + b == a and agrees((a - b) + b, ra)
+
+
+def test_zero_after_a_non_integer_entry():
+    z = root_of_unity(3, 1)
+    for value in (Fraction(1, 2), z * Fraction(2, 5)):
+        m = Mat.zero(3, 2, 2)
+        ref = RefMat(RefCyc, 3, 2, 2)
+        m[1, 0] = value
+        m[1, 0] = 0
+        assert m.is_zero() and m.data == {} and m == Mat.zero(3, 2)
+        assert agrees(m, ref, from_entries=True)
+        m[0, 1] = 7
+        ref[0, 1] = 7
+        assert agrees(m, ref, from_entries=True) and m[0, 1] == 7
+
+
+def test_block_diag_of_denominators_2_and_3():
+    z = ref_root_of_unity(3, 2)
+    a, ra = pair(3, 1, 1, {(0, 0): Fraction(1, 2)})
+    b, rb = pair(3, 2, 1, {(0, 0): z * Fraction(1, 3), (1, 0): Fraction(-2, 3)})
+    m = block_diag(3, [a, b])
+    assert m.den == 6 and (m.nrows, m.ncols) == (3, 2)
+    assert agrees(m, ref_block_diag(RefCyc, 3, [ra, rb]), from_entries=True)
+
+
+def test_rectangular_product():
+    z = ref_root_of_unity(4, 1)
+    a, ra = pair(4, 2, 3, {(0, 0): Fraction(1, 2), (0, 2): z, (1, 1): Fraction(-3, 4)})
+    b, rb = pair(4, 3, 1, {(0, 0): Fraction(2), (1, 0): z * Fraction(1, 3), (2, 0): z})
+    assert agrees(a, ra, from_entries=True) and agrees(b, rb, from_entries=True)
+    p = a * b
+    assert (p.nrows, p.ncols) == (2, 1)
+    assert agrees(p, ra * rb)
+    with pytest.raises(DimensionMismatch):
+        b * b

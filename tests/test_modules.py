@@ -33,7 +33,6 @@ from heckemod import (
     weight_of,
 )
 from heckemod.cyclo import _fold_table
-from heckemod.linalg import _ScaledMat
 
 
 def module_21():
@@ -336,9 +335,12 @@ def test_jm_matches_matrix_reference_at_n5_n6():
         assert report == ref.jm_consistency(M)
         failing += not report.ok
     assert failing > len(corrupted) // 2
-    # the relation checks too, where the integer scales of the s-matrices
-    # are larger than anywhere in the n <= 4 corpus
-    assert max(_ScaledMat.of(m).scale for M in sound for m in M.mat_s) >= 100
+    # the relation checks too, where the denominators of the s-matrices
+    # are larger than anywhere in the n <= 4 corpus; a built module's
+    # s-matrices are rational, so they store only ints
+    assert max(m.den for M in sound for m in M.mat_s) >= 100
+    assert all(type(x) is int for M in sound for m in M.mat_s
+               for row in m.rows.values() for x in row.values())
     for k, M in enumerate(sound + corrupted):
         for fast, slow in ((verify_relations, ref.verify_relations),
                            (verify_intertwiners, ref.verify_intertwiners)):

@@ -372,6 +372,14 @@ def test_partition_shape_rejects_non_partition():
         partition_shape(2, [[1]])  # wrong number of coordinates
 
 
+def test_repeated_cells_are_malformed():
+    for cells in ([(1, 0), (1, 0)], [(1, 0), (1, 1), (2, -1), (1, 1)]):
+        with pytest.raises(ValueError, match=r"repeats the cell \[1, \d\]") as info:
+            validate_and_canonicalize(1, [(0, 0, cells)])
+        assert type(info.value) is ValueError
+    assert validate_and_canonicalize(1, [(0, 0, [(1, 1), (1, 0)])]).n == 2
+
+
 def test_is_partition_shape():
     assert is_partition_shape(shape_21())
     assert is_partition_shape(partition_shape(2, [[2], [1, 1]]))
