@@ -129,8 +129,9 @@ def reconstruct(w: Weight, ell: int) -> tuple[SkewShapeL, Tableau]:
     it is emitted in canonical form (rows from 1, cells sorted) and the
     components are sorted, so the result needs no further validation.
     Nor is it re-read: the tests check it against is_standard and weight_of.
-    Raises ConditionFailed when the pairwise condition fails,
-    NoAddablePosition when the box so found is not addable.
+    Raises ConditionFailed when the pairwise condition fails.  By the
+    classification theorem a weight passing the condition always finds an
+    addable box, so NoAddablePosition here is an internal fault.
     """
     entries = _normalize_weight(w, ell)
     if (violation := _first_violation(entries, ell)) is not None:
@@ -155,7 +156,7 @@ def reconstruct(w: Weight, ell: int) -> tuple[SkewShapeL, Tableau]:
         else:
             r = low[m + 1] + 1 if m + 1 in low else 1
         if not addable or (r, m + 1) in cells or (r + 1, m - 1) in cells:
-            raise NoAddablePosition(f"label {i}: no legal box of content "
+            raise NoAddablePosition(f"reconstruct: label {i}: no legal box of content "
                                     f"{Fraction(p, q * ell)} in coordinate {b}")
         cells[(r, m)] = i
         low[m] = r
@@ -185,8 +186,6 @@ def classify_roundtrip(shape: SkewShapeL) -> VerificationReport:
                        else "reconstructed a different pair")
         except ConditionFailed as exc:
             witness = f"condition: {exc.violation}"
-        except NoAddablePosition as exc:
-            witness = repr(exc)
         checks.append(RelationCheck(f"T{t_index}", witness is None,
                                     None if witness is None else (t_index, 0, witness)))
     return VerificationReport(tuple(checks))

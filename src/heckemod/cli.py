@@ -2,8 +2,8 @@
 classification and twisting, with JSON files in and JSON on stdout.
 
 Exit codes: 0 success; 1 malformed input or usage; 2 mathematical rejection
-(invalid shape, failed weight condition, unplaceable weight); 3 verification
-failure or internal inconsistency.
+(invalid shape, failed weight condition); 3 verification failure or internal
+inconsistency.
 """
 
 from __future__ import annotations
@@ -17,8 +17,7 @@ from . import classify as cl
 from . import modules as md
 from . import shapes as sh
 from .cyclo import fraction_from_str, fraction_to_str
-from .errors import (ConditionFailed, HeckemodError, NoAddablePosition,
-                     NotScalar, NotStandard, ShapeError)
+from .errors import ConditionFailed, HeckemodError, NotScalar, NotStandard, ShapeError
 
 
 class _UsageError(Exception):
@@ -121,9 +120,6 @@ def _cmd_classify(args) -> int:
         shape, tableau = cl.reconstruct(weight, ell)
     except ConditionFailed as exc:
         _emit({"rejected": exc.violation.to_json()})
-        return 2
-    except NoAddablePosition as exc:
-        _emit({"rejected": {"kind": "NoAddablePosition", "detail": str(exc)}})
         return 2
     _emit({"shape": sh.shape_to_json(shape), "tableau": sh.tableau_to_json(tableau)})
     return 0
@@ -257,7 +253,7 @@ def main(argv=None) -> int:
     except (_UsageError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ShapeError, NotStandard, ConditionFailed, NoAddablePosition) as exc:
+    except (ShapeError, NotStandard, ConditionFailed) as exc:
         print(f"rejected: {exc}", file=sys.stderr)
         return 2
     except HeckemodError as exc:

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from math import gcd, lcm
-from operator import mul
 
 from .cyclo import Cyc, fraction_from_str, root_of_unity
 from .errors import DegenerateShape, DimensionMismatch, NotAPartition, NotScalar
@@ -105,17 +104,12 @@ def _side_report(name: str, x: Mat, col: list[int], row: list[int], value,
     return RelationCheck(name, False, (p, q, repr(-witness if negate else witness)))
 
 
-def _color_sum(ell: int, r: int) -> int:
-    """sum_k zeta^(k r) over k = 0..ell-1: ell where r = 0 mod ell, else 0
-    (the geometric sum of a nontrivial ell-th root of unity).  It is the
-    eigenvalue of sum_k zeta_i^k zeta_j^-k where b_i - b_j = r."""
-    return 0 if r % ell else ell
-
-
 def _pi_values(module: ModuleRep, i: int) -> list[int]:
     """The eigenvalue of pi_i = sum_k zeta_i^k zeta_{i+1}^-k on each basis
-    vector: the color sum of b_i - b_{i+1}."""
-    return [_color_sum(module.ell, w.b[i - 1] - w.b[i]) for w in module.weights]
+    vector: the geometric sum of zeta^(b_i - b_{i+1}), ell where
+    b_i = b_{i+1} mod ell and 0 otherwise."""
+    ell = module.ell
+    return [0 if (w.b[i - 1] - w.b[i]) % ell else ell for w in module.weights]
 
 
 def _scaled_weights(module: ModuleRep) -> tuple[list[list[int]], int, list[list[int]]]:
@@ -492,44 +486,32 @@ def twist(module: ModuleRep, auto: str, kappa=None) -> ModuleRep:
 # ---------------------------------------------------------------------------
 # Jucys-Murphy consistency
 
-def _conjugates(s, i: int, product):
-    """(j, W_{i,j}) for j = i-1 down to 1, by the conjugation recurrence
-    W_{i,i-1} = s_{i-1}, W_{i,j} = s_j W_{i,j+1} s_j: the word
-    s_j ... s_{i-1} ... s_j that ``grpalg._perm_word`` spells for the
-    transposition (j i), multiplied out with ``product`` from the
-    generators ``s`` (s[k - 1] standing for s_k)."""
-    w = s[i - 2]
-    yield i - 1, w
-    for j in range(i - 2, 0, -1):
-        w = product(product(s[j - 1], w), s[j - 1])
-        yield j, w
-
-
 def jm_consistency(module: ModuleRep) -> VerificationReport:
     """Check that the group-algebra Jucys-Murphy sums reproduce the diagonal
     u-matrices.  Only meaningful when the module comes from a tuple of
     partitions (so its restriction to the group is the usual seminormal
     module); anything else is refused.
 
-    phi_i = sum over j < i and colors k of zeta_i^k zeta_j^-k (j i) acts as
-    sum_j C_ij W_ij, where W_ij is the matrix of (j i) from
-    ``_conjugates`` and C_ij the diagonal with entry ``_color_sum`` of
-    r = b_i - b_j on a basis vector with color exponents b.  The words are
-    those of ``grpalg.evaluate_in_module``, so the matrices agree with it
-    exactly, braid relations or not."""
+    phi_i = sum over j < i and colors k of zeta_i^k zeta_j^-k (j i) is built
+    by the Okounkov-Vershik recurrence phi_1 = 0,
+    phi_{i+1} = s_i phi_i s_i + pi_i s_i (pi_i from ``_pi_values``), two
+    sparse products per step.  It is an identity in the group algebra, so
+    wherever the s-only and s-zeta relations hold the matrices, and the
+    reports, are those of ``grpalg.evaluate_in_module``.  On a module where
+    those relations fail, the report is that of the recurrence's matrices;
+    ``verify_relations`` rejects such a module."""
     if module.shape is None or not is_partition_shape(module.shape):
         raise NotAPartition(
             "Jucys-Murphy comparison needs a module built from partitions "
             "anchored at content 0")
-    ell, weights = module.ell, module.weights
+    ell, s = module.ell, module.mat_s
     u, den, _ = _scaled_weights(module)
+    phi = Mat.zero(ell, module.dim)
     checks = []
     for i in range(1, module.n + 1):
-        phi = Mat.zero(ell, module.dim)
         if i > 1:
-            for j, conj in _conjugates(module.mat_s, i, mul):
-                color = [_color_sum(ell, w.b[i - 1] - w.b[j - 1]) for w in weights]
-                phi = phi + _diagonal(ell, color) * conj
+            si = s[i - 2]
+            phi = si * phi * si + _diagonal(ell, _pi_values(module, i - 1)) * si
         checks.append(_report(f"phi{i}=u{i}", phi - _diagonal(ell, u[i - 1], den)))
     return VerificationReport(tuple(checks))
 

@@ -9,7 +9,10 @@ come from ``generator_matrix`` and the module's s-matrices, read into
 ``mat_reference.RefMat`` with ``Cyc`` entries, so no product or sum here goes
 through ``heckemod.linalg``.  The production path keeps one
 weight per basis vector and checks relations with a diagonal side entry by
-entry, so the tests compare the two.
+entry, so the tests compare the two.  For the Jucys-Murphy check there are
+two: ``jm_consistency`` evaluates the group-algebra sums term by term, and
+``jm_recurrence`` runs the recurrence of ``modules.jm_consistency`` on
+whole matrices.
 """
 
 from __future__ import annotations
@@ -36,11 +39,20 @@ def _s(module) -> list[RefMat]:
     return [RefMat.of(m) for m in module.mat_s]
 
 
+_last_diagonals: list = [None, None]
+
+
 def diagonals(module):
-    """The u- and zeta-matrices, built by ``generator_matrix``."""
-    n = module.n
-    return ([RefMat.of(generator_matrix(module, "u", i)) for i in range(1, n + 1)],
+    """The u- and zeta-matrices, built by ``generator_matrix``.  They depend
+    only on ell and the weights, and the checks of one module run one after
+    another, so the last module's pair is kept; callers do not mutate it."""
+    key = (module.ell, module.weights)
+    if _last_diagonals[0] != key:
+        n = module.n
+        _last_diagonals[:] = key, (
+            [RefMat.of(generator_matrix(module, "u", i)) for i in range(1, n + 1)],
             [RefMat.of(generator_matrix(module, "zeta", i)) for i in range(1, n + 1)])
+    return _last_diagonals[1]
 
 
 def evaluate(x, module, z) -> RefMat:
@@ -165,6 +177,25 @@ def jm_consistency(module) -> VerificationReport:
         _residual(f"phi{i}=u{i}",
                   evaluate(grpalg.jm_element(module.ell, module.n, i), module, z), u[i - 1])
         for i in range(1, module.n + 1)))
+
+
+def jm_recurrence(module) -> VerificationReport:
+    """phi_i by the Okounkov-Vershik recurrence phi_1 = 0,
+    phi_{i+1} = s_i phi_i s_i + pi_i s_i, on whole matrices, with pi_i the
+    group-algebra ``pi_element`` evaluated term by term.  It agrees with
+    ``jm_consistency`` above wherever the s-only and s-zeta relations hold,
+    and gives the report of ``modules.jm_consistency`` everywhere."""
+    ell, n = module.ell, module.n
+    u, z = diagonals(module)
+    s = _s(module)
+    phi = RefMat(Cyc, ell, module.dim)
+    checks = []
+    for i in range(1, n + 1):
+        if i > 1:
+            pi = evaluate(grpalg.pi_element(ell, n, i - 1), module, z)
+            phi = s[i - 2] * phi * s[i - 2] + pi * s[i - 2]
+        checks.append(_residual(f"phi{i}=u{i}", phi, u[i - 1]))
+    return VerificationReport(tuple(checks))
 
 
 def commutant_dimension(module) -> int:

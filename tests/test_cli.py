@@ -117,6 +117,18 @@ def test_classify_rejects_each_kind(capsys, tmp_path, a, rejected):
     assert out == json.dumps({"rejected": rejected}, indent=2) + "\n"
 
 
+def test_classify_no_addable_position_is_an_internal_fault(capsys, tmp_path, monkeypatch):
+    # a condition-passing weight always reconstructs, so the raise is reached
+    # only with the condition check switched off: [0, 0] then puts label 2
+    # below label 1 with no box to its left
+    monkeypatch.setattr("heckemod.classify._first_violation", lambda entries, ell: None)
+    weight_file = write_weight(tmp_path, [0, 0], [0, 0], 1)
+    assert main(["classify", "--weight", weight_file]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "internal verification failure: reconstruct: label 2:" in captured.err
+
+
 def test_twist(capsys, shape_file):
     code, out = run(capsys, ["twist", "--shape", shape_file, "--t", "1/2"])
     assert code == 0
