@@ -3,7 +3,7 @@ classification and twisting, with JSON files in and JSON on stdout.
 
 Exit codes: 0 success; 1 malformed input or usage; 2 mathematical rejection
 (invalid shape, failed weight condition); 3 verification failure or internal
-inconsistency.
+fault, named on stderr without a traceback.
 """
 
 from __future__ import annotations
@@ -246,9 +246,9 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    args = None
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
         return args.func(args)
     except (_UsageError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -259,9 +259,13 @@ def main(argv=None) -> int:
     except HeckemodError as exc:
         print(f"internal verification failure: {exc}", file=sys.stderr)
         return 3
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         print(f"error: malformed input: {exc!r}", file=sys.stderr)
         return 1
+    except Exception as exc:  # a fault of the program, not of its input
+        command = args.command if args else "heckemod"
+        print(f"internal fault in '{command}': {exc!r}", file=sys.stderr)
+        return 3
 
 
 def console_main(argv=None) -> None:

@@ -18,7 +18,7 @@ from functools import partial
 from math import gcd, lcm
 
 from .cyclo import Cyc, fraction_from_str, root_of_unity
-from .errors import DegenerateShape, DimensionMismatch, NotAPartition, NotScalar
+from .errors import DimensionMismatch, HeckemodError, NotAPartition, NotScalar
 from .linalg import Mat, _diagonal, _new, block_diag, nullspace_dim
 from .shapes import (SkewShapeL, Weight, _context, enumerate_syt, is_partition_shape,
                      shape_to_json, tableau_to_json, weight_to_json)
@@ -146,12 +146,8 @@ def build_module(shape: SkewShapeL) -> ModuleRep:
     index = {p: t for t, p in enumerate(positions)}
     dim = len(positions)
 
-    content = []
-    beta = []
-    for k, (r, c) in ctx.boxes:
-        comp = shape.components[k]
-        content.append(c + comp.offset)
-        beta.append(comp.beta)
+    content = [c + shape.components[k].offset for k, (_, c) in ctx.boxes]
+    beta = [shape.components[k].beta for k, _ in ctx.boxes]
 
     u = [ell * x for x in content]
     weights = tuple(Weight(tuple(u[b] for b in pos), tuple(beta[b] for b in pos))
@@ -179,9 +175,9 @@ def build_module(shape: SkewShapeL) -> ModuleRep:
             if b2 in ctx.blocked[b1]:
                 cols.append((t, None, d // cd, 1, True))  # d = +-1: row or column neighbor
                 continue
-            if d in (0, cd, -cd):
-                raise DegenerateShape(
-                    f"content difference {Fraction(d, cd)} between non-adjacent boxes")
+            if d in (0, cd, -cd):  # the gap rule and standardness exclude this
+                raise HeckemodError(f"build_module: content difference "
+                                    f"{Fraction(d, cd)} between non-adjacent boxes")
             g = gcd(d, cd)
             dd, cc, one = d // g, cd // g, b1 < b2
             dens.add(abs(dd) if one else dd * dd)

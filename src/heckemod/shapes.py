@@ -27,8 +27,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from itertools import accumulate
+from functools import cached_property, lru_cache
+from itertools import accumulate, chain, pairwise
 
 from .cyclo import fraction_from_str, fraction_to_str
 from .errors import (DegenerateShape, EmptyShape, NotAPartition, NotConnected,
@@ -59,6 +59,13 @@ class SkewShapeL:
     @property
     def n(self) -> int:
         return sum(comp.size for comp in self.components)
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.ell, self.components))
+
+    def __hash__(self) -> int:  # once per shape: each tableau call looks up _context(shape)
+        return self._hash
 
 
 @dataclass(frozen=True)
@@ -120,17 +127,25 @@ def _shape_fault(cells) -> type[NotSkew] | type[NotConnected] | None:
 
 
 def _component_checked(ell: int, beta, offset, cells) -> Component:
-    listed = [(int(r), int(c)) for r, c in cells]
+    """The canonical component, read as strictly as JSON: ``beta``, rows and
+    contents ints (not bools), ``offset`` a Fraction or a rational."""
+    if type(beta) is not int:
+        raise ValueError(f"shape field 'beta' must be an integer, got {beta!r}")
+    listed = [tuple(cell) if isinstance(cell, (list, tuple)) and len(cell) == 2
+              and type(cell[0]) is int and type(cell[1]) is int else None for cell in cells]
+    if None in listed:
+        raise ValueError(f"shape field 'cells' needs [row, content] integer "
+                         f"pairs, got {cells!r}")
+    if type(offset) is not Fraction:
+        offset = fraction_from_str(offset, "shape field 'offset'")
     cells = set(listed)
     if len(cells) != len(listed):
         repeated = next(cell for k, cell in enumerate(listed) if cell in listed[:k])
         raise ValueError(f"shape field 'cells' repeats the cell {list(repeated)}")
     if not cells:
         raise EmptyShape("component with no cells")
-    beta = int(beta)
     if not 0 <= beta < ell:
         raise NotSkew(f"coordinate {beta} out of range for ell={ell}")
-    offset = Fraction(offset)
     whole = math.floor(offset)  # moves into the contents; rows restart at 1
     shift = 1 - min(r for r, _ in cells)
     cells = tuple(sorted((r + shift, c + whole) for r, c in cells))
@@ -199,8 +214,7 @@ def _check_coset_gaps(comps: list[Component]):
 
 
 def _assemble(ell: int, comps: list[Component]) -> SkewShapeL:
-    if ell < 1:
-        raise EmptyShape("ell must be at least 1")
+    _checked_ell(ell, "shape")
     if not comps:
         raise EmptyShape("a shape needs at least one box")
     cosets: dict = {}
@@ -244,12 +258,12 @@ def shift_contents(shape: SkewShapeL, delta) -> SkewShapeL:
 
 def _partition_rows(ell: int, partitions) -> list[list[int]]:
     """The ell row-length lists of a multipartition, checked."""
-    lams = [[int(p) for p in lam] for lam in partitions]
+    lams = [list(lam) for lam in partitions]
     if len(lams) != ell:
         raise NotAPartition(f"expected {ell} partitions, got {len(lams)}")
     for lam in lams:
-        if any(p <= 0 for p in lam) or any(a < b for a, b in zip(lam, lam[1:])):
-            raise NotAPartition(f"{lam} is not weakly decreasing and positive")
+        if any(type(p) is not int or p <= 0 for p in lam) or lam != sorted(lam, reverse=True):
+            raise NotAPartition(f"{lam} is not a weakly decreasing list of positive ints")
     return lams
 
 
@@ -395,84 +409,77 @@ def enumerate_shapes(ell: int, n: int, window: int) -> tuple[SkewShapeL, ...]:
 # ---------------------------------------------------------------------------
 # tableaux
 
-def _reading_boxes(shape: SkewShapeL) -> list[tuple[int, Cell]]:
-    """All boxes in reading order: by component, then row, then left-to-right."""
-    return [(k, cell) for k, comp in enumerate(shape.components)
-            for cell in sorted(comp.cells)]
-
-
 class _ShapeContext:
     """Precomputed combinatorial data for one shape.
 
-    boxes are indexed in reading order; preds[b] lists box indices that must
-    carry smaller labels (left and upper neighbors inside the component);
-    blocked[b] is the set of boxes whose label may not be swapped with b's
-    when the labels are consecutive (row/column neighbors in the component).
+    Boxes are numbered once, in the order the flattened ``labels`` are read:
+    component by component, cells in their canonical sorted order, so box b
+    is ``boxes[b]``.  A filling is its label->box tuple ``pos``, whose
+    inverse is the flattened labels.  need[b] is the bit mask of b's left and
+    upper neighbors, which carry smaller labels; blocked[b] holds its row and
+    column neighbors, whose labels may not be swapped with b's when
+    consecutive; rank[b] is the dense rank of (component, row).
     """
 
     def __init__(self, shape: SkewShapeL):
         self.shape = shape
-        self.boxes = _reading_boxes(shape)
-        self.index = index = {box: i for i, box in enumerate(self.boxes)}
-        n = len(self.boxes)
-        self.preds = [[] for _ in range(n)]
-        self.blocked = [set() for _ in range(n)]
-        self.rank = []  # dense rank of (component, row), non-decreasing in reading order
+        self.boxes = [(k, cell) for k, comp in enumerate(shape.components) for cell in comp.cells]
+        self.spans = list(pairwise(accumulate((c.size for c in shape.components), initial=0)))
+        number = {box: b for b, box in enumerate(self.boxes)}
+        self.need, self.blocked, self.after, self.rank = [], [], [], []
         dense: dict[tuple[int, int], int] = {}
-        slot = {(k, cell): j for k, comp in enumerate(shape.components)
-                for j, cell in enumerate(comp.cells)}
-        self.slot = [slot[box] for box in self.boxes]  # box -> index in comp.cells
-        for i, (k, (r, c)) in enumerate(self.boxes):
+        for k, (r, c) in self.boxes:
             self.rank.append(dense.setdefault((k, r), len(dense)))
-            for q in ((k, (r, c - 1)), (k, (r - 1, c + 1))):
-                if q in index:
-                    self.preds[i].append(index[q])
-            for q in ((k, (r, c + 1)), (k, (r, c - 1)),
-                      (k, (r - 1, c + 1)), (k, (r + 1, c - 1))):
-                if q in index:
-                    self.blocked[i].add(index[q])
+            right, left, up, down = (number.get((k, (r + dr, c + dc)))
+                                     for dr, dc in _NEIGHBOR_STEPS)
+            self.need.append(sum(1 << q for q in (left, up) if q is not None))
+            self.blocked.append({q for q in (right, left, up, down) if q is not None})
+            self.after.append([q for q in (right, down) if q is not None])
 
     def above(self, b1: int, b2: int) -> bool:
         """Is box b1 strictly above box b2 (cross-component: earlier wins)?"""
         return self.rank[b1] < self.rank[b2]
 
     def positions_of(self, tab: Tableau) -> tuple[int, ...]:
-        return tuple(self.index[box] for box in tab.boxes())
+        pos = [0] * len(self.boxes)
+        for b, lab in enumerate(chain.from_iterable(tab.labels)):
+            pos[lab - 1] = b
+        return tuple(pos)
 
     def tableau_from_positions(self, pos) -> Tableau:
-        labels = [[0] * comp.size for comp in self.shape.components]
-        for lab0, b in enumerate(pos):
-            labels[self.boxes[b][0]][self.slot[b]] = lab0 + 1
-        return Tableau(self.shape, tuple(tuple(row) for row in labels))
+        flat = [0] * len(pos)
+        for lab, b in enumerate(pos, 1):
+            flat[b] = lab
+        return Tableau(self.shape, tuple(tuple(flat[i:j]) for i, j in self.spans))
 
     def all_positions(self) -> list[tuple[int, ...]]:
-        """Every standard filling as a label->box tuple, lexicographic."""
-        n = len(self.boxes)
-        indeg = [len(self.preds[b]) for b in range(n)]
-        succs = [[] for _ in range(n)]
-        for b in range(n):
-            for p in self.preds[b]:
-                succs[p].append(b)
-        out = []
-        pos = []
+        """Every standard filling as a label->box tuple, lexicographic: free
+        boxes are a bit mask taken lowest bit first, and each placed box frees
+        those of its right and lower neighbors whose ``need`` it completes."""
+        need = self.need
+        frees = [[(1 << s, need[s]) for s in after] for after in self.after]
+        out: list[tuple[int, ...]] = []
+        pos: list[int] = []
 
-        def rec():
-            if len(pos) == n:
+        def walk(placed: int, free: int):
+            if not free:
                 out.append(tuple(pos))
                 return
-            for b in range(n):
-                if indeg[b] == 0:
-                    indeg[b] = -1
-                    for s in succs[b]:
-                        indeg[s] -= 1
-                    pos.append(b)
-                    rec()
-                    pos.pop()
-                    for s in succs[b]:
-                        indeg[s] += 1
-                    indeg[b] = 0
+            rest = free
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                b = low.bit_length() - 1
+                now = placed | low
+                grown = free ^ low
+                for bit, mask in frees[b]:
+                    if mask & now == mask:
+                        grown |= bit
+                pos.append(b)
+                walk(now, grown)
+                pos.pop()
 
-        rec()
+        walk(0, sum(1 << b for b, mask in enumerate(need) if not mask))
         return out
 
 
@@ -491,8 +498,7 @@ def enumerate_syt(shape: SkewShapeL) -> tuple[Tableau, ...]:
 def row_reading_tableau(shape: SkewShapeL) -> Tableau:
     """Labels assigned along reading order (component, then row, then left
     to right); always standard."""
-    ctx = _context(shape)
-    return ctx.tableau_from_positions(tuple(range(shape.n)))
+    return _context(shape).tableau_from_positions(range(shape.n))
 
 
 def is_standard(tab: Tableau) -> bool:
@@ -524,19 +530,17 @@ def inversion_set(tab: Tableau) -> frozenset[tuple[int, int]]:
     the box of j strictly above the box of i (components compared by their
     canonical reading order)."""
     ctx = _context(tab.shape)
-    pos = ctx.positions_of(tab)
-    n = len(pos)
-    return frozenset((i + 1, j + 1) for i in range(n) for j in range(i + 1, n)
-                     if ctx.above(pos[j], pos[i]))
+    rank = [ctx.rank[b] for b in ctx.positions_of(tab)]
+    return frozenset((i + 1, j + 1) for i, low in enumerate(rank)
+                     for j in range(i + 1, len(rank)) if rank[j] < low)
 
 
 def apply_transposition(tab: Tableau, i: int) -> Tableau:
     """Swap labels i and i+1; NotStandard if they are row- or
     column-adjacent in one component."""
-    n = tab.shape.n
-    if not 1 <= i <= n - 1:
-        raise IndexError(f"transposition index {i} out of range")
     ctx = _context(tab.shape)
+    if not 1 <= i < len(ctx.boxes):
+        raise IndexError(f"transposition index {i} out of range")
     pos = list(ctx.positions_of(tab))
     b1, b2 = pos[i - 1], pos[i]
     if b2 in ctx.blocked[b1]:
@@ -616,20 +620,12 @@ def _array(data: dict, kind: str, field: str) -> list:
 
 def shape_from_json(data: dict) -> SkewShapeL:
     """Parse a shape; ``ell`` must be a positive integer, ``components`` and
-    each ``cells`` arrays, ``beta`` an integer, every cell a [row, content]
-    pair of integers (bools are rejected) and ``offset`` a rational."""
+    each ``cells`` arrays, and each component obeys ``_component_checked``."""
     ell = _checked_ell(_object(data, "shape", ("ell", "components"))["ell"], "shape")
     comps = []
     for comp in _array(data, "shape", "components"):
-        beta = _object(comp, "shape component", ("beta", "offset", "cells"))["beta"]
-        cells = _array(comp, "shape", "cells")
-        if type(beta) is not int:
-            raise ValueError(f"shape field 'beta' must be an integer, got {beta!r}")
-        if not all(isinstance(cell, (list, tuple)) and len(cell) == 2
-                   and all(type(x) is int for x in cell) for cell in cells):
-            raise ValueError(f"shape field 'cells' needs [row, content] integer "
-                             f"pairs, got {cells!r}")
-        comps.append((beta, fraction_from_str(comp["offset"], "shape field 'offset'"), cells))
+        _object(comp, "shape component", ("beta", "offset", "cells"))
+        comps.append((comp["beta"], comp["offset"], _array(comp, "shape", "cells")))
     return validate_and_canonicalize(ell, comps)
 
 
@@ -646,7 +642,7 @@ def tableau_to_json(tab: Tableau) -> dict:
 
 def tableau_from_json(data: dict) -> Tableau:
     shape = shape_from_json(_object(data, "tableau", ("entries",)))
-    labels = [[0] * comp.size for comp in shape.components]
+    labels = [[None] * comp.size for comp in shape.components]
     seen = set()
     for entry in _array(data, "tableau", "entries"):
         if not isinstance(entry, (list, tuple)) or len(entry) != 4:
@@ -662,7 +658,10 @@ def tableau_from_json(data: dict) -> Tableau:
         if (r, c) not in shape.components[k].cells:
             raise ValueError(f"tableau field 'entries' names a cell outside "
                              f"its component: {entry!r}")
-        labels[k][shape.components[k].cells.index((r, c))] = lab
+        j = shape.components[k].cells.index((r, c))
+        if labels[k][j] is not None:
+            raise ValueError(f"tableau field 'entries' lists a cell twice: {entry!r}")
+        labels[k][j] = lab
         seen.add(lab)
     if seen != set(range(1, shape.n + 1)):
         raise NotStandard("entries are not a bijection onto 1..n")

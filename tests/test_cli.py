@@ -1,10 +1,13 @@
+import copy
 import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from heckemod import Weight, partition_shape, shape_from_json, shape_to_json, tableau_from_json, weight_to_json
 from heckemod.cli import console_main, main
+from heckemod.shapes import _context
 
 
 @pytest.fixture
@@ -127,6 +130,34 @@ def test_classify_no_addable_position_is_an_internal_fault(capsys, tmp_path, mon
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "internal verification failure: reconstruct: label 2:" in captured.err
+
+
+def test_build_module_degenerate_pair_is_an_internal_fault(capsys, shape_file, monkeypatch):
+    # standardness puts consecutive labels with a content difference in
+    # {0, +-1} in row or column neighbours, so the raise is reached only with
+    # the neighbour sets emptied: labels 1, 2 then share a row with d = 1
+    def unblocked(shape):
+        ctx = copy.copy(_context(shape))  # the cached context stays intact
+        ctx.blocked = [set() for _ in ctx.blocked]
+        return ctx
+
+    monkeypatch.setattr("heckemod.modules._context", unblocked)
+    assert main(["build", "--shape", shape_file]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "internal verification failure: build_module: content difference 1 " in captured.err
+
+
+def test_unexpected_exception_is_an_internal_fault(capsys, shape_file, monkeypatch):
+    # only ValueError is malformed input; anything else is the program's fault
+    def broken(shape):
+        raise KeyError("boom")
+
+    monkeypatch.setattr("heckemod.shapes.enumerate_syt", broken)
+    assert main(["syt", "--shape", shape_file]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal fault in 'syt': KeyError('boom')\n"
 
 
 def test_twist(capsys, shape_file):
@@ -266,6 +297,24 @@ def test_exit_codes_for_bad_input(capsys, tmp_path):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("beta", False, "shape field 'beta' must be an integer, got False"),
+    ("cells", [[1.5, 0]], "shape field 'cells' needs [row, content] integer pairs, "
+                          "got [[1.5, 0]]"),
+    ("offset", 0.25, "shape field 'offset' must be a rational (an integer or a string "
+                     "such as -3/2), got 0.25"),
+])
+def test_shape_field_messages(capsys, tmp_path, field, value, message):
+    # the library reader owns these rules; the CLI words them as before
+    path = tmp_path / "shape.json"
+    path.write_text(json.dumps({"ell": 1, "components": [
+        {"beta": 0, "offset": "0", "cells": [[1, 0]], field: value}]}))
+    assert main(["build", "--shape", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: malformed input: ValueError({message!r})\n"
+
+
 def test_degenerate_shape_is_rejected(capsys, tmp_path):
     path = tmp_path / "degenerate.json"
     path.write_text(json.dumps({
@@ -297,3 +346,65 @@ def test_sizes_below_one_are_usage_errors(capsys, argv, flag):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"argument {flag}:" in captured.err
+
+
+# ---------------------------------------------------------------------------
+# fuzzing the JSON boundary
+
+_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-3, 4), st.floats(),
+                     st.sampled_from(["0", "1/2", "-1", "2/3", "x", "1/0", ""]))
+_JSON = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+        st.sampled_from(["ell", "a", "b", "beta", "offset", "cells", "components"]),
+        inner, max_size=3),
+    max_leaves=8)
+
+
+def _mostly(good):
+    """``good`` nine times in ten, else any JSON value."""
+    return st.integers(0, 9).flatmap(lambda k: good if k else _JSON)
+
+
+# mostly well-formed documents, with any field open to any JSON value; at most
+# two components of three cells keep every module small
+_CELLS = st.sampled_from([[[1, 0]], [[1, 0], [1, 1]], [[1, 0], [2, -1]],
+                          [[1, 0], [1, 1], [2, -1]], [[1, 1], [2, 0], [2, -1]]]) | st.lists(
+    _mostly(st.tuples(st.integers(0, 3), st.integers(-2, 3)).map(list)), max_size=3)
+_COMPONENT = st.fixed_dictionaries({
+    "beta": _mostly(st.integers(0, 2)),
+    "offset": _mostly(st.sampled_from(["0", "1/2", "1/3", 1, 2])),
+    "cells": _mostly(_CELLS)})
+_SHAPE = _mostly(st.fixed_dictionaries({
+    "ell": _mostly(st.integers(1, 3)),
+    "components": _mostly(st.lists(_mostly(_COMPONENT), min_size=1, max_size=2))}))
+_WEIGHT = _mostly(st.fixed_dictionaries({
+    "ell": _mostly(st.integers(1, 3)),
+    "a": _mostly(st.lists(_mostly(st.sampled_from(["0", "1", "-1", "1/2", "2", 3])),
+                          max_size=5)),
+    "b": _mostly(st.lists(_mostly(st.integers(0, 2)), max_size=5))}))
+_COMMANDS = {
+    "syt": ["--shape"], "build": ["--dump-matrices", "--shape"],
+    "verify": ["--intertwiners", "--jm", "--commutant", "--shape"],
+    "classify": ["--weight"], "twist": ["--rho", "--shape"], "jm-check": ["--shape"],
+}
+
+
+@given(st.sampled_from(sorted(_COMMANDS)), st.data())
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_malformed_documents_exit_with_a_reason(capsys, tmp_path, command, data):
+    # an exit code of 3 or an uncaught exception would be a fault of the
+    # program; every refusal says why on stderr, or, for classify's
+    # mathematical rejection, as the witness on stdout
+    document = data.draw(_WEIGHT if command == "classify" else _SHAPE)
+    path = tmp_path / "document.json"
+    path.write_text(json.dumps(document))
+    capsys.readouterr()
+    code = main([command, *_COMMANDS[command], str(path)])
+    captured = capsys.readouterr()
+    assert code in (0, 1, 2), (document, captured.err)
+    assert "Traceback" not in captured.err
+    if code:
+        assert captured.err or (command == "classify" and code == 2
+                                and "rejected" in json.loads(captured.out))

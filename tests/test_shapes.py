@@ -26,6 +26,7 @@ from heckemod import (
     joint_placement,
     partition_shape,
     partitions_of,
+    reconstruct,
     row_reading_tableau,
     shape_from_json,
     shape_to_json,
@@ -39,6 +40,7 @@ from heckemod import (
     weight_to_json,
 )
 from heckemod import shapes
+import shapes_reference
 from shapes_reference import connected_classes, shape_fault
 from test_acceptance import half_offset_shapes, multipartitions
 
@@ -345,6 +347,48 @@ def test_enumerate_syt_against_permutation_filter():
             assert valid == set(enumerate_syt(D))
 
 
+def reference_shapes():
+    """The shapes the tableau layer is held to its reference on: the
+    ell <= 3, n <= 5 catalogue, the half-offset shapes and three larger
+    partition shapes."""
+    return ([D for ell in (1, 2, 3) for n in range(1, 6) for D in enumerate_shapes(ell, n, n)]
+            + half_offset_shapes()
+            + [partition_shape(1, [[8, 7]]), partition_shape(1, [[4, 3, 2, 2, 1, 1, 1]]),
+               partition_shape(2, [[3, 2], [2, 1, 1]])])
+
+
+def test_tableau_layer_matches_reference():
+    # ordered lists, not sets: the order of the fillings is the order of the
+    # basis, so it fixes every matrix a module prints
+    for D in reference_shapes():
+        ctx, old = shapes._context(D), shapes_reference.ShapeContext(D)
+        assert (ctx.boxes, ctx.rank, ctx.blocked) == (old.boxes, old.rank, old.blocked)
+        positions = ctx.all_positions()
+        assert positions == old.all_positions(), D
+        tableaux = [ctx.tableau_from_positions(pos) for pos in positions]
+        assert tableaux == [old.tableau_from_positions(pos) for pos in positions]
+        assert [ctx.positions_of(tab) for tab in tableaux] == positions
+        assert [old.positions_of(tab) for tab in tableaux] == positions
+        if D.n <= 4:
+            assert ([inversion_set(tab) for tab in tableaux]
+                    == [shapes_reference.inversions(old, tab) for tab in tableaux])
+
+
+def test_component_cells_are_sorted():
+    # the box numbering follows the flattened labels, which is reading order
+    # only because every component keeps its cells sorted by (row, c)
+    catalogue = [D for ell in (1, 2, 3) for n in range(1, 6) for D in enumerate_shapes(ell, n, n)]
+    partitions = [partition_shape(ell, parts) for ell in (1, 2, 3) for n in range(1, 6)
+                  for parts in multipartitions(ell, n)]
+    shifted = [shift_contents(D, delta) for D in catalogue + half_offset_shapes()
+               for delta in ("1/2", "-5/3")]
+    # criterion 6's weights: every tableau of a shape reconstructs that shape,
+    # so the row-reading one stands for all of them
+    rebuilt = [reconstruct(weight_of(row_reading_tableau(D)), D.ell)[0] for D in catalogue]
+    for D in catalogue + partitions + shifted + rebuilt:
+        assert all(list(comp.cells) == sorted(comp.cells) for comp in D.components), D
+
+
 def test_hook_dimension_values():
     assert hook_dimension(1, [[2, 1]]) == 2
     assert hook_dimension(1, [[3, 2]]) == 5
@@ -378,6 +422,44 @@ def test_repeated_cells_are_malformed():
             validate_and_canonicalize(1, [(0, 0, cells)])
         assert type(info.value) is ValueError
     assert validate_and_canonicalize(1, [(0, 0, [(1, 1), (1, 0)])]).n == 2
+
+
+@pytest.mark.parametrize("build, field", [
+    # the binary expansion of 0.1 is not read as an offset
+    (lambda: validate_and_canonicalize(1, [(0, 0.1, [(1, 0)])]), "'offset'"),
+    (lambda: validate_and_canonicalize(1, [(0, True, [(1, 0)])]), "'offset'"),
+    # a float cell is not truncated, nor a bool read as a row
+    (lambda: validate_and_canonicalize(1, [(0, 0, [(1.7, 0.2)])]), "'cells'"),
+    (lambda: validate_and_canonicalize(1, [(0, 0, [(True, 0)])]), "'cells'"),
+    (lambda: validate_and_canonicalize(1, [(0, 0, [(1, 0, 0)])]), "'cells'"),
+    # a bool is not a colour
+    (lambda: validate_and_canonicalize(2, [(True, 0, [(1, 0)])]), "'beta'"),
+    (lambda: validate_and_canonicalize(2, [(1.0, 0, [(1, 0)])]), "'beta'"),
+    # nor is ell anything but a positive int
+    (lambda: validate_and_canonicalize(2.5, [(0, 0, [(1, 0)])]), "'ell'"),
+    (lambda: validate_and_canonicalize(True, [(0, 0, [(1, 0)])]), "'ell'"),
+    (lambda: validate_and_canonicalize(0, []), "'ell'"),
+    (lambda: partition_shape(2.0, [[1], [1]]), "'ell'"),
+])
+def test_library_shapes_are_strict(build, field):
+    # worded as in the shape JSON reader, and not a mathematical rejection
+    with pytest.raises(ValueError, match=field) as info:
+        build()
+    assert type(info.value) is ValueError
+
+
+def test_library_partitions_are_strict():
+    for parts in ([[2.5, 1]], [[2.0, 1]], [[True]], [["2", 1]]):
+        with pytest.raises(NotAPartition):
+            partition_shape(1, parts)
+    with pytest.raises(NotAPartition):
+        hook_dimension(1, [[2.9, 1]])
+    # exact offsets of every accepted kind
+    for offset in (Fraction(1, 2), "1/2", "3/2"):
+        comp = validate_and_canonicalize(1, [(0, offset, [(1, 0)])]).components[0]
+        assert comp.offset == Fraction(1, 2)
+    comp = validate_and_canonicalize(1, [(0, 2, [[1, 0]])]).components[0]
+    assert comp.cells == ((1, 2),)  # an int offset moves into the contents
 
 
 def test_is_partition_shape():
@@ -597,6 +679,14 @@ def test_tableau_json_rejects_bad_entry_positions(entry, bad):
     else:
         data["entries"][entry] = bad
     with pytest.raises(ValueError, match=r"'entries'.*" + re.escape(repr(bad))):
+        tableau_from_json(data)
+
+
+def test_tableau_json_rejects_a_cell_listed_twice():
+    # one box per colour: label 2 in both would still be a bijection onto 1..2
+    data = tableau_to_json(row_reading_tableau(partition_shape(2, [[1], [1]])))
+    data["entries"] = [[1, 0, 0, 1], [1, 0, 0, 2], [1, 0, 1, 2]]
+    with pytest.raises(ValueError, match=r"'entries'.*" + re.escape(repr([1, 0, 0, 2]))):
         tableau_from_json(data)
 
 
