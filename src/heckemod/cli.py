@@ -253,7 +253,7 @@ def main(argv=None) -> int:
     except (_UsageError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ShapeError, NotStandard, ConditionFailed) as exc:
+    except (ShapeError, NotStandard) as exc:
         print(f"rejected: {exc}", file=sys.stderr)
         return 2
     except HeckemodError as exc:

@@ -12,7 +12,6 @@ matching the conjugation rule w zeta_j w^{-1} = zeta_{w(j)}.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add
 
 from .cyclo import Cyc, root_of_unity
 from .errors import DimensionMismatch
@@ -196,15 +195,10 @@ def jm_element(ell: int, n: int, i: int) -> GroupAlgebraElement:
     zeta_i^k zeta_j^{-k} (i j).  Empty (zero) for i = 1."""
     if not 1 <= i <= n:
         raise IndexError(f"index {i} out of range for n={n}")
-    out = GroupAlgebraElement(ell, n)
-    for j in range(1, i):
-        for k in range(ell):
-            colors = [0] * n
-            colors[i - 1] = k % ell
-            colors[j - 1] = (-k) % ell
-            g = GroupElement(ell, n, tuple(colors), transposition(ell, n, i, j).perm)
-            out._add_term(g, Cyc.one(ell))
-    return out
+    return GroupAlgebraElement(ell, n, [
+        (color_generator(ell, n, i, k) * color_generator(ell, n, j, -k)
+         * transposition(ell, n, i, j), 1)
+        for j in range(1, i) for k in range(ell)])
 
 
 def pi_element(ell: int, n: int, i: int) -> GroupAlgebraElement:
@@ -212,24 +206,18 @@ def pi_element(ell: int, n: int, i: int) -> GroupAlgebraElement:
     in the mixed commutation relation at position i."""
     if not 1 <= i <= n - 1:
         raise IndexError(f"index {i} out of range for n={n}")
-    out = GroupAlgebraElement(ell, n)
-    for k in range(ell):
-        colors = [0] * n
-        colors[i - 1] = k % ell
-        colors[i] = (-k) % ell
-        out._add_term(GroupElement(ell, n, tuple(colors), tuple(range(1, n + 1))),
-                      Cyc.one(ell))
-    return out
+    return GroupAlgebraElement(ell, n, [
+        (color_generator(ell, n, i, k) * color_generator(ell, n, i + 1, -k), 1)
+        for k in range(ell)])
 
 
 def evaluate_in_module(x, module):
     """Matrix of a group (algebra) element in a module (ell, n, dim, mat_s
     and the weights of its basis vectors).  zeta^a w maps to the diagonal
     matrix with entry zeta^(a_1 b_1 + ... + a_n b_n) on a basis vector with
-    color exponents b, times the product of s-matrices spelling w.  Terms
-    sharing a permutation w are summed into one diagonal first, so each w
-    is multiplied out once, and zeta^k is built once for each exponent k
-    that occurs.
+    color exponents b, times the product of s-matrices spelling w, summed
+    over the terms with their coefficients.  A term builds zeta^k only for
+    the exponents k that occur on the basis.
     """
     if isinstance(x, GroupElement):
         x = GroupAlgebraElement.from_group(x)
@@ -237,18 +225,12 @@ def evaluate_in_module(x, module):
     if x.ell != ell or x.n != module.n:
         raise DimensionMismatch(
             f"element of C[G({x.ell},1,{x.n})] in a module for ({ell},{module.n})")
-    exponents = {g: [sum(a * b for a, b in zip(g.colors, w.b)) % ell for w in module.weights]
-                 for g in x.terms}
-    roots = {k: root_of_unity(ell, k) for k in set().union(*exponents.values())}
-    diagonals: dict[tuple[int, ...], list[Cyc]] = {}
-    for g, coeff in x.terms.items():
-        column = [coeff * roots[k] for k in exponents[g]]
-        acc = diagonals.get(g.perm)
-        diagonals[g.perm] = column if acc is None else list(map(add, acc, column))
     total = Mat.zero(ell, module.dim)
-    for perm, diagonal in diagonals.items():
-        m = Mat.diagonal(ell, diagonal)
-        for i in _perm_word(perm):
+    for g, coeff in x.terms.items():
+        exponents = [sum(a * b for a, b in zip(g.colors, w.b)) % ell for w in module.weights]
+        scaled = {k: coeff * root_of_unity(ell, k) for k in set(exponents)}
+        m = Mat.diagonal(ell, [scaled[k] for k in exponents])
+        for i in _perm_word(g.perm):
             m = m * module.mat_s[i - 1]
         total = total + m
     return total

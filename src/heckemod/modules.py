@@ -75,16 +75,16 @@ class VerificationReport:
         }
 
 
-def _report(name: str, residual: Mat, negate: bool = False) -> RelationCheck:
-    """A relation's check from its residual, left minus right (right minus
-    left with ``negate``, so that the witness still carries left minus
-    right): the least nonzero entry is the witness, read out as a Cyc."""
-    if residual.is_zero():
+def _report(name: str, left: Mat, right: Mat) -> RelationCheck:
+    """The check of the relation left = right, decided by ``==``.  Only a
+    failing relation forms its residual left - right, whose least nonzero
+    entry is the witness, read out as a Cyc."""
+    if left == right:
         return RelationCheck(name, True)
+    residual = left - right
     p = min(residual.rows)
     q = min(residual.rows[p])
-    value = residual[p, q]
-    return RelationCheck(name, False, (p, q, repr(-value if negate else value)))
+    return RelationCheck(name, False, (p, q, repr(residual[p, q])))
 
 
 def _side_report(name: str, x: Mat, col: list[int], row: list[int], value,
@@ -256,18 +256,18 @@ def verify_relations(module: ModuleRep) -> VerificationReport:
     s_i u_i = u_{i+1} s_i - pi_i (pi_i from ``_pi_values``).
 
     Everything runs on the integer rows S_i = L_i s_i of the s-matrices,
-    L_i their denominator ``den``.  The s-only relations are integer products:
-    S_i^2 = L_i^2 I, L_{i+1} S_i S_{i+1} S_i = L_i S_{i+1} S_i S_{i+1} and
-    S_i S_j = S_j S_i.  A relation with a diagonal side, X D = D' X, holds
-    exactly when X[p, q] (d_q - d'_p) vanishes at every nonzero entry of X:
-    an integer test for the u-eigenvalues over their common denominator,
-    and for zeta a comparison of color exponents.  The crossing relation is
-    the integer product S_i U_i - U_{i+1} S_i + pi_i, with U_i the diagonal of
-    u_i over that denominator.  The relations among the
-    diagonal generators (zeta_i^ell = 1 and the zeta/u commutations) hold by
-    the storage, which gives each zeta_i as zeta^b with an integer b and
-    every diagonal generator as an eigenvalue vector on one basis, so they
-    are reported without arithmetic."""
+    L_i their denominator ``den``.  The s-only relations compare integer
+    products by ``==``: S_i^2 = L_i^2 I, L_{i+1} S_i S_{i+1} S_i =
+    L_i S_{i+1} S_i S_{i+1} and S_i S_j = S_j S_i.  A relation with a diagonal
+    side, X D = D' X, holds exactly when X[p, q] (d_q - d'_p) vanishes at every
+    nonzero entry of X: an integer test for the u-eigenvalues over their
+    common denominator, and for zeta a comparison of color exponents.  The
+    crossing relation compares S_i U_i + pi_i with U_{i+1} S_i, U_i the
+    diagonal of u_i over that denominator.  The relations among the diagonal
+    generators (zeta_i^ell = 1 and the zeta/u commutations) hold by the
+    storage, which gives each zeta_i as zeta^b with an integer b and every
+    diagonal generator as an eigenvalue vector on one basis, so they are
+    reported without arithmetic."""
     ell, n = module.ell, module.n
     s = module.mat_s
     u, den, z = _scaled_weights(module)
@@ -278,13 +278,13 @@ def verify_relations(module: ModuleRep) -> VerificationReport:
     for i in range(1, n):
         sq = s[i - 1] * s[i - 1]  # against L_i^2 I, at the same denominator
         one = _diagonal(ell, [sq.den] * module.dim, sq.den)
-        add(_report(f"s{i}^2=1", sq - one))
+        add(_report(f"s{i}^2=1", sq, one))
     for i in range(1, n - 1):
         add(_report(f"s{i}s{i + 1}s{i}=s{i + 1}s{i}s{i + 1}",
-                    s[i - 1] * s[i] * s[i - 1] - s[i] * s[i - 1] * s[i]))
+                    s[i - 1] * s[i] * s[i - 1], s[i] * s[i - 1] * s[i]))
     for i in range(1, n):
         for j in range(i + 2, n):
-            add(_report(f"s{i}s{j}=s{j}s{i}", s[i - 1] * s[j - 1] - s[j - 1] * s[i - 1]))
+            add(_report(f"s{i}s{j}=s{j}s{i}", s[i - 1] * s[j - 1], s[j - 1] * s[i - 1]))
     for i in range(1, n + 1):
         add(RelationCheck(f"zeta{i}^{ell}=1", True))
     for i in range(1, n + 1):
@@ -307,7 +307,7 @@ def verify_relations(module: ModuleRep) -> VerificationReport:
                 add(_side_report(f"s{i}u{j}=u{j}s{i}", s[i - 1], u[j - 1], u[j - 1], rational))
         pi = _diagonal(ell, _pi_values(module, i))
         ui, unext = (_diagonal(ell, u[k], den) for k in (i - 1, i))
-        add(_report(f"s{i}u{i}=u{i + 1}s{i}-pi{i}", s[i - 1] * ui - unext * s[i - 1] + pi))
+        add(_report(f"s{i}u{i}=u{i + 1}s{i}-pi{i}", s[i - 1] * ui + pi, unext * s[i - 1]))
     return VerificationReport(tuple(checks))
 
 
@@ -341,11 +341,11 @@ def verify_intertwiners(module: ModuleRep) -> VerificationReport:
                                        tau, z[k - 1], z[j - 1], root, negate=True))
         c = pairs[i - 1][1]  # ((u_i-u_{i+1})^2 - pi^2)/(u_i-u_{i+1})^2 = 1 - c^2
         checks.append(_report(f"tau{i}^2=((u{i}-u{i + 1})^2-pi^2)/(u{i}-u{i + 1})^2",
-                              tau * tau - (one - c * c)))
+                              tau * tau, one - c * c))
     for i in range(1, n - 1):
         checks.append(_report(
             f"tau{i}tau{i + 1}tau{i}=tau{i + 1}tau{i}tau{i + 1}",
-            taus[i - 1] * taus[i] * taus[i - 1] - taus[i] * taus[i - 1] * taus[i]))
+            taus[i - 1] * taus[i] * taus[i - 1], taus[i] * taus[i - 1] * taus[i]))
     return VerificationReport(tuple(checks))
 
 
@@ -508,7 +508,7 @@ def jm_consistency(module: ModuleRep) -> VerificationReport:
         if i > 1:
             si = s[i - 2]
             phi = si * phi * si + _diagonal(ell, _pi_values(module, i - 1)) * si
-        checks.append(_report(f"phi{i}=u{i}", phi - _diagonal(ell, u[i - 1], den)))
+        checks.append(_report(f"phi{i}=u{i}", phi, _diagonal(ell, u[i - 1], den)))
     return VerificationReport(tuple(checks))
 
 

@@ -258,6 +258,7 @@ def shift_contents(shape: SkewShapeL, delta) -> SkewShapeL:
 
 def _partition_rows(ell: int, partitions) -> list[list[int]]:
     """The ell row-length lists of a multipartition, checked."""
+    _checked_ell(ell, "shape")
     lams = [list(lam) for lam in partitions]
     if len(lams) != ell:
         raise NotAPartition(f"expected {ell} partitions, got {len(lams)}")
@@ -306,20 +307,14 @@ def is_partition_shape(shape: SkewShapeL) -> bool:
 
 def hook_dimension(ell: int, partitions) -> int:
     """Number of standard fillings of an ell-tuple of partitions, by the
-    hook-product formula ``n! * prod(1/h_b)`` over all boxes."""
+    hook-product formula ``n! / prod(h_b)`` over all boxes."""
     lams = _partition_rows(ell, partitions)
     n = sum(sum(lam) for lam in lams)
     if n == 0:
         raise EmptyShape("empty multipartition")
-    dim = Fraction(math.factorial(n))
-    for lam in lams:
-        for r, row_len in enumerate(lam):
-            for x in range(1, row_len + 1):
-                arm = row_len - x
-                leg = sum(1 for rr in range(r + 1, len(lam)) if lam[rr] >= x)
-                dim /= arm + leg + 1
-    assert dim.denominator == 1
-    return int(dim)
+    hooks = [row_len - x + 1 + sum(1 for below in lam[r + 1:] if below >= x)  # arm + 1 + leg
+             for lam in lams for r, row_len in enumerate(lam) for x in range(1, row_len + 1)]
+    return math.factorial(n) // math.prod(hooks)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from heckemod import Weight, partition_shape, shape_from_json, shape_to_json, tableau_from_json, weight_to_json
+from heckemod.classify import ADJACENT_EQUAL, ConditionViolation
 from heckemod.cli import console_main, main
 from heckemod.shapes import _context
 
@@ -130,6 +131,17 @@ def test_classify_no_addable_position_is_an_internal_fault(capsys, tmp_path, mon
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "internal verification failure: reconstruct: label 2:" in captured.err
+
+
+def test_twist_condition_failure_is_an_internal_fault(capsys, shape_file, monkeypatch):
+    # the weights of a twisted module always reconstruct, so a failed
+    # condition there is reached only with the condition check forced to fail
+    violation = ConditionViolation(ADJACENT_EQUAL, 1, 2)
+    monkeypatch.setattr("heckemod.classify._first_violation", lambda entries, ell: violation)
+    assert main(["twist", "--shape", shape_file, "--rho"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal verification failure: ")
 
 
 def test_build_module_degenerate_pair_is_an_internal_fault(capsys, shape_file, monkeypatch):

@@ -440,6 +440,8 @@ def test_repeated_cells_are_malformed():
     (lambda: validate_and_canonicalize(True, [(0, 0, [(1, 0)])]), "'ell'"),
     (lambda: validate_and_canonicalize(0, []), "'ell'"),
     (lambda: partition_shape(2.0, [[1], [1]]), "'ell'"),
+    (lambda: hook_dimension(2.0, [[1], [1]]), "'ell'"),
+    (lambda: hook_dimension(True, [[2, 1]]), "'ell'"),
 ])
 def test_library_shapes_are_strict(build, field):
     # worded as in the shape JSON reader, and not a mathematical rejection
