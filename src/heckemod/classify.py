@@ -47,9 +47,16 @@ class ConditionViolation:
 def _normalize_weight(w: Weight, ell: int) -> list[tuple[int, int, int]]:
     """Type-check a weight; entry k becomes (p, q, b_k mod ell), a_k = p/q in lowest terms."""
     _check_weight_fields(ell, w.a, w.b)
-    if not all(type(x) is int or type(x) is Fraction for x in w.a):
-        raise ValueError(f"weight field 'a' must hold integers or Fractions, got {w.a!r}")
-    return [(x.numerator, x.denominator, y % ell) for x, y in zip(w.a, w.b)]
+    entries = []
+    for x, y in zip(w.a, w.b):
+        cls = x.__class__
+        if cls is int:
+            entries.append((x, 1, y % ell))
+        elif cls is Fraction:
+            entries.append((x.numerator, x.denominator, y % ell))
+        else:
+            raise ValueError(f"weight field 'a' must hold integers or Fractions, got {w.a!r}")
+    return entries
 
 
 def _first_violation(entries: list[tuple[int, int, int]], ell: int) -> ConditionViolation | None:

@@ -29,6 +29,7 @@ No floating point is used anywhere.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -132,17 +133,18 @@ def _one(ell: int) -> "Cyc":
 class Cyc:
     """An element of Q(zeta_ell) in canonical power-basis form.
 
-    ``Cyc(ell, coeffs)`` accepts rational coefficients of any length (ints,
-    ``Fraction``s, or what ``fraction_from_str`` reads; a float or bool raises
-    ValueError) and reduces them modulo the ell-th cyclotomic polynomial, so
-    construction is idempotent on already-canonical data.  Elements are
+    ``Cyc(ell, coeffs)`` takes a positive int ``ell`` (not a bool) and
+    rational coefficients of any length (ints, ``Fraction``s, or what
+    ``fraction_from_str`` reads; a float or bool raises ValueError) and
+    reduces them modulo the ell-th cyclotomic polynomial, so construction is
+    idempotent on already-canonical data.  Elements are
     immutable: ``ell`` and ``coeffs`` are read-only.
     """
 
     __slots__ = ("_ell", "_num", "_den")
 
     def __init__(self, ell: int, coeffs):
-        ell = int(ell)
+        ell = _checked_ell(ell, "Cyc")
         poly = _cyclotomic_ints(ell)
         fracs = [c if c.__class__ is int or c.__class__ is Fraction
                  else fraction_from_str(c, "coefficient") for c in coeffs]
@@ -327,7 +329,10 @@ class Cyc:
 
     @classmethod
     def from_json(cls, data: dict) -> "Cyc":
-        return cls(int(data["ell"]), [fraction_from_str(c) for c in data["coeffs"]])
+        coeffs = data["coeffs"]
+        if not isinstance(coeffs, (list, tuple)):
+            raise ValueError(f"Cyc field 'coeffs' must be an array, got {coeffs!r}")
+        return cls(data["ell"], [fraction_from_str(c, "Cyc field 'coeffs'") for c in coeffs])
 
 
 def root_of_unity(ell: int, k: int) -> Cyc:
@@ -336,20 +341,37 @@ def root_of_unity(ell: int, k: int) -> Cyc:
     return Cyc(ell, [0] * k + [1])
 
 
+def _checked_ell(ell, kind: str) -> int:
+    if type(ell) is not int or ell < 1:  # type(True) is bool: bools are rejected
+        raise ValueError(f"{kind} field 'ell' must be a positive integer, got {ell!r}")
+    return ell
+
+
 def fraction_to_str(q) -> str:
-    """Serialize a rational as "p" or "p/q" in lowest terms."""
-    q = Fraction(q)
-    return str(q)
+    """Serialize an int or a Fraction as "p" or "p/q" in lowest terms; any
+    other value (a float or a bool included) raises a ValueError."""
+    if type(q) is int or type(q) is Fraction:
+        return str(q)
+    raise ValueError(f"only an int or a Fraction is written as a rational, got {q!r}")
+
+
+# plain ASCII "p" and "p/q", which int() reads exactly as Fraction() does
+_ASCII_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
 def fraction_from_str(s, what: str = "value") -> Fraction:
-    """An exact rational: an int or a string such as "p/q".  A float, bool,
-    unreadable string or zero denominator raises a ValueError naming ``what``."""
+    """An exact rational: an int or a string in Python's ``Fraction`` syntax
+    such as "p/q".  A float, bool, unreadable string or zero denominator
+    raises a ValueError naming ``what``."""
     if type(s) is int:
         return Fraction(s)
     if type(s) is str:
         try:
-            return Fraction(s)
+            m = _ASCII_RATIONAL.fullmatch(s)
+            if m is None:
+                return Fraction(s)
+            p, q = m.groups()
+            return Fraction(int(p)) if q is None else Fraction(int(p), int(q))
         except (ValueError, ZeroDivisionError):
             pass
     raise ValueError(f"{what} must be a rational (an integer or a string such as "

@@ -30,7 +30,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate, chain, pairwise
 
-from .cyclo import fraction_from_str, fraction_to_str
+from .cyclo import _checked_ell, fraction_from_str, fraction_to_str
 from .errors import (DegenerateShape, EmptyShape, NotAPartition, NotConnected,
                      NotSkew, NotStandard)
 
@@ -587,12 +587,6 @@ def shape_to_json(shape: SkewShapeL) -> dict:
             for c in shape.components
         ],
     }
-
-
-def _checked_ell(ell, kind: str) -> int:
-    if type(ell) is not int or ell < 1:  # type(True) is bool: bools are rejected
-        raise ValueError(f"{kind} field 'ell' must be a positive integer, got {ell!r}")
-    return ell
 
 
 def _object(data, what: str, keys: tuple[str, ...]) -> dict:

@@ -132,6 +132,70 @@ def test_coefficients_are_read_exactly():
             Cyc.from_rational(3, bad)
 
 
+# the fraction_from_str oracle: every string, on the ASCII fast path or not,
+# reads as Fraction(s) reads it, and a string Fraction refuses is refused
+rational_texts = st.one_of(
+    st.text(alphabet="0123456789-+/._eE \t\u0663\uff15\u00b2", max_size=12),
+    st.builds(lambda p, q, form: form.format(p, q), st.integers(-10 ** 30, 10 ** 30),
+              st.integers(0, 10 ** 30), st.sampled_from(["{0}", "{0}/{1}", " {0}/{1}",
+                                                         "+{1}", "{1}/{0}", "0{1}"])))
+
+
+def _fraction_or_refused(s):
+    try:
+        return Fraction(s)
+    except (ValueError, ZeroDivisionError):
+        return None
+
+
+def _read_or_refused(s):
+    try:
+        q = fraction_from_str(s, "entry")
+    except ValueError as exc:
+        assert str(exc) == f"entry must be a rational (an integer or a string such as -3/2), got {s!r}"
+        return None
+    assert type(q) is Fraction
+    return q
+
+
+@given(rational_texts)
+@settings(max_examples=400)
+def test_fraction_from_str_reads_as_fraction_does(s):
+    assert _read_or_refused(s) == _fraction_or_refused(s)
+
+
+@pytest.mark.parametrize("s", ["+5", " 5 ", "-0", "007", "3/-6", "5/0", "0/0", "1.5", "1e3",
+                               "1_0", "", "/2", "9" * 5000, "-3/6", "0/7", "\u0663/\uff15",
+                               "5\n", "1/2/3", "--1", "1 /2", "\u00b2"])
+def test_fraction_from_str_edge_cases(s):
+    assert _read_or_refused(s) == _fraction_or_refused(s)
+
+
+def test_cyc_reads_ell_and_coeffs_strictly():
+    for bad in (2.9, 2.0, True, 0, -1, "3", None):
+        message = f"^Cyc field 'ell' must be a positive integer, got {re.escape(repr(bad))}$"
+        with pytest.raises(ValueError, match=message):
+            Cyc(bad, [1])
+        with pytest.raises(ValueError, match=message):
+            Cyc.from_json({"ell": bad, "coeffs": ["1"]})
+    for bad in ("12", 12, None, {"0": "1"}):
+        message = f"^Cyc field 'coeffs' must be an array, got {re.escape(repr(bad))}$"
+        with pytest.raises(ValueError, match=message):
+            Cyc.from_json({"ell": 3, "coeffs": bad})
+    with pytest.raises(ValueError, match=r"^Cyc field 'coeffs' must be a rational .*, got 0\.5$"):
+        Cyc.from_json({"ell": 3, "coeffs": ["1", 0.5]})
+    assert Cyc.from_json({"ell": 3, "coeffs": ["1", 2]}) == Cyc(3, [1, 2])
+
+
+def test_fraction_to_str_writes_only_exact_rationals():
+    assert fraction_to_str(-4) == "-4"
+    assert fraction_to_str(Fraction(6, -4)) == "-3/2"
+    for bad in (0.1, 0.5, 2.0, True, False, "1/2", None, Cyc(1, [1])):
+        message = f"^only an int or a Fraction is written as a rational, got {re.escape(repr(bad))}$"
+        with pytest.raises(ValueError, match=message):
+            fraction_to_str(bad)
+
+
 def test_power_identities():
     z = root_of_unity(5, 1)
     assert z ** -3 == z ** 2

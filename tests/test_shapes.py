@@ -702,6 +702,9 @@ def test_weight_json_roundtrip():
     frac = weight_to_json(Weight((Fraction(1, 2),), (1,)), 2)
     w3, ell3 = weight_from_json(frac)
     assert ell3 == 2 and w3.a == (Fraction(1, 2),) and w3.b == (1,)
+    # a float entry is not written as the rational it happens to equal
+    with pytest.raises(ValueError, match=r"^only an int or a Fraction .*, got 0\.5$"):
+        weight_to_json(Weight((0.5,), (0,)), 1)
 
 
 # ---------------------------------------------------------------------------
