@@ -120,14 +120,15 @@ def _reduced(ell, num, den):
     return _raw(ell, tuple(num), den)
 
 
+# cached per ell, which the callers check first: True and 1 share a key
 @lru_cache(maxsize=None)
 def _zero(ell: int) -> "Cyc":
-    return _raw(int(ell), (0,) * degree(ell), 1)
+    return _raw(ell, (0,) * degree(ell), 1)
 
 
 @lru_cache(maxsize=None)
 def _one(ell: int) -> "Cyc":
-    return _raw(int(ell), (1,) + (0,) * (degree(ell) - 1), 1)
+    return _raw(ell, (1,) + (0,) * (degree(ell) - 1), 1)
 
 
 class Cyc:
@@ -172,15 +173,15 @@ class Cyc:
     def from_rational(cls, ell, value) -> "Cyc":
         if value.__class__ is not int and value.__class__ is not Fraction:
             value = fraction_from_str(value, "coefficient")
-        return _raw(int(ell), (value.numerator,) + _zero(ell)._num[1:], value.denominator)
+        return _raw(ell, (value.numerator,) + cls.zero(ell)._num[1:], value.denominator)
 
     @classmethod
     def zero(cls, ell) -> "Cyc":
-        return _zero(ell)
+        return _zero(_checked_ell(ell, "Cyc"))
 
     @classmethod
     def one(cls, ell) -> "Cyc":
-        return _one(ell)
+        return _one(_checked_ell(ell, "Cyc"))
 
     # -- predicates and conversions -----------------------------------------
 

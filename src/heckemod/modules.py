@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
 from math import gcd, lcm
 
 from .cyclo import Cyc, fraction_from_str, root_of_unity
@@ -43,6 +43,18 @@ class ModuleRep:
     shape: SkewShapeL | None = field(default=None, compare=False)
 
     __hash__ = None
+
+    @cached_property
+    def _scaled(self) -> tuple[list[list[int]], int, list[list[int]]]:
+        """U, den and B, read from ``weights`` once per module: u_{i+1} acts on
+        basis vector t by U[i][t] / den (den the common denominator of every
+        u-eigenvalue) and zeta_{i+1} by zeta^B[i][t], B[i][t] in 0..ell-1."""
+        ell, weights = self.ell, self.weights
+        den = lcm(*(x.denominator for w in weights for x in w.a))
+        u = [[w.a[i].numerator * (den // w.a[i].denominator) for w in weights]
+             for i in range(self.n)]
+        b = [[w.b[i] % ell for w in weights] for i in range(self.n)]
+        return u, den, b
 
 
 @dataclass(frozen=True)
@@ -108,20 +120,8 @@ def _pi_values(module: ModuleRep, i: int) -> list[int]:
     """The eigenvalue of pi_i = sum_k zeta_i^k zeta_{i+1}^-k on each basis
     vector: the geometric sum of zeta^(b_i - b_{i+1}), ell where
     b_i = b_{i+1} mod ell and 0 otherwise."""
-    ell = module.ell
-    return [0 if (w.b[i - 1] - w.b[i]) % ell else ell for w in module.weights]
-
-
-def _scaled_weights(module: ModuleRep) -> tuple[list[list[int]], int, list[list[int]]]:
-    """U, den and B: u_{i+1} acts on basis vector t by U[i][t] / den (den the
-    common denominator of every u-eigenvalue) and zeta_{i+1} by
-    zeta^B[i][t], B[i][t] in 0..ell-1."""
-    ell, weights = module.ell, module.weights
-    den = lcm(*(x.denominator for w in weights for x in w.a))
-    u = [[w.a[i].numerator * (den // w.a[i].denominator) for w in weights]
-         for i in range(module.n)]
-    b = [[w.b[i] % ell for w in weights] for i in range(module.n)]
-    return u, den, b
+    ell, b = module.ell, module._scaled[2]
+    return [ell if x == y else 0 for x, y in zip(b[i - 1], b[i])]
 
 
 # ---------------------------------------------------------------------------
@@ -145,13 +145,7 @@ def build_module(shape: SkewShapeL) -> ModuleRep:
     positions = ctx.all_positions()
     index = {p: t for t, p in enumerate(positions)}
     dim = len(positions)
-
-    content = [c + shape.components[k].offset for k, (_, c) in ctx.boxes]
-    beta = [shape.components[k].beta for k, _ in ctx.boxes]
-
-    u = [ell * x for x in content]
-    weights = tuple(Weight(tuple(u[b] for b in pos), tuple(beta[b] for b in pos))
-                    for pos in positions)
+    content, beta = ctx.content, ctx.beta
 
     # contents as integers over one common denominator cd: a content
     # difference is D / cd, so 1/d = cd / D and 1 - 1/d^2 = (D^2 - cd^2) / D^2,
@@ -191,7 +185,7 @@ def build_module(shape: SkewShapeL) -> ModuleRep:
                 rows.setdefault(target, {})[t] = den if one else (dd * dd - cc * cc) * (den // (dd * dd))
         mats.append(_new(ell, dim, dim, den, rows))
 
-    return ModuleRep(ell, n, dim, tuple(mats), weights, shape)
+    return ModuleRep(ell, n, dim, tuple(mats), tuple(map(ctx.weight, positions)), shape)
 
 
 def direct_sum(m1: ModuleRep, m2: ModuleRep) -> ModuleRep:
@@ -205,11 +199,12 @@ def direct_sum(m1: ModuleRep, m2: ModuleRep) -> ModuleRep:
 # ---------------------------------------------------------------------------
 # generator access
 
-def _tau(module: ModuleRep, i: int, s: Mat, u: list[list[int]], den: int) -> tuple[Mat, Mat]:
-    """tau_i and its correction c, from s = s_i and the u-eigenvalues u / den
-    of ``_scaled_weights``: tau_i = s_i - c with c the diagonal
-    pi/(u_{i+1} - u_i) = pi den/(u[i] - u[i-1]) on each basis vector, zero
+def _tau(module: ModuleRep, i: int) -> tuple[Mat, Mat]:
+    """tau_i and its correction c, from the module's s_i and its
+    u-eigenvalues U / den: tau_i = s_i - c with c the diagonal
+    pi/(u_{i+1} - u_i) = pi den/(U[i] - U[i-1]) on each basis vector, zero
     where pi vanishes."""
+    u, den, _ = module._scaled
     pis = _pi_values(module, i)
     gaps = [hi - lo for hi, lo in zip(u[i], u[i - 1])]
     for t, (pi, gap) in enumerate(zip(pis, gaps)):
@@ -220,7 +215,7 @@ def _tau(module: ModuleRep, i: int, s: Mat, u: list[list[int]], den: int) -> tup
     scale = lcm(*(gap for pi, gap in zip(pis, gaps) if pi))
     c = _diagonal(module.ell, [pi * den * (scale // gap) if pi else 0
                                for pi, gap in zip(pis, gaps)], scale)
-    return s - c, c
+    return module.mat_s[i - 1] - c, c
 
 
 def generator_matrix(module: ModuleRep, kind: str, i: int) -> Mat:
@@ -230,18 +225,18 @@ def generator_matrix(module: ModuleRep, kind: str, i: int) -> Mat:
     if kind in ("u", "zeta"):
         if not 1 <= i <= n:
             raise IndexError(f"{kind}_{i} out of range for n={n}")
+        u, den, b = module._scaled
         if kind == "zeta":
-            roots = {b: root_of_unity(ell, b) for b in {w.b[i - 1] for w in module.weights}}
-            return Mat.diagonal(ell, [roots[w.b[i - 1]] for w in module.weights])
-        return Mat.diagonal(ell, [w.a[i - 1] for w in module.weights])
+            roots = {k: root_of_unity(ell, k) for k in set(b[i - 1])}
+            return Mat.diagonal(ell, [roots[k] for k in b[i - 1]])
+        return _diagonal(ell, u[i - 1], den)
     if kind in ("s", "tau", "pi"):
         if not 1 <= i <= n - 1:
             raise IndexError(f"{kind}_{i} out of range for n={n}")
         if kind == "s":
             return module.mat_s[i - 1].copy()
         if kind == "tau":
-            u, den, _ = _scaled_weights(module)
-            return _tau(module, i, module.mat_s[i - 1], u, den)[0]
+            return _tau(module, i)[0]
         return Mat.diagonal(ell, _pi_values(module, i))
     raise ValueError(f"unknown generator kind {kind!r}")
 
@@ -270,7 +265,7 @@ def verify_relations(module: ModuleRep) -> VerificationReport:
     reported without arithmetic."""
     ell, n = module.ell, module.n
     s = module.mat_s
-    u, den, z = _scaled_weights(module)
+    u, den, z = module._scaled
     rational, root = partial(Fraction, denominator=den), partial(root_of_unity, ell)
     checks = []
     add = checks.append
@@ -324,11 +319,11 @@ def verify_intertwiners(module: ModuleRep) -> VerificationReport:
     in ``verify_relations``; the expected tau_i^2 is 1 - c^2 for the correction c = pi/(u_{i+1} - u_i) of tau_i.
     """
     ell, n = module.ell, module.n
-    u, den, z = _scaled_weights(module)
+    u, den, z = module._scaled
     rational, root = partial(Fraction, denominator=den), partial(root_of_unity, ell)
     checks = []
     one = Mat.identity(ell, module.dim)
-    pairs = [_tau(module, i, module.mat_s[i - 1], u, den) for i in range(1, n)]
+    pairs = [_tau(module, i) for i in range(1, n)]
     taus = [tau for tau, _ in pairs]
 
     for i in range(1, n):
@@ -430,11 +425,11 @@ def central_character(module: ModuleRep) -> list[Cyc]:
 
     e_k on a basis vector depends only on the multiset of its eigenvalues,
     so it is evaluated once per distinct multiset: for the u's in integers,
-    on the u-eigenvalues times den of ``_scaled_weights`` (so e_k is E_k /
-    den^k), and for the zetas in the field, on the roots of unity of the
-    color exponents that occur."""
+    on the module's u-eigenvalues U over their common denominator den (so
+    e_k is E_k / den^k), and for the zetas in the field, on the roots of
+    unity of the color exponents B that occur."""
     ell = module.ell
-    u, den, b = _scaled_weights(module)
+    u, den, b = module._scaled
     exponents = {tuple(sorted(v)) for v in zip(*b)}
     roots = {k: root_of_unity(ell, k) for k in set().union(*exponents)}
     u_values = [_elementary(key) for key in {tuple(sorted(v)) for v in zip(*u)}]
@@ -501,7 +496,7 @@ def jm_consistency(module: ModuleRep) -> VerificationReport:
             "Jucys-Murphy comparison needs a module built from partitions "
             "anchored at content 0")
     ell, s = module.ell, module.mat_s
-    u, den, _ = _scaled_weights(module)
+    u, den, _ = module._scaled
     phi = Mat.zero(ell, module.dim)
     checks = []
     for i in range(1, module.n + 1):

@@ -413,12 +413,16 @@ class _ShapeContext:
     inverse is the flattened labels.  need[b] is the bit mask of b's left and
     upper neighbors, which carry smaller labels; blocked[b] holds its row and
     column neighbors, whose labels may not be swapped with b's when
-    consecutive; rank[b] is the dense rank of (component, row).
+    consecutive; rank[b] is the dense rank of (component, row); content[b],
+    a[b] = ell * content[b] and beta[b] give the weight of the label in b.
     """
 
     def __init__(self, shape: SkewShapeL):
         self.shape = shape
         self.boxes = [(k, cell) for k, comp in enumerate(shape.components) for cell in comp.cells]
+        self.content = [c + shape.components[k].offset for k, (_, c) in self.boxes]
+        self.a = [shape.ell * x for x in self.content]
+        self.beta = [shape.components[k].beta for k, _ in self.boxes]
         self.spans = list(pairwise(accumulate((c.size for c in shape.components), initial=0)))
         number = {box: b for b, box in enumerate(self.boxes)}
         self.need, self.blocked, self.after, self.rank = [], [], [], []
@@ -446,6 +450,10 @@ class _ShapeContext:
         for lab, b in enumerate(pos, 1):
             flat[b] = lab
         return Tableau(self.shape, tuple(tuple(flat[i:j]) for i, j in self.spans))
+
+    def weight(self, pos) -> Weight:
+        """The weight of the filling pos: label i reads a_i and b_i off its box."""
+        return Weight(tuple(self.a[b] for b in pos), tuple(self.beta[b] for b in pos))
 
     def all_positions(self) -> list[tuple[int, ...]]:
         """Every standard filling as a label->box tuple, lexicographic: free
@@ -510,14 +518,9 @@ def is_standard(tab: Tableau) -> bool:
 
 def weight_of(tab: Tableau) -> Weight:
     """Eigenvalue data of a filling: a_i = ell * content, b_i = coordinate of
-    the box holding label i."""
-    ell = tab.shape.ell
-    a, b = [], []
-    for k, cell in tab.boxes():
-        comp = tab.shape.components[k]
-        a.append(ell * (cell[1] + comp.offset))
-        b.append(comp.beta)
-    return Weight(tuple(a), tuple(b))
+    the box holding label i, read from the shape's per-box tables."""
+    ctx = _context(tab.shape)
+    return ctx.weight(ctx.positions_of(tab))
 
 
 def inversion_set(tab: Tableau) -> frozenset[tuple[int, int]]:

@@ -12,12 +12,16 @@ once and walked fillings over a free-box bit mask: boxes keyed by
 (component, cell) through dict tables, and fillings grown by an in-degree
 recursion with undo.  The tests require both to list the same fillings in
 the same order, since that order fixes every matrix a module prints.
+
+``weight_of`` is the eigenvalue formula heckemod ran before it read weights
+from per-box tables: one ``Fraction`` product and sum per label, over
+``Tableau.boxes()``.
 """
 
 from __future__ import annotations
 
 from heckemod.errors import NotConnected, NotSkew
-from heckemod.shapes import Tableau
+from heckemod.shapes import Tableau, Weight
 
 _NEIGHBOR_STEPS = ((0, 1), (0, -1), (-1, 1), (1, -1))  # right, left, up, down
 
@@ -177,3 +181,14 @@ def inversions(ctx, tab):
     n = len(pos)
     return frozenset((i + 1, j + 1) for i in range(n) for j in range(i + 1, n)
                      if ctx.above(pos[j], pos[i]))
+
+
+def weight_of(tab) -> Weight:
+    """a_i = ell * content and b_i = coordinate of the box holding label i."""
+    ell = tab.shape.ell
+    a, b = [], []
+    for k, cell in tab.boxes():
+        comp = tab.shape.components[k]
+        a.append(ell * (cell[1] + comp.offset))
+        b.append(comp.beta)
+    return Weight(tuple(a), tuple(b))

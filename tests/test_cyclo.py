@@ -178,6 +178,10 @@ def test_cyc_reads_ell_and_coeffs_strictly():
             Cyc(bad, [1])
         with pytest.raises(ValueError, match=message):
             Cyc.from_json({"ell": bad, "coeffs": ["1"]})
+        for make in (lambda: Cyc.from_rational(bad, 5), lambda: Cyc.zero(bad),
+                     lambda: Cyc.one(bad)):
+            with pytest.raises(ValueError, match=message):
+                make()
     for bad in ("12", 12, None, {"0": "1"}):
         message = f"^Cyc field 'coeffs' must be an array, got {re.escape(repr(bad))}$"
         with pytest.raises(ValueError, match=message):
@@ -398,6 +402,9 @@ def test_zero_and_one_are_shared():
     assert Cyc.zero(3) is Cyc.zero(3) and Cyc.one(3) is Cyc.one(3)
     assert Cyc.zero(3).coeffs == (0, 0) and Cyc.one(3).coeffs == (1, 0)
     assert Cyc.zero(3) + root_of_unity(3, 1) == root_of_unity(3, 1)
-    # the field is named by an int, whatever equal value first asked for it
+    # the field is named by an int: a bool is refused before the per-ell
+    # cache, where True and 1 share a key
     for make in (Cyc.zero, Cyc.one, lambda ell: Cyc.from_rational(ell, 2)):
-        assert make(True).to_json()["ell"] == 1 and type(make(1).ell) is int
+        with pytest.raises(ValueError, match="^Cyc field 'ell' must be a positive integer"):
+            make(True)
+        assert type(make(1).ell) is int

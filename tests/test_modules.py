@@ -160,11 +160,24 @@ def test_tau_guard_on_colliding_eigenvalues():
 
 
 def test_module_weights_match_tableaux():
-    for D in (partition_shape(1, [[2, 1]]),
-              partition_shape(2, [[2], [1]]),
-              validate_and_canonicalize(2, [(1, Fraction(1, 2), [(1, 0), (2, -1)])])):
-        M = build_module(D)
-        assert list(M.weights) == [weight_of(t) for t in enumerate_syt(D)]
+    # weight_of and a built module read the per-box tables; both must give
+    # the Fraction formula of the oracle on every basis tableau, at integral,
+    # half-integral and shifted contents
+    import shapes_reference as ref
+    from test_acceptance import half_offset_shapes
+
+    shapes = [partition_shape(1, [[2, 1]]), partition_shape(2, [[2], [1]]),
+              validate_and_canonicalize(2, [(1, Fraction(1, 2), [(1, 0), (2, -1)])])]
+    shapes += [D for ell in (1, 2, 3) for n in range(1, 6)
+               for D in enumerate_shapes(ell, n, n)] + half_offset_shapes()
+    shapes += [shift_contents(D, delta) for delta in (Fraction(1, 2), Fraction(-3, 2))
+               for D in shapes]
+    assert len(shapes) > 3000
+    for D in shapes:
+        tableaux = enumerate_syt(D)
+        expected = [ref.weight_of(t) for t in tableaux]
+        assert [weight_of(t) for t in tableaux] == expected
+        assert list(build_module(D).weights) == expected
 
 
 def test_commutant_dimension():
@@ -462,22 +475,6 @@ def test_matches_matrix_reference():
               for D in enumerate_shapes(ell, n, n)] + half_offset_shapes()
     shapes += [D for ell in (4, 6) for n in (1, 2, 3) for D in enumerate_shapes(ell, n, n)]
     modules = [build_module(D) for D in shapes]
-    sums = [direct_sum(modules[k], modules[k + 1]) for k in range(0, len(modules) - 1, 23)
-            if (modules[k].ell, modules[k].n) == (modules[k + 1].ell, modules[k + 1].n)]
-    sums.append(direct_sum(module_21(), module_21()))
-    corrupted = [_corrupted(M, rng, ("s", "u", "zeta")[k % 3])
-                 for k, M in enumerate(modules[::2])]
-    # modules with irrational s-entries, sound and corrupted: the integer
-    # kernel's integral Cyc entries (phi(ell) = 2 and 4)
-    rng_zeta = random.Random(13)
-    irrational = [_zeta_conjugated(build_module(partition_shape(ell, parts)), rng_zeta)
-                  for ell, parts in ((3, [[2, 1], [1], []]), (4, [[2], [1], [1], []]),
-                                     (5, [[1], [1], [1], [], []]))]
-    for M in irrational:
-        assert M.dim >= 3
-        assert any(not v.is_rational() for m in M.mat_s for v in m.data.values())
-        assert verify_relations(M).ok and verify_intertwiners(M).ok
-    irrational += [_corrupted(M, rng_zeta, "s") for M in irrational]
 
     def stored_weights(M):  # the weights as stored, against the diagonals read back
         return list(M.weights)
@@ -488,7 +485,8 @@ def test_matches_matrix_reference():
              (central_character, ref.central_character),
              (stored_weights, ref.module_weights)]
     seen = set()
-    for M in modules + sums + corrupted + irrational:
+
+    def check(M):
         outcomes = {}
         for fast, slow in pairs:
             got = outcomes[fast] = _outcome(fast, M)
@@ -501,6 +499,36 @@ def test_matches_matrix_reference():
             relations = outcomes[verify_relations].checks
             if all(c.ok for c in relations if "u" not in c.name):
                 assert report == ref.jm_consistency(M)
+
+    # each sound module caches its integer view here, before the copies
+    # below are made from it, so a view carried into a copy would show
+    for M in modules:
+        check(M)
+    sums = [direct_sum(modules[k], modules[k + 1]) for k in range(0, len(modules) - 1, 23)
+            if (modules[k].ell, modules[k].n) == (modules[k + 1].ell, modules[k + 1].n)]
+    sums.append(direct_sum(module_21(), module_21()))
+    corrupted = [_corrupted(M, rng, ("s", "u", "zeta")[k % 3])
+                 for k, M in enumerate(modules[::2])]
+    # a twist whose u-eigenvalues have denominator 3, and a hand-made module
+    # whose eigenvalues are plain ints
+    twisted = [twist(M, "t", Fraction(1, 3)) for M in modules if M.ell == 2][::7]
+    hand_made = [ModuleRep(M.ell, M.n, M.dim, M.mat_s,
+                           tuple(Weight(tuple(int(x) for x in w.a), w.b) for w in M.weights))
+                 for M in modules[::11] if all(x.denominator == 1 for w in M.weights for x in w.a)]
+    assert twisted and hand_made
+    # modules with irrational s-entries, sound and corrupted: the integer
+    # kernel's integral Cyc entries (phi(ell) = 2 and 4)
+    rng_zeta = random.Random(13)
+    irrational = [_zeta_conjugated(build_module(partition_shape(ell, parts)), rng_zeta)
+                  for ell, parts in ((3, [[2, 1], [1], []]), (4, [[2], [1], [1], []]),
+                                     (5, [[1], [1], [1], [], []]))]
+    for M in irrational:
+        assert M.dim >= 3
+        assert any(not v.is_rational() for m in M.mat_s for v in m.data.values())
+        assert verify_relations(M).ok and verify_intertwiners(M).ok
+    irrational += [_corrupted(M, rng_zeta, "s") for M in irrational]
+    for M in sums + corrupted + twisted + hand_made + irrational:
+        check(M)
     # the corruptions reach failing reports and both guarded exceptions
     assert len(sums) > 10
     assert {True, False, ZeroDivisionError, NotScalar} <= seen
