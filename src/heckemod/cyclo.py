@@ -358,21 +358,27 @@ def fraction_to_str(q) -> str:
 
 # plain ASCII "p" and "p/q", which int() reads exactly as Fraction() does
 _ASCII_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+# a closing decimal exponent, which Fraction() expands to a power of ten in
+# full; one above 4 300 (the digit limit of a rational) is refused first
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
 
 
 def fraction_from_str(s, what: str = "value") -> Fraction:
     """An exact rational: an int or a string in Python's ``Fraction`` syntax
     such as "p/q".  A float, bool, unreadable string or zero denominator
-    raises a ValueError naming ``what``."""
+    raises a ValueError naming ``what``, and so does a decimal exponent
+    beyond +-4 300."""
     if type(s) is int:
         return Fraction(s)
     if type(s) is str:
         try:
             m = _ASCII_RATIONAL.fullmatch(s)
-            if m is None:
+            if m is not None:
+                p, q = m.groups()
+                return Fraction(int(p)) if q is None else Fraction(int(p), int(q))
+            e = _EXPONENT.search(s)
+            if e is None or abs(int(e.group(1))) <= 4300:
                 return Fraction(s)
-            p, q = m.groups()
-            return Fraction(int(p)) if q is None else Fraction(int(p), int(q))
         except (ValueError, ZeroDivisionError):
             pass
     raise ValueError(f"{what} must be a rational (an integer or a string such as "

@@ -20,8 +20,8 @@ from math import gcd, lcm
 from .cyclo import Cyc, fraction_from_str, root_of_unity
 from .errors import DimensionMismatch, HeckemodError, NotAPartition, NotScalar
 from .linalg import Mat, _diagonal, _new, block_diag, nullspace_dim
-from .shapes import (SkewShapeL, Weight, _context, enumerate_syt, is_partition_shape,
-                     shape_to_json, tableau_to_json, weight_to_json)
+from .shapes import (SkewShapeL, Weight, enumerate_syt, is_partition_shape, shape_to_json,
+                     tableau_to_json, weight_to_json)
 
 
 @dataclass(frozen=True)
@@ -141,7 +141,7 @@ def build_module(shape: SkewShapeL) -> ModuleRep:
     """
     ell = shape.ell
     n = shape.n
-    ctx = _context(shape)
+    ctx = shape._ctx
     positions = ctx.all_positions()
     index = {p: t for t, p in enumerate(positions)}
     dim = len(positions)

@@ -20,6 +20,10 @@ for a simultaneous placement of all components whose union is skew.  The
 validator checks the gaps; ``joint_placement`` searches for such a
 placement directly and is kept as the independent oracle the gap criterion
 is tested against.
+
+Every tableau operation, standardness and the tableau JSON reader included,
+reads one numbering of the shape's boxes, which the shape builds on first
+use and holds itself (``SkewShapeL._ctx``), with no table keyed by shape.
 """
 
 from __future__ import annotations
@@ -61,11 +65,9 @@ class SkewShapeL:
         return sum(comp.size for comp in self.components)
 
     @cached_property
-    def _hash(self) -> int:
-        return hash((self.ell, self.components))
-
-    def __hash__(self) -> int:  # once per shape: each tableau call looks up _context(shape)
-        return self._hash
+    def _ctx(self) -> _ShapeContext:
+        """The shape's box numbering, built on first use and kept with it."""
+        return _ShapeContext(self)
 
 
 @dataclass(frozen=True)
@@ -75,14 +77,6 @@ class Tableau:
 
     shape: SkewShapeL
     labels: tuple[tuple[int, ...], ...]
-
-    def boxes(self) -> list[tuple[int, Cell]]:
-        """boxes()[i-1] is the (component index, cell) holding label i."""
-        out: list = [None] * self.shape.n
-        for k, comp in enumerate(self.shape.components):
-            for cell, lab in zip(comp.cells, self.labels[k]):
-                out[lab - 1] = (k, cell)
-        return out
 
 
 @dataclass(frozen=True)
@@ -368,7 +362,6 @@ def _one_coordinate_catalog(m: int, window: int) -> tuple[tuple[tuple[int, froze
     return tuple(rec(m, 0, True))
 
 
-@lru_cache(maxsize=None)
 def enumerate_shapes(ell: int, n: int, window: int) -> tuple[SkewShapeL, ...]:
     """Deterministic corpus of integral shapes with n boxes and offset 0.
 
@@ -405,35 +398,37 @@ def enumerate_shapes(ell: int, n: int, window: int) -> tuple[SkewShapeL, ...]:
 # tableaux
 
 class _ShapeContext:
-    """Precomputed combinatorial data for one shape.
+    """Precomputed combinatorial data for one shape, which holds it as
+    ``SkewShapeL._ctx``; it keeps no reference back to the shape.
 
     Boxes are numbered once, in the order the flattened ``labels`` are read:
     component by component, cells in their canonical sorted order, so box b
-    is ``boxes[b]``.  A filling is its label->box tuple ``pos``, whose
-    inverse is the flattened labels.  need[b] is the bit mask of b's left and
-    upper neighbors, which carry smaller labels; blocked[b] holds its row and
+    is ``boxes[b]``, ``number`` maps (component index, cell) back to b and
+    ``spans`` cuts the flattened labels into components.  A filling is its
+    label->box tuple ``pos``, whose inverse is the flattened labels.
+    before[b] lists b's left and upper neighbors, which carry smaller labels,
+    and after[b] its right and lower ones; blocked[b] holds its row and
     column neighbors, whose labels may not be swapped with b's when
     consecutive; rank[b] is the dense rank of (component, row); content[b],
     a[b] = ell * content[b] and beta[b] give the weight of the label in b.
     """
 
     def __init__(self, shape: SkewShapeL):
-        self.shape = shape
         self.boxes = [(k, cell) for k, comp in enumerate(shape.components) for cell in comp.cells]
         self.content = [c + shape.components[k].offset for k, (_, c) in self.boxes]
         self.a = [shape.ell * x for x in self.content]
         self.beta = [shape.components[k].beta for k, _ in self.boxes]
         self.spans = list(pairwise(accumulate((c.size for c in shape.components), initial=0)))
-        number = {box: b for b, box in enumerate(self.boxes)}
-        self.need, self.blocked, self.after, self.rank = [], [], [], []
+        self.number = number = {box: b for b, box in enumerate(self.boxes)}
+        self.before, self.after, self.blocked, self.rank = [], [], [], []
         dense: dict[tuple[int, int], int] = {}
         for k, (r, c) in self.boxes:
             self.rank.append(dense.setdefault((k, r), len(dense)))
             right, left, up, down = (number.get((k, (r + dr, c + dc)))
                                      for dr, dc in _NEIGHBOR_STEPS)
-            self.need.append(sum(1 << q for q in (left, up) if q is not None))
-            self.blocked.append({q for q in (right, left, up, down) if q is not None})
+            self.before.append([q for q in (left, up) if q is not None])
             self.after.append([q for q in (right, down) if q is not None])
+            self.blocked.append({q for q in (right, left, up, down) if q is not None})
 
     def above(self, b1: int, b2: int) -> bool:
         """Is box b1 strictly above box b2 (cross-component: earlier wins)?"""
@@ -445,11 +440,16 @@ class _ShapeContext:
             pos[lab - 1] = b
         return tuple(pos)
 
-    def tableau_from_positions(self, pos) -> Tableau:
+    def split(self, flat) -> tuple[tuple[int, ...], ...]:
+        """Labels by box number, cut into one tuple per component."""
+        return tuple(tuple(flat[i:j]) for i, j in self.spans)
+
+    def labels_of(self, pos) -> tuple[tuple[int, ...], ...]:
+        """The labels of the filling pos."""
         flat = [0] * len(pos)
         for lab, b in enumerate(pos, 1):
             flat[b] = lab
-        return Tableau(self.shape, tuple(tuple(flat[i:j]) for i, j in self.spans))
+        return self.split(flat)
 
     def weight(self, pos) -> Weight:
         """The weight of the filling pos: label i reads a_i and b_i off its box."""
@@ -458,8 +458,9 @@ class _ShapeContext:
     def all_positions(self) -> list[tuple[int, ...]]:
         """Every standard filling as a label->box tuple, lexicographic: free
         boxes are a bit mask taken lowest bit first, and each placed box frees
-        those of its right and lower neighbors whose ``need`` it completes."""
-        need = self.need
+        those of its right and lower neighbors whose ``before`` boxes, the
+        bit mask ``need``, are then all placed."""
+        need = [sum(1 << q for q in before) for before in self.before]
         frees = [[(1 << s, need[s]) for s in after] for after in self.after]
         out: list[tuple[int, ...]] = []
         pos: list[int] = []
@@ -486,40 +487,31 @@ class _ShapeContext:
         return out
 
 
-@lru_cache(maxsize=None)
-def _context(shape: SkewShapeL) -> _ShapeContext:
-    return _ShapeContext(shape)
-
-
 def enumerate_syt(shape: SkewShapeL) -> tuple[Tableau, ...]:
     """All standard fillings, deterministically ordered; the first one is the
-    row-reading tableau.  Not cached: only the shape's ``_context`` is."""
-    ctx = _context(shape)
-    return tuple(ctx.tableau_from_positions(p) for p in ctx.all_positions())
+    row-reading tableau.  Not cached: only the shape's box numbering is."""
+    ctx = shape._ctx
+    return tuple(Tableau(shape, ctx.labels_of(p)) for p in ctx.all_positions())
 
 
 def row_reading_tableau(shape: SkewShapeL) -> Tableau:
     """Labels assigned along reading order (component, then row, then left
     to right); always standard."""
-    return _context(shape).tableau_from_positions(range(shape.n))
+    return Tableau(shape, shape._ctx.split(range(1, shape.n + 1)))
 
 
 def is_standard(tab: Tableau) -> bool:
     """Every label exceeds its left (r, c-1) and upper (r-1, c+1) neighbors
-    within its component."""
-    for comp, labels in zip(tab.shape.components, tab.labels):
-        entry = dict(zip(comp.cells, labels))
-        for (r, c), lab in entry.items():
-            for q in ((r, c - 1), (r - 1, c + 1)):
-                if q in entry and entry[q] >= lab:
-                    return False
-    return True
+    within its component, the shape's ``before`` boxes."""
+    flat = tuple(chain.from_iterable(tab.labels))
+    return all(flat[q] < lab for lab, before in zip(flat, tab.shape._ctx.before)
+               for q in before)
 
 
 def weight_of(tab: Tableau) -> Weight:
     """Eigenvalue data of a filling: a_i = ell * content, b_i = coordinate of
     the box holding label i, read from the shape's per-box tables."""
-    ctx = _context(tab.shape)
+    ctx = tab.shape._ctx
     return ctx.weight(ctx.positions_of(tab))
 
 
@@ -527,7 +519,7 @@ def inversion_set(tab: Tableau) -> frozenset[tuple[int, int]]:
     """Pairs (i, j), i < j, whose boxes appear in reversed vertical order:
     the box of j strictly above the box of i (components compared by their
     canonical reading order)."""
-    ctx = _context(tab.shape)
+    ctx = tab.shape._ctx
     rank = [ctx.rank[b] for b in ctx.positions_of(tab)]
     return frozenset((i + 1, j + 1) for i, low in enumerate(rank)
                      for j in range(i + 1, len(rank)) if rank[j] < low)
@@ -536,7 +528,7 @@ def inversion_set(tab: Tableau) -> frozenset[tuple[int, int]]:
 def apply_transposition(tab: Tableau, i: int) -> Tableau:
     """Swap labels i and i+1; NotStandard if they are row- or
     column-adjacent in one component."""
-    ctx = _context(tab.shape)
+    ctx = tab.shape._ctx
     if not 1 <= i < len(ctx.boxes):
         raise IndexError(f"transposition index {i} out of range")
     pos = list(ctx.positions_of(tab))
@@ -544,7 +536,7 @@ def apply_transposition(tab: Tableau, i: int) -> Tableau:
     if b2 in ctx.blocked[b1]:
         raise NotStandard(f"labels {i} and {i + 1} are adjacent in a row or column")
     pos[i - 1], pos[i] = b2, b1
-    return ctx.tableau_from_positions(tuple(pos))
+    return Tableau(tab.shape, ctx.labels_of(pos))
 
 
 def _descent_path_to_reading(ctx: _ShapeContext, pos: tuple[int, ...]) -> list[int]:
@@ -572,7 +564,7 @@ def tableau_path(t1: Tableau, t2: Tableau) -> list[int]:
         raise ValueError("tableaux live on different shapes")
     if t1 == t2:
         return []
-    ctx = _context(t1.shape)
+    ctx = t1.shape._ctx
     down = _descent_path_to_reading(ctx, ctx.positions_of(t1))
     up = _descent_path_to_reading(ctx, ctx.positions_of(t2))
     return down + list(reversed(up))
@@ -634,7 +626,8 @@ def tableau_to_json(tab: Tableau) -> dict:
 
 def tableau_from_json(data: dict) -> Tableau:
     shape = shape_from_json(_object(data, "tableau", ("entries",)))
-    labels = [[None] * comp.size for comp in shape.components]
+    ctx = shape._ctx
+    flat = [None] * shape.n  # labels by box number
     seen = set()
     for entry in _array(data, "tableau", "entries"):
         if not isinstance(entry, (list, tuple)) or len(entry) != 4:
@@ -647,17 +640,17 @@ def tableau_from_json(data: dict) -> Tableau:
         if type(k) is not int or not 0 <= k < len(shape.components):
             raise ValueError(f"tableau field 'entries' needs a component index in "
                              f"0..{len(shape.components) - 1}, got {entry!r}")
-        if (r, c) not in shape.components[k].cells:
+        b = ctx.number.get((k, (r, c)))
+        if b is None:
             raise ValueError(f"tableau field 'entries' names a cell outside "
                              f"its component: {entry!r}")
-        j = shape.components[k].cells.index((r, c))
-        if labels[k][j] is not None:
+        if flat[b] is not None:
             raise ValueError(f"tableau field 'entries' lists a cell twice: {entry!r}")
-        labels[k][j] = lab
+        flat[b] = lab
         seen.add(lab)
     if seen != set(range(1, shape.n + 1)):
         raise NotStandard("entries are not a bijection onto 1..n")
-    tab = Tableau(shape, tuple(tuple(row) for row in labels))
+    tab = Tableau(shape, ctx.split(flat))
     if not is_standard(tab):
         raise NotStandard("entries do not increase along rows and columns")
     return tab

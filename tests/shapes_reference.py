@@ -13,9 +13,13 @@ once and walked fillings over a free-box bit mask: boxes keyed by
 recursion with undo.  The tests require both to list the same fillings in
 the same order, since that order fixes every matrix a module prints.
 
+``is_standard`` is the standardness test heckemod ran before it read the
+shape's neighbour lists: a dict from cell to label per component, probed at
+each cell's left and upper neighbour.
+
 ``weight_of`` is the eigenvalue formula heckemod ran before it read weights
 from per-box tables: one ``Fraction`` product and sum per label, over
-``Tableau.boxes()``.
+``boxes``, the label->box list that was ``Tableau.boxes()``.
 """
 
 from __future__ import annotations
@@ -92,6 +96,27 @@ def connected_classes(m: int) -> tuple[frozenset, ...]:
     return tuple(sorted(out, key=sorted))
 
 
+def boxes(tab) -> list:
+    """boxes(tab)[i-1] is the (component index, cell) holding label i."""
+    out: list = [None] * tab.shape.n
+    for k, comp in enumerate(tab.shape.components):
+        for cell, lab in zip(comp.cells, tab.labels[k]):
+            out[lab - 1] = (k, cell)
+    return out
+
+
+def is_standard(tab) -> bool:
+    """Every label exceeds its left (r, c-1) and upper (r-1, c+1) neighbors
+    within its component."""
+    for comp, labels in zip(tab.shape.components, tab.labels):
+        entry = dict(zip(comp.cells, labels))
+        for (r, c), lab in entry.items():
+            for q in ((r, c - 1), (r - 1, c + 1)):
+                if q in entry and entry[q] >= lab:
+                    return False
+    return True
+
+
 def _reading_boxes(shape):
     """All boxes in reading order: by component, then row, then left-to-right."""
     return [(k, cell) for k, comp in enumerate(shape.components)
@@ -134,7 +159,7 @@ class ShapeContext:
         return self.rank[b1] < self.rank[b2]
 
     def positions_of(self, tab):
-        return tuple(self.index[box] for box in tab.boxes())
+        return tuple(self.index[box] for box in boxes(tab))
 
     def tableau_from_positions(self, pos):
         labels = [[0] * comp.size for comp in self.shape.components]
@@ -187,7 +212,7 @@ def weight_of(tab) -> Weight:
     """a_i = ell * content and b_i = coordinate of the box holding label i."""
     ell = tab.shape.ell
     a, b = [], []
-    for k, cell in tab.boxes():
+    for k, cell in boxes(tab):
         comp = tab.shape.components[k]
         a.append(ell * (cell[1] + comp.offset))
         b.append(comp.beta)

@@ -45,7 +45,6 @@ from heckemod import (
     violation_holds,
     weight_of,
 )
-from heckemod.shapes import _context
 
 
 def half_offset_shapes():
@@ -257,7 +256,7 @@ def test_criterion_08_combinatorial_lemmas():
     for ell in (1, 2, 3):
         for n in range(1, 7):
             for D in enumerate_shapes(ell, n, n):
-                ctx = _context(D)
+                ctx = D._ctx
                 reading = tuple(range(n))
                 limit = n * (n - 1) // 2
                 for pos in ctx.all_positions():

@@ -1,4 +1,3 @@
-import copy
 import json
 from fractions import Fraction
 
@@ -8,7 +7,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from heckemod import Weight, partition_shape, shape_from_json, shape_to_json, tableau_from_json, weight_to_json
 from heckemod.classify import ADJACENT_EQUAL, ConditionViolation
 from heckemod.cli import console_main, main
-from heckemod.shapes import _context
+from heckemod.shapes import _ShapeContext
 
 
 @pytest.fixture
@@ -148,12 +147,13 @@ def test_build_module_degenerate_pair_is_an_internal_fault(capsys, shape_file, m
     # standardness puts consecutive labels with a content difference in
     # {0, +-1} in row or column neighbours, so the raise is reached only with
     # the neighbour sets emptied: labels 1, 2 then share a row with d = 1
-    def unblocked(shape):
-        ctx = copy.copy(_context(shape))  # the cached context stays intact
-        ctx.blocked = [set() for _ in ctx.blocked]
-        return ctx
+    class Unblocked(_ShapeContext):
+        def __init__(self, shape):
+            super().__init__(shape)
+            self.blocked = [set() for _ in self.blocked]
 
-    monkeypatch.setattr("heckemod.modules._context", unblocked)
+    # the shape read from the file builds its context on first use, here
+    monkeypatch.setattr("heckemod.shapes._ShapeContext", Unblocked)
     assert main(["build", "--shape", shape_file]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""

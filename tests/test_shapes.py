@@ -361,17 +361,45 @@ def test_tableau_layer_matches_reference():
     # ordered lists, not sets: the order of the fillings is the order of the
     # basis, so it fixes every matrix a module prints
     for D in reference_shapes():
-        ctx, old = shapes._context(D), shapes_reference.ShapeContext(D)
+        ctx, old = D._ctx, shapes_reference.ShapeContext(D)
         assert (ctx.boxes, ctx.rank, ctx.blocked) == (old.boxes, old.rank, old.blocked)
         positions = ctx.all_positions()
         assert positions == old.all_positions(), D
-        tableaux = [ctx.tableau_from_positions(pos) for pos in positions]
+        tableaux = [Tableau(D, ctx.labels_of(pos)) for pos in positions]
         assert tableaux == [old.tableau_from_positions(pos) for pos in positions]
         assert [ctx.positions_of(tab) for tab in tableaux] == positions
         assert [old.positions_of(tab) for tab in tableaux] == positions
         if D.n <= 4:
             assert ([inversion_set(tab) for tab in tableaux]
                     == [shapes_reference.inversions(old, tab) for tab in tableaux])
+
+
+def test_is_standard_matches_reference():
+    # every arrangement of 1..n, standard or not, against the dict-scan oracle
+    shapes_seen = [D for ell in (1, 2, 3) for n in range(1, 5)
+                   for D in enumerate_shapes(ell, n, n)] + half_offset_shapes()
+    standard = 0
+    for D in shapes_seen:
+        for perm in itertools.permutations(range(1, D.n + 1)):
+            t = Tableau(D, D._ctx.split(perm))
+            verdict = is_standard(t)
+            assert verdict == shapes_reference.is_standard(t), t
+            standard += verdict
+    assert standard == sum(len(enumerate_syt(D)) for D in shapes_seen)
+
+
+def test_shape_holds_its_context():
+    # the context is kept on the shape, not in a table keyed by shape, so a
+    # shape that has built it still compares and hashes as its fields do
+    D = partition_shape(2, [[2, 1], [1]])
+    enumerate_syt(D)
+    assert "_ctx" in vars(D)
+    fresh = validate_and_canonicalize(2, [(c.beta, c.offset, c.cells) for c in D.components])
+    assert "_ctx" not in vars(fresh)
+    assert fresh == D and hash(fresh) == hash(D) and len({D, fresh}) == 1
+    assert not hasattr(enumerate_shapes, "cache_clear")
+    first = enumerate_shapes(2, 3, 3)
+    assert enumerate_shapes(2, 3, 3) == first
 
 
 def test_component_cells_are_sorted():
@@ -580,7 +608,7 @@ def brute_swap_is_standard(tab, i):
     for row in tab.labels:
         swapped.append(tuple(
             i + 1 if x == i else i if x == i + 1 else x for x in row))
-    return is_standard(Tableau(tab.shape, tuple(swapped)))
+    return shapes_reference.is_standard(Tableau(tab.shape, tuple(swapped)))
 
 
 def test_transposition_matches_brute_force():
@@ -642,6 +670,12 @@ def test_tableau_json_roundtrip():
     for D in enumerate_shapes(2, 3, 3)[:10]:
         for t in enumerate_syt(D):
             assert tableau_from_json(tableau_to_json(t)) == t
+    ts = enumerate_syt(partition_shape(1, [[9, 8]]))
+    assert len(ts) == 4862
+    assert [tableau_from_json(tableau_to_json(t)) for t in ts] == list(ts)
+    # one long row: the reader maps each cell to its box in one lookup
+    t = row_reading_tableau(partition_shape(1, [[8000]]))
+    assert tableau_from_json(tableau_to_json(t)) == t
 
 
 def test_tableau_json_rejects_bad_entries():
