@@ -5,15 +5,14 @@ A weight is a pair of lists (a_1..a_n, b_1..b_n): rational u-eigenvalues
 (ints or Fractions) and integer color exponents, normalised once to integer
 triples.  ``check_weight_condition`` tests the pairwise criterion (equal
 entries need intermediate +ell and -ell steps in the same color class) in
-one pass; ``reconstruct`` replays the weight box by box without any search
-and builds the canonical shape and tableau directly.
+one pass; ``reconstruct`` reads each component off its diagonals, with no
+search, and builds the canonical shape and tableau directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import groupby
 
 from .cyclo import fraction_to_str
 from .errors import ConditionFailed, EmptyShape, NoAddablePosition
@@ -108,37 +107,28 @@ def violation_holds(w: Weight, ell: int, violation: ConditionViolation) -> bool:
 # ---------------------------------------------------------------------------
 # reconstruction
 
-def _shift_run(cells: dict, low: dict, start: int, t: int) -> None:
-    """Slide the component whose contents run upwards from ``start`` by t
-    rows (``cells`` maps cell -> label, ``low`` content -> lowest row)."""
-    stop = start
-    while stop in low:
-        low[stop] += t
-        stop += 1
-    moved = [(cell, lab) for cell, lab in cells.items() if start <= cell[1] < stop]
-    for cell, _ in moved:
-        del cells[cell]
-    cells.update(((r + t, c), lab) for (r, c), lab in moved)
+def _no_box(entries: list[tuple[int, int, int]], ell: int, i: int) -> NoAddablePosition:
+    p, q, b = entries[i - 1]
+    return NoAddablePosition(f"reconstruct: label {i}: no legal box of content "
+                             f"{Fraction(p, q * ell)} in coordinate {b}")
 
 
 def reconstruct(w: Weight, ell: int) -> tuple[SkewShapeL, Tableau]:
     """Rebuild the unique (shape, tableau) with the given weight.
 
-    Label i goes to content m = floor(a_i/ell) in the group of color b_i and
-    fractional content a_i/ell - m.  Within a group the boxes of one content
-    lie on consecutive rows of their diagonal in label order, so the row of
-    the new box follows from the lowest boxes of diagonals m-1, m and m+1:
-    one row below the lowest box of content m; else just right of the
-    lowest box of content m-1 (first sliding the component that starts at
-    m+1, if any, so its lowest box sits directly above: the merge); else one
-    row below the lowest box of content m+1; else a fresh component.
-    Each maximal run of consecutive contents in a group is one component;
-    it is emitted in canonical form (rows from 1, cells sorted) and the
-    components are sorted, so the result needs no further validation.
-    Nor is it re-read: the tests check it against is_standard and weight_of.
+    Label i lies on diagonal m = floor(a_i/ell) of the group of color b_i
+    and fractional content a_i/ell - m; each diagonal holds its labels on
+    consecutive rows, downwards in increasing order, and each maximal run of
+    consecutive diagonals in a group is one component.  Cell (r, m+1) lies
+    right of (r, m) and (r-1, m+1) directly above it, so adjacent diagonals
+    alternate in one increasing zigzag: diagonal m starts one row above
+    diagonal m-1 exactly when its first label is the smaller.  Components
+    are emitted in canonical form (rows from 1, cells sorted) and sorted, so
+    the result needs no further validation.  Nor is it re-read: the tests
+    check it against is_standard and weight_of.
     Raises ConditionFailed when the pairwise condition fails.  By the
-    classification theorem a weight passing the condition always finds an
-    addable box, so NoAddablePosition here is an internal fault.
+    classification theorem a weight passing it has end diagonals of one box
+    and alternating neighbours, so NoAddablePosition is an internal fault.
     """
     entries = _normalize_weight(w, ell)
     if (violation := _first_violation(entries, ell)) is not None:
@@ -148,36 +138,37 @@ def reconstruct(w: Weight, ell: int) -> tuple[SkewShapeL, Tableau]:
 
     # a_i = p/q in lowest terms: m = floor(p / (q*ell)) and the group of
     # fractional content rem / (q*ell) is keyed by the integers (b, q, rem)
-    groups: dict[tuple[int, int, int], tuple[dict, dict]] = {}
+    groups: dict[tuple[int, int, int], dict[int, list[int]]] = {}
     for i, (p, q, b) in enumerate(entries, start=1):
         m, rem = divmod(p, q * ell)
-        cells, low = groups.setdefault((b, q, rem), ({}, {}))
-        addable = True
-        if m in low:
-            r = low[m] + 1
-            addable = (r, m - 1) in cells and (r - 1, m + 1) in cells
-        elif m - 1 in low:
-            r = low[m - 1]
-            if m + 1 in low:
-                _shift_run(cells, low, m + 1, r - 1 - low[m + 1])
-        else:
-            r = low[m + 1] + 1 if m + 1 in low else 1
-        if not addable or (r, m + 1) in cells or (r + 1, m - 1) in cells:
-            raise NoAddablePosition(f"reconstruct: label {i}: no legal box of content "
-                                    f"{Fraction(p, q * ell)} in coordinate {b}")
-        cells[(r, m)] = i
-        low[m] = r
+        groups.setdefault((b, q, rem), {}).setdefault(m, []).append(i)
 
     filled: list[tuple[Component, tuple[int, ...]]] = []
-    for (b, q, rem), (cells, low) in groups.items():
+    for (b, q, rem), diagonals in groups.items():
         offset = Fraction(rem, q * ell)
-        run_of = {c: c - k for k, c in enumerate(sorted(low))}  # constant on a run
-        ordered = sorted(cells.items(), key=lambda item: (run_of[item[0][1]], item[0]))
-        for _, run in groupby(ordered, key=lambda item: run_of[item[0][1]]):
-            run_cells, run_labels = zip(*run)
-            shift = 1 - run_cells[0][0]  # sorted by row: the first row is the least
-            filled.append((Component(b, offset, tuple((r + shift, c) for r, c in run_cells)),
-                           run_labels))
+        boxes: list[tuple[tuple[int, int], int]] = []  # (cell, label) of the open component
+        for m in sorted(diagonals):
+            diag = diagonals[m]
+            prev = diagonals.get(m - 1)
+            last = m + 1 not in diagonals
+            if (prev is None or last) and len(diag) > 1:  # an end diagonal holds one box
+                raise _no_box(entries, ell, diag[1])
+            if prev is None:
+                top = 0
+            else:
+                above = diag[0] < prev[0]
+                first = diag if above else prev
+                odd = sorted(prev + diag)[0::2]  # the zigzag's 1st, 3rd, ... labels
+                if odd != first:
+                    raise _no_box(entries, ell, min(set(odd).symmetric_difference(first)))
+                top -= above
+            boxes += (((top + k, m), label) for k, label in enumerate(diag))
+            if last:
+                boxes.sort()
+                shift = 1 - boxes[0][0][0]
+                filled.append((Component(b, offset, tuple((r + shift, c) for (r, c), _ in boxes)),
+                               tuple(label for _, label in boxes)))
+                boxes = []
     comps, labels = zip(*sorted(filled, key=lambda pair: pair[0].sort_key()))
     shape = SkewShapeL(ell, comps)
     return shape, Tableau(shape, labels)

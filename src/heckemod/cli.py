@@ -51,8 +51,7 @@ def _rational(text: str) -> Fraction:
 
 
 def _emit(data) -> None:
-    json.dump(data, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    sys.stdout.write(json.dumps(data, indent=2) + "\n")  # whole, or nothing on a failure
 
 
 def _load_json(path: str):

@@ -366,8 +366,9 @@ _EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
 def fraction_from_str(s, what: str = "value") -> Fraction:
     """An exact rational: an int or a string in Python's ``Fraction`` syntax
     such as "p/q".  A float, bool, unreadable string or zero denominator
-    raises a ValueError naming ``what``, and so does a decimal exponent
-    beyond +-4 300."""
+    raises a ValueError naming ``what``, and so do a decimal exponent beyond
+    +-4 300 and a numerator or denominator too long for ``str`` to write
+    (``sys.get_int_max_str_digits()``), which ``int()`` refuses to read too."""
     if type(s) is int:
         return Fraction(s)
     if type(s) is str:
@@ -378,7 +379,9 @@ def fraction_from_str(s, what: str = "value") -> Fraction:
                 return Fraction(int(p)) if q is None else Fraction(int(p), int(q))
             e = _EXPONENT.search(s)
             if e is None or abs(int(e.group(1))) <= 4300:
-                return Fraction(s)
+                q = Fraction(s)
+                str(q.numerator), str(q.denominator)  # ValueError past the digit limit
+                return q
         except (ValueError, ZeroDivisionError):
             pass
     raise ValueError(f"{what} must be a rational (an integer or a string such as "

@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import accumulate, chain, pairwise
 
 from .cyclo import _checked_ell, fraction_from_str, fraction_to_str
@@ -314,34 +314,34 @@ def hook_dimension(ell: int, partitions) -> int:
 # ---------------------------------------------------------------------------
 # enumeration of integral shapes
 
-@lru_cache(maxsize=None)
-def _connected_classes(m: int) -> tuple[frozenset, ...]:
-    """Connected skew cell-sets with m boxes, rows and contents anchored at
-    (1, 0), grown one box at a time (removing the reading-maximal box of a
-    connected skew shape keeps it connected and skew, so growth finds all)."""
-    if m == 1:
-        return (frozenset({(1, 0)}),)
-    out = set()
-    for smaller in _connected_classes(m - 1):
-        for r, c in smaller:
-            for dr, dc in _NEIGHBOR_STEPS:
-                q = (r + dr, c + dc)
-                if q in smaller:
-                    continue
-                cand = set(smaller) | {q}
-                if _shape_fault(cand) is not None:
-                    continue
-                rshift = 1 - min(rr for rr, _ in cand)
-                cshift = -min(cc for _, cc in cand)
-                out.add(frozenset((rr + rshift, cc + cshift) for rr, cc in cand))
-    return tuple(sorted(out, key=sorted))
+def _connected_classes(n: int) -> list[tuple[frozenset, ...]]:
+    """Entry m <= n: connected skew cell-sets with m boxes anchored at (1, 0),
+    grown one box at a time (removing the reading-maximal box of a connected
+    skew shape keeps it connected and skew, so growth finds all)."""
+    classes = [(), (frozenset({(1, 0)}),)]
+    for _ in range(2, n + 1):
+        out = set()
+        for smaller in classes[-1]:
+            for r, c in smaller:
+                for dr, dc in _NEIGHBOR_STEPS:
+                    q = (r + dr, c + dc)
+                    if q in smaller:
+                        continue
+                    cand = set(smaller) | {q}
+                    if _shape_fault(cand) is not None:
+                        continue
+                    rshift = 1 - min(rr for rr, _ in cand)
+                    cshift = -min(cc for _, cc in cand)
+                    out.add(frozenset((rr + rshift, cc + cshift) for rr, cc in cand))
+        classes.append(tuple(sorted(out, key=sorted)))
+    return classes
 
 
-@lru_cache(maxsize=None)
-def _one_coordinate_catalog(m: int, window: int) -> tuple[tuple[tuple[int, frozenset], ...], ...]:
-    """All ways to fill one coordinate with m boxes: tuples of
-    (content_anchor, connected class), anchors ascending starting at 0,
-    consecutive content gaps >= 2, max content <= window."""
+def _one_coordinate_catalog(m: int, window: int,
+                            classes: list) -> tuple[tuple[tuple[int, frozenset], ...], ...]:
+    """All ways to fill one coordinate with m boxes, from ``classes`` =
+    ``_connected_classes(n >= m)``: tuples of (content_anchor, connected class),
+    anchors ascending from 0, consecutive content gaps >= 2, max content <= window."""
     if m == 0:
         return ((),)
 
@@ -350,7 +350,7 @@ def _one_coordinate_catalog(m: int, window: int) -> tuple[tuple[tuple[int, froze
             yield ()
             return
         for size in range(1, remaining + 1):
-            for cls in _connected_classes(size):
+            for cls in classes[size]:
                 span = max(c for _, c in cls) + 1
                 anchors = [0] if first else range(min_anchor, window - span + 2)
                 for a in anchors:
@@ -374,13 +374,15 @@ def enumerate_shapes(ell: int, n: int, window: int) -> tuple[SkewShapeL, ...]:
     if n < 1:
         raise EmptyShape("n must be positive")
 
+    classes = _connected_classes(n)
+    catalog = [_one_coordinate_catalog(m, window, classes) for m in range(n + 1)]
     shapes = []
     partial = [((), n)]  # (components of the colors so far, boxes left > 0)
     for beta in range(ell):
         grown = []
         for comps, remaining in partial:
             for m in range(remaining + 1):
-                for fill in _one_coordinate_catalog(m, window):
+                for fill in catalog[m]:
                     more = comps + tuple(
                         Component(beta, Fraction(0),
                                   tuple(sorted((r, c + anchor) for r, c in cls)))

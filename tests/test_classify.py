@@ -4,10 +4,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from classify_reference import first_violation
+from classify_reference import first_violation, reconstruct as reference_reconstruct
 from heckemod import (
     ConditionFailed,
     EmptyShape,
+    NoAddablePosition,
     Weight,
     check_weight_condition,
     classify_roundtrip,
@@ -161,6 +162,35 @@ def test_reconstruct_inverts_weight_of_exhaustively():
         for key, (D, T) in table.items():
             got_D, got_T = reconstruct(key, ell)
             assert got_D == D and got_T == T
+
+
+def test_reconstruct_matches_incremental_reference(monkeypatch):
+    # with the condition check switched off, every weight of the grid either
+    # faults in both the diagonal rule and the incremental oracle, or gives
+    # both the same pair: integral and half-integral a, mixed colours
+    monkeypatch.setattr("heckemod.classify._first_violation", lambda entries, ell: None)
+
+    def outcome(rebuild, weight, ell):
+        try:
+            return rebuild(weight, ell)
+        except NoAddablePosition:
+            return None
+
+    grid = [(1, [(x, 0) for x in range(-2, 3)], 6),
+            (2, [(x, b) for x in range(-2, 3) for b in (0, 1)]
+             + [(Fraction(x, 2), 0) for x in (-1, 1, 3)], 4),
+            (3, [(x, b) for x in (-3, 0, 3) for b in (0, 1, 2)] + [(Fraction(3, 2), 0)], 4)]
+    faults = rebuilt = 0
+    for ell, entries, max_n in grid:
+        for n in range(1, max_n + 1):
+            for entry in itertools.product(entries, repeat=n):
+                a, b = zip(*entry)
+                weight = w(a, b)
+                got = outcome(reconstruct, weight, ell)
+                assert got == outcome(reference_reconstruct, weight, ell), (ell, weight)
+                faults += got is None
+                rebuilt += got is not None
+    assert (faults, rebuilt) == (36074, 25506)
 
 
 def test_classify_roundtrip_reports():

@@ -120,6 +120,16 @@ def test_classify_rejects_each_kind(capsys, tmp_path, a, rejected):
     assert out == json.dumps({"rejected": rejected}, indent=2) + "\n"
 
 
+def test_classify_refuses_a_rational_too_long_to_write(capsys, tmp_path):
+    # 10**4300 has one digit more than Python writes: refused when read, so
+    # no partial document reaches stdout
+    path = tmp_path / "weight.json"
+    path.write_text(json.dumps({"ell": 1, "a": ["1e4300"], "b": [0]}))
+    assert main(["classify", "--weight", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: malformed input: ValueError(\"weight field 'a' must be a "
+                            "rational (an integer or a string such as -3/2), got '1e4300'\")\n")
 def test_classify_no_addable_position_is_an_internal_fault(capsys, tmp_path, monkeypatch):
     # a condition-passing weight always reconstructs, so the raise is reached
     # only with the condition check switched off: [0, 0] then puts label 2
@@ -315,6 +325,8 @@ def test_exit_codes_for_bad_input(capsys, tmp_path):
                           "got [[1.5, 0]]"),
     ("offset", 0.25, "shape field 'offset' must be a rational (an integer or a string "
                      "such as -3/2), got 0.25"),
+    ("offset", "1e4300", "shape field 'offset' must be a rational (an integer or a string "
+                         "such as -3/2), got '1e4300'"),
 ])
 def test_shape_field_messages(capsys, tmp_path, field, value, message):
     # the library reader owns these rules; the CLI words them as before

@@ -2,6 +2,7 @@ import fractions
 import json
 import math
 import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -145,14 +146,17 @@ rational_texts = st.one_of(
 def _fraction_or_refused(s):
     # the reader refuses a decimal exponent beyond +-4 300 before Fraction
     # would expand it, so the oracle reads Fraction's own exponent group and
-    # never builds such a number either
+    # never builds such a number either; it also refuses a numerator or
+    # denominator with more digits than the interpreter writes, as int() does
     try:
         m = fractions._RATIONAL_FORMAT.match(s)
         if m and m.group("exp") and abs(int(m.group("exp"))) > 4300:
             return None
-        return Fraction(s)
+        q = Fraction(s)
     except (ValueError, ZeroDivisionError):
         return None
+    bound = 10 ** sys.get_int_max_str_digits()
+    return q if abs(q.numerator) < bound and q.denominator < bound else None
 
 
 def _read_or_refused(s):
