@@ -126,7 +126,9 @@ def reconstruct(w: Weight, ell: int) -> tuple[SkewShapeL, Tableau]:
     are emitted in canonical form (rows from 1, cells sorted) and sorted, so
     the result needs no further validation.  Nor is it re-read: the tests
     check it against is_standard and weight_of.
-    Raises ConditionFailed when the pairwise condition fails.  By the
+    Raises ConditionFailed when the pairwise condition fails, and a
+    ValueError naming the entry when a component's offset rem/(q ell) has a
+    denominator with more digits than ``str`` writes.  By the
     classification theorem a weight passing it has end diagonals of one box
     and alternating neighbours, so NoAddablePosition is an internal fault.
     """
@@ -146,6 +148,12 @@ def reconstruct(w: Weight, ell: int) -> tuple[SkewShapeL, Tableau]:
     filled: list[tuple[Component, tuple[int, ...]]] = []
     for (b, q, rem), diagonals in groups.items():
         offset = Fraction(rem, q * ell)
+        try:
+            str(offset.denominator)  # ValueError past the digit limit of int()
+        except ValueError:
+            first = min(diag[0] for diag in diagonals.values())
+            raise ValueError(f"weight field 'a[{first - 1}]': its content offset has a "
+                             f"denominator too long to write") from None
         boxes: list[tuple[tuple[int, int], int]] = []  # (cell, label) of the open component
         for m in sorted(diagonals):
             diag = diagonals[m]

@@ -14,8 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property, lru_cache, partial
+from itertools import compress
 from math import gcd, lcm
+from operator import add, mul
 
 from .cyclo import Cyc, fraction_from_str, root_of_unity
 from .errors import DimensionMismatch, HeckemodError, NotAPartition, NotScalar
@@ -56,6 +58,17 @@ class ModuleRep:
         b = [[w.b[i] % ell for w in weights] for i in range(self.n)]
         return u, den, b
 
+    @cached_property
+    def _forms(self) -> tuple:
+        """The involution form (P, A, C) of each s-matrix's integer rows
+        (``_involution_form``), read once per module.  None for a matrix
+        with no such form, and for one whose size or field disagrees with
+        the module (not dim x dim over Q(zeta_ell), or a weight count other
+        than dim): the lists would not line up, so the products check it."""
+        dim = self.dim
+        return tuple(_involution_form(m) if (m.ell, m.nrows, m.ncols, len(self.weights))
+                     == (self.ell, dim, dim, dim) else None for m in self.mat_s)
+
 
 @dataclass(frozen=True)
 class RelationCheck:
@@ -87,12 +100,19 @@ class VerificationReport:
         }
 
 
+@lru_cache(maxsize=1 << 14)
+def _holds(name: str) -> RelationCheck:
+    """The passing check of a relation, built once per name: a check is
+    frozen, so every report shares it."""
+    return RelationCheck(name, True)
+
+
 def _report(name: str, left: Mat, right: Mat) -> RelationCheck:
     """The check of the relation left = right, decided by ``==``.  Only a
     failing relation forms its residual left - right, whose least nonzero
     entry is the witness, read out as a Cyc."""
     if left == right:
-        return RelationCheck(name, True)
+        return _holds(name)
     residual = left - right
     p = min(residual.rows)
     q = min(residual.rows[p])
@@ -110,7 +130,7 @@ def _side_report(name: str, x: Mat, col: list[int], row: list[int], value,
     key = min([(p, q) for p, entries in x.rows.items() for q in entries if col[q] != row[p]],
               default=None)
     if key is None:
-        return RelationCheck(name, True)
+        return _holds(name)
     p, q = key
     witness = x[p, q] * (value(col[q]) - value(row[p]))
     return RelationCheck(name, False, (p, q, repr(-witness if negate else witness)))
@@ -122,6 +142,142 @@ def _pi_values(module: ModuleRep, i: int) -> list[int]:
     b_i = b_{i+1} mod ell and 0 otherwise."""
     ell, b = module.ell, module._scaled[2]
     return [ell if x == y else 0 for x, y in zip(b[i - 1], b[i])]
+
+
+# ---------------------------------------------------------------------------
+# involution forms
+#
+# Each s_i of a seminormal module maps basis vector p into span{p, P p} for an
+# involution P of the basis, so its integer rows are row p = A[p] e_p +
+# C[p] e_{P p}.  The checks below decide an identity on these lists, slot by
+# slot: a row of a product of such forms has its terms at the columns reached
+# through P and Q, and equal values at equal columns give equal matrices.  A
+# check that does not hold decides nothing; its identity goes to the matrix
+# products, which also form the witness.
+
+def _involution_form(m: Mat) -> tuple[list[int], list[int], list[int]] | None:
+    """(P, A, C) with row p of m's integer rows A[p] e_p + C[p] e_{P[p]} and
+    C[p] = 0 exactly where P[p] = p; None when an entry is not an int, a row
+    holds an entry outside {p, P[p]}, or P is not an involution."""
+    dim = m.nrows
+    P, A, C = list(range(dim)), [0] * dim, [0] * dim
+    for p, row in m.rows.items():
+        for q, x in row.items():
+            if x.__class__ is not int:
+                return None
+            if q == p:
+                A[p] = x
+            elif C[p]:
+                return None
+            else:
+                P[p], C[p] = q, x
+    return (P, A, C) if _at(P, P) == list(range(dim)) else None
+
+
+def _at(values: list, keys) -> list:
+    """values[k] for each k of keys: a list composed with a permutation."""
+    return list(map(values.__getitem__, keys))
+
+
+def _scaled_by(values: list, f: int) -> list:
+    return values if f == 1 else [x * f for x in values]
+
+
+def _square_holds(form, target: list[int]) -> bool:
+    """X^2 = diag(target) for the form X = (P, A, C): slot p of row p is
+    A^2 + C C(P), slot P p is C (A + A(P))."""
+    P, A, C = form
+    return ([a * a + c * cp for a, c, cp in zip(A, C, _at(C, P))] == target
+            and not any(map(mul, C, map(add, A, _at(A, P)))))
+
+
+def _pairs(form) -> tuple[list[int], list[int]]:
+    """The rows p of the form (P, A, C) with an off-diagonal entry, C[p] != 0,
+    and their partners P p."""
+    P, _, C = form
+    return list(compress(range(len(P)), C)), list(compress(P, C))
+
+
+def _side_holds(A: list[int], pairs, col: list[int], row: list[int]) -> bool:
+    """X diag(col) = diag(row) X for a form X = (P, A, C) with ``_pairs``
+    pairs, and integer keys of an injective value, as in ``_side_report``:
+    col[q] = row[p] at every nonzero entry (p, q), the diagonal ones masked
+    by A, the others at the pairs."""
+    rows, partners = pairs
+    return ((col is row or list(compress(col, A)) == list(compress(row, A)))
+            and _at(col, partners) == _at(row, rows))
+
+
+def _commute_holds(f, g) -> bool:
+    """F G = G F for the forms F = (P, A, C) and G = (Q, B, D).  Row p of
+    F G holds A B at p, A D at Q p, C B(P) at P p and C D(P) at Q P p; of
+    G F, B A, D A(Q), B C and D C(Q) at P Q p.  So A = A(Q) where D is
+    nonzero, B = B(P) where C is, C D(P) = D C(Q), and where that last slot
+    is nonzero, Q P = P Q."""
+    P, A, C = f
+    Q, B, D = g
+    if (list(compress(A, D)) != _at(A, compress(Q, D))
+            or list(compress(B, C)) != _at(B, compress(P, C))):
+        return False
+    last = list(map(mul, C, _at(D, P)))
+    return (last == list(map(mul, D, _at(C, Q)))
+            and list(compress(_at(Q, P), last)) == list(compress(_at(P, Q), last)))
+
+
+def _braid_holds(f, lf: int, g, lg: int) -> bool:
+    """lg F G F = lf G F G for the forms F = (P, A, C) and G = (Q, B, D),
+    integer rows over the denominators lf and lg.  Row p of H = F G holds
+    H0 = A B at p, H1 = A D at Q p, H2 = C B(P) at P p and H3 = C D(P) at
+    Q P p.  So row p of H F has its terms at p, P p, Q p, P Q p, Q P p and
+    P Q P p, and of G H at the same five and at Q P Q p: the six slots are
+    compared, and the keys of the last where it is nonzero."""
+    P, A, C = f
+    Q, B, D = g
+    QP = _at(Q, P)
+    H = (list(map(mul, A, B)), list(map(mul, A, D)),
+         list(map(mul, C, _at(B, P))), list(map(mul, C, _at(D, P))))
+    H0, H1, H2, H3 = H
+    H0Q, H1Q, H2Q, H3Q = (_at(h, Q) for h in H)
+    L0, L1, L2, L3 = H if lg == 1 else ([x * lg for x in h] for h in H)
+    B, D = _scaled_by(B, lf), _scaled_by(D, lf)
+    slots = (
+        (map(add, map(mul, L0, A), map(mul, L2, _at(C, P))),
+         map(add, map(mul, B, H0), map(mul, D, H1Q))),
+        (map(add, map(mul, L0, C), map(mul, L2, _at(A, P))), map(mul, B, H2)),
+        (map(mul, L1, _at(A, Q)), map(add, map(mul, B, H1), map(mul, D, H0Q))),
+        (map(mul, L1, _at(C, Q)), map(mul, D, H2Q)),
+        (map(mul, L3, _at(A, QP)), map(mul, B, H3)))
+    for left, right in slots:
+        if list(left) != list(right):
+            return False
+    last = list(map(mul, L3, _at(C, QP)))
+    return (last == list(map(mul, D, H3Q))
+            and list(compress(_at(P, QP), last)) == list(compress(_at(QP, Q), last)))
+
+
+def _crossing_holds(A: list[int], pairs, scale: int, ui: list[int], unext: list[int],
+                    pis: list[int]) -> bool:
+    """X U_i + scale pi = U_{i+1} X for a form X = (P, A, C) with ``_pairs``
+    pairs: slot p is A U_i + scale pi against U_{i+1} A, and slot P p holds
+    C U_i(P) against U_{i+1} C, so U_i(P) = U_{i+1} at the pairs."""
+    rows, partners = pairs
+    return ([a * x + scale * pi for a, x, pi in zip(A, ui, pis)] == list(map(mul, unext, A))
+            and _at(ui, partners) == _at(unext, rows))
+
+
+def _jm_step_holds(form, lden: int, den: int, ui: list[int], unext: list[int],
+                   pis: list[int]) -> bool:
+    """X U_i X + L den pi X = L^2 U_{i+1} for the form X = (P, A, C) of
+    integer rows over L = lden: slot p is A (A U_i + L den pi) +
+    C C(P) U_i(P) against L^2 U_{i+1}, and slot P p is
+    C (A U_i + A(P) U_i(P) + L den pi), which must vanish."""
+    P, A, C = form
+    k, up = lden * den, _at(ui, P)
+    return ([a * (a * x + k * pi) + c * cp * xp
+             for a, c, cp, x, xp, pi in zip(A, C, _at(C, P), ui, up, pis)]
+            == _scaled_by(unext, lden * lden)
+            and not any([c * (a * x + ap * xp + k * pi)
+                         for a, c, ap, x, xp, pi in zip(A, C, _at(A, P), ui, up, pis)]))
 
 
 # ---------------------------------------------------------------------------
@@ -199,11 +355,10 @@ def direct_sum(m1: ModuleRep, m2: ModuleRep) -> ModuleRep:
 # ---------------------------------------------------------------------------
 # generator access
 
-def _tau(module: ModuleRep, i: int) -> tuple[Mat, Mat]:
-    """tau_i and its correction c, from the module's s_i and its
-    u-eigenvalues U / den: tau_i = s_i - c with c the diagonal
-    pi/(u_{i+1} - u_i) = pi den/(U[i] - U[i-1]) on each basis vector, zero
-    where pi vanishes."""
+def _correction(module: ModuleRep, i: int) -> tuple[list[int], int]:
+    """The correction c of tau_i = s_i - c, from the module's u-eigenvalues
+    U / den: the diagonal pi/(u_{i+1} - u_i) = pi den/(U[i] - U[i-1]) on each
+    basis vector, zero where pi vanishes, as integers over a positive scale."""
     u, den, _ = module._scaled
     pis = _pi_values(module, i)
     gaps = [hi - lo for hi, lo in zip(u[i], u[i - 1])]
@@ -213,8 +368,12 @@ def _tau(module: ModuleRep, i: int) -> tuple[Mat, Mat]:
                 f"intertwiner {i} undefined: equal u-eigenvalues with "
                 f"matching color at basis vector {t}")
     scale = lcm(*(gap for pi, gap in zip(pis, gaps) if pi))
-    c = _diagonal(module.ell, [pi * den * (scale // gap) if pi else 0
-                               for pi, gap in zip(pis, gaps)], scale)
+    return [pi * den * (scale // gap) if pi else 0 for pi, gap in zip(pis, gaps)], scale
+
+
+def _tau(module: ModuleRep, i: int) -> tuple[Mat, Mat]:
+    """tau_i = s_i - c and its correction c (``_correction``) as matrices."""
+    c = _diagonal(module.ell, *_correction(module, i))
     return module.mat_s[i - 1] - c, c
 
 
@@ -251,58 +410,73 @@ def verify_relations(module: ModuleRep) -> VerificationReport:
     s_i u_i = u_{i+1} s_i - pi_i (pi_i from ``_pi_values``).
 
     Everything runs on the integer rows S_i = L_i s_i of the s-matrices,
-    L_i their denominator ``den``.  The s-only relations compare integer
-    products by ``==``: S_i^2 = L_i^2 I, L_{i+1} S_i S_{i+1} S_i =
+    L_i their denominator ``den``: S_i^2 = L_i^2 I, L_{i+1} S_i S_{i+1} S_i =
     L_i S_{i+1} S_i S_{i+1} and S_i S_j = S_j S_i.  A relation with a diagonal
     side, X D = D' X, holds exactly when X[p, q] (d_q - d'_p) vanishes at every
     nonzero entry of X: an integer test for the u-eigenvalues over their
     common denominator, and for zeta a comparison of color exponents.  The
-    crossing relation compares S_i U_i + pi_i with U_{i+1} S_i, U_i the
-    diagonal of u_i over that denominator.  The relations among the diagonal
-    generators (zeta_i^ell = 1 and the zeta/u commutations) hold by the
-    storage, which gives each zeta_i as zeta^b with an integer b and every
-    diagonal generator as an eigenvalue vector on one basis, so they are
-    reported without arithmetic."""
-    ell, n = module.ell, module.n
-    s = module.mat_s
+    crossing relation compares S_i U_i + L_i den pi_i with U_{i+1} S_i, U_i
+    the diagonal of u_i over that denominator.  Each relation is first
+    decided on the involution forms of the S_i (``ModuleRep._forms``) by
+    whole-list comparisons; one that those do not confirm, or whose s-matrix
+    has no such form, is decided again by exact matrix products (``_report``,
+    ``_side_report``), which also form a failing relation's witness.  The
+    relations among the diagonal generators (zeta_i^ell = 1 and the zeta/u
+    commutations) hold by the storage, which gives each zeta_i as zeta^b with
+    an integer b and every diagonal generator as an eigenvalue vector on one
+    basis, so they are reported without arithmetic."""
+    ell, n, dim = module.ell, module.n, module.dim
+    s, forms = module.mat_s, module._forms
+    pairs = [form and _pairs(form) for form in forms]
     u, den, z = module._scaled
     rational, root = partial(Fraction, denominator=den), partial(root_of_unity, ell)
     checks = []
     add = checks.append
 
+    def side(name, i, col, row, value):
+        form = forms[i - 1]
+        add(_holds(name) if form and _side_holds(form[1], pairs[i - 1], col, row)
+            else _side_report(name, s[i - 1], col, row, value))
+
     for i in range(1, n):
-        sq = s[i - 1] * s[i - 1]  # against L_i^2 I, at the same denominator
-        one = _diagonal(ell, [sq.den] * module.dim, sq.den)
-        add(_report(f"s{i}^2=1", sq, one))
+        name, x, sq = f"s{i}^2=1", s[i - 1], s[i - 1].den ** 2
+        add(_holds(name) if forms[i - 1] and _square_holds(forms[i - 1], [sq] * dim)
+            else _report(name, x * x, _diagonal(ell, [sq] * dim, sq)))
     for i in range(1, n - 1):
-        add(_report(f"s{i}s{i + 1}s{i}=s{i + 1}s{i}s{i + 1}",
-                    s[i - 1] * s[i] * s[i - 1], s[i] * s[i - 1] * s[i]))
+        name, x, y, f, g = (f"s{i}s{i + 1}s{i}=s{i + 1}s{i}s{i + 1}", s[i - 1], s[i],
+                            forms[i - 1], forms[i])
+        add(_holds(name) if f and g and _braid_holds(f, x.den, g, y.den)
+            else _report(name, x * y * x, y * x * y))
     for i in range(1, n):
         for j in range(i + 2, n):
-            add(_report(f"s{i}s{j}=s{j}s{i}", s[i - 1] * s[j - 1], s[j - 1] * s[i - 1]))
+            name, x, y, f, g = f"s{i}s{j}=s{j}s{i}", s[i - 1], s[j - 1], forms[i - 1], forms[j - 1]
+            add(_holds(name) if f and g and _commute_holds(f, g) else _report(name, x * y, y * x))
     for i in range(1, n + 1):
-        add(RelationCheck(f"zeta{i}^{ell}=1", True))
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            add(RelationCheck(f"zeta{i}zeta{j}=zeta{j}zeta{i}", True))
-    for i in range(1, n):
-        add(_side_report(f"s{i}zeta{i}=zeta{i + 1}s{i}", s[i - 1], z[i - 1], z[i], root))
-        for j in range(1, n + 1):
-            if j not in (i, i + 1):
-                add(_side_report(f"s{i}zeta{j}=zeta{j}s{i}", s[i - 1], z[j - 1], z[j - 1], root))
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            add(RelationCheck(f"zeta{i}u{j}=u{j}zeta{i}", True))
+        add(_holds(f"zeta{i}^{ell}=1"))
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            add(RelationCheck(f"u{i}u{j}=u{j}u{i}", True))
+            add(_holds(f"zeta{i}zeta{j}=zeta{j}zeta{i}"))
+    for i in range(1, n):
+        side(f"s{i}zeta{i}=zeta{i + 1}s{i}", i, z[i - 1], z[i], root)
+        for j in range(1, n + 1):
+            if j not in (i, i + 1):
+                side(f"s{i}zeta{j}=zeta{j}s{i}", i, z[j - 1], z[j - 1], root)
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            add(_holds(f"zeta{i}u{j}=u{j}zeta{i}"))
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            add(_holds(f"u{i}u{j}=u{j}u{i}"))
     for i in range(1, n):
         for j in range(1, n + 1):
             if j not in (i, i + 1):
-                add(_side_report(f"s{i}u{j}=u{j}s{i}", s[i - 1], u[j - 1], u[j - 1], rational))
-        pi = _diagonal(ell, _pi_values(module, i))
-        ui, unext = (_diagonal(ell, u[k], den) for k in (i - 1, i))
-        add(_report(f"s{i}u{i}=u{i + 1}s{i}-pi{i}", s[i - 1] * ui + pi, unext * s[i - 1]))
+                side(f"s{i}u{j}=u{j}s{i}", i, u[j - 1], u[j - 1], rational)
+        name, x, form, pis = f"s{i}u{i}=u{i + 1}s{i}-pi{i}", s[i - 1], forms[i - 1], _pi_values(module, i)
+        if form and _crossing_holds(form[1], pairs[i - 1], x.den * den, u[i - 1], u[i], pis):
+            add(_holds(name))
+        else:
+            ui, unext = (_diagonal(ell, u[k], den) for k in (i - 1, i))
+            add(_report(name, x * ui + _diagonal(ell, pis), unext * x))
     return VerificationReport(tuple(checks))
 
 
@@ -315,32 +489,65 @@ def verify_intertwiners(module: ModuleRep) -> VerificationReport:
         evaluated on each basis vector (taken to be 1 where pi vanishes);
     (c) the braid relation for tau.
 
-    Each tau_i is built once by ``_tau``, and every check runs on those, as
-    in ``verify_relations``; the expected tau_i^2 is 1 - c^2 for the correction c = pi/(u_{i+1} - u_i) of tau_i.
+    Each correction c = pi/(u_{i+1} - u_i) of tau_i = s_i - c is computed
+    once by ``_correction``, whose guard runs for every i before any check,
+    and the expected tau_i^2 is 1 - c^2.  tau_i has the partner list of s_i,
+    so its involution form is that of s_i minus c, over lcm(L_i, scale), and
+    every check is first decided on these forms as in ``verify_relations``.
+    The matrices tau_i and c (``_tau``) are built only for a check that the
+    forms do not confirm, whose products decide it and form its witness.
     """
-    ell, n = module.ell, module.n
+    ell, n, dim = module.ell, module.n, module.dim
     u, den, z = module._scaled
     rational, root = partial(Fraction, denominator=den), partial(root_of_unity, ell)
+    corrections = [_correction(module, i) for i in range(1, n)]
+    taus: dict[int, tuple[Mat, Mat]] = {}
+
+    def mats(i):
+        if i not in taus:
+            taus[i] = _tau(module, i)
+        return taus[i]
+
+    # the form of tau_i, its denominator, the integer diagonal of tau_i^2
+    # and the pairs of s_i
+    forms = []
+    for form, m, (values, scale) in zip(module._forms, module.mat_s, corrections):
+        if form is None:
+            forms.append((None, None, None, None))
+            continue
+        P, A, C = form
+        top = lcm(m.den, scale)
+        f, g = top // m.den, top // scale
+        forms.append(((P, [a * f - x * g for a, x in zip(A, values)], _scaled_by(C, f)),
+                      top, [top * top - (x * g) ** 2 for x in values], _pairs(form)))
     checks = []
-    one = Mat.identity(ell, module.dim)
-    pairs = [_tau(module, i) for i in range(1, n)]
-    taus = [tau for tau, _ in pairs]
+    add = checks.append
+
+    def side(name, i, col, row, value):
+        form, _, _, pairs = forms[i - 1]
+        add(_holds(name) if form and _side_holds(form[1], pairs, col, row)
+            else _side_report(name, mats(i)[0], col, row, value, negate=True))
 
     for i in range(1, n):
-        tau = taus[i - 1]
         for j in range(1, n + 1):
             k = {i: i + 1, i + 1: i}.get(j, j)
-            checks.append(_side_report(f"u{j}tau{i}=tau{i}u{k}",
-                                       tau, u[k - 1], u[j - 1], rational, negate=True))
-            checks.append(_side_report(f"zeta{j}tau{i}=tau{i}zeta{k}",
-                                       tau, z[k - 1], z[j - 1], root, negate=True))
-        c = pairs[i - 1][1]  # ((u_i-u_{i+1})^2 - pi^2)/(u_i-u_{i+1})^2 = 1 - c^2
-        checks.append(_report(f"tau{i}^2=((u{i}-u{i + 1})^2-pi^2)/(u{i}-u{i + 1})^2",
-                              tau * tau, one - c * c))
+            side(f"u{j}tau{i}=tau{i}u{k}", i, u[k - 1], u[j - 1], rational)
+            side(f"zeta{j}tau{i}=tau{i}zeta{k}", i, z[k - 1], z[j - 1], root)
+        name, (form, _, target, _) = (f"tau{i}^2=((u{i}-u{i + 1})^2-pi^2)/(u{i}-u{i + 1})^2",
+                                      forms[i - 1])
+        if form and _square_holds(form, target):
+            add(_holds(name))
+        else:
+            tau, c = mats(i)
+            add(_report(name, tau * tau, Mat.identity(ell, dim) - c * c))
     for i in range(1, n - 1):
-        checks.append(_report(
-            f"tau{i}tau{i + 1}tau{i}=tau{i + 1}tau{i}tau{i + 1}",
-            taus[i - 1] * taus[i] * taus[i - 1], taus[i] * taus[i - 1] * taus[i]))
+        name, (f, lf, _, _), (g, lg, _, _) = (f"tau{i}tau{i + 1}tau{i}=tau{i + 1}tau{i}tau{i + 1}",
+                                              forms[i - 1], forms[i])
+        if f and g and _braid_holds(f, lf, g, lg):
+            add(_holds(name))
+        else:
+            x, y = mats(i)[0], mats(i + 1)[0]
+            add(_report(name, x * y * x, y * x * y))
     return VerificationReport(tuple(checks))
 
 
@@ -485,25 +692,37 @@ def jm_consistency(module: ModuleRep) -> VerificationReport:
 
     phi_i = sum over j < i and colors k of zeta_i^k zeta_j^-k (j i) is built
     by the Okounkov-Vershik recurrence phi_1 = 0,
-    phi_{i+1} = s_i phi_i s_i + pi_i s_i (pi_i from ``_pi_values``), two
-    sparse products per step.  It is an identity in the group algebra, so
-    wherever the s-only and s-zeta relations hold the matrices, and the
-    reports, are those of ``grpalg.evaluate_in_module``.  On a module where
-    those relations fail, the report is that of the recurrence's matrices;
-    ``verify_relations`` rejects such a module."""
+    phi_{i+1} = s_i phi_i s_i + pi_i s_i (pi_i from ``_pi_values``).  While
+    the last check holds, phi_i = u_i, so phi_{i+1} is
+    s_i u_i s_i + pi_i s_i, compared with u_{i+1} as two lists on the
+    involution form of s_i (``_jm_step_holds``).  A step those do not
+    confirm rebuilds phi_i as the diagonal of u_i, and the recurrence runs
+    on sparse products, two per step, until a check holds again.  It is an identity in
+    the group algebra, so wherever the s-only and s-zeta relations hold the
+    matrices, and the reports, are those of ``grpalg.evaluate_in_module``.
+    On a module where those relations fail, the report is that of the
+    recurrence's matrices; ``verify_relations`` rejects such a module."""
     if module.shape is None or not is_partition_shape(module.shape):
         raise NotAPartition(
             "Jucys-Murphy comparison needs a module built from partitions "
             "anchored at content 0")
-    ell, s = module.ell, module.mat_s
+    ell, s, forms = module.ell, module.mat_s, module._forms
     u, den, _ = module._scaled
-    phi = Mat.zero(ell, module.dim)
+    phi, held = Mat.zero(ell, module.dim), True  # held: the last check held
     checks = []
     for i in range(1, module.n + 1):
+        name = f"phi{i}=u{i}"
         if i > 1:
-            si = s[i - 2]
-            phi = si * phi * si + _diagonal(ell, _pi_values(module, i - 1)) * si
-        checks.append(_report(f"phi{i}=u{i}", phi, _diagonal(ell, u[i - 1], den)))
+            si, pis, form = s[i - 2], _pi_values(module, i - 1), forms[i - 2]
+            if held:  # phi_{i-1} = u_{i-1}
+                if form is not None and _jm_step_holds(form, si.den, den, u[i - 2], u[i - 1], pis):
+                    checks.append(_holds(name))
+                    continue
+                phi = _diagonal(ell, u[i - 2], den)
+            phi = si * phi * si + _diagonal(ell, pis) * si
+        check = _report(name, phi, _diagonal(ell, u[i - 1], den))
+        checks.append(check)
+        held = check.ok
     return VerificationReport(tuple(checks))
 
 

@@ -130,6 +130,20 @@ def test_classify_refuses_a_rational_too_long_to_write(capsys, tmp_path):
     assert captured.out == ""
     assert captured.err == ("error: malformed input: ValueError(\"weight field 'a' must be a "
                             "rational (an integer or a string such as -3/2), got '1e4300'\")\n")
+
+
+def test_classify_refuses_an_offset_too_long_to_write(capsys, tmp_path):
+    # 10**-4299 is read, but at ell = 10 its component offset has a
+    # denominator of 4 301 digits: refused before any output, naming the entry
+    path = tmp_path / "weight.json"
+    path.write_text(json.dumps({"ell": 10, "a": ["0", "1e-4299"], "b": [0, 0]}))
+    assert main(["classify", "--weight", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: malformed input: ValueError(\"weight field 'a[1]': its "
+                            "content offset has a denominator too long to write\")\n")
+
+
 def test_classify_no_addable_position_is_an_internal_fault(capsys, tmp_path, monkeypatch):
     # a condition-passing weight always reconstructs, so the raise is reached
     # only with the condition check switched off: [0, 0] then puts label 2

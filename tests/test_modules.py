@@ -443,7 +443,23 @@ def _zeta_conjugated(M, rng):
 
 
 def _corrupted(M, rng, kind):
-    """M with one s entry, one u eigenvalue or one zeta exponent changed."""
+    """M with one s entry, one u eigenvalue or one zeta exponent changed.
+    Kind "outside" sets an s entry (p, q) with q neither p nor the partner
+    of p, and "unpaired" clears the mirror (q, p) of an off-diagonal entry
+    (p, q), so that no partner list reads the s-matrix: both leave the
+    involution form.  Where M has no such entry, it is returned as it is."""
+    if kind in ("outside", "unpaired"):
+        for k in rng.sample(range(len(M.mat_s)), len(M.mat_s)):
+            m = M.mat_s[k].copy()
+            if kind == "outside":
+                keys = [(p, q) for p, row in m.rows.items() if row.keys() - {p}
+                        for q in range(M.dim) if q != p and q not in row]
+            else:
+                keys = [(q, p) for p, row in m.rows.items() for q in row if q != p]
+            if keys:
+                m[rng.choice(keys)] = rng.choice([1, -1, Fraction(1, 2)]) if kind == "outside" else 0
+                return dataclasses.replace(M, mat_s=M.mat_s[:k] + (m,) + M.mat_s[k + 1:])
+        return M
     if kind == "s" and M.mat_s:
         k = rng.randrange(len(M.mat_s))
         m = M.mat_s[k].copy()
@@ -509,6 +525,13 @@ def test_matches_matrix_reference():
     sums.append(direct_sum(module_21(), module_21()))
     corrupted = [_corrupted(M, rng, ("s", "u", "zeta")[k % 3])
                  for k, M in enumerate(modules[::2])]
+    # copies whose s-matrices leave the involution form, so that only the
+    # matrix products decide their relations
+    rng_form = random.Random(24)
+    formless = [_corrupted(M, rng_form, kind) for kind in ("outside", "unpaired")
+                for M in modules[1::4]]
+    formless = [M for M in formless if None in M._forms]
+    assert len(formless) > 100
     # a twist whose u-eigenvalues have denominator 3, and a hand-made module
     # whose eigenvalues are plain ints
     twisted = [twist(M, "t", Fraction(1, 3)) for M in modules if M.ell == 2][::7]
@@ -527,11 +550,93 @@ def test_matches_matrix_reference():
         assert any(not v.is_rational() for m in M.mat_s for v in m.data.values())
         assert verify_relations(M).ok and verify_intertwiners(M).ok
     irrational += [_corrupted(M, rng_zeta, "s") for M in irrational]
-    for M in sums + corrupted + twisted + hand_made + irrational:
+    for M in sums + corrupted + formless + twisted + hand_made + irrational:
         check(M)
     # the corruptions reach failing reports and both guarded exceptions
     assert len(sums) > 10
     assert {True, False, ZeroDivisionError, NotScalar} <= seen
+
+
+def _sheared(M):
+    """M + M in the basis of X = [[I, D], [0, I]] with D = diag(1, ..., dim).
+    X commutes with every u and zeta, as both copies carry the same weights,
+    so the module stays sound; but X s X^-1 holds D s - s D off the diagonal
+    blocks, so an s-matrix with an off-diagonal entry leaves the involution
+    form."""
+    S, d = direct_sum(M, M), M.dim
+    x, x_inv = Mat.identity(M.ell, 2 * d), Mat.identity(M.ell, 2 * d)
+    for t in range(d):
+        x[t, d + t], x_inv[t, d + t] = t + 1, -(t + 1)
+    return dataclasses.replace(S, mat_s=tuple(x * m * x_inv for m in S.mat_s))
+
+
+def test_sheared_sums_are_decided_by_products():
+    # the sound modules whose s-matrices have no involution form: every
+    # relation goes to the products, and every report is the oracle's
+    import module_reference as ref
+    from test_acceptance import multipartitions
+
+    shapes = [partition_shape(ell, p) for ell in (1, 2) for n in (3, 4)
+              for p in multipartitions(ell, n)]
+    for D in shapes:
+        base = build_module(D)
+        M = _sheared(base)
+        assert (None in M._forms) == any(any(C) for _, _, C in base._forms)
+        for fast, slow in ((verify_relations, ref.verify_relations),
+                           (verify_intertwiners, ref.verify_intertwiners)):
+            report = fast(M)
+            assert report.ok and report == slow(M), (fast.__name__, D)
+        # the Jucys-Murphy sums act on both copies as the u's, in any basis
+        # that keeps the u's diagonal; the shape only admits the check
+        M = dataclasses.replace(M, shape=D)
+        report = jm_consistency(M)
+        assert report.ok and report == ref.jm_consistency(M) == ref.jm_recurrence(M)
+
+
+def test_forms_confirm_only_what_their_keys_show():
+    # permutation modules with no fixed points, so every slot value is 0 or
+    # 1 on both sides and only the keys of the last slot tell them apart:
+    # (0 1)(2 3) and (0 2)(1 3) commute, so s1 s2 s1 = s2 != s1 = s2 s1 s2,
+    # and (0 1)(2 3)(4 5) and (1 2)(3 4)(5 0) do not.  A 3-cycle reads as a
+    # partner list that is no involution, whose square the slot formulas
+    # would take for the identity
+    import module_reference as ref
+
+    def perm_module(n, perms):
+        dim = len(perms[0])
+        mats = []
+        for perm in perms:
+            m = Mat.zero(1, dim)
+            for p, q in enumerate(perm):
+                m[p, q] = 1
+            mats.append(m)
+        return ModuleRep(1, n, dim, tuple(mats), (Weight((Fraction(0),) * n, (0,) * n),) * dim)
+
+    for M, failing in ((perm_module(3, [(1, 0, 3, 2), (2, 3, 0, 1)]), "s1s2s1=s2s1s2"),
+                       (perm_module(4, [(1, 0, 3, 2, 5, 4)] * 2 + [(5, 2, 1, 4, 3, 0)]),
+                        "s1s3=s3s1"),
+                       (perm_module(2, [(1, 2, 0)]), "s1^2=1")):
+        assert (None in M._forms) == (failing == "s1^2=1")
+        report = verify_relations(M)
+        assert report == ref.verify_relations(M)
+        assert failing in {c.name for c in report.failures()}
+
+
+def test_sound_modules_are_decided_without_products(monkeypatch):
+    # on a module the package builds, every s-matrix is in involution form
+    # and the forms confirm every identity, so no matrix is multiplied
+    shapes = [D for ell in (1, 2, 3) for n in (1, 2, 3, 4) for D in enumerate_shapes(ell, n, n)]
+    modules = [build_module(D) for D in shapes]
+
+    def refuse(self, other):
+        raise AssertionError("a sound module reached a matrix product")
+
+    monkeypatch.setattr(Mat, "__mul__", refuse)
+    for D, M in zip(shapes, modules):
+        assert None not in M._forms
+        assert verify_relations(M).ok and verify_intertwiners(M).ok
+        if is_partition_shape(D):
+            assert jm_consistency(M).ok
 
 
 def test_commutant_counts_components_of_the_support():
