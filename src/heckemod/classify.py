@@ -52,7 +52,8 @@ def _normalize_weight(w: Weight, ell: int) -> list[tuple[int, int, int]]:
         if cls is int:
             entries.append((x, 1, y % ell))
         elif cls is Fraction:
-            entries.append((x.numerator, x.denominator, y % ell))
+            p, q = x.as_integer_ratio()
+            entries.append((p, q, y % ell))
         else:
             raise ValueError(f"weight field 'a' must hold integers or Fractions, got {w.a!r}")
     return entries

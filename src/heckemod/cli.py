@@ -20,6 +20,11 @@ from .cyclo import fraction_from_str, fraction_to_str
 from .errors import ConditionFailed, HeckemodError, NotScalar, NotStandard, ShapeError
 
 
+# suite builds and verifies every shape: at ell = 1009 and n = 2 there are
+# 511 563 of them, while ell = 16 up to n = 3 takes about a second
+_SUITE_MAX_ELL = 16
+
+
 class _UsageError(Exception):
     pass
 
@@ -29,8 +34,8 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _int_at_least(low: int):
-    """argparse type: an integer of at least ``low``."""
+def _int_at_least(low: int, high: int | None = None):
+    """argparse type: an integer of at least ``low`` and, if given, at most ``high``."""
     def parse(text: str) -> int:
         try:
             value = int(text)
@@ -38,6 +43,8 @@ def _int_at_least(low: int):
             raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be at most {high}, got {value}")
         return value
     return parse
 
@@ -237,7 +244,8 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_jm_check)
 
     p = sub.add_parser("suite", help="run the verification corpus")
-    p.add_argument("--ell", type=_int_at_least(1), required=True)
+    p.add_argument("--ell", type=_int_at_least(1, _SUITE_MAX_ELL), required=True,
+                   help=f"at most {_SUITE_MAX_ELL}: every shape is built and verified")
     p.add_argument("--max-n", type=_int_at_least(1), required=True)
     p.set_defaults(func=_cmd_suite)
 

@@ -21,8 +21,8 @@ element a = A/den, A with integer coefficients, is inverted through its norm:
 with sigma_k the Galois automorphism zeta -> zeta**k, the product
 P = prod(sigma_k(A)) over 1 < k < ell with gcd(k, ell) = 1 makes A*P = N(A) a
 nonzero integer, so a**-1 = den * P / N(A), all in integer arithmetic.
-``coeffs`` gives the coefficients as ``Fraction``s, and ``zero`` and
-``one`` are built once per ell.
+``coeffs`` gives the coefficients as ``Fraction``s.  Phi_ell, its degree,
+the fold table, ``zero`` and ``one`` are kept for the 256 fields used last.
 
 No floating point is used anywhere.
 """
@@ -57,7 +57,13 @@ def _divmod_monic(a, b):
     return q, r[:db]
 
 
-@lru_cache(maxsize=None)
+# the bound of each per-ell cache: no ell below 10**6 has more than 240
+# divisors, so the divisor recursion of _cyclotomic_ints builds each
+# divisor's polynomial once
+_PER_ELL = 256
+
+
+@lru_cache(maxsize=_PER_ELL)
 def _cyclotomic_ints(ell: int) -> tuple[int, ...]:
     if ell < 1:
         raise ValueError("ell must be a positive integer")
@@ -70,7 +76,7 @@ def _cyclotomic_ints(ell: int) -> tuple[int, ...]:
     return tuple(num)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_PER_ELL)
 def cyclotomic_polynomial(ell: int) -> tuple[Fraction, ...]:
     """Coefficients of the ell-th cyclotomic polynomial, lowest degree first.
 
@@ -80,13 +86,13 @@ def cyclotomic_polynomial(ell: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(c) for c in _cyclotomic_ints(ell))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_PER_ELL)
 def degree(ell: int) -> int:
     """Degree of Q(zeta_ell) over Q, i.e. Euler's totient of ell."""
     return len(_cyclotomic_ints(ell)) - 1
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_PER_ELL)
 def _fold_table(ell: int) -> tuple[tuple[int, ...], ...]:
     """Row k - phi holds ``x**k mod Phi_ell`` for k = phi .. 2*phi - 2."""
     poly = _cyclotomic_ints(ell)
@@ -121,12 +127,12 @@ def _reduced(ell, num, den):
 
 
 # cached per ell, which the callers check first: True and 1 share a key
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_PER_ELL)
 def _zero(ell: int) -> "Cyc":
     return _raw(ell, (0,) * degree(ell), 1)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_PER_ELL)
 def _one(ell: int) -> "Cyc":
     return _raw(ell, (1,) + (0,) * (degree(ell) - 1), 1)
 
@@ -361,6 +367,25 @@ _ASCII_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 # a closing decimal exponent, which Fraction() expands to a power of ten in
 # full; one above 4 300 (the digit limit of a rational) is refused first
 _EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
+# the longest text the memo of plain texts takes: far below 640, the least
+# digit limit Python allows, so int() never refuses a text it holds
+_MEMO_CHARS = 40
+
+
+class _NotPlain(Exception):
+    """A text outside plain ASCII "p" / "p/q"; raised, so never memoised."""
+
+
+def _read_plain(s: str) -> Fraction:
+    m = _ASCII_RATIONAL.fullmatch(s)
+    if m is None:
+        raise _NotPlain
+    p, q = m.groups()
+    return Fraction(int(p)) if q is None else Fraction(int(p), int(q))
+
+
+# plain texts only: anything else, and a refusal such as "5/0", raises
+_memo_plain = lru_cache(maxsize=1 << 12)(_read_plain)
 
 
 def fraction_from_str(s, what: str = "value") -> Fraction:
@@ -368,15 +393,21 @@ def fraction_from_str(s, what: str = "value") -> Fraction:
     such as "p/q".  A float, bool, unreadable string or zero denominator
     raises a ValueError naming ``what``, and so do a decimal exponent beyond
     +-4 300 and a numerator or denominator too long for ``str`` to write
-    (``sys.get_int_max_str_digits()``), which ``int()`` refuses to read too."""
+    (``sys.get_int_max_str_digits()``), which ``int()`` refuses to read too.
+
+    A plain ASCII "p" or "p/q" string (optional "-") of at most 40
+    characters is answered from a memo of the last 4 096 such texts.  Every
+    other value is read afresh: a bool never shares the key of "1", a
+    refusal is never cached, and no cached answer depends on the digit
+    limit."""
     if type(s) is int:
         return Fraction(s)
     if type(s) is str:
         try:
-            m = _ASCII_RATIONAL.fullmatch(s)
-            if m is not None:
-                p, q = m.groups()
-                return Fraction(int(p)) if q is None else Fraction(int(p), int(q))
+            try:
+                return _memo_plain(s) if len(s) <= _MEMO_CHARS else _read_plain(s)
+            except _NotPlain:
+                pass
             e = _EXPONENT.search(s)
             if e is None or abs(int(e.group(1))) <= 4300:
                 q = Fraction(s)

@@ -378,6 +378,8 @@ def test_console_main_raises_system_exit(capsys, shape_file):
     (["shapes", "--ell", "two", "--n", "2", "--window", "2"], "--ell"),
     (["suite", "--ell", "0", "--max-n", "2"], "--ell"),
     (["suite", "--ell", "1", "--max-n", "0"], "--max-n"),
+    # suite builds every shape, so its ell is capped at 16
+    (["suite", "--ell", "17", "--max-n", "1"], "--ell"),
 ])
 def test_sizes_below_one_are_usage_errors(capsys, argv, flag):
     assert main(argv) == 1

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from heckemod import Cyc, MismatchedField, cyclotomic_polynomial, root_of_unity
+from heckemod import cyclo
 from heckemod.cyclo import _fold_table, degree, fraction_from_str, fraction_to_str
 
 from cyclo_reference import RefCyc, _poly_divmod as ref_divmod, ref_root_of_unity
@@ -172,7 +173,11 @@ def _read_or_refused(s):
 @given(rational_texts)
 @settings(max_examples=400)
 def test_fraction_from_str_reads_as_fraction_does(s):
-    assert _read_or_refused(s) == _fraction_or_refused(s)
+    # each text read cold, then warm (from the memo, if it is plain)
+    cyclo._memo_plain.cache_clear()
+    expected = _fraction_or_refused(s)
+    assert _read_or_refused(s) == expected
+    assert _read_or_refused(s) == expected
 
 
 @pytest.mark.parametrize("s", ["+5", " 5 ", "-0", "007", "3/-6", "5/0", "0/0", "1.5", "1e3",
@@ -183,6 +188,59 @@ def test_fraction_from_str_reads_as_fraction_does(s):
                                "1e\u0663", "1e" + "0" * 5000 + "1"])
 def test_fraction_from_str_edge_cases(s):
     assert _read_or_refused(s) == _fraction_or_refused(s)
+
+
+def test_memo_takes_only_plain_texts():
+    memo = cyclo._memo_plain
+    assert fraction_from_str("1") == fraction_from_str(1) == 1
+    # a bool or float equal to 1 would share the key of "1"; it is refused
+    for bad in (True, 1.0, False):
+        with pytest.raises(ValueError, match=f"^entry must be a rational .*, got {re.escape(repr(bad))}$"):
+            fraction_from_str(bad, "entry")
+    # a refusal is not cached: each message names its own caller
+    for what in ("weight field 'a'", "KAPPA"):
+        with pytest.raises(ValueError, match=f"^{re.escape(what)} must be a rational .*, got '5/0'$"):
+            fraction_from_str("5/0", what)
+    # a text of more than 40 characters is read afresh, plain or not
+    for long in ("9" * 41, "-" + "9" * 40, "1/" + "7" * 39, " " + "3" * 40):
+        size = memo.cache_info().currsize
+        assert fraction_from_str(long) == Fraction(long)
+        assert memo.cache_info().currsize == size
+
+
+def test_memo_answers_never_depend_on_the_digit_limit():
+    texts = ("1e700", "9" * 700, "1/" + "3" * 700)
+    for s in texts:
+        assert fraction_from_str(s) == Fraction(s)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        for s in texts:
+            with pytest.raises(ValueError, match="^entry must be a rational"):
+                fraction_from_str(s, "entry")
+        assert fraction_from_str("-" + "9" * 39) == -(10 ** 39 - 1)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_per_ell_caches_are_bounded():
+    caches = (cyclo._cyclotomic_ints, cyclo.cyclotomic_polynomial, cyclo.degree,
+              cyclo._fold_table, cyclo._zero, cyclo._one)
+    assert all(c.cache_info().maxsize == 256 for c in caches)
+    # more fields than the bound; the fold table costs about phi**3 steps, so
+    # its walk stops early
+    for ell in range(1, 301):
+        assert degree(ell) == len(cyclotomic_polynomial(ell)) - 1
+        assert Cyc.zero(ell) + Cyc.one(ell) == 1
+        if ell <= 40:
+            last = root_of_unity(ell, ell - 1)
+            assert last * last == root_of_unity(ell, ell - 2)
+    for c in caches:
+        info = c.cache_info()
+        assert info.currsize <= info.maxsize
+    assert cyclo._cyclotomic_ints.cache_info().currsize == 256
+    # an evicted field is rebuilt the same
+    assert cyclotomic_polynomial(12) == (1, 0, -1, 0, 1)
 
 
 def test_cyc_reads_ell_and_coeffs_strictly():
