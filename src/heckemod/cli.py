@@ -23,6 +23,9 @@ from .errors import ConditionFailed, HeckemodError, NotScalar, NotStandard, Shap
 # suite builds and verifies every shape: at ell = 1009 and n = 2 there are
 # 511 563 of them, while ell = 16 up to n = 3 takes about a second
 _SUITE_MAX_ELL = 16
+# shapes counts before it lists (100 000 shapes take about 7 s and 475 MB),
+# and ell = 100003 gives 5 000 550 012 shapes at n = 2 and window 2
+_SHAPES_MAX_COUNT = 50_000
 
 
 class _UsageError(Exception):
@@ -74,6 +77,11 @@ def _load_shape(path: str) -> sh.SkewShapeL:
 # subcommands
 
 def _cmd_shapes(args) -> int:
+    count = sh.shape_count(args.ell, args.n, args.window)
+    if count > _SHAPES_MAX_COUNT:
+        raise _UsageError(f"argument --ell: ell={args.ell}, n={args.n} and window="
+                          f"{args.window} give {count} shapes, more than the "
+                          f"{_SHAPES_MAX_COUNT} that shapes lists")
     shapes = sh.enumerate_shapes(args.ell, args.n, args.window)
     _emit({"ell": args.ell, "n": args.n, "window": args.window,
            "count": len(shapes), "shapes": [sh.shape_to_json(s) for s in shapes]})

@@ -1,23 +1,24 @@
 """Seminormal modules on standard tableaux of a multi-coordinate skew shape.
 
-``build_module`` realizes the simple module attached to a shape D: the basis
-is SYT(D), the polynomial generators u_i and the color generators zeta_i act
-diagonally through the weight of each tableau, and the simple transpositions
-act by the rational seminormal rule driven by content differences.  The rest
-of the module is verification machinery: exhaustive relation checks,
-intertwiner checks, a commutant-dimension irreducibility oracle, central
-characters, Jucys-Murphy consistency on partition shapes, and the two
-automorphism twists (content shift and index reversal).
+``build_module`` realizes the simple module of a shape D on the basis
+SYT(D): u_i and zeta_i act diagonally through the weight of each tableau,
+and s_i, which maps basis vector t into span{t, s_i t}, is stored as its
+involution form; its ``Mat`` is built only on request.  The rest is
+verification: relations, intertwiners, a commutant-dimension irreducibility
+oracle, central characters, Jucys-Murphy consistency on partition shapes,
+and the two automorphism twists (content shift and index reversal).
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
-from itertools import compress
+from itertools import chain, compress, repeat
 from math import gcd, lcm
-from operator import add, mul
+from operator import add, lt, mul, sub
 
 from .cyclo import Cyc, fraction_from_str, root_of_unity
 from .errors import DimensionMismatch, HeckemodError, NotAPartition, NotScalar
@@ -26,13 +27,57 @@ from .shapes import (SkewShapeL, Weight, enumerate_syt, is_partition_shape, shap
                      tableau_to_json, weight_to_json)
 
 
+class _SMatrices(Sequence):
+    """s-matrices kept as involution forms: entry k is the ``Mat`` of s_{k+1}
+    of ``forms[k]``, built on first request and kept.  It acts as the tuple
+    of those matrices: indexing, slicing (to a tuple), ``+`` and ``==``."""
+
+    __slots__ = ("ell", "dim", "forms", "_mats")
+
+    def __init__(self, ell: int, dim: int, forms: list):
+        self.ell, self.dim, self.forms, self._mats = ell, dim, forms, [None] * len(forms)
+
+    def __len__(self) -> int:
+        return len(self.forms)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return tuple(map(self.__getitem__, range(*k.indices(len(self)))))
+        if self._mats[k] is None:
+            self._mats[k] = _mat_of_form(self.ell, self.dim, self.forms[k])
+        return self._mats[k]
+
+    def __eq__(self, other):
+        if not isinstance(other, (tuple, _SMatrices)):
+            return NotImplemented
+        same = isinstance(other, _SMatrices) and (self.ell, self.forms) == (other.ell, other.forms)
+        return same or tuple(self) == tuple(other)
+
+    __hash__ = None
+
+    def __add__(self, other: tuple) -> tuple:
+        return tuple(self) + other
+
+
+def _mat_of_form(ell: int, dim: int, form) -> Mat:
+    P, A, C, den = form
+    rows = {p: {p: a, q: c} if a and c else {p: a} if a else {q: c}
+            for p, q, a, c in zip(range(dim), P, A, C) if a or c}
+    return _new(ell, dim, dim, den, rows)
+
+
 @dataclass(frozen=True)
 class ModuleRep:
     """A module given by its s-matrices and the weights of its basis vectors.
 
-    u_i and zeta_i act diagonally: on basis vector t, u_i by the eigenvalue
-    ``weights[t].a[i-1]`` and zeta_i by zeta^``weights[t].b[i-1]`` (a color
-    exponent in 0..ell-1); ``generator_matrix`` turns them into matrices.
+    On basis vector t, u_i acts by ``weights[t].a[i-1]`` and zeta_i by
+    zeta^``weights[t].b[i-1]`` (b in 0..ell-1).  ``mat_s`` is a tuple of
+    ``Mat``s or, where ``build_module``, ``direct_sum`` or ``twist`` made it,
+    a sequence acting as that tuple that stores involution forms and builds
+    a ``Mat`` only when one is read (``generator_matrix``, ``module_to_json``
+    with matrices, or a product deciding what the forms do not confirm).  A
+    built module stores ``_scaled`` too; ``dataclasses.replace`` of
+    ``mat_s`` or ``weights`` reads the new field afresh.
     ``shape`` is the shape it was built from, its basis ``enumerate_syt(shape)``;
     twists and direct sums set it to None, and equality ignores it.
     """
@@ -40,7 +85,7 @@ class ModuleRep:
     ell: int
     n: int
     dim: int
-    mat_s: tuple[Mat, ...]
+    mat_s: Sequence[Mat]
     weights: tuple[Weight, ...]
     shape: SkewShapeL | None = field(default=None, compare=False)
 
@@ -48,26 +93,42 @@ class ModuleRep:
 
     @cached_property
     def _scaled(self) -> tuple[list[list[int]], int, list[list[int]]]:
-        """U, den and B, read from ``weights`` once per module: u_{i+1} acts on
-        basis vector t by U[i][t] / den (den the common denominator of every
-        u-eigenvalue) and zeta_{i+1} by zeta^B[i][t], B[i][t] in 0..ell-1."""
+        """U, den and B: u_{i+1} acts on basis vector t by U[i][t] / den, den
+        the lcm of the u-denominators, and zeta_{i+1} by zeta^B[i][t]."""
         ell, weights = self.ell, self.weights
         den = lcm(*(x.denominator for w in weights for x in w.a))
         u = [[w.a[i].numerator * (den // w.a[i].denominator) for w in weights]
              for i in range(self.n)]
-        b = [[w.b[i] % ell for w in weights] for i in range(self.n)]
-        return u, den, b
+        return u, den, [[w.b[i] % ell for w in weights] for i in range(self.n)]
+
+    @cached_property
+    def _pis(self) -> list[list[int]]:
+        """Entry i-1: pi_i = sum_k zeta_i^k zeta_{i+1}^-k, ell where b_i = b_{i+1}."""
+        b = self._scaled[2]
+        return [[self.ell if x == y else 0 for x, y in zip(bi, bj)] for bi, bj in zip(b, b[1:])]
 
     @cached_property
     def _forms(self) -> tuple:
-        """The involution form (P, A, C) of each s-matrix's integer rows
-        (``_involution_form``), read once per module.  None for a matrix
-        with no such form, and for one whose size or field disagrees with
-        the module (not dim x dim over Q(zeta_ell), or a weight count other
-        than dim): the lists would not line up, so the products check it."""
-        dim = self.dim
-        return tuple(_involution_form(m) if (m.ell, m.nrows, m.ncols, len(self.weights))
-                     == (self.ell, dim, dim, dim) else None for m in self.mat_s)
+        """Each s-matrix's form, stored or read off its rows; None without one,
+        or where the matrix or the weight count disagrees with the module."""
+        s, size, dim = self.mat_s, len(self.weights), self.dim
+        if isinstance(s, _SMatrices) and (s.ell, s.dim, size) == (self.ell, dim, dim):
+            return tuple(s.forms)
+        return tuple(_involution_form(m) if (m.ell, m.nrows, m.ncols, size)
+                     == (self.ell, dim, dim, dim) else None for m in s)
+
+    @cached_property
+    def _pairs(self) -> tuple:
+        return tuple(form and _pairs_of(form) for form in self._forms)
+
+    @cached_property
+    def _fixed(self) -> list[bool]:
+        """Entry i: whether every u_j and zeta_j but j = i, i+1 (0-based) has
+        equal keys at each pair of s_{i+1}'s form, compared at once."""
+        u, _, b = self._scaled
+        keys = (list(zip(*u[:i], *u[i + 2:], *b[:i], *b[i + 2:])) or [()] * self.dim
+                for i in range(self.n - 1))
+        return [p is not None and _at(k, p[0]) == _at(k, p[1]) for p, k in zip(self._pairs, keys)]
 
 
 @dataclass(frozen=True)
@@ -100,81 +161,80 @@ class VerificationReport:
         }
 
 
-@lru_cache(maxsize=1 << 14)
-def _holds(name: str) -> RelationCheck:
-    """The passing check of a relation, built once per name: a check is
-    frozen, so every report shares it."""
-    return RelationCheck(name, True)
+@lru_cache(maxsize=64)
+def _all_pass(ell: int, n: int) -> tuple[VerificationReport, ...]:
+    """The all-pass reports of ``verify_relations``, ``verify_intertwiners``
+    and ``jm_consistency``, built once per (ell, n) and shared (frozen)."""
+    r, pairs = range(1, n + 1), [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    rel = [f"s{i}^2=1" for i in r[:-1]] + [f"s{i}s{i + 1}s{i}=s{i + 1}s{i}s{i + 1}" for i in r[:-2]]
+    rel += [f"s{i}s{j}=s{j}s{i}" for i, j in pairs if i + 1 < j < n]
+    rel += [f"zeta{i}^{ell}=1" for i in r] + [f"zeta{i}zeta{j}=zeta{j}zeta{i}" for i, j in pairs]
+    for i in r[:-1]:
+        rel += [f"s{i}zeta{i}=zeta{i + 1}s{i}"]
+        rel += [f"s{i}zeta{j}=zeta{j}s{i}" for j in r if j not in (i, i + 1)]
+    rel += [f"zeta{i}u{j}=u{j}zeta{i}" for i in r for j in r]
+    rel += [f"u{i}u{j}=u{j}u{i}" for i, j in pairs]
+    for i in r[:-1]:
+        rel += [f"s{i}u{j}=u{j}s{i}" for j in r if j not in (i, i + 1)]
+        rel += [f"s{i}u{i}=u{i + 1}s{i}-pi{i}"]
+    tau = []
+    for i in r[:-1]:
+        for j in r:
+            k = i + 1 if j == i else i if j == i + 1 else j
+            tau += [f"u{j}tau{i}=tau{i}u{k}", f"zeta{j}tau{i}=tau{i}zeta{k}"]
+        tau += [f"tau{i}^2=((u{i}-u{i + 1})^2-pi^2)/(u{i}-u{i + 1})^2"]
+    tau += [f"tau{i}tau{i + 1}tau{i}=tau{i + 1}tau{i}tau{i + 1}" for i in r[:-2]]
+    return tuple(VerificationReport(tuple(RelationCheck(name, True) for name in names))
+                 for names in (rel, tau, [f"phi{i}=u{i}" for i in r]))
 
 
-def _report(name: str, left: Mat, right: Mat) -> RelationCheck:
-    """The check of the relation left = right, decided by ``==``.  Only a
-    failing relation forms its residual left - right, whose least nonzero
-    entry is the witness, read out as a Cyc."""
+def _finish(passing: VerificationReport, checks: list) -> VerificationReport:
+    """The report of ``checks``, one per check of ``passing``: None where the
+    forms confirmed the identity, so ``passing`` itself if they all did."""
+    if not any(checks):
+        return passing
+    return VerificationReport(tuple(c or p for c, p in zip(checks, passing.checks)))
+
+
+def _report(passing: VerificationReport, checks: list, left: Mat, right: Mat) -> RelationCheck:
+    """The check of left = right by ``==``, named as the next check of
+    ``passing`` after ``checks``.  Only a failing one forms the residual
+    left - right, whose least nonzero entry is the witness."""
+    name = passing.checks[len(checks)].name
     if left == right:
-        return _holds(name)
+        return RelationCheck(name, True)
     residual = left - right
     p = min(residual.rows)
     q = min(residual.rows[p])
     return RelationCheck(name, False, (p, q, repr(residual[p, q])))
 
 
-def _side_report(name: str, x: Mat, col: list[int], row: list[int], value,
-                 negate: bool = False) -> RelationCheck:
-    """``_report`` for x diag(value(col)) - diag(value(row)) x, for integer
-    keys col and row of an injective ``value``: the u-eigenvalues as
-    integers over their common denominator, or the color exponents of
-    zeta.  Its entry (p, q) is x[p, q] (value(col[q]) - value(row[p])),
-    nonzero exactly where x[p, q] is and col[q] != row[p], so only the
-    witness is computed in the field."""
-    key = min([(p, q) for p, entries in x.rows.items() for q in entries if col[q] != row[p]],
-              default=None)
-    if key is None:
-        return _holds(name)
-    p, q = key
-    witness = x[p, q] * (value(col[q]) - value(row[p]))
-    return RelationCheck(name, False, (p, q, repr(-witness if negate else witness)))
-
-
-def _pi_values(module: ModuleRep, i: int) -> list[int]:
-    """The eigenvalue of pi_i = sum_k zeta_i^k zeta_{i+1}^-k on each basis
-    vector: the geometric sum of zeta^(b_i - b_{i+1}), ell where
-    b_i = b_{i+1} mod ell and 0 otherwise."""
-    ell, b = module.ell, module._scaled[2]
-    return [ell if x == y else 0 for x, y in zip(b[i - 1], b[i])]
-
-
 # ---------------------------------------------------------------------------
 # involution forms
 #
-# Each s_i of a seminormal module maps basis vector p into span{p, P p} for an
-# involution P of the basis, so its integer rows are row p = A[p] e_p +
-# C[p] e_{P p}.  The checks below decide an identity on these lists, slot by
-# slot: a row of a product of such forms has its terms at the columns reached
-# through P and Q, and equal values at equal columns give equal matrices.  A
-# check that does not hold decides nothing; its identity goes to the matrix
-# products, which also form the witness.
+# s_i maps basis vector p into span{p, P p} for an involution P, so its
+# integer rows over its denominator L are A[p] e_p + C[p] e_{P p}: the form
+# (P, A, C, L).  The checks below compare such lists slot by slot: a row of a
+# product of forms has its terms at the columns reached through P and Q, and
+# equal values at equal columns give equal matrices.  A check that fails
+# decides nothing; its identity goes to the products, which give the witness.
 
-def _involution_form(m: Mat) -> tuple[list[int], list[int], list[int]] | None:
-    """(P, A, C) with row p of m's integer rows A[p] e_p + C[p] e_{P[p]} and
-    C[p] = 0 exactly where P[p] = p; None when an entry is not an int, a row
-    holds an entry outside {p, P[p]}, or P is not an involution."""
+def _involution_form(m: Mat) -> tuple[list[int], list[int], list[int], int] | None:
+    """(P, A, C, m.den) with row p of m's integer rows A[p] e_p + C[p] e_{P[p]}
+    and C[p] = 0 exactly where P[p] = p; None when an entry is not an int, a
+    row holds an entry outside {p, P[p]}, or P is not an involution."""
     dim = m.nrows
     P, A, C = list(range(dim)), [0] * dim, [0] * dim
     for p, row in m.rows.items():
-        for q, x in row.items():
-            if x.__class__ is not int:
-                return None
-            if q == p:
-                A[p] = x
-            elif C[p]:
-                return None
-            else:
-                P[p], C[p] = q, x
-    return (P, A, C) if _at(P, P) == list(range(dim)) else None
+        off = [(q, x) for q, x in row.items() if q != p]
+        if len(off) > 1 or any(x.__class__ is not int for x in row.values()):
+            return None
+        A[p] = row.get(p, 0)
+        P[p], C[p] = off[0] if off else (p, 0)
+    return (P, A, C, m.den) if _at(P, P) == list(range(dim)) else None
 
 
-def _at(values: list, keys) -> list:
+def _at(values, keys) -> list:
     """values[k] for each k of keys: a list composed with a permutation."""
     return list(map(values.__getitem__, keys))
 
@@ -184,38 +244,35 @@ def _scaled_by(values: list, f: int) -> list:
 
 
 def _square_holds(form, target: list[int]) -> bool:
-    """X^2 = diag(target) for the form X = (P, A, C): slot p of row p is
+    """X^2 = diag(target) for the form X = (P, A, C, L): slot p of row p is
     A^2 + C C(P), slot P p is C (A + A(P))."""
-    P, A, C = form
+    P, A, C, _ = form
     return ([a * a + c * cp for a, c, cp in zip(A, C, _at(C, P))] == target
             and not any(map(mul, C, map(add, A, _at(A, P)))))
 
 
-def _pairs(form) -> tuple[list[int], list[int]]:
-    """The rows p of the form (P, A, C) with an off-diagonal entry, C[p] != 0,
-    and their partners P p."""
-    P, _, C = form
+def _pairs_of(form) -> tuple[list[int], list[int]]:
+    """The rows p with an off-diagonal entry, C[p] != 0, and their partners P p."""
+    P, _, C, _ = form
     return list(compress(range(len(P)), C)), list(compress(P, C))
 
 
-def _side_holds(A: list[int], pairs, col: list[int], row: list[int]) -> bool:
-    """X diag(col) = diag(row) X for a form X = (P, A, C) with ``_pairs``
-    pairs, and integer keys of an injective value, as in ``_side_report``:
-    col[q] = row[p] at every nonzero entry (p, q), the diagonal ones masked
-    by A, the others at the pairs."""
-    rows, partners = pairs
+def _side_holds(form, pairs, col: list[int], row: list[int]) -> bool:
+    """X diag(col) = diag(row) X for a form X = (P, A, C, L) with ``pairs`` and
+    integer keys of an injective value (u over den, or color exponents):
+    col[q] = row[p] at every nonzero entry (p, q), the diagonal masked by A."""
+    (rows, partners), A = pairs, form[1]
     return ((col is row or list(compress(col, A)) == list(compress(row, A)))
             and _at(col, partners) == _at(row, rows))
 
 
 def _commute_holds(f, g) -> bool:
-    """F G = G F for the forms F = (P, A, C) and G = (Q, B, D).  Row p of
-    F G holds A B at p, A D at Q p, C B(P) at P p and C D(P) at Q P p; of
-    G F, B A, D A(Q), B C and D C(Q) at P Q p.  So A = A(Q) where D is
-    nonzero, B = B(P) where C is, C D(P) = D C(Q), and where that last slot
-    is nonzero, Q P = P Q."""
-    P, A, C = f
-    Q, B, D = g
+    """F G = G F for the forms F = (P, A, C, L), G = (Q, B, D, M).  Row p of
+    F G holds A B at p, A D at Q p, C B(P) at P p and C D(P) at Q P p; of G F,
+    B A, D A(Q), B C and D C(Q) at P Q p.  So A = A(Q) where D is nonzero,
+    B = B(P) where C is, C D(P) = D C(Q), and where that is nonzero, Q P = P Q."""
+    P, A, C, _ = f
+    Q, B, D, _ = g
     if (list(compress(A, D)) != _at(A, compress(Q, D))
             or list(compress(B, C)) != _at(B, compress(P, C))):
         return False
@@ -224,15 +281,14 @@ def _commute_holds(f, g) -> bool:
             and list(compress(_at(Q, P), last)) == list(compress(_at(P, Q), last)))
 
 
-def _braid_holds(f, lf: int, g, lg: int) -> bool:
-    """lg F G F = lf G F G for the forms F = (P, A, C) and G = (Q, B, D),
-    integer rows over the denominators lf and lg.  Row p of H = F G holds
-    H0 = A B at p, H1 = A D at Q p, H2 = C B(P) at P p and H3 = C D(P) at
-    Q P p.  So row p of H F has its terms at p, P p, Q p, P Q p, Q P p and
-    P Q P p, and of G H at the same five and at Q P Q p: the six slots are
-    compared, and the keys of the last where it is nonzero."""
-    P, A, C = f
-    Q, B, D = g
+def _braid_holds(f, g) -> bool:
+    """lg F G F = lf G F G for the forms F = (P, A, C, lf), G = (Q, B, D, lg).
+    Row p of H = F G holds H0 = A B at p, H1 = A D at Q p, H2 = C B(P) at
+    P p and H3 = C D(P) at Q P p.  So row p of H F has its terms at p, P p,
+    Q p, P Q p, Q P p and P Q P p, and of G H at those five and Q P Q p: the
+    six slots are compared, and the keys of the last where it is nonzero."""
+    P, A, C, lf = f
+    Q, B, D, lg = g
     QP = _at(Q, P)
     H = (list(map(mul, A, B)), list(map(mul, A, D)),
          list(map(mul, C, _at(B, P))), list(map(mul, C, _at(D, P))))
@@ -257,21 +313,19 @@ def _braid_holds(f, lf: int, g, lg: int) -> bool:
 
 def _crossing_holds(A: list[int], pairs, scale: int, ui: list[int], unext: list[int],
                     pis: list[int]) -> bool:
-    """X U_i + scale pi = U_{i+1} X for a form X = (P, A, C) with ``_pairs``
-    pairs: slot p is A U_i + scale pi against U_{i+1} A, and slot P p holds
-    C U_i(P) against U_{i+1} C, so U_i(P) = U_{i+1} at the pairs."""
+    """X U_i + scale pi = U_{i+1} X for a form X = (P, A, C, L) with pairs
+    ``pairs``: slot p is A U_i + scale pi against U_{i+1} A, and slot P p
+    holds C U_i(P) against U_{i+1} C, so U_i(P) = U_{i+1} at the pairs."""
     rows, partners = pairs
     return ([a * x + scale * pi for a, x, pi in zip(A, ui, pis)] == list(map(mul, unext, A))
             and _at(ui, partners) == _at(unext, rows))
 
 
-def _jm_step_holds(form, lden: int, den: int, ui: list[int], unext: list[int],
-                   pis: list[int]) -> bool:
-    """X U_i X + L den pi X = L^2 U_{i+1} for the form X = (P, A, C) of
-    integer rows over L = lden: slot p is A (A U_i + L den pi) +
-    C C(P) U_i(P) against L^2 U_{i+1}, and slot P p is
-    C (A U_i + A(P) U_i(P) + L den pi), which must vanish."""
-    P, A, C = form
+def _jm_step_holds(form, den: int, ui: list[int], unext: list[int], pis: list[int]) -> bool:
+    """X U_i X + L den pi X = L^2 U_{i+1} for the form X = (P, A, C, L):
+    slot p is A (A U_i + L den pi) + C C(P) U_i(P) against L^2 U_{i+1}, and
+    slot P p is C (A U_i + A(P) U_i(P) + L den pi), which must vanish."""
+    P, A, C, lden = form
     k, up = lden * den, _at(ui, P)
     return ([a * (a * x + k * pi) + c * cp * xp
              for a, c, cp, x, xp, pi in zip(A, C, _at(C, P), ui, up, pis)]
@@ -294,74 +348,86 @@ def build_module(shape: SkewShapeL) -> ModuleRep:
       * b' adjacent below b: s_i f_T = -f_T (d = -1);
       * otherwise s_i f_T = (1/d) f_T + gamma f_{s_i T}, where gamma = 1 when
         i sits in the reading-earlier box and 1 - 1/d^2 when it does not.
-    """
-    ell = shape.ell
-    n = shape.n
-    ctx = shape._ctx
-    positions = ctx.all_positions()
-    index = {p: t for t, p in enumerate(positions)}
-    dim = len(positions)
-    content, beta = ctx.content, ctx.beta
 
-    # contents as integers over one common denominator cd: a content
-    # difference is D / cd, so 1/d = cd / D and 1 - 1/d^2 = (D^2 - cd^2) / D^2,
-    # and s_i is written as integer rows over the lcm of its entries'
-    # denominators, without a Fraction per entry
+    s_i is written as its form from its values on each pair of boxes of i,
+    i+1, the weights as U, den and B from the per-box tables; no ``Mat``.
+    """
+    ell, n, ctx = shape.ell, shape.n, shape._ctx
+    positions = ctx.all_positions()
+    dim, labels = len(positions), list(zip(*positions))  # labels[k][t]: the box of label k+1
+    content, beta, blocked = ctx.content, ctx.beta, ctx.blocked
+    # filling t as the base-n number code[t] with digits labels[0][t], ...:
+    # swapping boxes b1, b2 of labels i, i+1 adds (b2 - b1)(n - 1) n^(n-1-i)
+    code = [0] * dim
+    for col in labels:
+        code = list(map(add, map(mul, code, repeat(n)), col))
+    index = dict(zip(code, range(dim)))
+    # contents as integers D over one denominator cd: 1/d = cd / D and
+    # 1 - 1/d^2 = (D^2 - cd^2) / D^2, over the lcm of the s_i denominators
     cd = lcm(*(x.denominator for x in content))
     cint = [x.numerator * (cd // x.denominator) for x in content]
-    mats = []
+    forms = []
     for i in range(1, n):
-        # column t of s_i as (t, the row of its off-diagonal entry or None,
-        # D and cd over their gcd, with 0 for D where there is no diagonal
-        # entry, and whether the off-diagonal entry is 1)
-        cols = []
-        dens = {1}
-        for t, pos in enumerate(positions):
-            b1, b2 = pos[i - 1], pos[i]
-            if beta[b1] != beta[b2]:
-                cols.append((t, index[pos[:i - 1] + (b2, b1) + pos[i + 1:]], 0, 1, True))
-                continue
+        first, second = labels[i - 1], labels[i]
+        keys = list(map(add, map(mul, first, repeat(n)), second))  # boxes b1, b2 as b1 n + b2
+        # per pair: D and cd over their gcd (D = 0: no diagonal entry) and the
+        # rule of row t's off-diagonal entry, whose column is the partner
+        # filling, with i in b2: none, 1, or (b1 reading-earlier) 1 - 1/d^2
+        steps, dens = {}, {1}
+        for key in dict.fromkeys(keys):
+            b1, b2 = divmod(key, n)
             d = cint[b2] - cint[b1]
-            if b2 in ctx.blocked[b1]:
-                cols.append((t, None, d // cd, 1, True))  # d = +-1: row or column neighbor
-                continue
-            if d in (0, cd, -cd):  # the gap rule and standardness exclude this
+            if beta[b1] != beta[b2]:
+                steps[key] = (0, 1, 1)
+            elif b2 in blocked[b1]:
+                steps[key] = (d // cd, 1, 0)  # d = +-1: row or column neighbor
+            elif d in (0, cd, -cd):  # the gap rule and standardness exclude this
                 raise HeckemodError(f"build_module: content difference "
                                     f"{Fraction(d, cd)} between non-adjacent boxes")
-            g = gcd(d, cd)
-            dd, cc, one = d // g, cd // g, b1 < b2
-            dens.add(abs(dd) if one else dd * dd)
-            cols.append((t, index[pos[:i - 1] + (b2, b1) + pos[i + 1:]], dd, cc, one))
+            else:
+                g = gcd(d, cd)
+                steps[key] = (d // g, cd // g, 1 if b2 < b1 else 2)
+                dens.add(abs(d // g) if b1 < b2 else (d // g) ** 2)
         den = lcm(*dens)
-        rows: dict = {}
-        for t, target, dd, cc, one in cols:
-            if dd:
-                rows.setdefault(t, {})[t] = den // dd * cc
-            if target is not None:
-                rows.setdefault(target, {})[t] = den if one else (dd * dd - cc * cc) * (den // (dd * dd))
-        mats.append(_new(ell, dim, dim, den, rows))
-
-    return ModuleRep(ell, n, dim, tuple(mats), tuple(map(ctx.weight, positions)), shape)
+        A = {key: den // dd * cc if dd else 0 for key, (dd, cc, _) in steps.items()}
+        C = {key: den if rule == 1 else (dd * dd - cc * cc) * (den // (dd * dd)) if rule else 0
+             for key, (dd, cc, rule) in steps.items()}
+        step = (n - 1) * n ** (n - 1 - i)
+        swapped = map(add, code, map(mul, map(sub, second, first), repeat(step)))
+        forms.append((list(map(index.get, swapped, range(dim))), _at(A, keys), _at(C, keys), den))
+    aden = lcm(*(x.denominator for x in ctx.a))
+    aint = [x.numerator * (aden // x.denominator) for x in ctx.a]
+    u, b = [_at(aint, col) for col in labels], [_at(beta, col) for col in labels]
+    weights = tuple(map(Weight, zip(*(_at(ctx.a, col) for col in labels)), zip(*b)))
+    module = ModuleRep(ell, n, dim, _SMatrices(ell, dim, forms), weights, shape)
+    module.__dict__["_scaled"] = u, aden, b  # what the cached_property would read
+    return module
 
 
 def direct_sum(m1: ModuleRep, m2: ModuleRep) -> ModuleRep:
+    """The block sum; stored forms are joined as ``block_diag`` joins rows."""
     if (m1.ell, m1.n) != (m2.ell, m2.n):
         raise DimensionMismatch("summands over different algebras")
-    return ModuleRep(m1.ell, m1.n, m1.dim + m2.dim,
-                     tuple(block_diag(m1.ell, [x, y]) for x, y in zip(m1.mat_s, m2.mat_s)),
-                     m1.weights + m2.weights)
+    ell, s1, s2 = m1.ell, m1.mat_s, m2.mat_s
+    if not (isinstance(s1, _SMatrices) and isinstance(s2, _SMatrices) and s1.ell == s2.ell == ell):
+        return ModuleRep(ell, m1.n, m1.dim + m2.dim, tuple(block_diag(ell, [x, y]) for x, y
+                                                         in zip(s1, s2)), m1.weights + m2.weights)
+    forms = []
+    for (P, A, C, lf), (Q, B, D, lg) in zip(s1.forms, s2.forms):
+        x, y = lcm(lf, lg) // lf, lcm(lf, lg) // lg
+        forms.append((P + [q + s1.dim for q in Q], _scaled_by(A, x) + _scaled_by(B, y),
+                      _scaled_by(C, x) + _scaled_by(D, y), lcm(lf, lg)))
+    mat_s = _SMatrices(ell, s1.dim + s2.dim, forms)
+    return ModuleRep(ell, m1.n, m1.dim + m2.dim, mat_s, m1.weights + m2.weights)
 
 
 # ---------------------------------------------------------------------------
 # generator access
 
 def _correction(module: ModuleRep, i: int) -> tuple[list[int], int]:
-    """The correction c of tau_i = s_i - c, from the module's u-eigenvalues
-    U / den: the diagonal pi/(u_{i+1} - u_i) = pi den/(U[i] - U[i-1]) on each
-    basis vector, zero where pi vanishes, as integers over a positive scale."""
+    """c = pi/(u_{i+1} - u_i) of tau_i = s_i - c, as integers over a scale."""
     u, den, _ = module._scaled
-    pis = _pi_values(module, i)
-    gaps = [hi - lo for hi, lo in zip(u[i], u[i - 1])]
+    pis, gaps = module._pis[i - 1], [hi - lo for hi, lo in zip(u[i], u[i - 1])]
     for t, (pi, gap) in enumerate(zip(pis, gaps)):
         if pi and not gap:
             raise ZeroDivisionError(
@@ -377,6 +443,12 @@ def _tau(module: ModuleRep, i: int) -> tuple[Mat, Mat]:
     return module.mat_s[i - 1] - c, c
 
 
+def _roots(ell: int, exponents: list[int]) -> Mat:
+    """diag(zeta^b) over the color exponents b, each root built once."""
+    roots = {k: root_of_unity(ell, k) for k in set(exponents)}
+    return Mat.diagonal(ell, [roots[k] for k in exponents])
+
+
 def generator_matrix(module: ModuleRep, kind: str, i: int) -> Mat:
     """Matrix of a named generator: kind in {"u", "zeta", "s", "tau", "pi"},
     index 1-based (u/zeta: 1..n, s/tau/pi: 1..n-1)."""
@@ -385,18 +457,12 @@ def generator_matrix(module: ModuleRep, kind: str, i: int) -> Mat:
         if not 1 <= i <= n:
             raise IndexError(f"{kind}_{i} out of range for n={n}")
         u, den, b = module._scaled
-        if kind == "zeta":
-            roots = {k: root_of_unity(ell, k) for k in set(b[i - 1])}
-            return Mat.diagonal(ell, [roots[k] for k in b[i - 1]])
-        return _diagonal(ell, u[i - 1], den)
+        return _roots(ell, b[i - 1]) if kind == "zeta" else _diagonal(ell, u[i - 1], den)
     if kind in ("s", "tau", "pi"):
         if not 1 <= i <= n - 1:
             raise IndexError(f"{kind}_{i} out of range for n={n}")
-        if kind == "s":
-            return module.mat_s[i - 1].copy()
-        if kind == "tau":
-            return _tau(module, i)[0]
-        return Mat.diagonal(ell, _pi_values(module, i))
+        return (module.mat_s[i - 1].copy() if kind == "s" else _tau(module, i)[0] if kind == "tau"
+                else Mat.diagonal(ell, module._pis[i - 1]))
     raise ValueError(f"unknown generator kind {kind!r}")
 
 
@@ -405,279 +471,210 @@ def generator_matrix(module: ModuleRep, kind: str, i: int) -> Mat:
 
 def verify_relations(module: ModuleRep) -> VerificationReport:
     """Exact check of every defining relation: the symmetric-group and
-    color-group relations, the commutation relations between the polynomial
-    and group generators, and the mixed crossing relation
-    s_i u_i = u_{i+1} s_i - pi_i (pi_i from ``_pi_values``).
+    color-group relations, the commutations of the polynomial and group
+    generators, and the crossing relation s_i u_i = u_{i+1} s_i - pi_i.
 
-    Everything runs on the integer rows S_i = L_i s_i of the s-matrices,
-    L_i their denominator ``den``: S_i^2 = L_i^2 I, L_{i+1} S_i S_{i+1} S_i =
-    L_i S_{i+1} S_i S_{i+1} and S_i S_j = S_j S_i.  A relation with a diagonal
-    side, X D = D' X, holds exactly when X[p, q] (d_q - d'_p) vanishes at every
-    nonzero entry of X: an integer test for the u-eigenvalues over their
-    common denominator, and for zeta a comparison of color exponents.  The
-    crossing relation compares S_i U_i + L_i den pi_i with U_{i+1} S_i, U_i
-    the diagonal of u_i over that denominator.  Each relation is first
-    decided on the involution forms of the S_i (``ModuleRep._forms``) by
-    whole-list comparisons; one that those do not confirm, or whose s-matrix
-    has no such form, is decided again by exact matrix products (``_report``,
-    ``_side_report``), which also form a failing relation's witness.  The
-    relations among the diagonal generators (zeta_i^ell = 1 and the zeta/u
-    commutations) hold by the storage, which gives each zeta_i as zeta^b with
-    an integer b and every diagonal generator as an eigenvalue vector on one
-    basis, so they are reported without arithmetic."""
+    Each is decided on the forms of S_i = L_i s_i (S_i^2 = L_i^2, the braid
+    scaled by L_i, L_{i+1}, S_i U_i + L_i den pi_i = U_{i+1} S_i for U over
+    den, a side by its integer keys); one they do not confirm goes to exact
+    products (``_report``), which alone read its name and form its witness.
+    zeta_i^ell = 1 and the zeta/u commutations hold by the storage."""
     ell, n, dim = module.ell, module.n, module.dim
-    s, forms = module.mat_s, module._forms
-    pairs = [form and _pairs(form) for form in forms]
+    s, forms, pairs, fixed = module.mat_s, module._forms, module._pairs, module._fixed
     u, den, z = module._scaled
-    rational, root = partial(Fraction, denominator=den), partial(root_of_unity, ell)
-    checks = []
-    add = checks.append
+    udiag, zdiag = partial(_diagonal, ell, den=den), partial(_roots, ell)
+    passing, checks = _all_pass(ell, n)[0], []  # per identity: None where forms confirm it
+    add, report = checks.append, partial(_report, passing, checks)
 
-    def side(name, i, col, row, value):
-        form = forms[i - 1]
-        add(_holds(name) if form and _side_holds(form[1], pairs[i - 1], col, row)
-            else _side_report(name, s[i - 1], col, row, value))
+    def side(x, col, row, diag):  # s_{x+1} diag(col) = diag(row) s_{x+1}
+        holds = forms[x] and (col is row and fixed[x] or _side_holds(forms[x], pairs[x], col, row))
+        add(None if holds else report(s[x] * diag(col), diag(row) * s[x]))
 
-    for i in range(1, n):
-        name, x, sq = f"s{i}^2=1", s[i - 1], s[i - 1].den ** 2
-        add(_holds(name) if forms[i - 1] and _square_holds(forms[i - 1], [sq] * dim)
-            else _report(name, x * x, _diagonal(ell, [sq] * dim, sq)))
-    for i in range(1, n - 1):
-        name, x, y, f, g = (f"s{i}s{i + 1}s{i}=s{i + 1}s{i}s{i + 1}", s[i - 1], s[i],
-                            forms[i - 1], forms[i])
-        add(_holds(name) if f and g and _braid_holds(f, x.den, g, y.den)
-            else _report(name, x * y * x, y * x * y))
-    for i in range(1, n):
-        for j in range(i + 2, n):
-            name, x, y, f, g = f"s{i}s{j}=s{j}s{i}", s[i - 1], s[j - 1], forms[i - 1], forms[j - 1]
-            add(_holds(name) if f and g and _commute_holds(f, g) else _report(name, x * y, y * x))
-    for i in range(1, n + 1):
-        add(_holds(f"zeta{i}^{ell}=1"))
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            add(_holds(f"zeta{i}zeta{j}=zeta{j}zeta{i}"))
-    for i in range(1, n):
-        side(f"s{i}zeta{i}=zeta{i + 1}s{i}", i, z[i - 1], z[i], root)
-        for j in range(1, n + 1):
-            if j not in (i, i + 1):
-                side(f"s{i}zeta{j}=zeta{j}s{i}", i, z[j - 1], z[j - 1], root)
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            add(_holds(f"zeta{i}u{j}=u{j}zeta{i}"))
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            add(_holds(f"u{i}u{j}=u{j}u{i}"))
-    for i in range(1, n):
-        for j in range(1, n + 1):
-            if j not in (i, i + 1):
-                side(f"s{i}u{j}=u{j}s{i}", i, u[j - 1], u[j - 1], rational)
-        name, x, form, pis = f"s{i}u{i}=u{i + 1}s{i}-pi{i}", s[i - 1], forms[i - 1], _pi_values(module, i)
-        if form and _crossing_holds(form[1], pairs[i - 1], x.den * den, u[i - 1], u[i], pis):
-            add(_holds(name))
-        else:
-            ui, unext = (_diagonal(ell, u[k], den) for k in (i - 1, i))
-            add(_report(name, x * ui + _diagonal(ell, pis), unext * x))
-    return VerificationReport(tuple(checks))
+    for x in range(n - 1):
+        add(None if forms[x] and _square_holds(forms[x], [forms[x][3] ** 2] * dim)
+            else report(s[x] * s[x], Mat.identity(ell, dim)))
+    for x in range(n - 2):
+        add(None if forms[x] and forms[x + 1] and _braid_holds(forms[x], forms[x + 1])
+            else report(s[x] * s[x + 1] * s[x], s[x + 1] * s[x] * s[x + 1]))
+    for x in range(n - 1):
+        for y in range(x + 2, n - 1):
+            add(None if forms[x] and forms[y] and _commute_holds(forms[x], forms[y])
+                else report(s[x] * s[y], s[y] * s[x]))
+    checks += [None] * (n + n * (n - 1) // 2)  # zeta_i^ell = 1, zeta_i zeta_j = zeta_j zeta_i
+    for x in range(n - 1):
+        side(x, z[x], z[x + 1], zdiag)
+        for y in range(n):
+            if y not in (x, x + 1):
+                side(x, z[y], z[y], zdiag)
+    checks += [None] * (n * n + n * (n - 1) // 2)  # zeta_i u_j = u_j zeta_i, u_i u_j = u_j u_i
+    for x in range(n - 1):
+        for y in range(n):
+            if y not in (x, x + 1):
+                side(x, u[y], u[y], udiag)
+        f, pis = forms[x], module._pis[x]
+        add(None if f and _crossing_holds(f[1], pairs[x], f[3] * den, u[x], u[x + 1], pis)
+            else report(s[x] * udiag(u[x]) + _diagonal(ell, pis), udiag(u[x + 1]) * s[x]))
+    return _finish(passing, checks)
 
 
 def verify_intertwiners(module: ModuleRep) -> VerificationReport:
     """Exact checks that the tau_i behave as weight intertwiners:
 
-    (a) u_j tau_i = tau_i u_{s_i(j)} and the same with zeta, entry by entry
-        as in ``verify_relations``;
+    (a) u_j tau_i = tau_i u_{s_i(j)} and the same with zeta;
     (b) tau_i^2 is diagonal with entry ((u_i-u_{i+1})^2 - pi^2)/(u_i-u_{i+1})^2
-        evaluated on each basis vector (taken to be 1 where pi vanishes);
+        on each basis vector (1 where pi vanishes);
     (c) the braid relation for tau.
 
-    Each correction c = pi/(u_{i+1} - u_i) of tau_i = s_i - c is computed
-    once by ``_correction``, whose guard runs for every i before any check,
-    and the expected tau_i^2 is 1 - c^2.  tau_i has the partner list of s_i,
-    so its involution form is that of s_i minus c, over lcm(L_i, scale), and
-    every check is first decided on these forms as in ``verify_relations``.
-    The matrices tau_i and c (``_tau``) are built only for a check that the
-    forms do not confirm, whose products decide it and form its witness.
-    """
+    tau_i = s_i - c for c from ``_correction``, whose guard runs for every i
+    first; tau_i^2 should be 1 - c^2, and tau_i's form is s_i's minus c over
+    lcm(L_i, scale), decided as in ``verify_relations`` (fallback: ``_tau``)."""
     ell, n, dim = module.ell, module.n, module.dim
     u, den, z = module._scaled
-    rational, root = partial(Fraction, denominator=den), partial(root_of_unity, ell)
+    udiag, zdiag = partial(_diagonal, ell, den=den), partial(_roots, ell)
     corrections = [_correction(module, i) for i in range(1, n)]
-    taus: dict[int, tuple[Mat, Mat]] = {}
+    tau = lru_cache(None)(lambda x: _tau(module, x + 1))
+    forms, targets = [], []  # the form of tau_i and tau_i^2 over its denominator squared
+    for form, (vals, scale) in zip(module._forms, corrections):
+        P, A, C, L = form or (None, (), (), 1)
+        top = lcm(L, scale)
+        f, g = top // L, top // scale
+        forms.append(form and (P, [a * f - x * g for a, x in zip(A, vals)], _scaled_by(C, f), top))
+        targets.append([top * top - (x * g) ** 2 for x in vals])
+    pairs, fixed, passing, checks = module._pairs, module._fixed, _all_pass(ell, n)[1], []
+    add, report = checks.append, partial(_report, passing, checks)
 
-    def mats(i):
-        if i not in taus:
-            taus[i] = _tau(module, i)
-        return taus[i]
+    def side(x, col, row, diag):  # diag(row) tau_{x+1} = tau_{x+1} diag(col)
+        holds = forms[x] and (col is row and fixed[x] or _side_holds(forms[x], pairs[x], col, row))
+        add(None if holds else report(diag(row) * tau(x)[0], tau(x)[0] * diag(col)))
 
-    # the form of tau_i, its denominator, the integer diagonal of tau_i^2
-    # and the pairs of s_i
-    forms = []
-    for form, m, (values, scale) in zip(module._forms, module.mat_s, corrections):
-        if form is None:
-            forms.append((None, None, None, None))
-            continue
-        P, A, C = form
-        top = lcm(m.den, scale)
-        f, g = top // m.den, top // scale
-        forms.append(((P, [a * f - x * g for a, x in zip(A, values)], _scaled_by(C, f)),
-                      top, [top * top - (x * g) ** 2 for x in values], _pairs(form)))
-    checks = []
-    add = checks.append
-
-    def side(name, i, col, row, value):
-        form, _, _, pairs = forms[i - 1]
-        add(_holds(name) if form and _side_holds(form[1], pairs, col, row)
-            else _side_report(name, mats(i)[0], col, row, value, negate=True))
-
-    for i in range(1, n):
-        for j in range(1, n + 1):
-            k = {i: i + 1, i + 1: i}.get(j, j)
-            side(f"u{j}tau{i}=tau{i}u{k}", i, u[k - 1], u[j - 1], rational)
-            side(f"zeta{j}tau{i}=tau{i}zeta{k}", i, z[k - 1], z[j - 1], root)
-        name, (form, _, target, _) = (f"tau{i}^2=((u{i}-u{i + 1})^2-pi^2)/(u{i}-u{i + 1})^2",
-                                      forms[i - 1])
-        if form and _square_holds(form, target):
-            add(_holds(name))
-        else:
-            tau, c = mats(i)
-            add(_report(name, tau * tau, Mat.identity(ell, dim) - c * c))
-    for i in range(1, n - 1):
-        name, (f, lf, _, _), (g, lg, _, _) = (f"tau{i}tau{i + 1}tau{i}=tau{i + 1}tau{i}tau{i + 1}",
-                                              forms[i - 1], forms[i])
-        if f and g and _braid_holds(f, lf, g, lg):
-            add(_holds(name))
-        else:
-            x, y = mats(i)[0], mats(i + 1)[0]
-            add(_report(name, x * y * x, y * x * y))
-    return VerificationReport(tuple(checks))
+    for x in range(n - 1):
+        for j in range(n):
+            k = x + 1 if j == x else x if j == x + 1 else j
+            side(x, u[k], u[j], udiag)
+            side(x, z[k], z[j], zdiag)
+        add(None if forms[x] and _square_holds(forms[x], targets[x]) else report(
+            tau(x)[0] * tau(x)[0], Mat.identity(ell, dim) - tau(x)[1] * tau(x)[1]))
+    for x in range(n - 2):
+        add(None if forms[x] and forms[x + 1] and _braid_holds(forms[x], forms[x + 1])
+            else report(tau(x)[0] * tau(x + 1)[0] * tau(x)[0],
+                         tau(x + 1)[0] * tau(x)[0] * tau(x + 1)[0]))
+    return _finish(passing, checks)
 
 
 def _components(size: int, edges) -> int:
-    """The number of connected components of the graph on 0..size-1 with the
-    given edges, by union-find."""
-    parent = list(range(size))
-
-    def root(x):
-        while parent[x] != x:
-            parent[x] = x = parent[parent[x]]
-        return x
-
-    count = size
+    """The number of components of the graph on 0..size-1, by union-find."""
+    parent, count = list(range(size)), size
     for p, q in edges:
-        a, b = root(p), root(q)
-        if a != b:
-            parent[a] = b
+        while parent[p] != p:
+            parent[p] = p = parent[parent[p]]
+        while parent[q] != q:
+            parent[q] = q = parent[parent[q]]
+        if p != q:
+            parent[p] = q
             count -= 1
     return count
 
 
 def commutant_dimension(module: ModuleRep) -> int:
-    """Dimension of the space of matrices commuting with every generator.
-
-    Commuting with the diagonal u- and zeta-matrices forces X[s, t] = 0
-    unless basis vectors s, t carry the same full weight, so only those
-    entries are kept as unknowns.  When every weight is distinct, the
-    unknowns are the diagonal entries x_t and the s-matrix equations read
-    g[p, q] (x_p - x_q) = 0, so the dimension is the number of connected
-    components of the support graph of the s_i.  Otherwise the equations
-    are solved exactly.  Value 1 certifies irreducibility.
-    """
-    ell = module.ell
+    """Dimension of the space of matrices commuting with every generator (1:
+    irreducible).  X[s, t] = 0 unless s, t share a weight (integer columns
+    of U and B).  With distinct weights, g[p, q] (x_p - x_q) = 0 for the
+    diagonal x_t: the components of the pairs (p, P p) of the forms (of the
+    support, without a form); otherwise the equations are solved."""
+    ell, dim = module.ell, module.dim
+    u, _, b = module._scaled
+    keys = list(zip(*u, *b) if ell > 1 else zip(*u))  # every exponent is 0 mod 1
+    if len(set(keys)) == dim:
+        return _components(dim, chain.from_iterable(
+            compress(zip(*pairs), map(lt, *pairs)) if pairs
+            else ((p, q) for p, row in module.mat_s[k].rows.items() for q in row)
+            for k, pairs in enumerate(module._pairs)))
     classes: dict = {}
-    for t, w in enumerate(module.weights):
-        classes.setdefault(w, []).append(t)
-    if len(classes) == module.dim:
-        return _components(module.dim, ((p, q) for g in module.mat_s
-                                        for p, row in g.rows.items() for q in row))
-    var: dict[tuple[int, int], int] = {}
-    for members in classes.values():
-        for a in members:
-            for b in members:
-                var[(a, b)] = len(var)
-
-    same = {t: classes[w] for t, w in enumerate(module.weights)}
+    for t, key in enumerate(keys):
+        classes.setdefault(key, []).append(t)
+    var = {key: v for v, key in enumerate((a, c) for members in classes.values()
+                                          for a in members for c in members)}
+    same = {t: members for members in classes.values() for t in members}
     system = []
-    for g in module.mat_s:
-        eqs: dict[tuple[int, int], dict[int, Cyc]] = {}
-
-        def bump(eq_key, v, coef):
-            row = eqs.setdefault(eq_key, {})
-            row[v] = row.get(v, Cyc.zero(ell)) + coef
-
-        # residual of X g - g X at (i, j), keeping only the allowed unknowns
-        entries = [(p, q, g[p, q]) for p, row in g.rows.items() for q in row]
-        for k, j, gv in entries:
-            for i in same[k]:
-                bump((i, j), var[(i, k)], gv)
-        for i, k, gv in entries:
-            for j in same[k]:
-                bump((i, j), var[(k, j)], -gv)
-        system.extend(eqs.values())
+    for g in module.mat_s:  # X g - g X at (i, j), on the allowed unknowns
+        eqs: dict = defaultdict(lambda: defaultdict(partial(Cyc.zero, ell)))
+        for (p, q), gv in g.data.items():
+            for i in same[p]:
+                eqs[i, q][var[i, p]] += gv
+            for j in same[q]:
+                eqs[p, j][var[q, j]] -= gv
+        system.extend(map(dict, eqs.values()))
     return nullspace_dim(system, len(var), ell)
 
 
-def _elementary(values) -> list:
-    """e_1..e_m of the m values (ints or field elements): the coefficients
-    of prod (x + v) below the leading one."""
+def _elementary(values) -> list[int]:
+    """e_1..e_m of m ints: the coefficients of prod (x + v) below the top."""
     coeffs = [1] + [0] * len(values)
     for m, v in enumerate(values, 1):
         for k in range(m, 0, -1):
-            coeffs[k] = coeffs[k] + v * coeffs[k - 1]
+            coeffs[k] += v * coeffs[k - 1]
     return coeffs[1:]
 
 
-def central_character(module: ModuleRep) -> list[Cyc]:
-    """Scalars of the elementary symmetric polynomials e_1..e_n in the u's
-    followed by e_1..e_n in the zetas.  NotScalar if any evaluation fails to
-    be a scalar matrix.
+def _color_elementary(ell: int, exponents) -> list[tuple]:
+    """e_1..e_m of zeta^b over m exponents b, in the group ring Z[C_ell]:
+    entry r of e_k counts the k-subsets of exponents summing to r mod ell."""
+    coeffs = [[1] + [0] * (ell - 1)] + [[0] * ell for _ in exponents]
+    for m, b in enumerate(exponents, 1):
+        for k in range(m, 0, -1):  # e_k += zeta^b e_{k-1}, a rotation by b
+            coeffs[k] = list(map(add, coeffs[k], coeffs[k - 1][-b:] + coeffs[k - 1][:-b]))
+    return [tuple(e) for e in coeffs[1:]]
 
-    e_k on a basis vector depends only on the multiset of its eigenvalues,
-    so it is evaluated once per distinct multiset: for the u's in integers,
-    on the module's u-eigenvalues U over their common denominator den (so
-    e_k is E_k / den^k), and for the zetas in the field, on the roots of
-    unity of the color exponents B that occur."""
+
+def central_character(module: ModuleRep) -> list[Cyc]:
+    """Scalars of e_1..e_n in the u's followed by e_1..e_n in the zetas;
+    NotScalar if an evaluation is not a scalar matrix.  e_k is taken once
+    per multiset of eigenvalues in integers: on U over den (E_k / den^k), and
+    in the group ring of the exponents B (``_color_elementary``), where
+    distinct vectors can be equal in the field (1 + zeta_2 = 0)."""
     ell = module.ell
     u, den, b = module._scaled
-    exponents = {tuple(sorted(v)) for v in zip(*b)}
-    roots = {k: root_of_unity(ell, k) for k in set().union(*exponents)}
-    u_values = [_elementary(key) for key in {tuple(sorted(v)) for v in zip(*u)}]
-    zeta_values = [_elementary([roots[k] for k in key]) for key in exponents]
+    u_values = list(map(_elementary, set(map(tuple, map(sorted, zip(*u))))))
+    zeta_values = [_color_elementary(ell, key)
+                   for key in set(map(tuple, map(sorted, set(zip(*b)))))]
     for per_multiset, label in ((u_values, "u"), (zeta_values, "zeta")):
         for k in range(module.n):
             scalars = {e[k] for e in per_multiset}
+            if label == "zeta" and len(scalars) > 1:
+                scalars = {Cyc(ell, e) for e in scalars}
             if len(scalars) > 1:
-                raise NotScalar(
-                    f"e_{k + 1}({label}) takes {len(scalars)} distinct values")
+                raise NotScalar(f"e_{k + 1}({label}) takes {len(scalars)} distinct values")
     out = [Cyc.from_rational(ell, Fraction(e, den ** k))
            for k, e in enumerate(u_values[0] if u_values else [], 1)]
-    return out + (zeta_values[0] if zeta_values else [])
+    return out + [Cyc(ell, e) for e in (zeta_values[0] if zeta_values else [])]
 
 
 # ---------------------------------------------------------------------------
 # twists
 
 def twist(module: ModuleRep, auto: str, kappa=None) -> ModuleRep:
-    """Relabel the module through an automorphism.
+    """Relabel the module through an automorphism; the result has no shape.
 
     ``auto="t"`` shifts every u-eigenvalue by the rational kappa (an int, a
     Fraction or a string such as "-3/2"; a float or bool raises ValueError);
     ``auto="rho"`` reverses indices: u_i -> -u_{n-i+1},
-    zeta_i -> zeta_{n-i+1}, s_i -> s_{n-i}.  The result carries no shape.
+    zeta_i -> zeta_{n-i+1}, s_i -> s_{n-i}, reordering stored forms.
     """
-    ell, n = module.ell, module.n
+    ell, n, s = module.ell, module.n, module.mat_s
     if auto == "t":
         if kappa is None:
             raise ValueError("content-shift twist needs a rational kappa")
         kappa = kappa if type(kappa) is Fraction else fraction_from_str(kappa, "kappa")
-        return ModuleRep(ell, n, module.dim, module.mat_s, tuple(
+        return ModuleRep(ell, n, module.dim, s, tuple(
             Weight(tuple(x + kappa for x in w.a), w.b) for w in module.weights))
     if auto == "rho":
         if kappa is not None:
             raise ValueError("index-reversal twist takes no parameter")
-        return ModuleRep(
-            ell, n, module.dim,
-            tuple(module.mat_s[n - 2 - i] for i in range(n - 1)),
-            tuple(Weight(tuple(-x for x in reversed(w.a)), w.b[::-1])
-                  for w in module.weights))
+        order = [n - 2 - i for i in range(n - 1)]
+        return ModuleRep(ell, n, module.dim, _SMatrices(s.ell, s.dim, _at(s.forms, order))
+                         if isinstance(s, _SMatrices) else tuple(_at(s, order)),
+                         tuple(Weight(tuple(-x for x in reversed(w.a)), w.b[::-1])
+                               for w in module.weights))
     raise ValueError(f"unknown automorphism {auto!r}")
 
 
@@ -686,43 +683,29 @@ def twist(module: ModuleRep, auto: str, kappa=None) -> ModuleRep:
 
 def jm_consistency(module: ModuleRep) -> VerificationReport:
     """Check that the group-algebra Jucys-Murphy sums reproduce the diagonal
-    u-matrices.  Only meaningful when the module comes from a tuple of
-    partitions (so its restriction to the group is the usual seminormal
-    module); anything else is refused.
+    u-matrices, for a module built from a tuple of partitions only.
 
-    phi_i = sum over j < i and colors k of zeta_i^k zeta_j^-k (j i) is built
-    by the Okounkov-Vershik recurrence phi_1 = 0,
-    phi_{i+1} = s_i phi_i s_i + pi_i s_i (pi_i from ``_pi_values``).  While
-    the last check holds, phi_i = u_i, so phi_{i+1} is
-    s_i u_i s_i + pi_i s_i, compared with u_{i+1} as two lists on the
-    involution form of s_i (``_jm_step_holds``).  A step those do not
-    confirm rebuilds phi_i as the diagonal of u_i, and the recurrence runs
-    on sparse products, two per step, until a check holds again.  It is an identity in
-    the group algebra, so wherever the s-only and s-zeta relations hold the
-    matrices, and the reports, are those of ``grpalg.evaluate_in_module``.
-    On a module where those relations fail, the report is that of the
-    recurrence's matrices; ``verify_relations`` rejects such a module."""
+    phi_i = sum over j < i and colors k of zeta_i^k zeta_j^-k (j i) follows
+    phi_1 = 0, phi_{i+1} = s_i phi_i s_i + pi_i s_i (Okounkov-Vershik):
+    phi_1 = u_1 asks that U_1 be zero, and while phi_i = u_i each step is two
+    lists on the form of s_i (``_jm_step_holds``); unless all hold, it runs
+    on products, the matrices of ``grpalg.evaluate_in_module`` wherever the
+    s-only and s-zeta relations hold."""
     if module.shape is None or not is_partition_shape(module.shape):
         raise NotAPartition(
             "Jucys-Murphy comparison needs a module built from partitions "
             "anchored at content 0")
-    ell, s, forms = module.ell, module.mat_s, module._forms
+    ell, s, forms, pis = module.ell, module.mat_s, module._forms, module._pis
     u, den, _ = module._scaled
-    phi, held = Mat.zero(ell, module.dim), True  # held: the last check held
-    checks = []
-    for i in range(1, module.n + 1):
-        name = f"phi{i}=u{i}"
-        if i > 1:
-            si, pis, form = s[i - 2], _pi_values(module, i - 1), forms[i - 2]
-            if held:  # phi_{i-1} = u_{i-1}
-                if form is not None and _jm_step_holds(form, si.den, den, u[i - 2], u[i - 1], pis):
-                    checks.append(_holds(name))
-                    continue
-                phi = _diagonal(ell, u[i - 2], den)
-            phi = si * phi * si + _diagonal(ell, pis) * si
-        check = _report(name, phi, _diagonal(ell, u[i - 1], den))
-        checks.append(check)
-        held = check.ok
+    passing = _all_pass(ell, module.n)[2]
+    if not any(u[0]) and all(f is not None and _jm_step_holds(f, den, u[x], u[x + 1], pis[x])
+                             for x, f in enumerate(forms)):
+        return passing
+    phi, checks = Mat.zero(ell, module.dim), []
+    for x in range(module.n):
+        if x:
+            phi = s[x - 1] * phi * s[x - 1] + _diagonal(ell, pis[x - 1]) * s[x - 1]
+        checks.append(_report(passing, checks, phi, _diagonal(ell, u[x], den)))
     return VerificationReport(tuple(checks))
 
 

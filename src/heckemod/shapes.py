@@ -337,13 +337,13 @@ def _connected_classes(n: int) -> list[tuple[frozenset, ...]]:
     return classes
 
 
-def _one_coordinate_catalog(m: int, window: int,
-                            classes: list) -> tuple[tuple[tuple[int, frozenset], ...], ...]:
-    """All ways to fill one coordinate with m boxes, from ``classes`` =
-    ``_connected_classes(n >= m)``: tuples of (content_anchor, connected class),
-    anchors ascending from 0, consecutive content gaps >= 2, max content <= window."""
-    if m == 0:
-        return ((),)
+def _one_coordinate_catalog(n: int, window: int) -> list[tuple[tuple, ...]]:
+    """Entry m <= n: all ways to fill one coordinate with m boxes, as tuples of
+    (content_anchor, connected class), anchors ascending from 0, consecutive
+    content gaps >= 2, max content <= window."""
+    if n < 1:
+        raise EmptyShape("n must be positive")
+    classes = _connected_classes(n)
 
     def rec(remaining: int, min_anchor: int, first: bool):
         if remaining == 0:
@@ -359,7 +359,20 @@ def _one_coordinate_catalog(m: int, window: int,
                     for rest in rec(remaining - size, a + span + 1, False):
                         yield ((a, cls),) + rest
 
-    return tuple(rec(m, 0, True))
+    return [tuple(rec(m, 0, True)) for m in range(n + 1)]
+
+
+def shape_count(ell: int, n: int, window: int) -> int:
+    """len(enumerate_shapes(ell, n, window)) without building a shape: the
+    coefficient of x^n in (sum_m |catalog[m]| x^m)^ell, one catalog entry per
+    color, by repeated squaring truncated at degree n (cost in log ell)."""
+    power, out = [len(fills) for fills in _one_coordinate_catalog(n, window)], [1] + [0] * n
+    while ell:
+        if ell & 1:
+            out = [sum(out[k] * power[m - k] for k in range(m + 1)) for m in range(n + 1)]
+        power = [sum(power[k] * power[m - k] for k in range(m + 1)) for m in range(n + 1)]
+        ell >>= 1
+    return out[n]
 
 
 def enumerate_shapes(ell: int, n: int, window: int) -> tuple[SkewShapeL, ...]:
@@ -371,11 +384,7 @@ def enumerate_shapes(ell: int, n: int, window: int) -> tuple[SkewShapeL, ...]:
     The colors are filled one after another, in a loop rather than one
     recursion level each, and a shape is complete once no box is left.
     """
-    if n < 1:
-        raise EmptyShape("n must be positive")
-
-    classes = _connected_classes(n)
-    catalog = [_one_coordinate_catalog(m, window, classes) for m in range(n + 1)]
+    catalog = _one_coordinate_catalog(n, window)
     shapes = []
     partial = [((), n)]  # (components of the colors so far, boxes left > 0)
     for beta in range(ell):

@@ -12,16 +12,21 @@ weight per basis vector and checks relations with a diagonal side entry by
 entry, so the tests compare the two.  For the Jucys-Murphy check there are
 two: ``jm_consistency`` evaluates the group-algebra sums term by term, and
 ``jm_recurrence`` runs the recurrence of ``modules.jm_consistency`` on
-whole matrices.
+whole matrices.  ``s_matrices`` is the rows writer ``build_module`` used
+before a built module stored its s-matrices as involution forms: it writes
+each ``Mat`` column by column, finding each partner filling by its tuple.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import gcd, lcm
+
 from heckemod import grpalg
 from heckemod.cyclo import Cyc, root_of_unity
-from heckemod.errors import NotScalar
+from heckemod.errors import HeckemodError, NotScalar
 from heckemod.grpalg import GroupAlgebraElement, GroupElement, _perm_word
-from heckemod.linalg import nullspace_dim
+from heckemod.linalg import Mat, _new, nullspace_dim
 from heckemod.modules import RelationCheck, VerificationReport, generator_matrix
 from heckemod.shapes import Weight
 from mat_reference import RefMat
@@ -230,23 +235,33 @@ def commutant_dimension(module) -> int:
 
 
 def central_character(module) -> list[Cyc]:
+    """e_1..e_n of the eigenvalues read off the diagonals, on every basis
+    vector, once per multiset of them: the rational u-eigenvalues in
+    Fractions, and the zeta ones in the field."""
     ell, n, dim = module.ell, module.n, module.dim
 
-    def elementary(values):
-        coeffs = [Cyc.one(ell)] + [Cyc.zero(ell)] * len(values)
-        for v in values:
-            for k in range(len(values), 0, -1):
-                coeffs[k] = coeffs[k] + v * coeffs[k - 1]
-        return coeffs[1:]
+    def elementary(values, one, seen):
+        if values not in seen:
+            coeffs = [one] + [one * 0] * len(values)
+            for v in values:
+                for k in range(len(values), 0, -1):
+                    coeffs[k] = coeffs[k] + v * coeffs[k - 1]
+            seen[values] = coeffs[1:]
+        return seen[values]
 
+    u, z = diagonals(module)
+    u_seen, zeta_seen = {}, {}
+    u_vectors = [elementary(tuple(sorted(m[t, t].as_rational() for m in u)), Fraction(1), u_seen)
+                 for t in range(dim)]
+    zeta_vectors = [elementary(tuple(sorted((m[t, t] for m in z), key=repr)), Cyc.one(ell),
+                               zeta_seen) for t in range(dim)]
     out = []
-    for mats, label in zip(diagonals(module), ("u", "zeta")):
-        per_vector = [elementary([m[t, t] for m in mats]) for t in range(dim)]
+    for vectors, label in ((u_vectors, "u"), (zeta_vectors, "zeta")):
         for k in range(n):
-            scalars = {pv[k] for pv in per_vector}
+            scalars = {pv[k] for pv in vectors}
             if len(scalars) > 1:
                 raise NotScalar(f"e_{k + 1}({label}) takes {len(scalars)} distinct values")
-        out.extend(per_vector[0] if per_vector else [])
+        out.extend(Cyc.from_rational(ell, x) if label == "u" else x for x in (vectors[0] if vectors else []))
     return out
 
 
@@ -259,3 +274,47 @@ def module_weights(module) -> list[Weight]:
     return [Weight(tuple(m[t, t].as_rational() for m in u),
                    tuple(powers.index(m[t, t]) for m in z))
             for t in range(module.dim)]
+
+
+def s_matrices(shape) -> tuple[Mat, ...]:
+    """The s-matrices of the seminormal module on SYT(shape), written column
+    by column: column t of s_i holds its diagonal entry and, where s_i moves
+    filling t, the entry at the row of the filling with labels i and i+1
+    swapped, looked up by its tuple; integer rows over the lcm of the
+    entries' denominators."""
+    ell, n, ctx = shape.ell, shape.n, shape._ctx
+    positions = ctx.all_positions()
+    index = {p: t for t, p in enumerate(positions)}
+    dim = len(positions)
+    content, beta = ctx.content, ctx.beta
+    cd = lcm(*(x.denominator for x in content))
+    cint = [x.numerator * (cd // x.denominator) for x in content]
+    mats = []
+    for i in range(1, n):
+        cols = []
+        dens = {1}
+        for t, pos in enumerate(positions):
+            b1, b2 = pos[i - 1], pos[i]
+            if beta[b1] != beta[b2]:
+                cols.append((t, index[pos[:i - 1] + (b2, b1) + pos[i + 1:]], 0, 1, True))
+                continue
+            d = cint[b2] - cint[b1]
+            if b2 in ctx.blocked[b1]:
+                cols.append((t, None, d // cd, 1, True))
+                continue
+            if d in (0, cd, -cd):
+                raise HeckemodError(f"build_module: content difference "
+                                    f"{Fraction(d, cd)} between non-adjacent boxes")
+            g = gcd(d, cd)
+            dd, cc, one = d // g, cd // g, b1 < b2
+            dens.add(abs(dd) if one else dd * dd)
+            cols.append((t, index[pos[:i - 1] + (b2, b1) + pos[i + 1:]], dd, cc, one))
+        den = lcm(*dens)
+        rows: dict = {}
+        for t, target, dd, cc, one in cols:
+            if dd:
+                rows.setdefault(t, {})[t] = den // dd * cc
+            if target is not None:
+                rows.setdefault(target, {})[t] = den if one else (dd * dd - cc * cc) * (den // (dd * dd))
+        mats.append(_new(ell, dim, dim, den, rows))
+    return tuple(mats)

@@ -6,8 +6,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from heckemod import Weight, partition_shape, shape_from_json, shape_to_json, tableau_from_json, weight_to_json
 from heckemod.classify import ADJACENT_EQUAL, ConditionViolation
-from heckemod.cli import console_main, main
-from heckemod.shapes import _ShapeContext
+from heckemod.cli import _SHAPES_MAX_COUNT, console_main, main
+from heckemod.shapes import _ShapeContext, shape_count
 
 
 @pytest.fixture
@@ -380,12 +380,24 @@ def test_console_main_raises_system_exit(capsys, shape_file):
     (["suite", "--ell", "1", "--max-n", "0"], "--max-n"),
     # suite builds every shape, so its ell is capped at 16
     (["suite", "--ell", "17", "--max-n", "1"], "--ell"),
+    # shapes lists every shape, so it refuses more than its cap
+    (["shapes", "--ell", "100003", "--n", "2", "--window", "2"], "--ell"),
 ])
 def test_sizes_below_one_are_usage_errors(capsys, argv, flag):
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"argument {flag}:" in captured.err
+
+
+def test_shapes_names_the_count_and_the_cap(capsys):
+    # the count comes before any shape is built, so a huge ell is refused at once
+    assert main(["shapes", "--ell", "1009", "--n", "2", "--window", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "give 511563 shapes" in captured.err
+    assert f"more than the {_SHAPES_MAX_COUNT} that shapes lists" in captured.err
+    assert shape_count(1100, 1, 0) <= _SHAPES_MAX_COUNT < shape_count(1009, 2, 2)
 
 
 # ---------------------------------------------------------------------------

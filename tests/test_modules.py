@@ -33,6 +33,7 @@ from heckemod import (
     weight_of,
 )
 from heckemod.cyclo import _fold_table
+from heckemod.linalg import block_diag
 
 
 def module_21():
@@ -581,7 +582,7 @@ def test_sheared_sums_are_decided_by_products():
     for D in shapes:
         base = build_module(D)
         M = _sheared(base)
-        assert (None in M._forms) == any(any(C) for _, _, C in base._forms)
+        assert (None in M._forms) == any(any(C) for _, _, C, _ in base._forms)
         for fast, slow in ((verify_relations, ref.verify_relations),
                            (verify_intertwiners, ref.verify_intertwiners)):
             report = fast(M)
@@ -658,3 +659,126 @@ def test_commutant_counts_components_of_the_support():
                 assert dim == ref.commutant_dimension(N)
                 split += dim > 1
     assert split > 0
+
+
+def test_stored_forms_match_the_rows_writer():
+    # a built module stores each s_i as its involution form; the Mat built
+    # from it on request is the one the rows writer wrote, entry for entry
+    # and over the same denominator, on the n <= 5 corpus, half-offset
+    # shapes and (9,8), and after direct sums and rho-twists
+    import module_reference as ref
+    from test_acceptance import half_offset_shapes
+
+    shapes = [D for ell in (1, 2, 3) for n in range(1, 6) for D in enumerate_shapes(ell, n, n)]
+    shapes += half_offset_shapes() + [partition_shape(1, [[9, 8]])]
+    modules = [build_module(D) for D in shapes]
+    expected = [ref.s_matrices(D) for D in shapes]
+    assert len(shapes) == 2179 + len(half_offset_shapes()) + 1 and modules[-1].dim == 4862
+
+    def same(got, want):
+        assert len(got) == len(want)
+        for x, y in zip(got, want):
+            assert (x.ell, x.nrows, x.ncols, x.den, x.rows) == (y.ell, y.nrows, y.ncols, y.den, y.rows)
+
+    for M, want in zip(modules, expected):
+        same(M.mat_s, want)
+        same(twist(M, "rho").mat_s, want[::-1])
+    sums = 0
+    for k in range(0, len(modules) - 1, 7):
+        M, N = modules[k], modules[k + 1]
+        if (M.ell, M.n) == (N.ell, N.n):
+            same(direct_sum(M, N).mat_s,
+                 [block_diag(M.ell, [x, y]) for x, y in zip(expected[k], expected[k + 1])])
+            sums += 1
+    assert sums > 250
+
+
+def test_sound_pipeline_builds_no_s_matrix(monkeypatch):
+    # every stage reads the stored forms and integer weights, so verifying a
+    # built module never builds the Mat of an s_i; a module whose forms
+    # confirm every identity gets the report shared by its (ell, n)
+    from heckemod import modules as md
+
+    def refuse(*args):
+        raise AssertionError("an s-matrix Mat was built")
+
+    monkeypatch.setattr(md, "_mat_of_form", refuse)
+    shapes = [D for ell in (1, 2, 3) for n in (1, 2, 3, 4) for D in enumerate_shapes(ell, n, n)]
+    assert len(shapes) == 454
+    for D in shapes:
+        M = build_module(D)
+        passing = md._all_pass(M.ell, M.n)
+        assert verify_relations(M) is passing[0] and verify_intertwiners(M) is passing[1]
+        assert commutant_dimension(M) == 1
+        central_character(M)
+        if is_partition_shape(D):
+            assert jm_consistency(M) is passing[2]
+        assert twist(twist(M, "rho"), "rho") == M
+
+
+def test_replaced_fields_are_read_afresh():
+    # a built module stores its forms and its integer weights; a copy with
+    # other s-matrices or other weights reads those, never the stored views
+    import random
+
+    import module_reference as ref
+
+    rng = random.Random(26)
+    shapes = [D for ell in (1, 2) for n in (3, 4) for D in enumerate_shapes(ell, n, n)]
+    pairs = [(verify_relations, ref.verify_relations),
+             (verify_intertwiners, ref.verify_intertwiners),
+             (commutant_dimension, ref.commutant_dimension),
+             (central_character, ref.central_character)]
+    copies = 0
+    for D in shapes:
+        M = build_module(D)
+        assert M._forms and M._scaled  # the stored views, read before the copies
+        assert dataclasses.replace(M, mat_s=tuple(M.mat_s)) == M
+        for kind in ("s", "outside", "u", "zeta"):
+            N = _corrupted(M, rng, kind)
+            if N is M or (N.mat_s == M.mat_s and N.weights == M.weights):
+                continue
+            if kind in ("s", "outside"):
+                assert N.weights is M.weights and N._forms != M._forms
+            else:
+                assert N.mat_s is M.mat_s and N._scaled != M._scaled
+            for fast, slow in pairs:
+                assert _outcome(fast, N) == _outcome(slow, N), (fast.__name__, kind, D)
+            copies += 1
+    assert copies > 100
+
+
+def test_central_character_matches_reference_to_n5():
+    # e_k of the zetas in the group ring, one field element per k, against
+    # the oracle's field arithmetic on the diagonals: the n <= 5 corpus,
+    # direct sums, both twists, and a sum of two modules that differ
+    import module_reference as ref
+
+    modules = [build_module(D) for ell in (1, 2, 3) for n in range(1, 6)
+               for D in enumerate_shapes(ell, n, n)]
+    assert len(modules) == 2179
+    modules += [direct_sum(M, M) for M in modules[::29]]
+    modules += [twist(M, "rho") for M in modules[::11]] + [twist(M, "t", "1/3") for M in modules[::13]]
+    for M in modules:
+        assert central_character(M) == ref.central_character(M)
+    mixed = direct_sum(build_module(partition_shape(2, [[2], []])),
+                       build_module(partition_shape(2, [[1], [1]])))
+    messages = []
+    for fn in (central_character, ref.central_character):
+        with pytest.raises(NotScalar) as info:
+            fn(mixed)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+
+
+def test_central_character_compares_colors_in_the_field():
+    # at ell = 4, zeta^0 + zeta^2 = zeta + zeta^3 = 0: the two basis vectors
+    # differ in e_1(zeta) as group-ring vectors but not in the field, so the
+    # first e_k that is not scalar is e_2 (zeta^2 = -1 against zeta^4 = 1)
+    import module_reference as ref
+
+    zero = (Fraction(0),) * 2
+    M = ModuleRep(4, 2, 2, (Mat.zero(4, 2),), (Weight(zero, (0, 2)), Weight(zero, (1, 3))))
+    for fn in (central_character, ref.central_character):
+        with pytest.raises(NotScalar, match=r"^e_2\(zeta\) takes 2 distinct values$"):
+            fn(M)

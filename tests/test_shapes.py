@@ -40,6 +40,7 @@ from heckemod import (
     weight_to_json,
 )
 from heckemod import shapes
+from heckemod.shapes import shape_count
 import shapes_reference
 from shapes_reference import connected_classes, shape_fault
 from test_acceptance import half_offset_shapes, multipartitions
@@ -253,6 +254,22 @@ def test_enumerate_shapes_counts():
     assert len(enumerate_shapes(3, 3, 3)) == 49
     # one box in one of more colors than Python's default recursion limit
     assert [D.components[0].beta for D in enumerate_shapes(1100, 1, 0)] == list(range(1100))
+
+
+def test_shape_count_matches_enumeration():
+    # the count reads only the sizes of the one-color catalogs, so it agrees
+    # with the enumeration on every small grid point and costs nothing at a
+    # large ell
+    cases = [(ell, n, window) for ell in range(1, 6) for n in range(1, 6)
+             for window in range(n + 2)]
+    assert len(cases) == 125
+    for case in cases:
+        assert shape_count(*case) == len(enumerate_shapes(*case)), case
+    assert shape_count(1100, 1, 0) == 1100
+    assert shape_count(1009, 2, 2) == 511_563
+    assert shape_count(100003, 2, 2) == 5_000_550_012
+    with pytest.raises(EmptyShape):
+        shape_count(2, 0, 2)
 
 
 def brute_force_shapes(ell, n, window):
