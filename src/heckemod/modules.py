@@ -162,51 +162,52 @@ class VerificationReport:
 
 
 @lru_cache(maxsize=64)
-def _all_pass(ell: int, n: int) -> tuple[VerificationReport, ...]:
-    """The all-pass reports of ``verify_relations``, ``verify_intertwiners``
-    and ``jm_consistency``, built once per (ell, n) and shared (frozen)."""
+def _table(ell: int, n: int) -> tuple:
+    """Per verifier (relations, intertwiners, Jucys-Murphy) its all-pass
+    report, built once per (ell, n) and shared (frozen), and what decides its
+    checks for ``_check``: (index, kind, i - 1, ...), the kind "square",
+    "braid", ("commute", j - 1), "crossing", or a side "u" or "zeta" with the
+    indices of its col and row keys; the weight storage holds the rest."""
     r, pairs = range(1, n + 1), [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-    rel = [f"s{i}^2=1" for i in r[:-1]] + [f"s{i}s{i + 1}s{i}=s{i + 1}s{i}s{i + 1}" for i in r[:-2]]
-    rel += [f"s{i}s{j}=s{j}s{i}" for i, j in pairs if i + 1 < j < n]
-    rel += [f"zeta{i}^{ell}=1" for i in r] + [f"zeta{i}zeta{j}=zeta{j}zeta{i}" for i, j in pairs]
+    rel = [(f"s{i}^2=1", "square", i - 1) for i in r[:-1]]
+    rel += [(f"s{i}s{i + 1}s{i}=s{i + 1}s{i}s{i + 1}", "braid", i - 1) for i in r[:-2]]
+    rel += [(f"s{i}s{j}=s{j}s{i}", "commute", i - 1, j - 1) for i, j in pairs if i + 1 < j < n]
+    rel += [(f"zeta{i}^{ell}=1",) for i in r]
+    rel += [(f"zeta{i}zeta{j}=zeta{j}zeta{i}",) for i, j in pairs]
     for i in r[:-1]:
-        rel += [f"s{i}zeta{i}=zeta{i + 1}s{i}"]
-        rel += [f"s{i}zeta{j}=zeta{j}s{i}" for j in r if j not in (i, i + 1)]
-    rel += [f"zeta{i}u{j}=u{j}zeta{i}" for i in r for j in r]
-    rel += [f"u{i}u{j}=u{j}u{i}" for i, j in pairs]
+        rel += [(f"s{i}zeta{i}=zeta{i + 1}s{i}", "zeta", i - 1, i - 1, i)]
+        rel += [(f"s{i}zeta{j}=zeta{j}s{i}", "zeta", i - 1, j - 1, j - 1)
+                for j in r if j not in (i, i + 1)]
+    rel += [(f"zeta{i}u{j}=u{j}zeta{i}",) for i in r for j in r]
+    rel += [(f"u{i}u{j}=u{j}u{i}",) for i, j in pairs]
     for i in r[:-1]:
-        rel += [f"s{i}u{j}=u{j}s{i}" for j in r if j not in (i, i + 1)]
-        rel += [f"s{i}u{i}=u{i + 1}s{i}-pi{i}"]
+        rel += [(f"s{i}u{j}=u{j}s{i}", "u", i - 1, j - 1, j - 1) for j in r if j not in (i, i + 1)]
+        rel += [(f"s{i}u{i}=u{i + 1}s{i}-pi{i}", "crossing", i - 1)]
     tau = []
     for i in r[:-1]:
         for j in r:
             k = i + 1 if j == i else i if j == i + 1 else j
-            tau += [f"u{j}tau{i}=tau{i}u{k}", f"zeta{j}tau{i}=tau{i}zeta{k}"]
-        tau += [f"tau{i}^2=((u{i}-u{i + 1})^2-pi^2)/(u{i}-u{i + 1})^2"]
-    tau += [f"tau{i}tau{i + 1}tau{i}=tau{i + 1}tau{i}tau{i + 1}" for i in r[:-2]]
-    return tuple(VerificationReport(tuple(RelationCheck(name, True) for name in names))
-                 for names in (rel, tau, [f"phi{i}=u{i}" for i in r]))
+            tau += [(f"u{j}tau{i}=tau{i}u{k}", "u", i - 1, k - 1, j - 1),
+                    (f"zeta{j}tau{i}=tau{i}zeta{k}", "zeta", i - 1, k - 1, j - 1)]
+        tau += [(f"tau{i}^2=((u{i}-u{i + 1})^2-pi^2)/(u{i}-u{i + 1})^2", "square", i - 1)]
+    tau += [(f"tau{i}tau{i + 1}tau{i}=tau{i + 1}tau{i}tau{i + 1}", "braid", i - 1) for i in r[:-2]]
+    rel, tau = ((VerificationReport(tuple(RelationCheck(c[0], True) for c in checks)),
+                 tuple((k, *c[1:]) for k, c in enumerate(checks) if len(c) > 1))
+                for checks in (rel, tau))
+    jm = VerificationReport(tuple(RelationCheck(f"phi{i}=u{i}", True) for i in r))
+    jm_checks = tuple((x + 1, kind, x) for x in range(n - 1) for kind in ("square", "crossing"))
+    return rel, tau, (jm, jm_checks)
 
 
-def _finish(passing: VerificationReport, checks: list) -> VerificationReport:
-    """The report of ``checks``, one per check of ``passing``: None where the
-    forms confirmed the identity, so ``passing`` itself if they all did."""
-    if not any(checks):
-        return passing
-    return VerificationReport(tuple(c or p for c, p in zip(checks, passing.checks)))
-
-
-def _report(passing: VerificationReport, checks: list, left: Mat, right: Mat) -> RelationCheck:
-    """The check of left = right by ``==``, named as the next check of
-    ``passing`` after ``checks``.  Only a failing one forms the residual
-    left - right, whose least nonzero entry is the witness."""
-    name = passing.checks[len(checks)].name
+def _witness(left: Mat, right: Mat) -> tuple[int, int, str] | None:
+    """None where left = right by ``==``; else the least nonzero entry of the
+    residual left - right, formed only then."""
     if left == right:
-        return RelationCheck(name, True)
+        return None
     residual = left - right
     p = min(residual.rows)
     q = min(residual.rows[p])
-    return RelationCheck(name, False, (p, q, repr(residual[p, q])))
+    return p, q, repr(residual[p, q])
 
 
 # ---------------------------------------------------------------------------
@@ -257,13 +258,17 @@ def _pairs_of(form) -> tuple[list[int], list[int]]:
     return list(compress(range(len(P)), C)), list(compress(P, C))
 
 
-def _side_holds(form, pairs, col: list[int], row: list[int]) -> bool:
-    """X diag(col) = diag(row) X for a form X = (P, A, C, L) with ``pairs`` and
-    integer keys of an injective value (u over den, or color exponents):
-    col[q] = row[p] at every nonzero entry (p, q), the diagonal masked by A."""
+def _side_holds(form, pairs, col: list[int], row: list[int], term: list | None = None) -> bool:
+    """X diag(col) + diag(term) = diag(row) X for a form X = (P, A, C, L) with
+    ``pairs`` and integer keys of an injective value (u over den, or color
+    exponents): A col + term = row A (no term: col = row where A is nonzero)
+    and col[q] = row[p] at every off-diagonal entry (p, q)."""
     (rows, partners), A = pairs, form[1]
-    return ((col is row or list(compress(col, A)) == list(compress(row, A)))
-            and _at(col, partners) == _at(row, rows))
+    if term is None:
+        diagonal = col is row or list(compress(col, A)) == list(compress(row, A))
+    else:
+        diagonal = list(map(add, map(mul, A, col), term)) == list(map(mul, row, A))
+    return diagonal and _at(col, partners) == _at(row, rows)
 
 
 def _commute_holds(f, g) -> bool:
@@ -309,29 +314,6 @@ def _braid_holds(f, g) -> bool:
     last = list(map(mul, L3, _at(C, QP)))
     return (last == list(map(mul, D, H3Q))
             and list(compress(_at(P, QP), last)) == list(compress(_at(QP, Q), last)))
-
-
-def _crossing_holds(A: list[int], pairs, scale: int, ui: list[int], unext: list[int],
-                    pis: list[int]) -> bool:
-    """X U_i + scale pi = U_{i+1} X for a form X = (P, A, C, L) with pairs
-    ``pairs``: slot p is A U_i + scale pi against U_{i+1} A, and slot P p
-    holds C U_i(P) against U_{i+1} C, so U_i(P) = U_{i+1} at the pairs."""
-    rows, partners = pairs
-    return ([a * x + scale * pi for a, x, pi in zip(A, ui, pis)] == list(map(mul, unext, A))
-            and _at(ui, partners) == _at(unext, rows))
-
-
-def _jm_step_holds(form, den: int, ui: list[int], unext: list[int], pis: list[int]) -> bool:
-    """X U_i X + L den pi X = L^2 U_{i+1} for the form X = (P, A, C, L):
-    slot p is A (A U_i + L den pi) + C C(P) U_i(P) against L^2 U_{i+1}, and
-    slot P p is C (A U_i + A(P) U_i(P) + L den pi), which must vanish."""
-    P, A, C, lden = form
-    k, up = lden * den, _at(ui, P)
-    return ([a * (a * x + k * pi) + c * cp * xp
-             for a, c, cp, x, xp, pi in zip(A, C, _at(C, P), ui, up, pis)]
-            == _scaled_by(unext, lden * lden)
-            and not any([c * (a * x + ap * xp + k * pi)
-                         for a, c, ap, x, xp, pi in zip(A, C, _at(A, P), ui, up, pis)]))
 
 
 # ---------------------------------------------------------------------------
@@ -469,52 +451,67 @@ def generator_matrix(module: ModuleRep, kind: str, i: int) -> Mat:
 # ---------------------------------------------------------------------------
 # verification
 
+def _check(module: ModuleRep, entry: tuple, tau: tuple | None = None) -> VerificationReport:
+    """The report of an ``entry`` of ``_table`` on the s_i, or on the tau_i as
+    ``tau``: per X_{x+1} its forms and, over their L^2, their squares, and
+    callables of x giving its matrix and its square.  A check the forms do
+    not confirm goes to exact products, whose residual is its witness; a
+    side of the tau_i is written diagonal first, diag(row) X = X diag(col)."""
+    ell, dim, forms = module.ell, module.dim, module._forms
+    u, den, z = module._scaled
+    pairs, fixed, pis = module._pairs, module._fixed, module._pis
+    forms, targets, mat, rhs = tau or (forms, [f and [f[3] ** 2] * dim for f in forms],
+                                       module.mat_s.__getitem__, lambda x: Mat.identity(ell, dim))
+    keys = {"u": (u, partial(_diagonal, ell, den=den)), "zeta": (z, partial(_roots, ell))}
+    passing, failed = entry[0], {}
+    for k, kind, x, *more in entry[1]:
+        f = forms[x]
+        if kind == "square":
+            if f and _square_holds(f, targets[x]):
+                continue
+            left, right = mat(x) * mat(x), rhs(x)
+        elif kind == "braid":
+            if f and forms[x + 1] and _braid_holds(f, forms[x + 1]):
+                continue
+            left, right = mat(x) * mat(x + 1) * mat(x), mat(x + 1) * mat(x) * mat(x + 1)
+        elif kind == "commute":
+            y = more[0]
+            if f and forms[y] and _commute_holds(f, forms[y]):
+                continue
+            left, right = mat(x) * mat(y), mat(y) * mat(x)
+        elif kind == "crossing":  # X U_i + L den pi = U_{i+1} X
+            if f and _side_holds(f, pairs[x], u[x], u[x + 1], _scaled_by(pis[x], f[3] * den)):
+                continue
+            left = mat(x) * _diagonal(ell, u[x], den) + _diagonal(ell, pis[x])
+            right = _diagonal(ell, u[x + 1], den) * mat(x)
+        else:
+            values, diag = keys[kind]
+            col, row = values[more[0]], values[more[1]]
+            if f and (col is row and fixed[x] or _side_holds(f, pairs[x], col, row)):
+                continue
+            left, right = mat(x) * diag(col), diag(row) * mat(x)
+            if tau:
+                left, right = right, left
+        witness = _witness(left, right)
+        if witness:
+            failed[k] = witness
+    if not failed:
+        return passing
+    return VerificationReport(tuple(RelationCheck(c.name, False, failed[k]) if k in failed else c
+                                    for k, c in enumerate(passing.checks)))
+
+
 def verify_relations(module: ModuleRep) -> VerificationReport:
     """Exact check of every defining relation: the symmetric-group and
     color-group relations, the commutations of the polynomial and group
     generators, and the crossing relation s_i u_i = u_{i+1} s_i - pi_i.
 
-    Each is decided on the forms of S_i = L_i s_i (S_i^2 = L_i^2, the braid
-    scaled by L_i, L_{i+1}, S_i U_i + L_i den pi_i = U_{i+1} S_i for U over
-    den, a side by its integer keys); one they do not confirm goes to exact
-    products (``_report``), which alone read its name and form its witness.
+    ``_check`` decides each check of ``_table`` on the forms of S_i = L_i s_i
+    (S_i^2 = L_i^2, the braid scaled by L_i, L_{i+1}, S_i U_i + L_i den pi_i
+    = U_{i+1} S_i for U over den, a side by its integer keys), and one they
+    do not confirm by exact products, which alone form its witness.
     zeta_i^ell = 1 and the zeta/u commutations hold by the storage."""
-    ell, n, dim = module.ell, module.n, module.dim
-    s, forms, pairs, fixed = module.mat_s, module._forms, module._pairs, module._fixed
-    u, den, z = module._scaled
-    udiag, zdiag = partial(_diagonal, ell, den=den), partial(_roots, ell)
-    passing, checks = _all_pass(ell, n)[0], []  # per identity: None where forms confirm it
-    add, report = checks.append, partial(_report, passing, checks)
-
-    def side(x, col, row, diag):  # s_{x+1} diag(col) = diag(row) s_{x+1}
-        holds = forms[x] and (col is row and fixed[x] or _side_holds(forms[x], pairs[x], col, row))
-        add(None if holds else report(s[x] * diag(col), diag(row) * s[x]))
-
-    for x in range(n - 1):
-        add(None if forms[x] and _square_holds(forms[x], [forms[x][3] ** 2] * dim)
-            else report(s[x] * s[x], Mat.identity(ell, dim)))
-    for x in range(n - 2):
-        add(None if forms[x] and forms[x + 1] and _braid_holds(forms[x], forms[x + 1])
-            else report(s[x] * s[x + 1] * s[x], s[x + 1] * s[x] * s[x + 1]))
-    for x in range(n - 1):
-        for y in range(x + 2, n - 1):
-            add(None if forms[x] and forms[y] and _commute_holds(forms[x], forms[y])
-                else report(s[x] * s[y], s[y] * s[x]))
-    checks += [None] * (n + n * (n - 1) // 2)  # zeta_i^ell = 1, zeta_i zeta_j = zeta_j zeta_i
-    for x in range(n - 1):
-        side(x, z[x], z[x + 1], zdiag)
-        for y in range(n):
-            if y not in (x, x + 1):
-                side(x, z[y], z[y], zdiag)
-    checks += [None] * (n * n + n * (n - 1) // 2)  # zeta_i u_j = u_j zeta_i, u_i u_j = u_j u_i
-    for x in range(n - 1):
-        for y in range(n):
-            if y not in (x, x + 1):
-                side(x, u[y], u[y], udiag)
-        f, pis = forms[x], module._pis[x]
-        add(None if f and _crossing_holds(f[1], pairs[x], f[3] * den, u[x], u[x + 1], pis)
-            else report(s[x] * udiag(u[x]) + _diagonal(ell, pis), udiag(u[x + 1]) * s[x]))
-    return _finish(passing, checks)
+    return _check(module, _table(module.ell, module.n)[0])
 
 
 def verify_intertwiners(module: ModuleRep) -> VerificationReport:
@@ -529,8 +526,6 @@ def verify_intertwiners(module: ModuleRep) -> VerificationReport:
     first; tau_i^2 should be 1 - c^2, and tau_i's form is s_i's minus c over
     lcm(L_i, scale), decided as in ``verify_relations`` (fallback: ``_tau``)."""
     ell, n, dim = module.ell, module.n, module.dim
-    u, den, z = module._scaled
-    udiag, zdiag = partial(_diagonal, ell, den=den), partial(_roots, ell)
     corrections = [_correction(module, i) for i in range(1, n)]
     tau = lru_cache(None)(lambda x: _tau(module, x + 1))
     forms, targets = [], []  # the form of tau_i and tau_i^2 over its denominator squared
@@ -540,25 +535,8 @@ def verify_intertwiners(module: ModuleRep) -> VerificationReport:
         f, g = top // L, top // scale
         forms.append(form and (P, [a * f - x * g for a, x in zip(A, vals)], _scaled_by(C, f), top))
         targets.append([top * top - (x * g) ** 2 for x in vals])
-    pairs, fixed, passing, checks = module._pairs, module._fixed, _all_pass(ell, n)[1], []
-    add, report = checks.append, partial(_report, passing, checks)
-
-    def side(x, col, row, diag):  # diag(row) tau_{x+1} = tau_{x+1} diag(col)
-        holds = forms[x] and (col is row and fixed[x] or _side_holds(forms[x], pairs[x], col, row))
-        add(None if holds else report(diag(row) * tau(x)[0], tau(x)[0] * diag(col)))
-
-    for x in range(n - 1):
-        for j in range(n):
-            k = x + 1 if j == x else x if j == x + 1 else j
-            side(x, u[k], u[j], udiag)
-            side(x, z[k], z[j], zdiag)
-        add(None if forms[x] and _square_holds(forms[x], targets[x]) else report(
-            tau(x)[0] * tau(x)[0], Mat.identity(ell, dim) - tau(x)[1] * tau(x)[1]))
-    for x in range(n - 2):
-        add(None if forms[x] and forms[x + 1] and _braid_holds(forms[x], forms[x + 1])
-            else report(tau(x)[0] * tau(x + 1)[0] * tau(x)[0],
-                         tau(x + 1)[0] * tau(x)[0] * tau(x + 1)[0]))
-    return _finish(passing, checks)
+    return _check(module, _table(ell, n)[1], (forms, targets, lambda x: tau(x)[0],
+                  lambda x: Mat.identity(ell, dim) - tau(x)[1] * tau(x)[1]))
 
 
 def _components(size: int, edges) -> int:
@@ -686,26 +664,32 @@ def jm_consistency(module: ModuleRep) -> VerificationReport:
     u-matrices, for a module built from a tuple of partitions only.
 
     phi_i = sum over j < i and colors k of zeta_i^k zeta_j^-k (j i) follows
-    phi_1 = 0, phi_{i+1} = s_i phi_i s_i + pi_i s_i (Okounkov-Vershik):
-    phi_1 = u_1 asks that U_1 be zero, and while phi_i = u_i each step is two
-    lists on the form of s_i (``_jm_step_holds``); unless all hold, it runs
-    on products, the matrices of ``grpalg.evaluate_in_module`` wherever the
-    s-only and s-zeta relations hold."""
+    phi_1 = 0, phi_{i+1} = s_i phi_i s_i + pi_i s_i (Okounkov-Vershik).  So
+    phi_1 = u_1 asks that U_1 be zero, and s_i^2 = 1 with the crossing
+    relation s_i u_i + pi_i = u_{i+1} s_i carries phi_i = u_i to
+        phi_{i+1} = s_i u_i s_i + pi_i s_i
+                  = (s_i u_i + pi_i) s_i
+                  = u_{i+1} s_i s_i = u_{i+1}:
+    ``_table`` has those two checks of ``verify_relations``, decided as
+    there, decide phi_{i+1}.  Unless U_1 = 0 and all hold, the recurrence
+    runs on products, the matrices of ``grpalg.evaluate_in_module`` wherever
+    the s-only and s-zeta relations hold."""
     if module.shape is None or not is_partition_shape(module.shape):
         raise NotAPartition(
             "Jucys-Murphy comparison needs a module built from partitions "
             "anchored at content 0")
-    ell, s, forms, pis = module.ell, module.mat_s, module._forms, module._pis
+    ell, s, pis = module.ell, module.mat_s, module._pis
     u, den, _ = module._scaled
-    passing = _all_pass(ell, module.n)[2]
-    if not any(u[0]) and all(f is not None and _jm_step_holds(f, den, u[x], u[x + 1], pis[x])
-                             for x, f in enumerate(forms)):
+    entry = _table(ell, module.n)[2]
+    passing = entry[0]
+    if not any(u[0]) and _check(module, entry) is passing:
         return passing
     phi, checks = Mat.zero(ell, module.dim), []
-    for x in range(module.n):
+    for x, check in enumerate(passing.checks):
         if x:
             phi = s[x - 1] * phi * s[x - 1] + _diagonal(ell, pis[x - 1]) * s[x - 1]
-        checks.append(_report(passing, checks, phi, _diagonal(ell, u[x], den)))
+        witness = _witness(phi, _diagonal(ell, u[x], den))
+        checks.append(RelationCheck(check.name, witness is None, witness))
     return VerificationReport(tuple(checks))
 
 

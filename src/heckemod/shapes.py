@@ -314,10 +314,12 @@ def hook_dimension(ell: int, partitions) -> int:
 # ---------------------------------------------------------------------------
 # enumeration of integral shapes
 
-def _connected_classes(n: int) -> list[tuple[frozenset, ...]]:
-    """Entry m <= n: connected skew cell-sets with m boxes anchored at (1, 0),
-    grown one box at a time (removing the reading-maximal box of a connected
-    skew shape keeps it connected and skew, so growth finds all)."""
+def _connected_classes(n: int, window: int) -> list[tuple[frozenset, ...]]:
+    """Entry m <= n: connected skew cell-sets with m boxes anchored at (1, 0)
+    whose contents span at most window + 1, grown one box at a time (removing
+    the reading-maximal box of a connected skew shape keeps it connected and
+    skew, so growth finds all; the span never shrinks as a set grows, so a
+    wider candidate is dropped with all it would grow into)."""
     classes = [(), (frozenset({(1, 0)}),)]
     for _ in range(2, n + 1):
         out = set()
@@ -328,10 +330,11 @@ def _connected_classes(n: int) -> list[tuple[frozenset, ...]]:
                     if q in smaller:
                         continue
                     cand = set(smaller) | {q}
-                    if _shape_fault(cand) is not None:
+                    cshift = -min(cc for _, cc in cand)
+                    if (max(cc for _, cc in cand) + cshift > window
+                            or _shape_fault(cand) is not None):
                         continue
                     rshift = 1 - min(rr for rr, _ in cand)
-                    cshift = -min(cc for _, cc in cand)
                     out.add(frozenset((rr + rshift, cc + cshift) for rr, cc in cand))
         classes.append(tuple(sorted(out, key=sorted)))
     return classes
@@ -343,7 +346,7 @@ def _one_coordinate_catalog(n: int, window: int) -> list[tuple[tuple, ...]]:
     content gaps >= 2, max content <= window."""
     if n < 1:
         raise EmptyShape("n must be positive")
-    classes = _connected_classes(n)
+    classes = _connected_classes(n, window)
 
     def rec(remaining: int, min_anchor: int, first: bool):
         if remaining == 0:

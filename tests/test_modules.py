@@ -640,6 +640,41 @@ def test_sound_modules_are_decided_without_products(monkeypatch):
             assert jm_consistency(M).ok
 
 
+def test_jm_is_decided_by_squares_and_crossings_at_n5_n6(monkeypatch):
+    # past the n <= 4 corpus, a sound partition module's Jucys-Murphy check
+    # is decided by the square and crossing of each s_i on forms alone, and
+    # returns the report shared by its (ell, n)
+    from heckemod import modules as md
+    from test_acceptance import multipartitions
+
+    modules = [build_module(partition_shape(ell, p)) for ell in (1, 2) for n in (5, 6)
+               for p in multipartitions(ell, n)]
+    assert len(modules) == 7 + 11 + 36 + 65
+
+    def refuse(self, other):
+        raise AssertionError("a sound module reached a matrix product")
+
+    monkeypatch.setattr(Mat, "__mul__", refuse)
+    for M in modules:
+        assert jm_consistency(M) is md._table(M.ell, M.n)[2][0]
+
+
+def test_check_names_match_the_oracles_to_n7():
+    # the one table names every check in the oracles' order beyond the
+    # n <= 4 corpus: on the one-row module, of dimension 1, for each ell, n
+    import module_reference as ref
+
+    for ell in (1, 2, 3):
+        for n in (5, 6, 7):
+            M = build_module(partition_shape(ell, [[n]] + [[]] * (ell - 1)))
+            assert M.dim == 1
+            for fast, slow in ((verify_relations, ref.verify_relations),
+                               (verify_intertwiners, ref.verify_intertwiners),
+                               (jm_consistency, ref.jm_consistency)):
+                report = fast(M)
+                assert report.ok and report == slow(M), (fast.__name__, ell, n)
+
+
 def test_commutant_counts_components_of_the_support():
     # zeroing one off-diagonal pair of an s-matrix may split the support
     # graph; with distinct weights the commutant dimension is then the
@@ -707,7 +742,7 @@ def test_sound_pipeline_builds_no_s_matrix(monkeypatch):
     assert len(shapes) == 454
     for D in shapes:
         M = build_module(D)
-        passing = md._all_pass(M.ell, M.n)
+        passing = [report for report, _ in md._table(M.ell, M.n)]
         assert verify_relations(M) is passing[0] and verify_intertwiners(M) is passing[1]
         assert commutant_dimension(M) == 1
         central_character(M)

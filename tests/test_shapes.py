@@ -238,10 +238,15 @@ def test_shape_fault_matches_reference_in_a_box(cells):
 
 
 def test_connected_classes_match_reference_growth():
-    grown = shapes._connected_classes(7)
-    assert len(grown) == 8
-    for m in range(1, 8):
-        assert grown[m] == connected_classes(m), m
+    # a window drops exactly the classes whose contents span more than
+    # window + 1; window 6 drops none of at most 7 boxes
+    for window in range(7):
+        grown = shapes._connected_classes(7, window)
+        assert len(grown) == 8
+        for m in range(1, 8):
+            expect = tuple(cls for cls in connected_classes(m)
+                           if max(c for _, c in cls) <= window)
+            assert grown[m] == expect, (m, window)
 
 
 # ---------------------------------------------------------------------------
