@@ -6,7 +6,8 @@ and s_i, which maps basis vector t into span{t, s_i t}, is stored as its
 involution form; its ``Mat`` is built only on request.  The rest is
 verification: relations, intertwiners, a commutant-dimension irreducibility
 oracle, central characters, Jucys-Murphy consistency on partition shapes,
-and the two automorphism twists (content shift and index reversal).
+and the two automorphism twists (content shift and index reversal).  The
+relation, intertwiner and Jucys-Murphy checks come from one table per (ell, n).
 """
 
 from __future__ import annotations
@@ -453,10 +454,10 @@ def generator_matrix(module: ModuleRep, kind: str, i: int) -> Mat:
 
 def _check(module: ModuleRep, entry: tuple, tau: tuple | None = None) -> VerificationReport:
     """The report of an ``entry`` of ``_table`` on the s_i, or on the tau_i as
-    ``tau``: per X_{x+1} its forms and, over their L^2, their squares, and
-    callables of x giving its matrix and its square.  A check the forms do
-    not confirm goes to exact products, whose residual is its witness; a
-    side of the tau_i is written diagonal first, diag(row) X = X diag(col)."""
+    ``tau`` = (forms, squares on the forms over L^2, and as callables of x
+    the matrix of X_{x+1} and its square).  A check the forms do not confirm
+    goes to exact products, whose residual is its witness; a side of the
+    tau_i is written diagonal first, diag(row) X = X diag(col)."""
     ell, dim, forms = module.ell, module.dim, module._forms
     u, den, z = module._scaled
     pairs, fixed, pis = module._pairs, module._fixed, module._pis
