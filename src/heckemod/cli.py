@@ -77,12 +77,14 @@ def _load_shape(path: str) -> sh.SkewShapeL:
 # subcommands
 
 def _cmd_shapes(args) -> int:
-    count = sh.shape_count(args.ell, args.n, args.window)
+    catalog = sh._one_coordinate_catalog(args.n, args.window)  # built once for both
+    count = sh._count_of(args.ell, args.n, catalog)
     if count > _SHAPES_MAX_COUNT:
         raise _UsageError(f"argument --ell: ell={args.ell}, n={args.n} and window="
                           f"{args.window} give {count} shapes, more than the "
                           f"{_SHAPES_MAX_COUNT} that shapes lists")
-    shapes = sh.enumerate_shapes(args.ell, args.n, args.window)
+    shapes = sh._shapes_of(args.ell, args.n, catalog)
+    del catalog  # not held while the JSON is written
     _emit({"ell": args.ell, "n": args.n, "window": args.window,
            "count": len(shapes), "shapes": [sh.shape_to_json(s) for s in shapes]})
     return 0

@@ -2,8 +2,8 @@
 
 ``build_module`` realizes the simple module of a shape D on the basis
 SYT(D): u_i and zeta_i act diagonally through the weight of each tableau,
-and s_i, which maps basis vector t into span{t, s_i t}, is stored as its
-involution form; its ``Mat`` is built only on request.  The rest is
+and s_i, which maps basis vector t into span{t, s_i t}, is a ``Mat`` kept
+as its involution form, writing its rows only when read.  The rest is
 verification: relations, intertwiners, a commutant-dimension irreducibility
 oracle, central characters, Jucys-Murphy consistency on partition shapes,
 and the two automorphism twists (content shift and index reversal).  The
@@ -13,7 +13,6 @@ relation, intertwiner and Jucys-Murphy checks come from one table per (ell, n).
 from __future__ import annotations
 
 from collections import defaultdict
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
@@ -23,48 +22,44 @@ from operator import add, lt, mul, sub
 
 from .cyclo import Cyc, fraction_from_str, root_of_unity
 from .errors import DimensionMismatch, HeckemodError, NotAPartition, NotScalar
-from .linalg import Mat, _diagonal, _new, block_diag, nullspace_dim
+from .linalg import Mat, _diagonal, block_diag, nullspace_dim
 from .shapes import (SkewShapeL, Weight, enumerate_syt, is_partition_shape, shape_to_json,
                      tableau_to_json, weight_to_json)
 
 
-class _SMatrices(Sequence):
-    """s-matrices kept as involution forms: entry k is the ``Mat`` of s_{k+1}
-    of ``forms[k]``, built on first request and kept.  It acts as the tuple
-    of those matrices: indexing, slicing (to a tuple), ``+`` and ``==``."""
+class _FormMat(Mat):
+    """The ``Mat`` of an s_i kept as its involution ``form``: ``rows`` is
+    written by ``_mat_of_form`` on first read, and an entry set in place
+    drops the form, so the checks then read the edited rows."""
 
-    __slots__ = ("ell", "dim", "forms", "_mats")
+    __slots__ = ("form",)
 
-    def __init__(self, ell: int, dim: int, forms: list):
-        self.ell, self.dim, self.forms, self._mats = ell, dim, forms, [None] * len(forms)
+    def __init__(self, ell: int, form):
+        self.ell, self.nrows, self.ncols, self.den = ell, len(form[0]), len(form[0]), form[3]
+        self.form = form
 
-    def __len__(self) -> int:
-        return len(self.forms)
+    def __getattr__(self, name):
+        if name != "rows" or self.form is None:
+            raise AttributeError(name)
+        self.rows = _mat_of_form(self.form)
+        return self.rows
 
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return tuple(map(self.__getitem__, range(*k.indices(len(self)))))
-        if self._mats[k] is None:
-            self._mats[k] = _mat_of_form(self.ell, self.dim, self.forms[k])
-        return self._mats[k]
+    def __setitem__(self, key, value):
+        super().__setitem__(key, value)  # reads, so writes, the rows first
+        self.form = None
 
-    def __eq__(self, other):
-        if not isinstance(other, (tuple, _SMatrices)):
-            return NotImplemented
-        same = isinstance(other, _SMatrices) and (self.ell, self.forms) == (other.ell, other.forms)
-        return same or tuple(self) == tuple(other)
-
-    __hash__ = None
-
-    def __add__(self, other: tuple) -> tuple:
-        return tuple(self) + other
+    def __repr__(self) -> str:
+        if self.form is None:
+            return super().__repr__()
+        nnz = sum(map(bool, chain(self.form[1], self.form[2])))
+        return f"Mat({self.ell}, {self.nrows}x{self.ncols}, {nnz} entries)"
 
 
-def _mat_of_form(ell: int, dim: int, form) -> Mat:
-    P, A, C, den = form
-    rows = {p: {p: a, q: c} if a and c else {p: a} if a else {q: c}
-            for p, q, a, c in zip(range(dim), P, A, C) if a or c}
-    return _new(ell, dim, dim, den, rows)
+def _mat_of_form(form) -> dict:
+    """The integer rows, over L, of the s-matrix of the form (P, A, C, L)."""
+    P, A, C, _ = form
+    return {p: {p: a, q: c} if a and c else {p: a} if a else {q: c}
+            for p, q, a, c in zip(range(len(P)), P, A, C) if a or c}
 
 
 @dataclass(frozen=True)
@@ -73,12 +68,12 @@ class ModuleRep:
 
     On basis vector t, u_i acts by ``weights[t].a[i-1]`` and zeta_i by
     zeta^``weights[t].b[i-1]`` (b in 0..ell-1).  ``mat_s`` is a tuple of
-    ``Mat``s or, where ``build_module``, ``direct_sum`` or ``twist`` made it,
-    a sequence acting as that tuple that stores involution forms and builds
-    a ``Mat`` only when one is read (``generator_matrix``, ``module_to_json``
-    with matrices, or a product deciding what the forms do not confirm).  A
-    built module stores ``_scaled`` too; ``dataclasses.replace`` of
-    ``mat_s`` or ``weights`` reads the new field afresh.
+    ``Mat``s; those of ``build_module`` (and of its ``twist``s) keep their
+    involution forms and write their rows only when read (``generator_matrix``,
+    ``module_to_json`` with matrices, a direct sum, or a product deciding what
+    the forms do not confirm).  A built module stores ``_scaled`` too;
+    ``dataclasses.replace`` of ``mat_s`` or ``weights`` reads the new field
+    afresh.  The forms are read at the first check, so set entries before.
     ``shape`` is the shape it was built from, its basis ``enumerate_syt(shape)``;
     twists and direct sums set it to None, and equality ignores it.
     """
@@ -86,7 +81,7 @@ class ModuleRep:
     ell: int
     n: int
     dim: int
-    mat_s: Sequence[Mat]
+    mat_s: tuple[Mat, ...]
     weights: tuple[Weight, ...]
     shape: SkewShapeL | None = field(default=None, compare=False)
 
@@ -110,13 +105,12 @@ class ModuleRep:
 
     @cached_property
     def _forms(self) -> tuple:
-        """Each s-matrix's form, stored or read off its rows; None without one,
+        """Each s-matrix's form, kept or read off its rows; None without one,
         or where the matrix or the weight count disagrees with the module."""
-        s, size, dim = self.mat_s, len(self.weights), self.dim
-        if isinstance(s, _SMatrices) and (s.ell, s.dim, size) == (self.ell, dim, dim):
-            return tuple(s.forms)
-        return tuple(_involution_form(m) if (m.ell, m.nrows, m.ncols, size)
-                     == (self.ell, dim, dim, dim) else None for m in s)
+        size, dim = len(self.weights), self.dim
+        return tuple((getattr(m, "form", None) or _involution_form(m))
+                     if (m.ell, m.nrows, m.ncols, size) == (self.ell, dim, dim, dim) else None
+                     for m in self.mat_s)
 
     @cached_property
     def _pairs(self) -> tuple:
@@ -333,7 +327,8 @@ def build_module(shape: SkewShapeL) -> ModuleRep:
         i sits in the reading-earlier box and 1 - 1/d^2 when it does not.
 
     s_i is written as its form from its values on each pair of boxes of i,
-    i+1, the weights as U, den and B from the per-box tables; no ``Mat``.
+    i+1, kept by a ``Mat`` that writes no rows until read, and the weights as
+    U, den and B from the per-box tables.
     """
     ell, n, ctx = shape.ell, shape.n, shape._ctx
     positions = ctx.all_positions()
@@ -382,26 +377,17 @@ def build_module(shape: SkewShapeL) -> ModuleRep:
     aint = [x.numerator * (aden // x.denominator) for x in ctx.a]
     u, b = [_at(aint, col) for col in labels], [_at(beta, col) for col in labels]
     weights = tuple(map(Weight, zip(*(_at(ctx.a, col) for col in labels)), zip(*b)))
-    module = ModuleRep(ell, n, dim, _SMatrices(ell, dim, forms), weights, shape)
+    module = ModuleRep(ell, n, dim, tuple(_FormMat(ell, f) for f in forms), weights, shape)
     module.__dict__["_scaled"] = u, aden, b  # what the cached_property would read
     return module
 
 
 def direct_sum(m1: ModuleRep, m2: ModuleRep) -> ModuleRep:
-    """The block sum; stored forms are joined as ``block_diag`` joins rows."""
+    """The block sum, its s-matrices joined by ``block_diag``."""
     if (m1.ell, m1.n) != (m2.ell, m2.n):
         raise DimensionMismatch("summands over different algebras")
-    ell, s1, s2 = m1.ell, m1.mat_s, m2.mat_s
-    if not (isinstance(s1, _SMatrices) and isinstance(s2, _SMatrices) and s1.ell == s2.ell == ell):
-        return ModuleRep(ell, m1.n, m1.dim + m2.dim, tuple(block_diag(ell, [x, y]) for x, y
-                                                         in zip(s1, s2)), m1.weights + m2.weights)
-    forms = []
-    for (P, A, C, lf), (Q, B, D, lg) in zip(s1.forms, s2.forms):
-        x, y = lcm(lf, lg) // lf, lcm(lf, lg) // lg
-        forms.append((P + [q + s1.dim for q in Q], _scaled_by(A, x) + _scaled_by(B, y),
-                      _scaled_by(C, x) + _scaled_by(D, y), lcm(lf, lg)))
-    mat_s = _SMatrices(ell, s1.dim + s2.dim, forms)
-    return ModuleRep(ell, m1.n, m1.dim + m2.dim, mat_s, m1.weights + m2.weights)
+    mat_s = tuple(block_diag(m1.ell, [x, y]) for x, y in zip(m1.mat_s, m2.mat_s))
+    return ModuleRep(m1.ell, m1.n, m1.dim + m2.dim, mat_s, m1.weights + m2.weights)
 
 
 # ---------------------------------------------------------------------------
@@ -637,7 +623,7 @@ def twist(module: ModuleRep, auto: str, kappa=None) -> ModuleRep:
     ``auto="t"`` shifts every u-eigenvalue by the rational kappa (an int, a
     Fraction or a string such as "-3/2"; a float or bool raises ValueError);
     ``auto="rho"`` reverses indices: u_i -> -u_{n-i+1},
-    zeta_i -> zeta_{n-i+1}, s_i -> s_{n-i}, reordering stored forms.
+    zeta_i -> zeta_{n-i+1}, s_i -> s_{n-i}, reordering the s-matrices.
     """
     ell, n, s = module.ell, module.n, module.mat_s
     if auto == "t":
@@ -650,8 +636,7 @@ def twist(module: ModuleRep, auto: str, kappa=None) -> ModuleRep:
         if kappa is not None:
             raise ValueError("index-reversal twist takes no parameter")
         order = [n - 2 - i for i in range(n - 1)]
-        return ModuleRep(ell, n, module.dim, _SMatrices(s.ell, s.dim, _at(s.forms, order))
-                         if isinstance(s, _SMatrices) else tuple(_at(s, order)),
+        return ModuleRep(ell, n, module.dim, tuple(_at(s, order)),
                          tuple(Weight(tuple(-x for x in reversed(w.a)), w.b[::-1])
                                for w in module.weights))
     raise ValueError(f"unknown automorphism {auto!r}")

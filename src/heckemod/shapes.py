@@ -357,8 +357,6 @@ def _one_coordinate_catalog(n: int, window: int) -> list[tuple[tuple, ...]]:
                 span = max(c for _, c in cls) + 1
                 anchors = [0] if first else range(min_anchor, window - span + 2)
                 for a in anchors:
-                    if a + span - 1 > window:
-                        continue
                     for rest in rec(remaining - size, a + span + 1, False):
                         yield ((a, cls),) + rest
 
@@ -369,7 +367,11 @@ def shape_count(ell: int, n: int, window: int) -> int:
     """len(enumerate_shapes(ell, n, window)) without building a shape: the
     coefficient of x^n in (sum_m |catalog[m]| x^m)^ell, one catalog entry per
     color, by repeated squaring truncated at degree n (cost in log ell)."""
-    power, out = [len(fills) for fills in _one_coordinate_catalog(n, window)], [1] + [0] * n
+    return _count_of(ell, n, _one_coordinate_catalog(n, window))
+
+
+def _count_of(ell: int, n: int, catalog: list) -> int:
+    power, out = [len(fills) for fills in catalog], [1] + [0] * n
     while ell:
         if ell & 1:
             out = [sum(out[k] * power[m - k] for k in range(m + 1)) for m in range(n + 1)]
@@ -387,7 +389,10 @@ def enumerate_shapes(ell: int, n: int, window: int) -> tuple[SkewShapeL, ...]:
     The colors are filled one after another, in a loop rather than one
     recursion level each, and a shape is complete once no box is left.
     """
-    catalog = _one_coordinate_catalog(n, window)
+    return _shapes_of(ell, n, _one_coordinate_catalog(n, window))
+
+
+def _shapes_of(ell: int, n: int, catalog: list) -> tuple[SkewShapeL, ...]:
     shapes = []
     partial = [((), n)]  # (components of the colors so far, boxes left > 0)
     for beta in range(ell):

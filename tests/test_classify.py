@@ -22,6 +22,7 @@ from heckemod import (
     violation_holds,
     weight_of,
 )
+from heckemod.classify import ADJACENT_EQUAL, ConditionViolation
 
 
 def w(a, b=None):
@@ -362,3 +363,20 @@ def test_passing_weights_reconstruct_canonically(args):
     assert validate_and_canonicalize(ell, D.components) == D
     assert is_standard(T)
     assert weight_of(T) == weight
+
+
+def test_classify_roundtrip_names_its_two_witnesses(monkeypatch):
+    # every tableau weight passes the condition and reconstructs to its own
+    # pair, so both witnesses are reached only with the classifier patched
+    D = partition_shape(1, [[2, 1]])
+    with monkeypatch.context() as patch:
+        patch.setattr("heckemod.classify.reconstruct", lambda weight, ell: (D, None))
+        report = classify_roundtrip(D)
+    assert [(c.name, c.ok, c.witness) for c in report.checks] == [
+        ("T1", False, (1, 0, "reconstructed a different pair")),
+        ("T2", False, (2, 0, "reconstructed a different pair"))]
+    violation = ConditionViolation(ADJACENT_EQUAL, 1, 2)
+    monkeypatch.setattr("heckemod.classify._first_violation", lambda entries, ell: violation)
+    report = classify_roundtrip(D)
+    assert not report.ok and [c.witness for c in report.checks] == [
+        (t, 0, f"condition: {violation}") for t in (1, 2)]

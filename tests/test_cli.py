@@ -460,3 +460,66 @@ def test_malformed_documents_exit_with_a_reason(capsys, tmp_path, command, data)
     if code:
         assert captured.err or (command == "classify" and code == 2
                                 and "rejected" in json.loads(captured.out))
+
+
+def test_shapes_builds_the_catalogue_once(capsys, monkeypatch):
+    # the count and the list read one catalogue
+    from heckemod import shapes
+
+    built = []
+    catalogue = shapes._one_coordinate_catalog
+
+    def counted(n, window):
+        built.append((n, window))
+        return catalogue(n, window)
+
+    monkeypatch.setattr(shapes, "_one_coordinate_catalog", counted)
+    code, out = run(capsys, ["shapes", "--ell", "2", "--n", "4", "--window", "3"])
+    assert code == 0 and built == [(4, 3)]
+    assert json.loads(out)["count"] == shape_count(2, 4, 3) == len(shapes.enumerate_shapes(2, 4, 3))
+
+
+def test_suite_reports_a_central_character_failure(capsys, monkeypatch):
+    # central characters are scalar on every built module, so the FAIL row
+    # is reached only with one evaluation forced to refuse
+    from heckemod import modules
+    from heckemod.errors import NotScalar
+
+    character = modules.central_character
+
+    def refuse_one(module):
+        if module.n == 2 and module.dim == 2:
+            raise NotScalar("forced")
+        return character(module)
+
+    monkeypatch.setattr(modules, "central_character", refuse_one)
+    code, out = run(capsys, ["suite", "--ell", "1", "--max-n", "2"])
+    assert code == 3
+    assert [line for line in out.splitlines() if "FAIL" in line] == [
+        "central_character  2       3  FAIL (1)", "suite: FAIL (ell=1, n<=2)"]
+
+
+def test_twist_to_several_shapes_is_an_internal_fault(capsys, shape_file, monkeypatch):
+    # the weights of a twisted simple module classify to one shape, so the
+    # refusal is reached only with each weight classified to itself
+    monkeypatch.setattr("heckemod.classify.reconstruct", lambda weight, ell: (weight, None))
+    assert main(["twist", "--shape", shape_file, "--rho"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("internal verification failure: twisted module weights "
+                            "classify to several shapes\n")
+
+
+def test_python_dash_m_runs_the_suite():
+    import os
+    import subprocess
+    import sys
+
+    import heckemod
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(heckemod.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-m", "heckemod", "suite", "--ell", "1", "--max-n", "2"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0 and done.stderr == ""
+    assert done.stdout.splitlines()[-1] == "suite: pass (ell=1, n<=2)"

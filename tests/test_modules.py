@@ -817,3 +817,58 @@ def test_central_character_compares_colors_in_the_field():
     for fn in (central_character, ref.central_character):
         with pytest.raises(NotScalar, match=r"^e_2\(zeta\) takes 2 distinct values$"):
             fn(M)
+
+
+def test_entries_set_in_place_are_what_the_checks_read():
+    # an off-diagonal s entry negated in place, on a freshly built module and
+    # on a hand-made module of plain Mats: the checks read the edited rows,
+    # as the matrix oracles do, not the form the built matrix started from
+    import module_reference as ref
+
+    edited = 0
+    for D in (partition_shape(1, [[2, 1]]), partition_shape(1, [[3, 2]]),
+              partition_shape(2, [[2, 1], [1]]), partition_shape(3, [[2], [1], []])):
+        for k in range(D.n - 1):
+            built = build_module(D)
+            hand_made = ModuleRep(built.ell, built.n, built.dim,
+                                  tuple(m.copy() for m in built.mat_s), built.weights)
+            assert type(hand_made.mat_s[k]) is Mat
+            for M in (build_module(D), hand_made):
+                m = M.mat_s[k]
+                off = [key for key in m.data if key[0] != key[1]]
+                if not off:
+                    continue
+                p, q = min(off)
+                m[p, q] = -m[p, q]
+                assert not verify_relations(M).ok
+                assert verify_relations(M) == ref.verify_relations(M)
+                assert _outcome(verify_intertwiners, M) == _outcome(ref.verify_intertwiners, M)
+                edited += 1
+    assert edited > 10
+
+
+def test_built_modules_keep_forms_through_repr_pickle_and_deepcopy(monkeypatch):
+    # a built, twisted or summed module's mat_s is a tuple of Mats; repr of
+    # a built one writes no rows, and a pickled or deep-copied module is
+    # equal to the original, with equal reports
+    import copy
+    import pickle
+
+    from heckemod import modules as md
+
+    D = partition_shape(2, [[2, 1], [1]])
+    M, N = build_module(D), build_module(D)
+    plain = dataclasses.replace(N, mat_s=tuple(m.copy() for m in N.mat_s))
+    for X in (M, twist(M, "rho"), twist(M, "t", 1), direct_sum(N, N)):
+        assert type(X.mat_s) is tuple and all(isinstance(m, Mat) for m in X.mat_s)
+    with monkeypatch.context() as patch:
+        def refuse(*args):
+            raise AssertionError("an s-matrix Mat was built")
+
+        patch.setattr(md, "_mat_of_form", refuse)
+        assert repr(M) == repr(plain)
+    checks = (verify_relations, verify_intertwiners, commutant_dimension, jm_consistency)
+    for X in (M, twist(M, "rho"), direct_sum(M, M)):
+        for Y in (pickle.loads(pickle.dumps(X)), copy.deepcopy(X)):
+            assert Y == X and Y.mat_s == X.mat_s
+            assert [_outcome(f, Y) for f in checks] == [_outcome(f, X) for f in checks]
