@@ -6,7 +6,8 @@ A weight is a pair of lists (a_1..a_n, b_1..b_n): rational u-eigenvalues
 triples.  ``check_weight_condition`` tests the pairwise criterion (equal
 entries need intermediate +ell and -ell steps in the same color class) in
 one pass; ``reconstruct`` reads each component off its diagonals, with no
-search, and builds the canonical shape and tableau directly.
+search, and builds the canonical shape and tableau directly, on the integer
+placement core ``_place`` that ``classify_roundtrip`` shares.
 """
 
 from __future__ import annotations
@@ -17,12 +18,12 @@ from fractions import Fraction
 from .cyclo import fraction_to_str
 from .errors import ConditionFailed, EmptyShape, NoAddablePosition
 from .modules import RelationCheck, VerificationReport
-from .shapes import (Component, SkewShapeL, Tableau, Weight, _check_weight_fields,
-                     enumerate_syt, weight_of)
+from .shapes import Component, SkewShapeL, Tableau, Weight, _check_weight_fields
 
 ADJACENT_EQUAL = "AdjacentEqual"
 MISSING_UP = "MissingUpStep"
 MISSING_DOWN = "MissingDownStep"
+_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -114,48 +115,19 @@ def _no_box(entries: list[tuple[int, int, int]], ell: int, i: int) -> NoAddableP
                              f"{Fraction(p, q * ell)} in coordinate {b}")
 
 
-def reconstruct(w: Weight, ell: int) -> tuple[SkewShapeL, Tableau]:
-    """Rebuild the unique (shape, tableau) with the given weight.
-
-    Label i lies on diagonal m = floor(a_i/ell) of the group of color b_i
-    and fractional content a_i/ell - m; each diagonal holds its labels on
-    consecutive rows, downwards in increasing order, and each maximal run of
-    consecutive diagonals in a group is one component.  Cell (r, m+1) lies
-    right of (r, m) and (r-1, m+1) directly above it, so adjacent diagonals
-    alternate in one increasing zigzag: diagonal m starts one row above
-    diagonal m-1 exactly when its first label is the smaller.  Components
-    are emitted in canonical form (rows from 1, cells sorted) and sorted, so
-    the result needs no further validation.  Nor is it re-read: the tests
-    check it against is_standard and weight_of.
-    Raises ConditionFailed when the pairwise condition fails, and a
-    ValueError naming the entry when a component's offset rem/(q ell) has a
-    denominator with more digits than ``str`` writes.  By the
-    classification theorem a weight passing it has end diagonals of one box
-    and alternating neighbours, so NoAddablePosition is an internal fault.
-    """
-    entries = _normalize_weight(w, ell)
-    if (violation := _first_violation(entries, ell)) is not None:
-        raise ConditionFailed(violation)
-    if not entries:
-        raise EmptyShape("a shape needs at least one box")
-
-    # a_i = p/q in lowest terms: m = floor(p / (q*ell)) and the group of
-    # fractional content rem / (q*ell) is keyed by the integers (b, q, rem)
+def _place(entries: list[tuple[int, int, int]], ell: int) -> list:
+    """One (group key (b, q, rem), cells, labels) per component, in canonical
+    order.  Label i lies on diagonal m of group (b_i, q, rem), (m, rem) =
+    divmod(p, q*ell), each diagonal on consecutive rows; a run of consecutive
+    diagonals is a component.  Cell (r, m+1) lies right of (r, m) and (r-1,
+    m+1) above it, so adjacent diagonals alternate in one increasing zigzag:
+    diagonal m starts one row above m-1 iff its first label is the smaller."""
     groups: dict[tuple[int, int, int], dict[int, list[int]]] = {}
     for i, (p, q, b) in enumerate(entries, start=1):
         m, rem = divmod(p, q * ell)
         groups.setdefault((b, q, rem), {}).setdefault(m, []).append(i)
-
-    filled: list[tuple[Component, tuple[int, ...]]] = []
-    for (b, q, rem), diagonals in groups.items():
-        offset = Fraction(rem, q * ell)
-        try:
-            str(offset.denominator)  # ValueError past the digit limit of int()
-        except ValueError:
-            first = min(diag[0] for diag in diagonals.values())
-            raise ValueError(f"weight field 'a[{first - 1}]': its content offset has a "
-                             f"denominator too long to write") from None
-        boxes: list[tuple[tuple[int, int], int]] = []  # (cell, label) of the open component
+    placed, boxes = [], []  # boxes: (row, diagonal, label) of the open component
+    for key, diagonals in groups.items():
         for m in sorted(diagonals):
             diag = diagonals[m]
             prev = diagonals.get(m - 1)
@@ -166,33 +138,83 @@ def reconstruct(w: Weight, ell: int) -> tuple[SkewShapeL, Tableau]:
                 top = 0
             else:
                 above = diag[0] < prev[0]
-                first = diag if above else prev
-                odd = sorted(prev + diag)[0::2]  # the zigzag's 1st, 3rd, ... labels
-                if odd != first:
-                    raise _no_box(entries, ell, min(set(odd).symmetric_difference(first)))
+                if len(prev) + len(diag) > 2:  # two single boxes always alternate
+                    first = diag if above else prev
+                    odd = sorted(prev + diag)[0::2]  # the zigzag's 1st, 3rd, ... labels
+                    if odd != first:
+                        raise _no_box(entries, ell, min(set(odd).symmetric_difference(first)))
                 top -= above
-            boxes += (((top + k, m), label) for k, label in enumerate(diag))
+            if len(diag) == 1:
+                boxes.append((top, m, diag[0]))
+            else:
+                boxes += [(top + k, m, label) for k, label in enumerate(diag)]
             if last:
                 boxes.sort()
-                shift = 1 - boxes[0][0][0]
-                filled.append((Component(b, offset, tuple((r + shift, c) for (r, c), _ in boxes)),
-                               tuple(label for _, label in boxes)))
+                shift = 1 - boxes[0][0]
+                placed.append((key, tuple([(r + shift, c) for r, c, _ in boxes]),
+                               tuple([label for _, _, label in boxes])))
                 boxes = []
-    comps, labels = zip(*sorted(filled, key=lambda pair: pair[0].sort_key()))
-    shape = SkewShapeL(ell, comps)
-    return shape, Tableau(shape, labels)
+    if len(groups) > 1:  # by (b, offset), offset rem/(q ell); a group's components are in order
+        placed.sort(key=lambda comp: (comp[0][0], comp[0][2] if comp[0][1] == 1
+                                      else Fraction(comp[0][2], comp[0][1])))
+    return placed
+
+
+def reconstruct(w: Weight, ell: int) -> tuple[SkewShapeL, Tableau]:
+    """Rebuild the unique (shape, tableau) with the given weight, unchecked
+    (the tests check it against is_standard and weight_of).  Raises
+    ConditionFailed when the condition fails, and a ValueError naming the
+    entry when an offset's denominator has more digits than ``str`` writes.
+    By the classification theorem a passing weight has end diagonals of one
+    box and alternating neighbours, so NoAddablePosition is an internal fault."""
+    entries = _normalize_weight(w, ell)
+    if (violation := _first_violation(entries, ell)) is not None:
+        raise ConditionFailed(violation)
+    if not entries:
+        raise EmptyShape("a shape needs at least one box")
+    comps, labels, key = [], [], None
+    for group, cells, labs in _place(entries, ell):
+        if group != key:
+            b, q, rem = key = group
+            offset = Fraction(rem, q * ell) if rem else _ZERO
+            try:
+                str(offset.denominator)  # ValueError past the digit limit of int()
+            except ValueError:
+                raise _long_offset(entries, ell) from None
+        comps.append(Component(b, offset, cells))
+        labels.append(labs)
+    shape = SkewShapeL(ell, tuple(comps))
+    return shape, Tableau(shape, tuple(labels))
+
+
+def _long_offset(entries: list[tuple[int, int, int]], ell: int) -> ValueError:
+    for k, (p, q, _) in enumerate(entries):
+        try:
+            str(Fraction(p % (q * ell), q * ell).denominator)
+        except ValueError:
+            return ValueError(f"weight field 'a[{k}]': its content offset has a "
+                              f"denominator too long to write")
 
 
 def classify_roundtrip(shape: SkewShapeL) -> VerificationReport:
     """For every standard tableau of the shape: the weight passes the
-    condition and reconstructs to exactly this (shape, tableau)."""
+    condition and reconstructs to exactly this (shape, tableau), decided on
+    the integer core: each box's (p, q, b) and each component's (group key,
+    cells) are read once, and each filling's entries go through
+    ``_first_violation`` and ``_place``."""
+    ell, ctx = shape.ell, shape._ctx
+    box = [(*a.as_integer_ratio(), b) for a, b in zip(ctx.a, ctx.beta)]
+    own = [((c.beta, (ell * c.offset).denominator, (ell * c.offset).numerator), c.cells)
+           for c in shape.components]  # ell * offset = rem / q
     checks = []
-    for t_index, tab in enumerate(enumerate_syt(shape), start=1):
-        try:
-            witness = (None if reconstruct(weight_of(tab), shape.ell) == (shape, tab)
+    for t_index, pos in enumerate(ctx.all_positions(), start=1):
+        entries = [box[b] for b in pos]
+        if (violation := _first_violation(entries, ell)) is not None:
+            witness = f"condition: {violation}"
+        else:
+            expected = [(key, cells, labs) for (key, cells), labs in zip(own, ctx.labels_of(pos))]
+            witness = (None if _place(entries, ell) == expected
                        else "reconstructed a different pair")
-        except ConditionFailed as exc:
-            witness = f"condition: {exc.violation}"
         checks.append(RelationCheck(f"T{t_index}", witness is None,
                                     None if witness is None else (t_index, 0, witness)))
     return VerificationReport(tuple(checks))

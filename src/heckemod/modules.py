@@ -22,7 +22,7 @@ from operator import add, lt, mul, sub
 
 from .cyclo import Cyc, fraction_from_str, root_of_unity
 from .errors import DimensionMismatch, HeckemodError, NotAPartition, NotScalar
-from .linalg import Mat, _diagonal, block_diag, nullspace_dim
+from .linalg import Mat, _diagonal, _new, block_diag, nullspace_dim
 from .shapes import (SkewShapeL, Weight, enumerate_syt, is_partition_shape, shape_to_json,
                      tableau_to_json, weight_to_json)
 
@@ -53,6 +53,10 @@ class _FormMat(Mat):
             return super().__repr__()
         nnz = sum(map(bool, chain(self.form[1], self.form[2])))
         return f"Mat({self.ell}, {self.nrows}x{self.ncols}, {nnz} entries)"
+
+    def __reduce__(self):  # pickle and deepcopy keep the form, else copy the rows
+        return ((_new, (self.ell, self.nrows, self.ncols, self.den, self.rows))
+                if self.form is None else (_FormMat, (self.ell, self.form)))
 
 
 def _mat_of_form(form) -> dict:

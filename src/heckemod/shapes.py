@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, chain, pairwise
+from operator import itemgetter
 
 from .cyclo import _checked_ell, fraction_from_str, fraction_to_str
 from .errors import (DegenerateShape, EmptyShape, NotAPartition, NotConnected,
@@ -634,12 +635,9 @@ def shape_from_json(data: dict) -> SkewShapeL:
 
 def tableau_to_json(tab: Tableau) -> dict:
     data = shape_to_json(tab.shape)
-    entries = []
-    for k, comp in enumerate(tab.shape.components):
-        for cell, lab in zip(comp.cells, tab.labels[k]):
-            entries.append([cell[0], cell[1], k, lab])
-    entries.sort(key=lambda e: e[3])
-    data["entries"] = entries
+    data["entries"] = [[r, c, k, lab] for k, comp in enumerate(tab.shape.components)
+                       for (r, c), lab in zip(comp.cells, tab.labels[k])]
+    data["entries"].sort(key=itemgetter(3))  # stable: labels need not be 1..n
     return data
 
 

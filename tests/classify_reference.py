@@ -24,7 +24,8 @@ from heckemod import classify
 from heckemod.classify import (ADJACENT_EQUAL, MISSING_DOWN, MISSING_UP,
                                ConditionViolation)
 from heckemod.errors import ConditionFailed, EmptyShape, NoAddablePosition
-from heckemod.shapes import Component, SkewShapeL, Tableau, Weight
+from heckemod.modules import RelationCheck, VerificationReport
+from heckemod.shapes import Component, SkewShapeL, Tableau, Weight, enumerate_syt, weight_of
 
 
 def first_violation(w: Weight, ell: int) -> ConditionViolation | None:
@@ -109,3 +110,18 @@ def reconstruct(w: Weight, ell: int) -> tuple[SkewShapeL, Tableau]:
     comps, labels = zip(*sorted(filled, key=lambda pair: pair[0].sort_key()))
     shape = SkewShapeL(ell, comps)
     return shape, Tableau(shape, labels)
+
+
+def classify_roundtrip(shape: SkewShapeL) -> VerificationReport:
+    """For every standard tableau of the shape: the weight passes the
+    condition and ``reconstruct`` gives back exactly this (shape, tableau)."""
+    checks = []
+    for t_index, tab in enumerate(enumerate_syt(shape), start=1):
+        try:
+            witness = (None if classify.reconstruct(weight_of(tab), shape.ell) == (shape, tab)
+                       else "reconstructed a different pair")
+        except ConditionFailed as exc:
+            witness = f"condition: {exc.violation}"
+        checks.append(RelationCheck(f"T{t_index}", witness is None,
+                                    None if witness is None else (t_index, 0, witness)))
+    return VerificationReport(tuple(checks))

@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from classify_reference import first_violation, reconstruct as reference_reconstruct
+from classify_reference import (classify_roundtrip as reference_roundtrip, first_violation,
+                                reconstruct as reference_reconstruct)
 from heckemod import (
     ConditionFailed,
     EmptyShape,
@@ -22,6 +23,7 @@ from heckemod import (
     violation_holds,
     weight_of,
 )
+from heckemod import classify
 from heckemod.classify import ADJACENT_EQUAL, ConditionViolation
 
 
@@ -209,6 +211,24 @@ def test_classify_roundtrip_offset_shape():
     assert classify_roundtrip(D).ok
 
 
+def test_classify_roundtrip_matches_per_tableau_reference():
+    # the integer round trip against reconstruct(weight_of(T)) == (D, T) on
+    # every catalogue shape, slid by 1/2, and with a distinct offset per
+    # component (integral a with rem > 0 at ell = 3, half-integral a at ell = 1)
+    compared = 0
+    for ell in (1, 2, 3):
+        for n in range(1, 5):
+            for D in enumerate_shapes(ell, n, n):
+                spread = validate_and_canonicalize(
+                    ell, [(c.beta, c.offset + Fraction(k, n + 1), c.cells)
+                          for k, c in enumerate(D.components)])
+                for shape in (D, shift_contents(D, Fraction(1, 2)), spread):
+                    report = classify_roundtrip(shape)
+                    assert report.ok and report == reference_roundtrip(shape)
+                    compared += len(report.checks)
+    assert compared == 3 * 3860
+
+
 def test_is_isomorphic():
     a = partition_shape(1, [[2, 1]])
     slid = validate_and_canonicalize(1, [(0, 0, [(5, 0), (5, 1), (6, -1)])])
@@ -367,10 +387,13 @@ def test_passing_weights_reconstruct_canonically(args):
 
 def test_classify_roundtrip_names_its_two_witnesses(monkeypatch):
     # every tableau weight passes the condition and reconstructs to its own
-    # pair, so both witnesses are reached only with the classifier patched
+    # pair, so both witnesses are reached only with the classifier patched;
+    # the placement keeps its cells but reverses its labels, which count too
     D = partition_shape(1, [[2, 1]])
+    place = classify._place
     with monkeypatch.context() as patch:
-        patch.setattr("heckemod.classify.reconstruct", lambda weight, ell: (D, None))
+        patch.setattr("heckemod.classify._place", lambda entries, ell: [
+            (key, cells, labels[::-1]) for key, cells, labels in place(entries, ell)])
         report = classify_roundtrip(D)
     assert [(c.name, c.ok, c.witness) for c in report.checks] == [
         ("T1", False, (1, 0, "reconstructed a different pair")),
@@ -380,3 +403,4 @@ def test_classify_roundtrip_names_its_two_witnesses(monkeypatch):
     report = classify_roundtrip(D)
     assert not report.ok and [c.witness for c in report.checks] == [
         (t, 0, f"condition: {violation}") for t in (1, 2)]
+    assert report == reference_roundtrip(D)

@@ -872,3 +872,34 @@ def test_built_modules_keep_forms_through_repr_pickle_and_deepcopy(monkeypatch):
         for Y in (pickle.loads(pickle.dumps(X)), copy.deepcopy(X)):
             assert Y == X and Y.mat_s == X.mat_s
             assert [_outcome(f, Y) for f in checks] == [_outcome(f, X) for f in checks]
+
+
+def test_pickle_and_deepcopy_of_a_built_module_write_no_rows():
+    # a _FormMat with its form set reduces to the form: the original keeps
+    # its rows slot unset and the copy keeps the form; once an entry is set
+    # in place, the copy holds the edited rows
+    import copy
+    import pickle
+
+    def rows_written(m):
+        try:
+            object.__getattribute__(m, "rows")
+        except AttributeError:
+            return False
+        return True
+
+    M = build_module(partition_shape(1, [[3, 2]]))
+    copies = (pickle.loads(pickle.dumps(M)), copy.deepcopy(M))
+    assert not any(map(rows_written, M.mat_s))
+    for Y in copies:
+        assert [y.form for y in Y.mat_s] == [m.form for m in M.mat_s]
+        assert not any(map(rows_written, Y.mat_s))
+    for Y in copies:  # == reads the rows
+        assert verify_relations(Y) == verify_relations(M)
+        assert verify_intertwiners(Y) == verify_intertwiners(M)
+        assert Y == M
+    edited = copy.deepcopy(M)
+    edited.mat_s[0][0, 0] = -edited.mat_s[0][0, 0]
+    for Y in (pickle.loads(pickle.dumps(edited)), copy.deepcopy(edited)):
+        assert Y == edited != M and type(Y.mat_s[0]) is Mat
+        assert verify_relations(Y) == verify_relations(edited)

@@ -702,6 +702,21 @@ def test_tableau_json_roundtrip():
     assert tableau_from_json(tableau_to_json(t)) == t
 
 
+def test_tableau_json_sorts_any_labels_stably():
+    # a hand-made Tableau may repeat labels or hold labels outside 1..n: the
+    # entries are sorted by label, ties kept in component-then-cell order
+    D = partition_shape(2, [[2, 1], [2]])
+    cases = [(((7, 0, 7), (-2, 0)),
+              [[1, 0, 1, -2], [1, 1, 0, 0], [1, 1, 1, 0], [1, 0, 0, 7], [2, -1, 0, 7]]),
+             (((3, 3, 3), (3, 3)),
+              [[1, 0, 0, 3], [1, 1, 0, 3], [2, -1, 0, 3], [1, 0, 1, 3], [1, 1, 1, 3]]),
+             (((10, 1, 2), (1, 0)),
+              [[1, 1, 1, 0], [1, 1, 0, 1], [1, 0, 1, 1], [2, -1, 0, 2], [1, 0, 0, 10]])]
+    for labels, entries in cases:
+        data = tableau_to_json(Tableau(D, labels))
+        assert data == {**shape_to_json(D), "entries": entries}
+
+
 def test_tableau_json_rejects_bad_entries():
     t = enumerate_syt(shape_21())[0]
     data = tableau_to_json(t)
