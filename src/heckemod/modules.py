@@ -39,7 +39,7 @@ class _FormMat(Mat):
         self.form = form
 
     def __getattr__(self, name):
-        if name != "rows" or self.form is None:
+        if name != "rows":
             raise AttributeError(name)
         self.rows = _mat_of_form(self.form)
         return self.rows
@@ -75,11 +75,11 @@ class ModuleRep:
     ``Mat``s; those of ``build_module`` (and of its ``twist``s) keep their
     involution forms and write their rows only when read (``generator_matrix``,
     ``module_to_json`` with matrices, a direct sum, or a product deciding what
-    the forms do not confirm).  A built module stores ``_scaled`` too;
-    ``dataclasses.replace`` of ``mat_s`` or ``weights`` reads the new field
-    afresh.  The forms are read at the first check, so set entries before.
-    ``shape`` is the shape it was built from, its basis ``enumerate_syt(shape)``;
-    twists and direct sums set it to None, and equality ignores it.
+    the forms do not confirm).  A built module stores ``_scaled`` too, and
+    the checks store ``_views``; ``dataclasses.replace`` of ``mat_s`` or
+    ``weights`` reads the new field afresh.  ``shape`` is the shape it was
+    built from, its basis ``enumerate_syt(shape)``; twists and direct sums
+    set it to None, and equality ignores it.
     """
 
     ell: int
@@ -106,28 +106,6 @@ class ModuleRep:
         """Entry i-1: pi_i = sum_k zeta_i^k zeta_{i+1}^-k, ell where b_i = b_{i+1}."""
         b = self._scaled[2]
         return [[self.ell if x == y else 0 for x, y in zip(bi, bj)] for bi, bj in zip(b, b[1:])]
-
-    @cached_property
-    def _forms(self) -> tuple:
-        """Each s-matrix's form, kept or read off its rows; None without one,
-        or where the matrix or the weight count disagrees with the module."""
-        size, dim = len(self.weights), self.dim
-        return tuple((getattr(m, "form", None) or _involution_form(m))
-                     if (m.ell, m.nrows, m.ncols, size) == (self.ell, dim, dim, dim) else None
-                     for m in self.mat_s)
-
-    @cached_property
-    def _pairs(self) -> tuple:
-        return tuple(form and _pairs_of(form) for form in self._forms)
-
-    @cached_property
-    def _fixed(self) -> list[bool]:
-        """Entry i: whether every u_j and zeta_j but j = i, i+1 (0-based) has
-        equal keys at each pair of s_{i+1}'s form, compared at once."""
-        u, _, b = self._scaled
-        keys = (list(zip(*u[:i], *u[i + 2:], *b[:i], *b[i + 2:])) or [()] * self.dim
-                for i in range(self.n - 1))
-        return [p is not None and _at(k, p[0]) == _at(k, p[1]) for p, k in zip(self._pairs, keys)]
 
 
 @dataclass(frozen=True)
@@ -162,11 +140,11 @@ class VerificationReport:
 
 @lru_cache(maxsize=64)
 def _table(ell: int, n: int) -> tuple:
-    """Per verifier (relations, intertwiners, Jucys-Murphy) its all-pass
-    report, built once per (ell, n) and shared (frozen), and what decides its
-    checks for ``_check``: (index, kind, i - 1, ...), the kind "square",
-    "braid", ("commute", j - 1), "crossing", or a side "u" or "zeta" with the
-    indices of its col and row keys; the weight storage holds the rest."""
+    """Per verifier (relations, intertwiners) its all-pass report, built once
+    per (ell, n) and shared (frozen), with what decides its checks for
+    ``_check``: (index, kind, i - 1, ...), the kind "square", "braid",
+    ("commute", j - 1), "crossing", or a side "u" or "zeta" with its col and
+    row key indices, the weight storage holding the rest; then Jucys-Murphy's."""
     r, pairs = range(1, n + 1), [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
     rel = [(f"s{i}^2=1", "square", i - 1) for i in r[:-1]]
     rel += [(f"s{i}s{i + 1}s{i}=s{i + 1}s{i}s{i + 1}", "braid", i - 1) for i in r[:-2]]
@@ -193,9 +171,7 @@ def _table(ell: int, n: int) -> tuple:
     rel, tau = ((VerificationReport(tuple(RelationCheck(c[0], True) for c in checks)),
                  tuple((k, *c[1:]) for k, c in enumerate(checks) if len(c) > 1))
                 for checks in (rel, tau))
-    jm = VerificationReport(tuple(RelationCheck(f"phi{i}=u{i}", True) for i in r))
-    jm_checks = tuple((x + 1, kind, x) for x in range(n - 1) for kind in ("square", "crossing"))
-    return rel, tau, (jm, jm_checks)
+    return rel, tau, VerificationReport(tuple(RelationCheck(f"phi{i}=u{i}", True) for i in r))
 
 
 def _witness(left: Mat, right: Mat) -> tuple[int, int, str] | None:
@@ -313,6 +289,32 @@ def _braid_holds(f, g) -> bool:
     last = list(map(mul, L3, _at(C, QP)))
     return (last == list(map(mul, D, H3Q))
             and list(compress(_at(P, QP), last)) == list(compress(_at(QP, Q), last)))
+
+
+def _views(module: ModuleRep) -> tuple:
+    """Per s_i as its matrix holds it now: the form (kept by a ``_FormMat``,
+    else read off the rows; None without one, or where the matrix or the
+    weight count disagrees with the module), its pairs, and whether the form
+    alone shows s_i^2 = 1, the crossing relation, and equal keys of every
+    u_j and zeta_j but j = i, i+1 at each pair.  Stored on the module, and
+    reused only while each matrix's kept form is the one stored: a set entry
+    drops it, and a plain Mat keeps none, so only its None entry is reused."""
+    view = module.__dict__.get("_views")
+    if view and all(getattr(m, "form", None) is f for m, f in zip(module.mat_s, view[0])):
+        return view
+    ell, n, dim = module.ell, module.n, module.dim
+    (u, den, b), pis = module._scaled, module._pis
+    forms = [(getattr(m, "form", None) or _involution_form(m))
+             if (m.ell, m.nrows, m.ncols, len(module.weights)) == (ell, dim, dim, dim) else None
+             for m in module.mat_s]
+    pairs = [f and _pairs_of(f) for f in forms]
+    squares = [f is not None and _square_holds(f, [f[3] ** 2] * dim) for f in forms]
+    crossings = [f is not None and _side_holds(f, p, u[i], u[i + 1], _scaled_by(pis[i], f[3] * den))
+                 for i, f, p in zip(range(n - 1), forms, pairs)]
+    keys = (list(zip(*u[:i], *u[i + 2:], *b[:i], *b[i + 2:])) or [()] * dim for i in range(n - 1))
+    fixed = [f is not None and _at(k, p[0]) == _at(k, p[1]) for f, p, k in zip(forms, pairs, keys)]
+    module.__dict__["_views"] = view = forms, pairs, squares, crossings, fixed
+    return view
 
 
 # ---------------------------------------------------------------------------
@@ -442,23 +444,23 @@ def generator_matrix(module: ModuleRep, kind: str, i: int) -> Mat:
 # ---------------------------------------------------------------------------
 # verification
 
-def _check(module: ModuleRep, entry: tuple, tau: tuple | None = None) -> VerificationReport:
-    """The report of an ``entry`` of ``_table`` on the s_i, or on the tau_i as
-    ``tau`` = (forms, squares on the forms over L^2, and as callables of x
-    the matrix of X_{x+1} and its square).  A check the forms do not confirm
-    goes to exact products, whose residual is its witness; a side of the
-    tau_i is written diagonal first, diag(row) X = X diag(col)."""
-    ell, dim, forms = module.ell, module.dim, module._forms
+def _check(module: ModuleRep, entry: tuple, view: tuple, tau=None) -> VerificationReport:
+    """The report of an ``entry`` of ``_table`` on the s_i through their
+    ``view`` (``_views``), or on the tau_i as ``tau`` = (forms, whether each
+    square holds on its form, and as callables of x the matrix of X_{x+1} and
+    its square).  A check the forms do not confirm goes to exact products,
+    whose residual is its witness; a tau_i side is diag(row) X = X diag(col)."""
+    ell, dim = module.ell, module.dim
     u, den, z = module._scaled
-    pairs, fixed, pis = module._pairs, module._fixed, module._pis
-    forms, targets, mat, rhs = tau or (forms, [f and [f[3] ** 2] * dim for f in forms],
-                                       module.mat_s.__getitem__, lambda x: Mat.identity(ell, dim))
+    forms, pairs, squares, crossings, fixed = view
+    forms, squares, mat, rhs = tau or (forms, squares, module.mat_s.__getitem__,
+                                       lambda x: Mat.identity(ell, dim))
     keys = {"u": (u, partial(_diagonal, ell, den=den)), "zeta": (z, partial(_roots, ell))}
     passing, failed = entry[0], {}
     for k, kind, x, *more in entry[1]:
         f = forms[x]
         if kind == "square":
-            if f and _square_holds(f, targets[x]):
+            if squares[x]:
                 continue
             left, right = mat(x) * mat(x), rhs(x)
         elif kind == "braid":
@@ -470,10 +472,10 @@ def _check(module: ModuleRep, entry: tuple, tau: tuple | None = None) -> Verific
             if f and forms[y] and _commute_holds(f, forms[y]):
                 continue
             left, right = mat(x) * mat(y), mat(y) * mat(x)
-        elif kind == "crossing":  # X U_i + L den pi = U_{i+1} X
-            if f and _side_holds(f, pairs[x], u[x], u[x + 1], _scaled_by(pis[x], f[3] * den)):
+        elif kind == "crossing":  # s_i u_i + pi_i = u_{i+1} s_i
+            if crossings[x]:
                 continue
-            left = mat(x) * _diagonal(ell, u[x], den) + _diagonal(ell, pis[x])
+            left = mat(x) * _diagonal(ell, u[x], den) + _diagonal(ell, module._pis[x])
             right = _diagonal(ell, u[x + 1], den) * mat(x)
         else:
             values, diag = keys[kind]
@@ -502,7 +504,7 @@ def verify_relations(module: ModuleRep) -> VerificationReport:
     = U_{i+1} S_i for U over den, a side by its integer keys), and one they
     do not confirm by exact products, which alone form its witness.
     zeta_i^ell = 1 and the zeta/u commutations hold by the storage."""
-    return _check(module, _table(module.ell, module.n)[0])
+    return _check(module, _table(module.ell, module.n)[0], _views(module))
 
 
 def verify_intertwiners(module: ModuleRep) -> VerificationReport:
@@ -519,14 +521,15 @@ def verify_intertwiners(module: ModuleRep) -> VerificationReport:
     ell, n, dim = module.ell, module.n, module.dim
     corrections = [_correction(module, i) for i in range(1, n)]
     tau = lru_cache(None)(lambda x: _tau(module, x + 1))
-    forms, targets = [], []  # the form of tau_i and tau_i^2 over its denominator squared
-    for form, (vals, scale) in zip(module._forms, corrections):
+    view, forms, squares = _views(module), [], []  # tau_i's form; tau_i^2 = 1 - c^2 on it
+    for form, (vals, scale) in zip(view[0], corrections):
         P, A, C, L = form or (None, (), (), 1)
         top = lcm(L, scale)
         f, g = top // L, top // scale
         forms.append(form and (P, [a * f - x * g for a, x in zip(A, vals)], _scaled_by(C, f), top))
-        targets.append([top * top - (x * g) ** 2 for x in vals])
-    return _check(module, _table(ell, n)[1], (forms, targets, lambda x: tau(x)[0],
+        squares.append(form is not None and _square_holds(forms[-1], [top * top - (x * g) ** 2
+                                                                       for x in vals]))
+    return _check(module, _table(ell, n)[1], view, (forms, squares, lambda x: tau(x)[0],
                   lambda x: Mat.identity(ell, dim) - tau(x)[1] * tau(x)[1]))
 
 
@@ -557,7 +560,7 @@ def commutant_dimension(module: ModuleRep) -> int:
         return _components(dim, chain.from_iterable(
             compress(zip(*pairs), map(lt, *pairs)) if pairs
             else ((p, q) for p, row in module.mat_s[k].rows.items() for q in row)
-            for k, pairs in enumerate(module._pairs)))
+            for k, pairs in enumerate(_views(module)[1])))
     classes: dict = {}
     for t, key in enumerate(keys):
         classes.setdefault(key, []).append(t)
@@ -660,19 +663,19 @@ def jm_consistency(module: ModuleRep) -> VerificationReport:
         phi_{i+1} = s_i u_i s_i + pi_i s_i
                   = (s_i u_i + pi_i) s_i
                   = u_{i+1} s_i s_i = u_{i+1}:
-    ``_table`` has those two checks of ``verify_relations``, decided as
-    there, decide phi_{i+1}.  Unless U_1 = 0 and all hold, the recurrence
-    runs on products, the matrices of ``grpalg.evaluate_in_module`` wherever
-    the s-only and s-zeta relations hold."""
+    where U_1 = 0 and the forms of ``_views`` show both for every s_i, the
+    report is the one shared by (ell, n).  Otherwise the recurrence runs on
+    products, the matrices of ``grpalg.evaluate_in_module`` wherever the
+    s-only and s-zeta relations hold."""
     if module.shape is None or not is_partition_shape(module.shape):
         raise NotAPartition(
             "Jucys-Murphy comparison needs a module built from partitions "
             "anchored at content 0")
     ell, s, pis = module.ell, module.mat_s, module._pis
     u, den, _ = module._scaled
-    entry = _table(ell, module.n)[2]
-    passing = entry[0]
-    if not any(u[0]) and _check(module, entry) is passing:
+    passing = _table(ell, module.n)[2]
+    view = not any(u[0]) and _views(module)
+    if view and all(view[2][x] and view[3][x] for x in range(module.n - 1)):
         return passing
     phi, checks = Mat.zero(ell, module.dim), []
     for x, check in enumerate(passing.checks):

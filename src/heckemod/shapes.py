@@ -317,28 +317,23 @@ def hook_dimension(ell: int, partitions) -> int:
 
 def _connected_classes(n: int, window: int) -> list[tuple[frozenset, ...]]:
     """Entry m <= n: connected skew cell-sets with m boxes anchored at (1, 0)
-    whose contents span at most window + 1, grown one box at a time (removing
-    the reading-maximal box of a connected skew shape keeps it connected and
-    skew, so growth finds all; the span never shrinks as a set grows, so a
-    wider candidate is dropped with all it would grow into)."""
-    classes = [(), (frozenset({(1, 0)}),)]
-    for _ in range(2, n + 1):
-        out = set()
-        for smaller in classes[-1]:
-            for r, c in smaller:
-                for dr, dc in _NEIGHBOR_STEPS:
-                    q = (r + dr, c + dc)
-                    if q in smaller:
-                        continue
-                    cand = set(smaller) | {q}
-                    cshift = -min(cc for _, cc in cand)
-                    if (max(cc for _, cc in cand) + cshift > window
-                            or _shape_fault(cand) is not None):
-                        continue
-                    rshift = 1 - min(rr for rr, _ in cand)
-                    out.add(frozenset((rr + rshift, cc + cshift) for rr, cc in cand))
-        classes.append(tuple(sorted(out, key=sorted)))
-    return classes
+    whose contents span at most window + 1, each built once, row by row on
+    grid columns x = c + r: under [left, right] a skew connected row ends at
+    some r in [left, right] and starts at some l <= min(left, r), and the
+    span, first row's end - 1 less last row's l - y, grows down the rows."""
+    classes: list[list[frozenset]] = [[] for _ in range(n + 1)]
+
+    def grow(rows: list[tuple[int, int]], size: int) -> None:
+        (left, right), y = rows[-1], len(rows)  # the least content is left - y
+        classes[size].append(frozenset((k, x - k - left + y) for k, (lo, hi) in enumerate(rows, 1)
+                                       for x in range(lo, hi + 1)))
+        for r in range(left, right + 1):  # l - (y + 1) >= rows[0][1] - 1 - window
+            for lo in range(max(rows[0][1] + y - window, r + 1 + size - n), min(left, r) + 1):
+                grow(rows + [(lo, r)], size + r - lo + 1)
+
+    for width in range(1, min(n, window + 1) + 1):
+        grow([(0, width - 1)], width)
+    return [()] + [tuple(sorted(cls, key=sorted)) for cls in classes[1:]]
 
 
 def _one_coordinate_catalog(n: int, window: int) -> list[tuple[tuple, ...]]:

@@ -34,6 +34,7 @@ from heckemod import (
 )
 from heckemod.cyclo import _fold_table
 from heckemod.linalg import block_diag
+from heckemod.modules import _views
 
 
 def module_21():
@@ -477,12 +478,14 @@ def _corrupted(M, rng, kind):
     return dataclasses.replace(M, weights=M.weights[:t] + (w,) + M.weights[t + 1:])
 
 
-def test_matches_matrix_reference():
+def test_matches_matrix_reference(monkeypatch):
     # every report, witness, value and raised exception type agrees with the
     # matrix-product oracle, on sound modules and on corrupted ones
     import random
 
     import module_reference as ref
+
+    from heckemod import modules as md
     from test_acceptance import half_offset_shapes
 
     rng = random.Random(6)
@@ -503,6 +506,9 @@ def test_matches_matrix_reference():
              (stored_weights, ref.module_weights)]
     seen = set()
 
+    def refuse_check(*args):
+        raise AssertionError("jm_consistency called _check")
+
     def check(M):
         outcomes = {}
         for fast, slow in pairs:
@@ -510,7 +516,9 @@ def test_matches_matrix_reference():
             assert got == _outcome(slow, M), (fast.__name__, M.weights)
             seen.add(got if isinstance(got, type) else getattr(got, "ok", None))
         if M.shape is not None and is_partition_shape(M.shape):
-            report = jm_consistency(M)
+            with monkeypatch.context() as patch:  # the view or the recurrence decides
+                patch.setattr(md, "_check", refuse_check)
+                report = jm_consistency(M)
             assert report == ref.jm_recurrence(M)
             # the s-only and s-zeta relations: every check not naming a u
             relations = outcomes[verify_relations].checks
@@ -531,7 +539,7 @@ def test_matches_matrix_reference():
     rng_form = random.Random(24)
     formless = [_corrupted(M, rng_form, kind) for kind in ("outside", "unpaired")
                 for M in modules[1::4]]
-    formless = [M for M in formless if None in M._forms]
+    formless = [M for M in formless if None in _views(M)[0]]
     assert len(formless) > 100
     # a twist whose u-eigenvalues have denominator 3, and a hand-made module
     # whose eigenvalues are plain ints
@@ -582,7 +590,7 @@ def test_sheared_sums_are_decided_by_products():
     for D in shapes:
         base = build_module(D)
         M = _sheared(base)
-        assert (None in M._forms) == any(any(C) for _, _, C, _ in base._forms)
+        assert (None in _views(M)[0]) == any(any(C) for _, _, C, _ in _views(base)[0])
         for fast, slow in ((verify_relations, ref.verify_relations),
                            (verify_intertwiners, ref.verify_intertwiners)):
             report = fast(M)
@@ -617,7 +625,7 @@ def test_forms_confirm_only_what_their_keys_show():
                        (perm_module(4, [(1, 0, 3, 2, 5, 4)] * 2 + [(5, 2, 1, 4, 3, 0)]),
                         "s1s3=s3s1"),
                        (perm_module(2, [(1, 2, 0)]), "s1^2=1")):
-        assert (None in M._forms) == (failing == "s1^2=1")
+        assert (None in _views(M)[0]) == (failing == "s1^2=1")
         report = verify_relations(M)
         assert report == ref.verify_relations(M)
         assert failing in {c.name for c in report.failures()}
@@ -634,7 +642,7 @@ def test_sound_modules_are_decided_without_products(monkeypatch):
 
     monkeypatch.setattr(Mat, "__mul__", refuse)
     for D, M in zip(shapes, modules):
-        assert None not in M._forms
+        assert None not in _views(M)[0]
         assert verify_relations(M).ok and verify_intertwiners(M).ok
         if is_partition_shape(D):
             assert jm_consistency(M).ok
@@ -643,20 +651,29 @@ def test_sound_modules_are_decided_without_products(monkeypatch):
 def test_jm_is_decided_by_squares_and_crossings_at_n5_n6(monkeypatch):
     # past the n <= 4 corpus, a sound partition module's Jucys-Murphy check
     # is decided by the square and crossing of each s_i on forms alone, and
-    # returns the report shared by its (ell, n)
+    # returns the report shared by its (ell, n); after verify_relations it
+    # reads them off the module's view and decides no check again
     from heckemod import modules as md
     from test_acceptance import multipartitions
 
-    modules = [build_module(partition_shape(ell, p)) for ell in (1, 2) for n in (5, 6)
-               for p in multipartitions(ell, n)]
-    assert len(modules) == 7 + 11 + 36 + 65
+    def sound():
+        return [build_module(partition_shape(ell, p)) for ell in (1, 2) for n in (5, 6)
+                for p in multipartitions(ell, n)]
 
-    def refuse(self, other):
-        raise AssertionError("a sound module reached a matrix product")
+    fresh, verified = sound(), sound()
+    assert len(fresh) == 7 + 11 + 36 + 65
+    assert all(verify_relations(M).ok for M in verified)
+
+    def refuse(*args):
+        raise AssertionError("a sound module reached a matrix product or a second check")
 
     monkeypatch.setattr(Mat, "__mul__", refuse)
-    for M in modules:
-        assert jm_consistency(M) is md._table(M.ell, M.n)[2][0]
+    for M in fresh:
+        assert jm_consistency(M) is md._table(M.ell, M.n)[2]
+    for name in ("_square_holds", "_side_holds", "_check"):
+        monkeypatch.setattr(md, name, refuse)
+    for M in verified:
+        assert jm_consistency(M) is md._table(M.ell, M.n)[2]
 
 
 def test_check_names_match_the_oracles_to_n7():
@@ -742,12 +759,12 @@ def test_sound_pipeline_builds_no_s_matrix(monkeypatch):
     assert len(shapes) == 454
     for D in shapes:
         M = build_module(D)
-        passing = [report for report, _ in md._table(M.ell, M.n)]
-        assert verify_relations(M) is passing[0] and verify_intertwiners(M) is passing[1]
+        (relations, _), (intertwiners, _), jm = md._table(M.ell, M.n)
+        assert verify_relations(M) is relations and verify_intertwiners(M) is intertwiners
         assert commutant_dimension(M) == 1
         central_character(M)
         if is_partition_shape(D):
-            assert jm_consistency(M) is passing[2]
+            assert jm_consistency(M) is jm
         assert twist(twist(M, "rho"), "rho") == M
 
 
@@ -767,14 +784,14 @@ def test_replaced_fields_are_read_afresh():
     copies = 0
     for D in shapes:
         M = build_module(D)
-        assert M._forms and M._scaled  # the stored views, read before the copies
+        assert _views(M)[0] and M._scaled  # the stored views, read before the copies
         assert dataclasses.replace(M, mat_s=tuple(M.mat_s)) == M
         for kind in ("s", "outside", "u", "zeta"):
             N = _corrupted(M, rng, kind)
             if N is M or (N.mat_s == M.mat_s and N.weights == M.weights):
                 continue
             if kind in ("s", "outside"):
-                assert N.weights is M.weights and N._forms != M._forms
+                assert N.weights is M.weights and _views(N)[0] != _views(M)[0]
             else:
                 assert N.mat_s is M.mat_s and N._scaled != M._scaled
             for fast, slow in pairs:
@@ -821,30 +838,39 @@ def test_central_character_compares_colors_in_the_field():
 
 def test_entries_set_in_place_are_what_the_checks_read():
     # an off-diagonal s entry negated in place, on a freshly built module and
-    # on a hand-made module of plain Mats: the checks read the edited rows,
-    # as the matrix oracles do, not the form the built matrix started from
+    # on a hand-made module of plain Mats, before any check or after every
+    # check has read the module: the checks read the edited rows, as the
+    # matrix oracles do, not the form the matrix held before
     import module_reference as ref
 
+    checks = ((verify_relations, ref.verify_relations),
+              (verify_intertwiners, ref.verify_intertwiners),
+              (commutant_dimension, ref.commutant_dimension),
+              (jm_consistency, ref.jm_recurrence))
     edited = 0
     for D in (partition_shape(1, [[2, 1]]), partition_shape(1, [[3, 2]]),
               partition_shape(2, [[2, 1], [1]]), partition_shape(3, [[2], [1], []])):
         for k in range(D.n - 1):
-            built = build_module(D)
-            hand_made = ModuleRep(built.ell, built.n, built.dim,
-                                  tuple(m.copy() for m in built.mat_s), built.weights)
-            assert type(hand_made.mat_s[k]) is Mat
-            for M in (build_module(D), hand_made):
-                m = M.mat_s[k]
-                off = [key for key in m.data if key[0] != key[1]]
-                if not off:
-                    continue
-                p, q = min(off)
-                m[p, q] = -m[p, q]
-                assert not verify_relations(M).ok
-                assert verify_relations(M) == ref.verify_relations(M)
-                assert _outcome(verify_intertwiners, M) == _outcome(ref.verify_intertwiners, M)
-                edited += 1
-    assert edited > 10
+            for checked_first in (False, True):
+                built = build_module(D)
+                hand_made = ModuleRep(built.ell, built.n, built.dim,
+                                      tuple(m.copy() for m in built.mat_s), built.weights, D)
+                assert type(hand_made.mat_s[k]) is Mat
+                for M in (built, hand_made):
+                    m = M.mat_s[k]
+                    off = [key for key in m.data if key[0] != key[1]]
+                    if not off:
+                        continue
+                    if checked_first:
+                        assert verify_relations(M).ok and verify_intertwiners(M).ok
+                        assert commutant_dimension(M) == 1 and jm_consistency(M).ok
+                    p, q = min(off)
+                    m[p, q] = -m[p, q]
+                    assert not verify_relations(M).ok
+                    for fast, slow in checks:
+                        assert _outcome(fast, M) == _outcome(slow, M), (fast.__name__, D, k)
+                    edited += 1
+    assert edited > 30
 
 
 def test_built_modules_keep_forms_through_repr_pickle_and_deepcopy(monkeypatch):
