@@ -72,14 +72,14 @@ class ModuleRep:
 
     On basis vector t, u_i acts by ``weights[t].a[i-1]`` and zeta_i by
     zeta^``weights[t].b[i-1]`` (b in 0..ell-1).  ``mat_s`` is a tuple of
-    ``Mat``s; those of ``build_module`` (and of its ``twist``s) keep their
-    involution forms and write their rows only when read (``generator_matrix``,
-    ``module_to_json`` with matrices, a direct sum, or a product deciding what
-    the forms do not confirm).  A built module stores ``_scaled`` too, and
-    the checks store ``_views``; ``dataclasses.replace`` of ``mat_s`` or
-    ``weights`` reads the new field afresh.  ``shape`` is the shape it was
-    built from, its basis ``enumerate_syt(shape)``; twists and direct sums
-    set it to None, and equality ignores it.
+    ``Mat``s; those of ``build_module``, its ``twist``s and direct sums keep
+    their involution forms and write their rows only when read (by
+    ``generator_matrix``, ``module_to_json`` with matrices, or a product
+    deciding what the forms do not confirm).  A built module stores
+    ``_scaled`` too, the checks ``_views``; ``dataclasses.replace`` of
+    ``mat_s`` or ``weights`` reads the new field afresh.  ``shape`` is the
+    shape it was built from, its basis ``enumerate_syt(shape)``; twists and
+    direct sums set it to None, and equality ignores it.
     """
 
     ell: int
@@ -298,7 +298,8 @@ def _views(module: ModuleRep) -> tuple:
     alone shows s_i^2 = 1, the crossing relation, and equal keys of every
     u_j and zeta_j but j = i, i+1 at each pair.  Stored on the module, and
     reused only while each matrix's kept form is the one stored: a set entry
-    drops it, and a plain Mat keeps none, so only its None entry is reused."""
+    drops it, and a plain Mat keeps none, so a module of plain Mats (made by
+    hand, or by ``dataclasses.replace``) has its forms read again each check."""
     view = module.__dict__.get("_views")
     if view and all(getattr(m, "form", None) is f for m, f in zip(module.mat_s, view[0])):
         return view
@@ -389,11 +390,18 @@ def build_module(shape: SkewShapeL) -> ModuleRep:
 
 
 def direct_sum(m1: ModuleRep, m2: ModuleRep) -> ModuleRep:
-    """The block sum, its s-matrices joined by ``block_diag``."""
+    """The block sum: two s-matrices that keep involution forms give their
+    joined form, at the lcm of their denominators; others ``block_diag``."""
     if (m1.ell, m1.n) != (m2.ell, m2.n):
         raise DimensionMismatch("summands over different algebras")
-    mat_s = tuple(block_diag(m1.ell, [x, y]) for x, y in zip(m1.mat_s, m2.mat_s))
-    return ModuleRep(m1.ell, m1.n, m1.dim + m2.dim, mat_s, m1.weights + m2.weights)
+    ell, mat_s = m1.ell, []
+    for x, y in zip(m1.mat_s, m2.mat_s):
+        f, g, L = getattr(x, "form", None), getattr(y, "form", None), lcm(x.den, y.den)
+        joined = f and g and x.ell == y.ell == ell and (
+            f[0] + [p + len(f[0]) for p in g[0]],
+            *(_scaled_by(v, L // f[3]) + _scaled_by(w, L // g[3]) for v, w in zip(f[1:3], g[1:3])), L)
+        mat_s.append(_FormMat(ell, joined) if joined else block_diag(ell, [x, y]))
+    return ModuleRep(ell, m1.n, m1.dim + m2.dim, tuple(mat_s), m1.weights + m2.weights)
 
 
 # ---------------------------------------------------------------------------
@@ -660,9 +668,7 @@ def jm_consistency(module: ModuleRep) -> VerificationReport:
     phi_1 = 0, phi_{i+1} = s_i phi_i s_i + pi_i s_i (Okounkov-Vershik).  So
     phi_1 = u_1 asks that U_1 be zero, and s_i^2 = 1 with the crossing
     relation s_i u_i + pi_i = u_{i+1} s_i carries phi_i = u_i to
-        phi_{i+1} = s_i u_i s_i + pi_i s_i
-                  = (s_i u_i + pi_i) s_i
-                  = u_{i+1} s_i s_i = u_{i+1}:
+        phi_{i+1} = (s_i u_i + pi_i) s_i = u_{i+1} s_i s_i = u_{i+1}:
     where U_1 = 0 and the forms of ``_views`` show both for every s_i, the
     report is the one shared by (ell, n).  Otherwise the recurrence runs on
     products, the matrices of ``grpalg.evaluate_in_module`` wherever the
@@ -671,8 +677,7 @@ def jm_consistency(module: ModuleRep) -> VerificationReport:
         raise NotAPartition(
             "Jucys-Murphy comparison needs a module built from partitions "
             "anchored at content 0")
-    ell, s, pis = module.ell, module.mat_s, module._pis
-    u, den, _ = module._scaled
+    (u, den, _), ell, s, pis = module._scaled, module.ell, module.mat_s, module._pis
     passing = _table(ell, module.n)[2]
     view = not any(u[0]) and _views(module)
     if view and all(view[2][x] and view[3][x] for x in range(module.n - 1)):
@@ -689,13 +694,11 @@ def jm_consistency(module: ModuleRep) -> VerificationReport:
 # ---------------------------------------------------------------------------
 # serialization
 
-def _mat_to_json(m: Mat) -> dict:
+def _mat_to_json(m: Mat, dense: bool) -> dict | list:
+    if dense:
+        return [[v.to_json() for v in row] for row in m.dense()]
     return {"rows": m.nrows,
             "entries": [[i, j, m[i, j].to_json()] for i in sorted(m.rows) for j in sorted(m.rows[i])]}
-
-
-def _mat_to_dense_json(m: Mat) -> list:
-    return [[v.to_json() for v in row] for row in m.dense()]
 
 
 def module_to_json(module: ModuleRep, include_matrices=False, dense=False) -> dict:
@@ -709,9 +712,8 @@ def module_to_json(module: ModuleRep, include_matrices=False, dense=False) -> di
     if module.shape is not None:
         data["basis"] = [tableau_to_json(t) for t in enumerate_syt(module.shape)]
     if include_matrices:
-        conv = _mat_to_dense_json if dense else _mat_to_json
         for kind in ("u", "zeta"):
-            data[f"mat_{kind}"] = [conv(generator_matrix(module, kind, i))
+            data[f"mat_{kind}"] = [_mat_to_json(generator_matrix(module, kind, i), dense)
                                    for i in range(1, module.n + 1)]
-        data["mat_s"] = [conv(m) for m in module.mat_s]
+        data["mat_s"] = [_mat_to_json(m, dense) for m in module.mat_s]
     return data

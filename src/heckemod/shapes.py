@@ -319,7 +319,7 @@ def _connected_classes(n: int, window: int) -> list[tuple[frozenset, ...]]:
     """Entry m <= n: connected skew cell-sets with m boxes anchored at (1, 0)
     whose contents span at most window + 1, each built once, row by row on
     grid columns x = c + r: under [left, right] a skew connected row ends at
-    some r in [left, right] and starts at some l <= min(left, r), and the
+    some r in [left, right] and starts at some l <= left, and the
     span, first row's end - 1 less last row's l - y, grows down the rows."""
     classes: list[list[frozenset]] = [[] for _ in range(n + 1)]
 
@@ -328,7 +328,7 @@ def _connected_classes(n: int, window: int) -> list[tuple[frozenset, ...]]:
         classes[size].append(frozenset((k, x - k - left + y) for k, (lo, hi) in enumerate(rows, 1)
                                        for x in range(lo, hi + 1)))
         for r in range(left, right + 1):  # l - (y + 1) >= rows[0][1] - 1 - window
-            for lo in range(max(rows[0][1] + y - window, r + 1 + size - n), min(left, r) + 1):
+            for lo in range(max(rows[0][1] + y - window, r + 1 + size - n), left + 1):
                 grow(rows + [(lo, r)], size + r - lo + 1)
 
     for width in range(1, min(n, window + 1) + 1):
@@ -351,8 +351,7 @@ def _one_coordinate_catalog(n: int, window: int) -> list[tuple[tuple, ...]]:
         for size in range(1, remaining + 1):
             for cls in classes[size]:
                 span = max(c for _, c in cls) + 1
-                anchors = [0] if first else range(min_anchor, window - span + 2)
-                for a in anchors:
+                for a in [0] if first else range(min_anchor, window - span + 2):
                     for rest in rec(remaining - size, a + span + 1, False):
                         yield ((a, cls),) + rest
 

@@ -747,8 +747,8 @@ def test_stored_forms_match_the_rows_writer():
 
 def test_sound_pipeline_builds_no_s_matrix(monkeypatch):
     # every stage reads the stored forms and integer weights, so verifying a
-    # built module never builds the Mat of an s_i; a module whose forms
-    # confirm every identity gets the report shared by its (ell, n)
+    # built module, or a sum of two, never builds the Mat of an s_i; a module
+    # whose forms confirm every identity gets the report shared by its (ell, n)
     from heckemod import modules as md
 
     def refuse(*args):
@@ -766,6 +766,9 @@ def test_sound_pipeline_builds_no_s_matrix(monkeypatch):
         if is_partition_shape(D):
             assert jm_consistency(M) is jm
         assert twist(twist(M, "rho"), "rho") == M
+    # a direct sum of built modules keeps their joined forms
+    S = direct_sum(module_21(), build_module(partition_shape(1, [[3]])))
+    assert verify_relations(S).ok and verify_intertwiners(S).ok and commutant_dimension(S) == 2
 
 
 def test_replaced_fields_are_read_afresh():
@@ -852,20 +855,24 @@ def test_entries_set_in_place_are_what_the_checks_read():
               partition_shape(2, [[2, 1], [1]]), partition_shape(3, [[2], [1], []])):
         for k in range(D.n - 1):
             for checked_first in (False, True):
-                built = build_module(D)
-                hand_made = ModuleRep(built.ell, built.n, built.dim,
-                                      tuple(m.copy() for m in built.mat_s), built.weights, D)
+                source = build_module(D)
+                off = [key for key in source.mat_s[k].data if key[0] != key[1]]
+                if not off:
+                    continue
+                p, q = min(off)
+                value = -source.mat_s[k][p, q]
+                hand_made = ModuleRep(source.ell, source.n, source.dim,
+                                      tuple(m.copy() for m in source.mat_s), source.weights, D)
                 assert type(hand_made.mat_s[k]) is Mat
-                for M in (built, hand_made):
+                for M in (build_module(D), hand_made):
                     m = M.mat_s[k]
-                    off = [key for key in m.data if key[0] != key[1]]
-                    if not off:
-                        continue
                     if checked_first:
                         assert verify_relations(M).ok and verify_intertwiners(M).ok
                         assert commutant_dimension(M) == 1 and jm_consistency(M).ok
-                    p, q = min(off)
-                    m[p, q] = -m[p, q]
+                    elif M is not hand_made:  # no rows yet: the edit is what writes them
+                        with pytest.raises(AttributeError):
+                            object.__getattribute__(m, "rows")
+                    m[p, q] = value
                     assert not verify_relations(M).ok
                     for fast, slow in checks:
                         assert _outcome(fast, M) == _outcome(slow, M), (fast.__name__, D, k)
