@@ -15,10 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cyclo import fraction_to_str
+from .cyclo import _checked_ell, fraction_to_str
 from .errors import ConditionFailed, EmptyShape, NoAddablePosition
 from .modules import RelationCheck, VerificationReport
-from .shapes import Component, SkewShapeL, Tableau, Weight, _check_weight_fields
+from .shapes import Component, SkewShapeL, Tableau, Weight
 
 ADJACENT_EQUAL = "AdjacentEqual"
 MISSING_UP = "MissingUpStep"
@@ -45,18 +45,23 @@ class ConditionViolation:
 
 
 def _normalize_weight(w: Weight, ell: int) -> list[tuple[int, int, int]]:
-    """Type-check a weight; entry k becomes (p, q, b_k mod ell), a_k = p/q in lowest terms."""
-    _check_weight_fields(ell, w.a, w.b)
+    """Type-check ``ell``, the lengths, ``b`` (ints) and ``a`` (ints or Fractions) in
+    turn; entry k becomes (p, q, b_k mod ell), a_k = p/q in lowest terms."""
+    _checked_ell(ell, "weight")
+    if len(w.a) != len(w.b):
+        raise ValueError("weight lists have different lengths")
     entries = []
     for x, y in zip(w.a, w.b):
+        if y.__class__ is not int:
+            raise ValueError(f"weight field 'b' must hold integers, got {w.b!r}")
         cls = x.__class__
         if cls is int:
             entries.append((x, 1, y % ell))
         elif cls is Fraction:
             p, q = x.as_integer_ratio()
             entries.append((p, q, y % ell))
-        else:
-            raise ValueError(f"weight field 'a' must hold integers or Fractions, got {w.a!r}")
+    if len(entries) < len(w.a):  # an entry of 'a' was skipped; every 'b' passed
+        raise ValueError(f"weight field 'a' must hold integers or Fractions, got {w.a!r}")
     return entries
 
 

@@ -233,6 +233,11 @@ def _pairs_of(form) -> tuple[list[int], list[int]]:
     return list(compress(range(len(P)), C)), list(compress(P, C))
 
 
+def _constant(values: list, pairs) -> bool:
+    """values[P p] = values[p] at every row p of a form's ``pairs``."""
+    return _at(values, pairs[0]) == _at(values, pairs[1])
+
+
 def _side_holds(form, pairs, col: list[int], row: list[int], term: list | None = None) -> bool:
     """X diag(col) + diag(term) = diag(row) X for a form X = (P, A, C, L) with
     ``pairs`` and integer keys of an injective value (u over den, or color
@@ -244,21 +249,6 @@ def _side_holds(form, pairs, col: list[int], row: list[int], term: list | None =
     else:
         diagonal = list(map(add, map(mul, A, col), term)) == list(map(mul, row, A))
     return diagonal and _at(col, partners) == _at(row, rows)
-
-
-def _commute_holds(f, g) -> bool:
-    """F G = G F for the forms F = (P, A, C, L), G = (Q, B, D, M).  Row p of
-    F G holds A B at p, A D at Q p, C B(P) at P p and C D(P) at Q P p; of G F,
-    B A, D A(Q), B C and D C(Q) at P Q p.  So A = A(Q) where D is nonzero,
-    B = B(P) where C is, C D(P) = D C(Q), and where that is nonzero, Q P = P Q."""
-    P, A, C, _ = f
-    Q, B, D, _ = g
-    if (list(compress(A, D)) != _at(A, compress(Q, D))
-            or list(compress(B, C)) != _at(B, compress(P, C))):
-        return False
-    last = list(map(mul, C, _at(D, P)))
-    return (last == list(map(mul, D, _at(C, Q)))
-            and list(compress(_at(Q, P), last)) == list(compress(_at(P, Q), last)))
 
 
 def _braid_holds(f, g) -> bool:
@@ -295,8 +285,8 @@ def _views(module: ModuleRep) -> tuple:
     """Per s_i as its matrix holds it now: the form (kept by a ``_FormMat``,
     else read off the rows; None without one, or where the matrix or the
     weight count disagrees with the module), its pairs, and whether the form
-    alone shows s_i^2 = 1, the crossing relation, and equal keys of every
-    u_j and zeta_j but j = i, i+1 at each pair.  Stored on the module, and
+    alone shows s_i^2 = 1, the crossing relation, and every u_j and zeta_j
+    but j = i, i+1 constant along its pairs.  Stored on the module, and
     reused only while each matrix's kept form is the one stored: a set entry
     drops it, and a plain Mat keeps none, so a module of plain Mats (made by
     hand, or by ``dataclasses.replace``) has its forms read again each check."""
@@ -312,8 +302,8 @@ def _views(module: ModuleRep) -> tuple:
     squares = [f is not None and _square_holds(f, [f[3] ** 2] * dim) for f in forms]
     crossings = [f is not None and _side_holds(f, p, u[i], u[i + 1], _scaled_by(pis[i], f[3] * den))
                  for i, f, p in zip(range(n - 1), forms, pairs)]
-    keys = (list(zip(*u[:i], *u[i + 2:], *b[:i], *b[i + 2:])) or [()] * dim for i in range(n - 1))
-    fixed = [f is not None and _at(k, p[0]) == _at(k, p[1]) for f, p, k in zip(forms, pairs, keys)]
+    fixed = [f is not None and all(_constant(v, p) for v in u[:i] + u[i + 2:] + b[:i] + b[i + 2:])
+             for i, f, p in zip(range(n - 1), forms, pairs)]
     module.__dict__["_views"] = view = forms, pairs, squares, crossings, fixed
     return view
 
@@ -456,8 +446,11 @@ def _check(module: ModuleRep, entry: tuple, view: tuple, tau=None) -> Verificati
     """The report of an ``entry`` of ``_table`` on the s_i through their
     ``view`` (``_views``), or on the tau_i as ``tau`` = (forms, whether each
     square holds on its form, and as callables of x the matrix of X_{x+1} and
-    its square).  A check the forms do not confirm goes to exact products,
-    whose residual is its witness; a tau_i side is diag(row) X = X diag(col)."""
+    its square).  F G = G F at |i - j| > 1 for the forms (P, A, C, L) and
+    (Q, B, D, M) where P Q = Q P and each is constant along the other's pairs:
+    row p of either product holds A B at p, A D at Q p, B C at P p, C D at
+    P Q p.  A check the forms do not confirm goes to exact products, whose
+    residual is its witness; a tau_i side is diag(row) X = X diag(col)."""
     ell, dim = module.ell, module.dim
     u, den, z = module._scaled
     forms, pairs, squares, crossings, fixed = view
@@ -476,8 +469,9 @@ def _check(module: ModuleRep, entry: tuple, view: tuple, tau=None) -> Verificati
                 continue
             left, right = mat(x) * mat(x + 1) * mat(x), mat(x + 1) * mat(x) * mat(x + 1)
         elif kind == "commute":
-            y = more[0]
-            if f and forms[y] and _commute_holds(f, forms[y]):
+            y, g = more[0], forms[more[0]]
+            if f and g and _at(f[0], g[0]) == _at(g[0], f[0]) and all(
+                    _constant(v, pairs[at]) for v, at in zip(f[1:3] + g[1:3], (y, y, x, x))):
                 continue
             left, right = mat(x) * mat(y), mat(y) * mat(x)
         elif kind == "crossing":  # s_i u_i + pi_i = u_{i+1} s_i
@@ -509,9 +503,9 @@ def verify_relations(module: ModuleRep) -> VerificationReport:
 
     ``_check`` decides each check of ``_table`` on the forms of S_i = L_i s_i
     (S_i^2 = L_i^2, the braid scaled by L_i, L_{i+1}, S_i U_i + L_i den pi_i
-    = U_{i+1} S_i for U over den, a side by its integer keys), and one they
-    do not confirm by exact products, which alone form its witness.
-    zeta_i^ell = 1 and the zeta/u commutations hold by the storage."""
+    = U_{i+1} S_i for U over den, a side by its keys, a far one or a far
+    commutation by constancy along the pairs), and the rest by exact products,
+    the witnesses.  zeta_i^ell = 1 and the zeta/u commutations hold by storage."""
     return _check(module, _table(module.ell, module.n)[0], _views(module))
 
 

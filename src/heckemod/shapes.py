@@ -673,22 +673,15 @@ def weight_to_json(weight: Weight, ell: int) -> dict:
             "b": list(weight.b)}
 
 
-def _check_weight_fields(ell, a, b) -> None:
-    """The rules every weight obeys, read from JSON or passed to the library:
-    ``ell`` a positive integer, ``a`` and ``b`` of equal length and the
-    entries of ``b`` integers (bools are rejected)."""
+def weight_from_json(data: dict) -> tuple[Weight, int]:
+    """Parse a weight object: ``ell``, then equal lengths of the arrays ``a``
+    and ``b``, then ``b``'s ints; ``a`` holds rationals, ``b`` is reduced mod ell."""
+    ell = _object(data, "weight", ("ell", "a", "b"))["ell"]
+    a, b = _array(data, "weight", "a"), _array(data, "weight", "b")
     _checked_ell(ell, "weight")
     if len(a) != len(b):
         raise ValueError("weight lists have different lengths")
     if not all(type(x) is int for x in b):
         raise ValueError(f"weight field 'b' must hold integers, got {b!r}")
-
-
-def weight_from_json(data: dict) -> tuple[Weight, int]:
-    """Parse a weight object; ``a`` and ``b`` must be arrays and obey
-    ``_check_weight_fields``, ``a`` holds rationals and ``b`` is reduced mod ell."""
-    ell = _object(data, "weight", ("ell", "a", "b"))["ell"]
-    a, b = _array(data, "weight", "a"), _array(data, "weight", "b")
-    _check_weight_fields(ell, a, b)
     return Weight(tuple(fraction_from_str(x, "weight field 'a'") for x in a),
                   tuple(x % ell for x in b)), ell

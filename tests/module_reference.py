@@ -15,12 +15,17 @@ two: ``jm_consistency`` evaluates the group-algebra sums term by term, and
 whole matrices.  ``s_matrices`` is the rows writer ``build_module`` used
 before a built module stored its s-matrices as involution forms: it writes
 each ``Mat`` column by column, finding each partner filling by its tuple.
+``commute_holds`` is the slot criterion that decided a far commutation of
+two involution forms before ``modules._check`` asked for constancy along
+the pairs.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress
 from math import gcd, lcm
+from operator import mul
 
 from heckemod import grpalg
 from heckemod.cyclo import Cyc, root_of_unity
@@ -318,3 +323,23 @@ def s_matrices(shape) -> tuple[Mat, ...]:
                 rows.setdefault(target, {})[t] = den if one else (dd * dd - cc * cc) * (den // (dd * dd))
         mats.append(_new(ell, dim, dim, den, rows))
     return tuple(mats)
+
+
+def commute_holds(f, g) -> bool:
+    """F G = G F for the involution forms F = (P, A, C, L), G = (Q, B, D, M),
+    slot by slot.  Row p of F G holds A B at p, A D at Q p, C B(P) at P p and
+    C D(P) at Q P p; of G F, B A, D A(Q), B C and D C(Q) at P Q p.  So
+    A = A(Q) where D is nonzero, B = B(P) where C is, C D(P) = D C(Q), and
+    where that is nonzero, Q P = P Q."""
+    P, A, C, _ = f
+    Q, B, D, _ = g
+
+    def at(values, keys):
+        return [values[k] for k in keys]
+
+    if (list(compress(A, D)) != at(A, compress(Q, D))
+            or list(compress(B, C)) != at(B, compress(P, C))):
+        return False
+    last = list(map(mul, C, at(D, P)))
+    return (last == list(map(mul, D, at(C, Q)))
+            and list(compress(at(Q, P), last)) == list(compress(at(P, Q), last)))

@@ -444,6 +444,17 @@ def _zeta_conjugated(M, rng):
     return dataclasses.replace(M, mat_s=tuple(d * m * d_inv for m in M.mat_s))
 
 
+def _rescaled(M, rng):
+    """M in a basis rescaled by D = diag(d_t) with random positive integers
+    d_t: each s-matrix becomes D s D^-1.  Its entries stay rational, so it
+    keeps its involution form, but an off-diagonal entry (p, q) is scaled by
+    d_p / d_q, so it need not stay constant along another s_j's pairs.  The
+    module stays sound."""
+    ds = [rng.randint(1, 3) for _ in range(M.dim)]
+    d, d_inv = Mat.diagonal(M.ell, ds), Mat.diagonal(M.ell, [Fraction(1, x) for x in ds])
+    return dataclasses.replace(M, mat_s=tuple(d * m * d_inv for m in M.mat_s))
+
+
 def _corrupted(M, rng, kind):
     """M with one s entry, one u eigenvalue or one zeta exponent changed.
     Kind "outside" sets an s entry (p, q) with q neither p nor the partner
@@ -480,7 +491,8 @@ def _corrupted(M, rng, kind):
 
 def test_matches_matrix_reference(monkeypatch):
     # every report, witness, value and raised exception type agrees with the
-    # matrix-product oracle, on sound modules and on corrupted ones
+    # matrix-product oracle, on sound modules and on corrupted ones, and every
+    # far commutation the forms confirm passes the oracle's slot criterion
     import random
 
     import module_reference as ref
@@ -510,11 +522,28 @@ def test_matches_matrix_reference(monkeypatch):
         raise AssertionError("jm_consistency called _check")
 
     def check(M):
-        outcomes = {}
+        """Compare M's reports with the oracle's; return the far pairs (i, j)
+        of s-matrix indices whose commutation went to the products."""
+        outcomes, products, product = {}, set(), Mat.__mul__
+        index = {id(m): k for k, m in enumerate(M.mat_s)}
+
+        # of the checks, only a declined far commutation multiplies s_i by s_j
+        def recording(left, right):
+            if id(left) in index and id(right) in index:
+                products.add((index[id(left)], index[id(right)]))
+            return product(left, right)
+
         for fast, slow in pairs:
-            got = outcomes[fast] = _outcome(fast, M)
+            with monkeypatch.context() as patch:
+                patch.setattr(Mat, "__mul__", recording)
+                got = outcomes[fast] = _outcome(fast, M)
             assert got == _outcome(slow, M), (fast.__name__, M.weights)
             seen.add(got if isinstance(got, type) else getattr(got, "ok", None))
+        far = [(i, j) for i in range(M.n - 1) for j in range(i + 2, M.n - 1)]
+        declined = {pair for pair in far if pair in products}
+        forms = _views(M)[0]
+        for i, j in set(far) - declined:  # confirmed by constancy: the slot criterion agrees
+            assert ref.commute_holds(forms[i], forms[j]), (i, j, M.weights)
         if M.shape is not None and is_partition_shape(M.shape):
             with monkeypatch.context() as patch:  # the view or the recurrence decides
                 patch.setattr(md, "_check", refuse_check)
@@ -524,11 +553,13 @@ def test_matches_matrix_reference(monkeypatch):
             relations = outcomes[verify_relations].checks
             if all(c.ok for c in relations if "u" not in c.name):
                 assert report == ref.jm_consistency(M)
+        return declined
 
     # each sound module caches its integer view here, before the copies
-    # below are made from it, so a view carried into a copy would show
+    # below are made from it, so a view carried into a copy would show;
+    # constancy confirms every far commutation of a built module
     for M in modules:
-        check(M)
+        assert not check(M)
     sums = [direct_sum(modules[k], modules[k + 1]) for k in range(0, len(modules) - 1, 23)
             if (modules[k].ell, modules[k].n) == (modules[k + 1].ell, modules[k + 1].n)]
     sums.append(direct_sum(module_21(), module_21()))
@@ -559,8 +590,17 @@ def test_matches_matrix_reference(monkeypatch):
         assert any(not v.is_rational() for m in M.mat_s for v in m.data.values())
         assert verify_relations(M).ok and verify_intertwiners(M).ok
     irrational += [_corrupted(M, rng_zeta, "s") for M in irrational]
-    for M in sums + corrupted + formless + twisted + hand_made + irrational:
+    for M in sums + twisted:
+        assert not check(M)
+    for M in corrupted + formless + hand_made + irrational:
         check(M)
+    # sound modules whose forms are not constant along some far pairs: those
+    # commutations go to the products, and the reports are the oracle's
+    rng_scale = random.Random(1)
+    for ell, parts in ((1, [[3, 2]]), (2, [[2, 1], [1, 1]]), (1, [[3, 2, 1]])):
+        M = _rescaled(build_module(partition_shape(ell, parts)), rng_scale)
+        assert None not in _views(M)[0]
+        assert check(M) and verify_relations(M).ok
     # the corruptions reach failing reports and both guarded exceptions
     assert len(sums) > 10
     assert {True, False, ZeroDivisionError, NotScalar} <= seen
