@@ -301,9 +301,9 @@ def test_condition_failure_witnesses_hold(a):
     (Weight((Fraction(0), Fraction(1)), (0, True)), 2, "'b'"),  # nor is a bool
     (Weight((Fraction(0), 0.5), (0, 1)), 2, "'a'"),             # a float is no rational
     (Weight((Fraction(0), "1/2"), (0, 1)), 2, "'a'"),           # nor is a string
-    (Weight((0.5, Fraction(1)), (0, True)), 2, "'b'"),          # a bad 'b' wins over 'a'
     (Weight((Fraction(0), Fraction(1)), (0, 1)), 0, "'ell'"),   # no bare ZeroDivisionError
     (Weight((Fraction(0),), (0,)), True, "'ell'"),
+    (Weight((0.5, Fraction(1)), (0, True)), 2, "'b'"),          # a bad 'b' wins over 'a'
 ])
 def test_library_weights_are_strict(weight, ell, field):
     for call in (lambda: reconstruct(weight, ell),
