@@ -49,7 +49,7 @@ def _normalize_weight(w: Weight, ell: int) -> list[tuple[int, int, int]]:
     turn; entry k becomes (p, q, b_k mod ell), a_k = p/q in lowest terms."""
     _checked_ell(ell, "weight")
     if len(w.a) != len(w.b):
-        raise ValueError("weight lists have different lengths")
+        raise ValueError("weight field 'b' must have as many entries as 'a'")
     entries = []
     for x, y in zip(w.a, w.b):
         if y.__class__ is not int:

@@ -10,19 +10,18 @@ a field, so equality is plain integer comparison and every nonzero element
 has an inverse.
 
 Phi_ell is monic with integer coefficients, so reduction never leaves the
-integers.  Each field operation has one code path for every ell.  Sums and
-differences share one body on the numerators alone, with a shortcut for
-equal denominators.  A product convolves the numerators and folds degrees
-phi .. 2*phi - 2 back with a per-ell table of ``x**k mod Phi_ell``, built
-once, and read only by a product that reaches degree phi: building it costs
-about phi**3 steps, which a large ell with rational entries need not pay.
-The inverse of a rational element is read off directly.  Any other
-element a = A/den, A with integer coefficients, is inverted through its norm:
-with sigma_k the Galois automorphism zeta -> zeta**k, the product
-P = prod(sigma_k(A)) over 1 < k < ell with gcd(k, ell) = 1 makes A*P = N(A) a
-nonzero integer, so a**-1 = den * P / N(A), all in integer arithmetic.
-``coeffs`` gives the coefficients as ``Fraction``s.  Phi_ell, its degree,
-the fold table, ``zero`` and ``one`` are kept for the 256 fields used last.
+integers, and one division (``_divmod_monic``) does every reduction.  Each
+field operation has one code path for every ell.  Sums and differences
+share one body on the numerators alone, with a shortcut for equal
+denominators.  A product convolves the numerators and divides by Phi_ell
+only when the convolution reaches degree phi.  The inverse of a rational
+element is read off directly.  Any other element a = A/den, A with integer
+coefficients, is inverted through its norm: with sigma_k the Galois
+automorphism zeta -> zeta**k, the product P = prod(sigma_k(A)) over
+1 < k < ell with gcd(k, ell) = 1 makes A*P = N(A) a nonzero integer, so
+a**-1 = den * P / N(A), all in integer arithmetic.
+``coeffs`` gives the coefficients as ``Fraction``s.  One record per field
+(Phi_ell, ``zero`` and ``one``) is kept for the 256 fields used last.
 
 No floating point is used anywhere.
 """
@@ -30,10 +29,11 @@ No floating point is used anywhere.
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from operator import add, sub
+from operator import add, index, sub
 
 from .errors import MismatchedField
 
@@ -57,48 +57,39 @@ def _divmod_monic(a, b):
     return q, r[:db]
 
 
-# the bound of each per-ell cache: no ell below 10**6 has more than 240
-# divisors, so the divisor recursion of _cyclotomic_ints builds each
-# divisor's polynomial once
-_PER_ELL = 256
+# the record of Q(zeta_ell): Phi_ell as ints (lowest degree first), 0 and 1
+_Field = namedtuple("_Field", "poly zero one")
 
 
-@lru_cache(maxsize=_PER_ELL)
-def _cyclotomic_ints(ell: int) -> tuple[int, ...]:
+# no ell below 10**6 has more than 240 divisors, so the divisor recursion of
+# _field builds each divisor's record once
+@lru_cache(maxsize=256)
+def _field(ell: int) -> _Field:
+    ell = index(ell)  # True and 1 share a key: the elements carry the int
     if ell < 1:
         raise ValueError("ell must be a positive integer")
     num = [-1] + [0] * (ell - 1) + [1]
     for d in range(1, ell):
         if ell % d == 0:
-            num, rem = _divmod_monic(num, _cyclotomic_ints(d))
+            num, rem = _divmod_monic(num, _field(d).poly)
             if any(rem):
                 raise AssertionError("cyclotomic division left a remainder")
-    return tuple(num)
+    return _Field(tuple(num), _raw(ell, (0,) * (len(num) - 1), 1),
+                  _raw(ell, (1,) + (0,) * (len(num) - 2), 1))
 
 
-@lru_cache(maxsize=_PER_ELL)
 def cyclotomic_polynomial(ell: int) -> tuple[Fraction, ...]:
     """Coefficients of the ell-th cyclotomic polynomial, lowest degree first.
 
     Computed by dividing ``x**ell - 1`` by the cyclotomic polynomials of all
     proper divisors of ell; exact over Z.
     """
-    return tuple(Fraction(c) for c in _cyclotomic_ints(ell))
+    return tuple(Fraction(c) for c in _field(ell).poly)
 
 
-@lru_cache(maxsize=_PER_ELL)
 def degree(ell: int) -> int:
     """Degree of Q(zeta_ell) over Q, i.e. Euler's totient of ell."""
-    return len(_cyclotomic_ints(ell)) - 1
-
-
-@lru_cache(maxsize=_PER_ELL)
-def _fold_table(ell: int) -> tuple[tuple[int, ...], ...]:
-    """Row k - phi holds ``x**k mod Phi_ell`` for k = phi .. 2*phi - 2."""
-    poly = _cyclotomic_ints(ell)
-    phi = len(poly) - 1
-    return tuple(tuple(_divmod_monic([0] * k + [1], poly)[1])
-                 for k in range(phi, 2 * phi - 1))
+    return len(_field(ell).poly) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -126,17 +117,6 @@ def _reduced(ell, num, den):
     return _raw(ell, tuple(num), den)
 
 
-# cached per ell, which the callers check first: True and 1 share a key
-@lru_cache(maxsize=_PER_ELL)
-def _zero(ell: int) -> "Cyc":
-    return _raw(ell, (0,) * degree(ell), 1)
-
-
-@lru_cache(maxsize=_PER_ELL)
-def _one(ell: int) -> "Cyc":
-    return _raw(ell, (1,) + (0,) * (degree(ell) - 1), 1)
-
-
 class Cyc:
     """An element of Q(zeta_ell) in canonical power-basis form.
 
@@ -152,7 +132,7 @@ class Cyc:
 
     def __init__(self, ell: int, coeffs):
         ell = _checked_ell(ell, "Cyc")
-        poly = _cyclotomic_ints(ell)
+        poly = _field(ell).poly
         fracs = [c if c.__class__ is int or c.__class__ is Fraction
                  else fraction_from_str(c, "coefficient") for c in coeffs]
         den = lcm(*(c.denominator for c in fracs))
@@ -183,11 +163,11 @@ class Cyc:
 
     @classmethod
     def zero(cls, ell) -> "Cyc":
-        return _zero(_checked_ell(ell, "Cyc"))
+        return _field(_checked_ell(ell, "Cyc")).zero
 
     @classmethod
     def one(cls, ell) -> "Cyc":
-        return _one(_checked_ell(ell, "Cyc"))
+        return _field(_checked_ell(ell, "Cyc")).one
 
     # -- predicates and conversions -----------------------------------------
 
@@ -258,10 +238,7 @@ class Cyc:
                 for j, y in enumerate(b, i):
                     out[j] += x * y
         if any(out[phi:]):
-            for row, c in zip(_fold_table(self._ell), out[phi:]):
-                if c:
-                    for i, t in enumerate(row):
-                        out[i] += c * t
+            out = _divmod_monic(out, _field(self._ell).poly)[1]
         del out[phi:]
         return _reduced(self._ell, out, self._den * o._den)
 
@@ -276,7 +253,7 @@ class Cyc:
             return _raw(self._ell, (den if x > 0 else -den,) + a[1:], abs(x))
         # 1/a = den * P / N(A) with a = A/den, as in the module docstring
         ell = self._ell
-        conj = _one(ell)
+        conj = _field(ell).one
         for k in range(2, ell):
             if gcd(k, ell) == 1:
                 img = [0] * ell  # sigma_k sends zeta**j to zeta**(j*k mod ell)
@@ -323,8 +300,9 @@ class Cyc:
                     and not any(a[1:]))
         return NotImplemented
 
-    def __hash__(self):
-        return hash((self._ell, self._num, self._den))
+    def __hash__(self):  # a rational element hashes like the number it equals
+        a = self._num
+        return hash((self._ell, a, self._den) if any(a[1:]) else Fraction(a[0], self._den))
 
     def __repr__(self):
         return f"Cyc({self._ell}, {[str(c) for c in self.coeffs]})"

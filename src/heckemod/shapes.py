@@ -680,7 +680,7 @@ def weight_from_json(data: dict) -> tuple[Weight, int]:
     a, b = _array(data, "weight", "a"), _array(data, "weight", "b")
     _checked_ell(ell, "weight")
     if len(a) != len(b):
-        raise ValueError("weight lists have different lengths")
+        raise ValueError("weight field 'b' must have as many entries as 'a'")
     if not all(type(x) is int for x in b):
         raise ValueError(f"weight field 'b' must hold integers, got {b!r}")
     return Weight(tuple(fraction_from_str(x, "weight field 'a'") for x in a),

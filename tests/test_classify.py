@@ -304,6 +304,7 @@ def test_condition_failure_witnesses_hold(a):
     (Weight((Fraction(0), Fraction(1)), (0, 1)), 0, "'ell'"),   # no bare ZeroDivisionError
     (Weight((Fraction(0),), (0,)), True, "'ell'"),
     (Weight((0.5, Fraction(1)), (0, True)), 2, "'b'"),          # a bad 'b' wins over 'a'
+    (Weight((0,), (0, 0)), 1, "'b'"),                           # 'b' longer than 'a'
 ])
 def test_library_weights_are_strict(weight, ell, field):
     for call in (lambda: reconstruct(weight, ell),

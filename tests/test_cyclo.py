@@ -1,6 +1,7 @@
 import fractions
 import json
 import math
+import operator
 import re
 import sys
 from fractions import Fraction
@@ -10,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from heckemod import Cyc, MismatchedField, cyclotomic_polynomial, root_of_unity
 from heckemod import cyclo
-from heckemod.cyclo import _fold_table, degree, fraction_from_str, fraction_to_str
+from heckemod.cyclo import degree, fraction_from_str, fraction_to_str
 
 from cyclo_reference import RefCyc, _poly_divmod as ref_divmod, ref_root_of_unity
 
@@ -22,6 +23,8 @@ def test_cyclotomic_polynomial_small():
     assert cyclotomic_polynomial(4) == (1, 0, 1)
     assert cyclotomic_polynomial(6) == (1, -1, 1)
     assert cyclotomic_polynomial(12) == (1, 0, -1, 0, 1)
+    with pytest.raises(ValueError, match="^ell must be a positive integer$"):
+        cyclotomic_polynomial(0)
 
 
 def test_degree_is_totient():
@@ -224,21 +227,14 @@ def test_memo_answers_never_depend_on_the_digit_limit():
 
 
 def test_per_ell_caches_are_bounded():
-    caches = (cyclo._cyclotomic_ints, cyclo.cyclotomic_polynomial, cyclo.degree,
-              cyclo._fold_table, cyclo._zero, cyclo._one)
-    assert all(c.cache_info().maxsize == 256 for c in caches)
-    # more fields than the bound; the fold table costs about phi**3 steps, so
-    # its walk stops early
+    assert cyclo._field.cache_info().maxsize == 256
+    # more fields than the bound, each with a product that reaches degree phi
     for ell in range(1, 301):
         assert degree(ell) == len(cyclotomic_polynomial(ell)) - 1
         assert Cyc.zero(ell) + Cyc.one(ell) == 1
-        if ell <= 40:
-            last = root_of_unity(ell, ell - 1)
-            assert last * last == root_of_unity(ell, ell - 2)
-    for c in caches:
-        info = c.cache_info()
-        assert info.currsize <= info.maxsize
-    assert cyclo._cyclotomic_ints.cache_info().currsize == 256
+        last = root_of_unity(ell, ell - 1)
+        assert last * last == root_of_unity(ell, ell - 2)
+    assert cyclo._field.cache_info().currsize == 256
     # an evicted field is rebuilt the same
     assert cyclotomic_polynomial(12) == (1, 0, -1, 0, 1)
 
@@ -420,6 +416,7 @@ def test_hash_agrees_with_equality(pair, data):
         assert other == x and hash(other) == hash(x)
     if x.is_rational():
         assert x == x.as_rational()
+        assert hash(x) == hash(x.as_rational())
 
 
 def test_shared_factors_cancel():
@@ -433,31 +430,52 @@ def test_shared_factors_cancel():
     assert Cyc(2, [4]) / 6 == Fraction(2, 3)
 
 
-def test_fold_table_matches_polynomial_division():
+def test_degree_phi_products_match_polynomial_division():
+    # zeta**i * zeta**j with i, j < phi and phi <= i + j <= 2*phi - 2: every
+    # degree above phi - 1 that a product's convolution reaches
     for ell in range(1, 31):
         phi = degree(ell)
-        table = _fold_table(ell)
-        assert len(table) == max(phi - 1, 0)
-        for k, row in zip(range(phi, 2 * phi - 1), table):
-            _, rem = ref_divmod([Fraction(0)] * k + [Fraction(1)],
-                                list(cyclotomic_polynomial(ell)))
-            assert list(row) == rem + [0] * (phi - len(rem))
-            assert all(type(c) is int for c in row)
+        poly = list(cyclotomic_polynomial(ell))
+        for k in range(phi, 2 * phi - 1):
+            _, rem = ref_divmod([Fraction(0)] * k + [Fraction(1)], poly)
+            rem += [Fraction(0)] * (phi - len(rem))
+            for i in range(k - phi + 1, phi):
+                product = root_of_unity(ell, i) * root_of_unity(ell, k - i)
+                assert list(product.coeffs) == rem, (ell, i, k - i)
+                same(product, ref_root_of_unity(ell, i) * ref_root_of_unity(ell, k - i))
 
 
-def test_products_below_degree_phi_never_build_the_fold_table():
-    # the table costs about phi**3 steps (phi = 210 here), so a product whose
-    # convolution stays below degree phi must not ask for it
+def test_products_below_degree_phi_never_divide(monkeypatch):
+    # a product whose convolution stays below degree phi (phi = 210 here)
+    # truncates it and never divides by Phi_ell
     ell = 211
     phi = degree(ell)
-    _fold_table.cache_clear()
     half, third = Cyc.from_rational(ell, Fraction(1, 2)), Cyc.from_rational(ell, Fraction(-2, 3))
+    z5, z100, z109 = (root_of_unity(ell, k) for k in (5, 100, phi - 101))
+    half_z5, top = Cyc(ell, [0] * 5 + [Fraction(1, 2)]), root_of_unity(ell, phi - 1)
+    z1 = root_of_unity(ell, 1)
+    calls = []
+    divmod_monic = cyclo._divmod_monic
+    monkeypatch.setattr(cyclo, "_divmod_monic",
+                        lambda a, b: calls.append(len(a)) or divmod_monic(a, b))
     assert half * third == Fraction(-1, 3)
-    assert half * root_of_unity(ell, 5) == Cyc(ell, [0] * 5 + [Fraction(1, 2)])
-    assert root_of_unity(ell, 100) * root_of_unity(ell, phi - 101) == root_of_unity(ell, phi - 1)
-    assert _fold_table.cache_info().currsize == 0
-    same(root_of_unity(ell, phi - 1) * root_of_unity(ell, 1),
-         ref_root_of_unity(ell, phi - 1) * ref_root_of_unity(ell, 1))
+    assert half * z5 == half_z5
+    assert z100 * z109 == top
+    assert calls == []
+    # one division for a product that reaches degree phi
+    product = top * z1
+    assert calls == [2 * phi - 1]
+    same(product, ref_root_of_unity(ell, phi - 1) * ref_root_of_unity(ell, 1))
+
+
+def test_foreign_operands_are_refused():
+    x = root_of_unity(3, 1)
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        for a, b in ((x, "1"), ("1", x), (x, 0.5), (None, x)):
+            with pytest.raises(TypeError):
+                op(a, b)
+    assert x.__eq__("x") is NotImplemented
+    assert (x == "x") is False and x != "x"
 
 
 def test_elements_are_read_only():

@@ -90,6 +90,16 @@ def test_invalid_elements():
         simple_transposition(2, 3, 3)
     with pytest.raises(IndexError):
         color_generator(2, 3, 0)
+    with pytest.raises(IndexError, match=r"^transposition \(1 1\) out of range for n=3$"):
+        transposition(1, 3, 1, 1)
+    for make in (lambda: jm_element(1, 3, 4), lambda: jm_element(1, 3, 0),
+                 lambda: pi_element(1, 3, 3)):
+        with pytest.raises(IndexError, match="^index [0-9]+ out of range for n=3$"):
+            make()
+    # colours are read mod ell; elements of two groups do not multiply
+    assert GroupElement(3, 2, (4, -1), (1, 2)).colors == (1, 2)
+    with pytest.raises(DimensionMismatch, match=r"^elements of G\(2,1,2\) and G\(3,1,2\)$"):
+        identity(2, 2) * identity(3, 2)
 
 
 def test_reduced_word_rebuilds_and_counts_inversions():
@@ -121,6 +131,10 @@ def test_algebra_arithmetic():
     two_e = e + e
     assert two_e.scale(Cyc.from_rational(2, 1) / 2) == e
     assert (e - e).is_zero()
+    assert repr(two_e) == "GroupAlgebraElement(2,2; 1 terms)"
+    assert e.__eq__(1) is NotImplemented and e != 1
+    with pytest.raises(DimensionMismatch, match="^coefficient over a different field$"):
+        GroupAlgebraElement(2, 2, [(identity(2, 2), root_of_unity(3, 1))])
 
 
 def test_jm_elements():
@@ -240,6 +254,8 @@ def test_evaluate_in_module_checks_parameters():
         evaluate_in_module(GroupAlgebraElement.from_group(identity(2, 3)), M)
     with pytest.raises(DimensionMismatch):
         evaluate_in_module(GroupAlgebraElement.from_group(identity(1, 4)), M)
+    # a bare group element is read as itself with coefficient 1
+    assert evaluate_in_module(simple_transposition(1, 3, 1), M) == generator_matrix(M, "s", 1)
 
 
 @st.composite

@@ -27,6 +27,11 @@ def test_constructors_and_indexing():
         d.data[0, 1] = 1
     with pytest.raises(AttributeError):
         d.data = {}
+    # a string coefficient is read exactly; an entry over another field is refused
+    assert Mat.diagonal(2, ["1/2", "-3"]) == Mat.diagonal(2, [Fraction(1, 2), -3])
+    with pytest.raises(DimensionMismatch,
+                       match=r"^entry over Q\(zeta_5\) in a matrix over Q\(zeta_3\)$"):
+        m[0, 0] = root_of_unity(5, 1)
 
 
 def test_arithmetic():
@@ -55,6 +60,9 @@ def test_shape_mismatch():
         Mat.zero(2, 2, 2) + Mat.zero(2, 3, 3)
     with pytest.raises(DimensionMismatch):
         Mat.zero(2, 2, 3) * Mat.zero(2, 2, 3)
+    for combine in (lambda a, b: a + b, lambda a, b: a * b):
+        with pytest.raises(DimensionMismatch, match="^matrices over different fields$"):
+            combine(Mat.identity(3, 2), Mat.identity(2, 2))
 
 
 def test_dense_and_column():
@@ -74,6 +82,8 @@ def test_block_diag():
     assert m.nrows == m.ncols == 3
     assert m[0, 0] == 1 and m[1, 1] == 1 and m[2, 2] == -1
     assert m[0, 2].is_zero() and m[2, 0].is_zero()
+    with pytest.raises(DimensionMismatch, match="^block over a different field$"):
+        block_diag(2, [a, Mat.identity(3, 1)])
 
 
 def test_nullspace_dim():
@@ -210,6 +220,9 @@ def test_equality_across_denominators():
     rb[1, 0] = third
     assert a != b and ra != rb
     assert (a - b) + b == a and agrees((a - b) + b, ra)
+    # no other value, shape or field is equal
+    assert a.__eq__(0) is NotImplemented and a != 0
+    assert Mat.zero(1, 2, 3) != Mat.zero(1, 3, 2) and Mat.identity(1, 2) != Mat.identity(2, 2)
 
 
 def test_zero_after_a_non_integer_entry():

@@ -5,6 +5,7 @@ import pytest
 
 from heckemod import (
     Cyc,
+    DimensionMismatch,
     Mat,
     ModuleRep,
     NotAPartition,
@@ -32,7 +33,6 @@ from heckemod import (
     verify_relations,
     weight_of,
 )
-from heckemod.cyclo import _fold_table
 from heckemod.linalg import block_diag
 from heckemod.modules import _views
 
@@ -201,6 +201,10 @@ def test_direct_sum():
     assert S.weights == M.weights + other.weights
     assert verify_relations(S).ok
     assert S.shape is None
+    for far in (build_module(partition_shape(2, [[2, 1], []])),
+                build_module(partition_shape(1, [[3, 1]]))):
+        with pytest.raises(DimensionMismatch, match="^summands over different algebras$"):
+            direct_sum(M, far)
 
 
 def test_central_character_values():
@@ -285,6 +289,17 @@ def test_twist_rejects_unknown_automorphism():
         twist(module_21(), "sigma")
     with pytest.raises(ValueError):
         twist(module_21(), "t")  # missing kappa
+    with pytest.raises(ValueError, match="^index-reversal twist takes no parameter$"):
+        twist(module_21(), "rho", 1)
+
+
+def test_edited_s_matrix_keeps_its_repr():
+    # a kept form counts its entries without writing the rows; once an entry
+    # is set the rows answer, in Mat's own words
+    s = module_21().mat_s[0]
+    before = repr(s)
+    s[0, 0] = s[0, 0]
+    assert s.form is None and repr(s) == before == repr(s.copy())
 
 
 def test_twist_reads_kappa_exactly():
@@ -355,16 +370,20 @@ def test_jm_matches_matrix_reference_at_n5_n6():
             assert k >= len(sound) or got.ok
 
 
-def test_rational_module_verifies_without_the_fold_table():
+def test_rational_module_verifies_without_field_products(monkeypatch):
     # a module the package builds has rational s-matrices, so its checks
-    # never reach degree phi(ell) and never pay for the fold table
+    # run on integer rows and forms and multiply no two field elements
     ell = 211
     M = build_module(partition_shape(ell, [[2, 1], [1]] + [[]] * (ell - 2)))
     assert M.dim == 8
-    _fold_table.cache_clear()
+
+    def refuse(*args):
+        raise AssertionError("a field product in a rational module's check")
+
+    monkeypatch.setattr(Cyc, "__mul__", refuse)
+    monkeypatch.setattr(Cyc, "__rmul__", refuse)
     for check in (verify_relations, verify_intertwiners, jm_consistency):
         assert check(M).ok, check.__name__
-    assert _fold_table.cache_info().currsize == 0
 
 
 def test_jm_consistency_requires_partition_shape():

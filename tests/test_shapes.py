@@ -173,6 +173,8 @@ def test_gap_criterion_matches_joint_placement():
                 accepted = False
             placed = joint_placement([cells for _, _, cells in comps])
             assert accepted == (placed is not None), (comps, placed)
+    # a lone component stays where it is
+    assert joint_placement([pool[3]]) == [0]
 
 
 def grid_subsets(width, height):
@@ -449,6 +451,8 @@ def test_hook_dimension_values():
     assert hook_dimension(2, [[1], [1]]) == 2
     assert hook_dimension(2, [[2], [1]]) == 3
     assert hook_dimension(3, [[1], [], [2]]) == 3
+    with pytest.raises(EmptyShape, match="^empty multipartition$"):
+        hook_dimension(2, [[], []])
 
 
 def test_hook_dimension_counts_tableaux():
@@ -778,6 +782,9 @@ def test_weight_json_roundtrip():
     # a float entry is not written as the rational it happens to equal
     with pytest.raises(ValueError, match=r"^only an int or a Fraction .*, got 0\.5$"):
         weight_to_json(Weight((0.5,), (0,)), 1)
+    # the lengths are refused in the words of the library check
+    with pytest.raises(ValueError, match="^weight field 'b' must have as many entries as 'a'$"):
+        weight_from_json({"ell": 1, "a": ["0"], "b": [0, 0]})
 
 
 # ---------------------------------------------------------------------------
