@@ -291,9 +291,10 @@ class Cyc:
     # -- comparison / hashing -------------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, Cyc):
-            return (self._ell == other._ell and self._den == other._den
-                    and self._num == other._num)
+        if isinstance(other, Cyc):  # across fields, only equal rationals are equal
+            a, b = self._num, other._num
+            return self._den == other._den and (a == b if self._ell == other._ell
+                                                else a[0] == b[0] and not any(a[1:] + b[1:]))
         if isinstance(other, (int, Fraction)):
             a = self._num
             return (self._den == other.denominator and a[0] == other.numerator

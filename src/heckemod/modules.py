@@ -75,11 +75,12 @@ class ModuleRep:
     ``Mat``s; those of ``build_module``, its ``twist``s and direct sums keep
     their involution forms and write their rows only when read (by
     ``generator_matrix``, ``module_to_json`` with matrices, or a product
-    deciding what the forms do not confirm).  A built module stores
-    ``_scaled`` too, the checks ``_views``; ``dataclasses.replace`` of
-    ``mat_s`` or ``weights`` reads the new field afresh.  ``shape`` is the
-    shape it was built from, its basis ``enumerate_syt(shape)``; twists and
-    direct sums set it to None, and equality ignores it.
+    deciding what the forms do not confirm).  A built module stores ``_scaled``
+    too, the checks ``_views``, and nothing else (pi_i is read off B where
+    used); ``dataclasses.replace`` of ``mat_s`` or ``weights`` reads the new
+    field afresh.  ``shape`` is the shape it was built from, its basis
+    ``enumerate_syt(shape)``; twists and direct sums set it to None, and
+    equality ignores it.
     """
 
     ell: int
@@ -100,12 +101,6 @@ class ModuleRep:
         u = [[w.a[i].numerator * (den // w.a[i].denominator) for w in weights]
              for i in range(self.n)]
         return u, den, [[w.b[i] % ell for w in weights] for i in range(self.n)]
-
-    @cached_property
-    def _pis(self) -> list[list[int]]:
-        """Entry i-1: pi_i = sum_k zeta_i^k zeta_{i+1}^-k, ell where b_i = b_{i+1}."""
-        b = self._scaled[2]
-        return [[self.ell if x == y else 0 for x, y in zip(bi, bj)] for bi, bj in zip(b, b[1:])]
 
 
 @dataclass(frozen=True)
@@ -227,28 +222,23 @@ def _square_holds(form, target: list[int]) -> bool:
             and not any(map(mul, C, map(add, A, _at(A, P)))))
 
 
-def _pairs_of(form) -> tuple[list[int], list[int]]:
-    """The rows p with an off-diagonal entry, C[p] != 0, and their partners P p."""
-    P, _, C, _ = form
-    return list(compress(range(len(P)), C)), list(compress(P, C))
+def _constant(values: list, P: list[int]) -> bool:
+    """values[P p] = values[p] at every row p: a form's partner list P fixes
+    each row with C[p] = 0, so this is the test on its off-diagonal rows."""
+    return _at(values, P) == values
 
 
-def _constant(values: list, pairs) -> bool:
-    """values[P p] = values[p] at every row p of a form's ``pairs``."""
-    return _at(values, pairs[0]) == _at(values, pairs[1])
-
-
-def _side_holds(form, pairs, col: list[int], row: list[int], term: list | None = None) -> bool:
-    """X diag(col) + diag(term) = diag(row) X for a form X = (P, A, C, L) with
-    ``pairs`` and integer keys of an injective value (u over den, or color
-    exponents): A col + term = row A (no term: col = row where A is nonzero)
-    and col[q] = row[p] at every off-diagonal entry (p, q)."""
-    (rows, partners), A = pairs, form[1]
+def _side_holds(form, col: list[int], row: list[int], term: list | None = None) -> bool:
+    """X diag(col) + diag(term) = diag(row) X for a form X = (P, A, C, L) and
+    integer keys of an injective value (u over den, or color exponents):
+    A col + term = row A (no term: col = row where A is nonzero) and
+    col[P p] = row[p] at every row p with C[p] != 0."""
+    P, A, C, _ = form
     if term is None:
         diagonal = col is row or list(compress(col, A)) == list(compress(row, A))
     else:
         diagonal = list(map(add, map(mul, A, col), term)) == list(map(mul, row, A))
-    return diagonal and _at(col, partners) == _at(row, rows)
+    return diagonal and _at(col, compress(P, C)) == list(compress(row, C))
 
 
 def _braid_holds(f, g) -> bool:
@@ -281,12 +271,18 @@ def _braid_holds(f, g) -> bool:
             and list(compress(_at(P, QP), last)) == list(compress(_at(QP, Q), last)))
 
 
+def _pi(module: ModuleRep, x: int) -> list[int]:
+    """pi_{x+1} = sum_k zeta_{x+1}^k zeta_{x+2}^-k: ell where b_{x+1} = b_{x+2}, else 0."""
+    ell, b = module.ell, module._scaled[2]
+    return [ell if p == q else 0 for p, q in zip(b[x], b[x + 1])]
+
+
 def _views(module: ModuleRep) -> tuple:
     """Per s_i as its matrix holds it now: the form (kept by a ``_FormMat``,
     else read off the rows; None without one, or where the matrix or the
-    weight count disagrees with the module), its pairs, and whether the form
-    alone shows s_i^2 = 1, the crossing relation, and every u_j and zeta_j
-    but j = i, i+1 constant along its pairs.  Stored on the module, and
+    weight count disagrees with the module), and whether the form alone
+    shows s_i^2 = 1, the crossing relation, and every u_j and zeta_j but
+    j = i, i+1 constant along its partner list.  Stored on the module, and
     reused only while each matrix's kept form is the one stored: a set entry
     drops it, and a plain Mat keeps none, so a module of plain Mats (made by
     hand, or by ``dataclasses.replace``) has its forms read again each check."""
@@ -294,17 +290,16 @@ def _views(module: ModuleRep) -> tuple:
     if view and all(getattr(m, "form", None) is f for m, f in zip(module.mat_s, view[0])):
         return view
     ell, n, dim = module.ell, module.n, module.dim
-    (u, den, b), pis = module._scaled, module._pis
+    u, den, b = module._scaled
     forms = [(getattr(m, "form", None) or _involution_form(m))
              if (m.ell, m.nrows, m.ncols, len(module.weights)) == (ell, dim, dim, dim) else None
              for m in module.mat_s]
-    pairs = [f and _pairs_of(f) for f in forms]
     squares = [f is not None and _square_holds(f, [f[3] ** 2] * dim) for f in forms]
-    crossings = [f is not None and _side_holds(f, p, u[i], u[i + 1], _scaled_by(pis[i], f[3] * den))
-                 for i, f, p in zip(range(n - 1), forms, pairs)]
-    fixed = [f is not None and all(_constant(v, p) for v in u[:i] + u[i + 2:] + b[:i] + b[i + 2:])
-             for i, f, p in zip(range(n - 1), forms, pairs)]
-    module.__dict__["_views"] = view = forms, pairs, squares, crossings, fixed
+    crossings = [f is not None and _side_holds(f, u[i], u[i + 1], _scaled_by(_pi(module, i), f[3] * den))
+                 for i, f in zip(range(n - 1), forms)]
+    fixed = [f is not None and all(_constant(v, f[0]) for v in u[:i] + u[i + 2:] + b[:i] + b[i + 2:])
+             for i, f in zip(range(n - 1), forms)]
+    module.__dict__["_views"] = view = forms, squares, crossings, fixed
     return view
 
 
@@ -400,7 +395,7 @@ def direct_sum(m1: ModuleRep, m2: ModuleRep) -> ModuleRep:
 def _correction(module: ModuleRep, i: int) -> tuple[list[int], int]:
     """c = pi/(u_{i+1} - u_i) of tau_i = s_i - c, as integers over a scale."""
     u, den, _ = module._scaled
-    pis, gaps = module._pis[i - 1], [hi - lo for hi, lo in zip(u[i], u[i - 1])]
+    pis, gaps = _pi(module, i - 1), [hi - lo for hi, lo in zip(u[i], u[i - 1])]
     for t, (pi, gap) in enumerate(zip(pis, gaps)):
         if pi and not gap:
             raise ZeroDivisionError(
@@ -435,7 +430,7 @@ def generator_matrix(module: ModuleRep, kind: str, i: int) -> Mat:
         if not 1 <= i <= n - 1:
             raise IndexError(f"{kind}_{i} out of range for n={n}")
         return (module.mat_s[i - 1].copy() if kind == "s" else _tau(module, i)[0] if kind == "tau"
-                else Mat.diagonal(ell, module._pis[i - 1]))
+                else Mat.diagonal(ell, _pi(module, i - 1)))
     raise ValueError(f"unknown generator kind {kind!r}")
 
 
@@ -447,13 +442,13 @@ def _check(module: ModuleRep, entry: tuple, view: tuple, tau=None) -> Verificati
     ``view`` (``_views``), or on the tau_i as ``tau`` = (forms, whether each
     square holds on its form, and as callables of x the matrix of X_{x+1} and
     its square).  F G = G F at |i - j| > 1 for the forms (P, A, C, L) and
-    (Q, B, D, M) where P Q = Q P and each is constant along the other's pairs:
-    row p of either product holds A B at p, A D at Q p, B C at P p, C D at
-    P Q p.  A check the forms do not confirm goes to exact products, whose
+    (Q, B, D, M) where P Q = Q P and each is ``_constant`` along the other's
+    partners: row p of either product holds A B at p, A D at Q p, B C at P p,
+    C D at P Q p.  An unconfirmed check goes to exact products, whose
     residual is its witness; a tau_i side is diag(row) X = X diag(col)."""
     ell, dim = module.ell, module.dim
     u, den, z = module._scaled
-    forms, pairs, squares, crossings, fixed = view
+    forms, squares, crossings, fixed = view
     forms, squares, mat, rhs = tau or (forms, squares, module.mat_s.__getitem__,
                                        lambda x: Mat.identity(ell, dim))
     keys = {"u": (u, partial(_diagonal, ell, den=den)), "zeta": (z, partial(_roots, ell))}
@@ -471,18 +466,18 @@ def _check(module: ModuleRep, entry: tuple, view: tuple, tau=None) -> Verificati
         elif kind == "commute":
             y, g = more[0], forms[more[0]]
             if f and g and _at(f[0], g[0]) == _at(g[0], f[0]) and all(
-                    _constant(v, pairs[at]) for v, at in zip(f[1:3] + g[1:3], (y, y, x, x))):
+                    _constant(v, P) for v, P in zip(f[1:3] + g[1:3], (g[0], g[0], f[0], f[0]))):
                 continue
             left, right = mat(x) * mat(y), mat(y) * mat(x)
         elif kind == "crossing":  # s_i u_i + pi_i = u_{i+1} s_i
             if crossings[x]:
                 continue
-            left = mat(x) * _diagonal(ell, u[x], den) + _diagonal(ell, module._pis[x])
+            left = mat(x) * _diagonal(ell, u[x], den) + _diagonal(ell, _pi(module, x))
             right = _diagonal(ell, u[x + 1], den) * mat(x)
         else:
             values, diag = keys[kind]
             col, row = values[more[0]], values[more[1]]
-            if f and (col is row and fixed[x] or _side_holds(f, pairs[x], col, row)):
+            if f and (col is row and fixed[x] or _side_holds(f, col, row)):
                 continue
             left, right = mat(x) * diag(col), diag(row) * mat(x)
             if tau:
@@ -504,8 +499,8 @@ def verify_relations(module: ModuleRep) -> VerificationReport:
     ``_check`` decides each check of ``_table`` on the forms of S_i = L_i s_i
     (S_i^2 = L_i^2, the braid scaled by L_i, L_{i+1}, S_i U_i + L_i den pi_i
     = U_{i+1} S_i for U over den, a side by its keys, a far one or a far
-    commutation by constancy along the pairs), and the rest by exact products,
-    the witnesses.  zeta_i^ell = 1 and the zeta/u commutations hold by storage."""
+    commutation by ``_constant``), and the rest by exact products, the
+    witnesses.  zeta_i^ell = 1 and the zeta/u commutations hold by storage."""
     return _check(module, _table(module.ell, module.n)[0], _views(module))
 
 
@@ -553,16 +548,16 @@ def commutant_dimension(module: ModuleRep) -> int:
     """Dimension of the space of matrices commuting with every generator (1:
     irreducible).  X[s, t] = 0 unless s, t share a weight (integer columns
     of U and B).  With distinct weights, g[p, q] (x_p - x_q) = 0 for the
-    diagonal x_t: the components of the pairs (p, P p) of the forms (of the
+    diagonal x_t: the components of the edges (p, P p) of the forms (of the
     support, without a form); otherwise the equations are solved."""
     ell, dim = module.ell, module.dim
     u, _, b = module._scaled
     keys = list(zip(*u, *b) if ell > 1 else zip(*u))  # every exponent is 0 mod 1
     if len(set(keys)) == dim:
         return _components(dim, chain.from_iterable(
-            compress(zip(*pairs), map(lt, *pairs)) if pairs
-            else ((p, q) for p, row in module.mat_s[k].rows.items() for q in row)
-            for k, pairs in enumerate(_views(module)[1])))
+            compress(enumerate(f[0]), map(lt, range(dim), f[0])) if f
+            else ((p, q) for p, row in m.rows.items() for q in row)
+            for f, m in zip(_views(module)[0], module.mat_s)))
     classes: dict = {}
     for t, key in enumerate(keys):
         classes.setdefault(key, []).append(t)
@@ -671,15 +666,15 @@ def jm_consistency(module: ModuleRep) -> VerificationReport:
         raise NotAPartition(
             "Jucys-Murphy comparison needs a module built from partitions "
             "anchored at content 0")
-    (u, den, _), ell, s, pis = module._scaled, module.ell, module.mat_s, module._pis
+    (u, den, _), ell, s = module._scaled, module.ell, module.mat_s
     passing = _table(ell, module.n)[2]
     view = not any(u[0]) and _views(module)
-    if view and all(view[2][x] and view[3][x] for x in range(module.n - 1)):
+    if view and all(view[1][x] and view[2][x] for x in range(module.n - 1)):
         return passing
     phi, checks = Mat.zero(ell, module.dim), []
     for x, check in enumerate(passing.checks):
         if x:
-            phi = s[x - 1] * phi * s[x - 1] + _diagonal(ell, pis[x - 1]) * s[x - 1]
+            phi = s[x - 1] * phi * s[x - 1] + _diagonal(ell, _pi(module, x - 1)) * s[x - 1]
         witness = _witness(phi, _diagonal(ell, u[x], den))
         checks.append(RelationCheck(check.name, witness is None, witness))
     return VerificationReport(tuple(checks))

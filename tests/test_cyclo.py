@@ -498,3 +498,18 @@ def test_zero_and_one_are_shared():
         with pytest.raises(ValueError, match="^Cyc field 'ell' must be a positive integer"):
             make(True)
         assert type(make(1).ell) is int
+
+
+def test_equality_is_transitive_across_fields():
+    # rational elements of different fields are equal when their values are,
+    # so a set of them does not depend on insertion order; irrational ones of
+    # different fields stay unequal, and arithmetic across fields still raises
+    a, b = Cyc.one(1), Cyc.one(2)
+    assert a == 1 == b and a == b
+    assert len({a, 1, b}) == len({1, a, b}) == 1
+    assert Cyc(3, ["-2/3", "0"]) == Cyc(5, ["-2/3"]) == Fraction(-2, 3)
+    assert Cyc.zero(4) == Cyc.zero(1) and Cyc(3, ["1/2"]) != Cyc(4, ["1/3"])
+    assert root_of_unity(3, 1) != root_of_unity(6, 2)
+    assert Cyc(3, ["1", "1"]) != Cyc(4, ["1", "1"]) and Cyc(3, ["1", "1"]) != Cyc.one(1)
+    with pytest.raises(MismatchedField):
+        a + b

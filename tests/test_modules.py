@@ -995,3 +995,44 @@ def test_pickle_and_deepcopy_of_a_built_module_write_no_rows():
     for Y in (pickle.loads(pickle.dumps(edited)), copy.deepcopy(edited)):
         assert Y == edited != M and type(Y.mat_s[0]) is Mat
         assert verify_relations(Y) == verify_relations(edited)
+
+
+def test_a_checked_module_stores_its_forms_and_verdicts_only():
+    # after every check, a built module holds its integer weights and one view
+    # of its s-matrices: the kept forms and three lists of verdicts, nothing
+    # derived from them (no partner pairs, no pi lists)
+    for ell, parts in ((1, [[3, 2]]), (2, [[2, 1], [1]]), (3, [[2], [1], [1]])):
+        M = build_module(partition_shape(ell, parts))
+        assert verify_relations(M).ok and verify_intertwiners(M).ok and jm_consistency(M).ok
+        assert commutant_dimension(M) == 1
+        central_character(M)
+        assert {key for key in vars(M) if key.startswith("_")} == {"_scaled", "_views"}
+        view = _views(M)
+        assert len(view) == 4 and all(view[0][k] is m.form for k, m in enumerate(M.mat_s))
+        for verdicts in view[1:]:
+            assert len(verdicts) == M.n - 1 and all(type(x) is bool for x in verdicts)
+
+
+def test_forms_move_exactly_the_rows_with_an_off_diagonal_entry():
+    # C[p] = 0 exactly where P p = p, on every form the checks read: built on
+    # the n <= 5 corpus and half-offset shapes, joined by direct sums, reordered
+    # by rho-twists, and read off the rows of rescaled copies
+    import random
+
+    from test_acceptance import half_offset_shapes
+
+    shapes = [D for ell in (1, 2, 3) for n in range(1, 6) for D in enumerate_shapes(ell, n, n)]
+    modules = [build_module(D) for D in shapes + half_offset_shapes()]
+    modules += [twist(M, "rho") for M in modules]
+    modules += [direct_sum(M, N) for M, N in zip(modules[::7], modules[1::7])
+                if (M.ell, M.n) == (N.ell, N.n)]
+    rng = random.Random(33)
+    rescaled = [_rescaled(M, rng) for M in modules[::5]]
+    forms = 0
+    for M in modules + rescaled:
+        for f in _views(M)[0]:
+            P, _, C, _ = f
+            assert [c == 0 for c in C] == [p == q for p, q in enumerate(P)]
+            forms += 1
+    assert all(type(m) is Mat for M in rescaled for m in M.mat_s)
+    assert forms > 20000
