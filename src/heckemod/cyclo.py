@@ -323,7 +323,7 @@ class Cyc:
 
 def root_of_unity(ell: int, k: int) -> Cyc:
     """zeta_ell**k as a canonical field element (k taken modulo ell)."""
-    k %= ell
+    k %= _checked_ell(ell, "Cyc")
     return Cyc(ell, [0] * k + [1])
 
 

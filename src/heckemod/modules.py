@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache, partial
 from itertools import chain, compress, repeat
 from math import gcd, lcm
-from operator import add, lt, mul, sub
+from operator import add, is_, lt, mul, sub
 
 from .cyclo import Cyc, fraction_from_str, root_of_unity
 from .errors import DimensionMismatch, HeckemodError, NotAPartition, NotScalar
@@ -71,16 +71,18 @@ class ModuleRep:
     """A module given by its s-matrices and the weights of its basis vectors.
 
     On basis vector t, u_i acts by ``weights[t].a[i-1]`` and zeta_i by
-    zeta^``weights[t].b[i-1]`` (b in 0..ell-1).  ``mat_s`` is a tuple of
-    ``Mat``s; those of ``build_module``, its ``twist``s and direct sums keep
-    their involution forms and write their rows only when read (by
+    zeta^``weights[t].b[i-1]`` (b in 0..ell-1).  ``mat_s`` is a tuple of n - 1
+    dim x dim ``Mat``s over ell and ``weights`` one of dim weights, else
+    ``DimensionMismatch`` (for a weight without n entries, once ``_scaled``
+    reads it).  The s-matrices of ``build_module``, its ``twist``s and direct
+    sums keep their involution forms and write their rows only when read (by
     ``generator_matrix``, ``module_to_json`` with matrices, or a product
-    deciding what the forms do not confirm).  A built module stores ``_scaled``
-    too, the checks ``_views``, and nothing else (pi_i is read off B where
-    used); ``dataclasses.replace`` of ``mat_s`` or ``weights`` reads the new
-    field afresh.  ``shape`` is the shape it was built from, its basis
-    ``enumerate_syt(shape)``; twists and direct sums set it to None, and
-    equality ignores it.
+    deciding what the forms do not confirm); products decide the checks of a
+    matrix that keeps no form.  A built module stores ``_scaled`` too, the
+    checks ``_views``, and nothing else; ``dataclasses.replace`` of ``mat_s``
+    or ``weights`` reads the new field afresh.  ``shape`` is the shape it was
+    built from, its basis ``enumerate_syt(shape)``; twists and direct sums
+    set it to None, and equality ignores it.
     """
 
     ell: int
@@ -92,15 +94,28 @@ class ModuleRep:
 
     __hash__ = None
 
+    def __post_init__(self):
+        ell, dim, count = self.ell, self.dim, max(self.n - 1, 0)
+        if (len(self.mat_s), len(self.weights)) != (count, dim):
+            raise DimensionMismatch(f"n={self.n} and dim={dim} need {count} s-matrices and {dim} "
+                                    f"weights, got {len(self.mat_s)} and {len(self.weights)}")
+        for i, m in enumerate(self.mat_s, 1):
+            if not isinstance(m, Mat) or (m.ell, m.nrows, m.ncols) != (ell, dim, dim):
+                raise DimensionMismatch(f"s{i} is not a {dim}x{dim} Mat over ell={ell}: {m!r}")
+
     @cached_property
     def _scaled(self) -> tuple[list[list[int]], int, list[list[int]]]:
         """U, den and B: u_{i+1} acts on basis vector t by U[i][t] / den, den
         the lcm of the u-denominators, and zeta_{i+1} by zeta^B[i][t]."""
-        ell, weights = self.ell, self.weights
+        ell, n, weights = self.ell, self.n, self.weights
+        for t, w in enumerate(weights):
+            if len(w.a) != n or len(w.b) != n:
+                raise DimensionMismatch(f"weight {t} has {len(w.a)} u- and {len(w.b)} "
+                                        f"zeta-entries, not n={n}")
         den = lcm(*(x.denominator for w in weights for x in w.a))
         u = [[w.a[i].numerator * (den // w.a[i].denominator) for w in weights]
-             for i in range(self.n)]
-        return u, den, [[w.b[i] % ell for w in weights] for i in range(self.n)]
+             for i in range(n)]
+        return u, den, [[w.b[i] % ell for w in weights] for i in range(n)]
 
 
 @dataclass(frozen=True)
@@ -190,21 +205,6 @@ def _witness(left: Mat, right: Mat) -> tuple[int, int, str] | None:
 # equal values at equal columns give equal matrices.  A check that fails
 # decides nothing; its identity goes to the products, which give the witness.
 
-def _involution_form(m: Mat) -> tuple[list[int], list[int], list[int], int] | None:
-    """(P, A, C, m.den) with row p of m's integer rows A[p] e_p + C[p] e_{P[p]}
-    and C[p] = 0 exactly where P[p] = p; None when an entry is not an int, a
-    row holds an entry outside {p, P[p]}, or P is not an involution."""
-    dim = m.nrows
-    P, A, C = list(range(dim)), [0] * dim, [0] * dim
-    for p, row in m.rows.items():
-        off = [(q, x) for q, x in row.items() if q != p]
-        if len(off) > 1 or any(x.__class__ is not int for x in row.values()):
-            return None
-        A[p] = row.get(p, 0)
-        P[p], C[p] = off[0] if off else (p, 0)
-    return (P, A, C, m.den) if _at(P, P) == list(range(dim)) else None
-
-
 def _at(values, keys) -> list:
     """values[k] for each k of keys: a list composed with a permutation."""
     return list(map(values.__getitem__, keys))
@@ -278,27 +278,22 @@ def _pi(module: ModuleRep, x: int) -> list[int]:
 
 
 def _views(module: ModuleRep) -> tuple:
-    """Per s_i as its matrix holds it now: the form (kept by a ``_FormMat``,
-    else read off the rows; None without one, or where the matrix or the
-    weight count disagrees with the module), and whether the form alone
-    shows s_i^2 = 1, the crossing relation, and every u_j and zeta_j but
-    j = i, i+1 constant along its partner list.  Stored on the module, and
-    reused only while each matrix's kept form is the one stored: a set entry
-    drops it, and a plain Mat keeps none, so a module of plain Mats (made by
-    hand, or by ``dataclasses.replace``) has its forms read again each check."""
+    """Per s_i the form its ``_FormMat`` keeps (None for a matrix that keeps
+    none: made by hand, or edited in place, so exact products decide its
+    checks), and whether the form alone shows s_i^2 = 1, the crossing
+    relation, and every u_j and zeta_j but j = i, i+1 constant along its
+    partner list.  Stored on the module, and reused while each matrix keeps
+    the form stored: a set entry drops it."""
+    forms = [getattr(m, "form", None) for m in module.mat_s]
     view = module.__dict__.get("_views")
-    if view and all(getattr(m, "form", None) is f for m, f in zip(module.mat_s, view[0])):
+    if view and all(map(is_, forms, view[0])):
         return view
-    ell, n, dim = module.ell, module.n, module.dim
     u, den, b = module._scaled
-    forms = [(getattr(m, "form", None) or _involution_form(m))
-             if (m.ell, m.nrows, m.ncols, len(module.weights)) == (ell, dim, dim, dim) else None
-             for m in module.mat_s]
-    squares = [f is not None and _square_holds(f, [f[3] ** 2] * dim) for f in forms]
+    squares = [f is not None and _square_holds(f, [f[3] ** 2] * module.dim) for f in forms]
     crossings = [f is not None and _side_holds(f, u[i], u[i + 1], _scaled_by(_pi(module, i), f[3] * den))
-                 for i, f in zip(range(n - 1), forms)]
+                 for i, f in enumerate(forms)]
     fixed = [f is not None and all(_constant(v, f[0]) for v in u[:i] + u[i + 2:] + b[:i] + b[i + 2:])
-             for i, f in zip(range(n - 1), forms)]
+             for i, f in enumerate(forms)]
     module.__dict__["_views"] = view = forms, squares, crossings, fixed
     return view
 
@@ -382,7 +377,7 @@ def direct_sum(m1: ModuleRep, m2: ModuleRep) -> ModuleRep:
     ell, mat_s = m1.ell, []
     for x, y in zip(m1.mat_s, m2.mat_s):
         f, g, L = getattr(x, "form", None), getattr(y, "form", None), lcm(x.den, y.den)
-        joined = f and g and x.ell == y.ell == ell and (
+        joined = f and g and (
             f[0] + [p + len(f[0]) for p in g[0]],
             *(_scaled_by(v, L // f[3]) + _scaled_by(w, L // g[3]) for v, w in zip(f[1:3], g[1:3])), L)
         mat_s.append(_FormMat(ell, joined) if joined else block_diag(ell, [x, y]))

@@ -342,6 +342,8 @@ def _one_coordinate_catalog(n: int, window: int) -> list[tuple[tuple, ...]]:
     content gaps >= 2, max content <= window."""
     if n < 1:
         raise EmptyShape("n must be positive")
+    if window < 0:
+        raise ValueError(f"window must be at least 0, got {window}")
     classes = _connected_classes(n, window)
 
     def rec(remaining: int, min_anchor: int, first: bool):
@@ -362,7 +364,7 @@ def shape_count(ell: int, n: int, window: int) -> int:
     """len(enumerate_shapes(ell, n, window)) without building a shape: the
     coefficient of x^n in (sum_m |catalog[m]| x^m)^ell, one catalog entry per
     color, by repeated squaring truncated at degree n (cost in log ell)."""
-    return _count_of(ell, n, _one_coordinate_catalog(n, window))
+    return _count_of(_checked_ell(ell, "shape"), n, _one_coordinate_catalog(n, window))
 
 
 def _count_of(ell: int, n: int, catalog: list) -> int:
@@ -384,7 +386,7 @@ def enumerate_shapes(ell: int, n: int, window: int) -> tuple[SkewShapeL, ...]:
     The colors are filled one after another, in a loop rather than one
     recursion level each, and a shape is complete once no box is left.
     """
-    return _shapes_of(ell, n, _one_coordinate_catalog(n, window))
+    return _shapes_of(_checked_ell(ell, "shape"), n, _one_coordinate_catalog(n, window))
 
 
 def _shapes_of(ell: int, n: int, catalog: list) -> tuple[SkewShapeL, ...]:
@@ -554,8 +556,8 @@ def apply_transposition(tab: Tableau, i: int) -> Tableau:
 
 
 def _descent_path_to_reading(ctx: _ShapeContext, pos: tuple[int, ...]) -> list[int]:
-    """Adjacent swaps carrying pos to the row-reading filling, smallest
-    applicable index first; each swap removes exactly one inversion."""
+    """Adjacent swaps carrying the standard pos to the row-reading filling,
+    smallest applicable index first; each swap removes exactly one inversion."""
     pos = list(pos)
     moves = []
     n = len(pos)
@@ -567,16 +569,15 @@ def _descent_path_to_reading(ctx: _ShapeContext, pos: tuple[int, ...]) -> list[i
                 break
         else:
             break
-    assert pos == list(range(n)), "reduction did not reach the reading tableau"
     return moves
 
 
 def tableau_path(t1: Tableau, t2: Tableau) -> list[int]:
-    """A sequence of adjacent transpositions carrying t1 to t2 through
-    standard fillings only; empty exactly when t1 == t2."""
+    """Adjacent transpositions carrying t1 to t2 through standard fillings
+    (NotStandard unless both are standard); empty exactly when t1 == t2."""
     if t1.shape != t2.shape:
         raise ValueError("tableaux live on different shapes")
-    if t1 == t2:
+    if _checked_standard(t1) == _checked_standard(t2):
         return []
     ctx = t1.shape._ctx
     down = _descent_path_to_reading(ctx, ctx.positions_of(t1))
@@ -639,7 +640,6 @@ def tableau_from_json(data: dict) -> Tableau:
     shape = shape_from_json(_object(data, "tableau", ("entries",)))
     ctx = shape._ctx
     flat = [None] * shape.n  # labels by box number
-    seen = set()
     for entry in _array(data, "tableau", "entries"):
         if not isinstance(entry, (list, tuple)) or len(entry) != 4:
             raise ValueError(f"tableau field 'entries' needs [row, column, component, "
@@ -658,10 +658,14 @@ def tableau_from_json(data: dict) -> Tableau:
         if flat[b] is not None:
             raise ValueError(f"tableau field 'entries' lists a cell twice: {entry!r}")
         flat[b] = lab
-        seen.add(lab)
-    if seen != set(range(1, shape.n + 1)):
+    return _checked_standard(Tableau(shape, ctx.split(flat)))
+
+
+def _checked_standard(tab: Tableau) -> Tableau:
+    """tab, or NotStandard unless its labels are 1..n increasing along rows and columns."""
+    flat = list(chain.from_iterable(tab.labels))
+    if len(flat) != tab.shape.n or set(flat) != set(range(1, tab.shape.n + 1)):
         raise NotStandard("entries are not a bijection onto 1..n")
-    tab = Tableau(shape, ctx.split(flat))
     if not is_standard(tab):
         raise NotStandard("entries do not increase along rows and columns")
     return tab

@@ -17,7 +17,8 @@ before a built module stored its s-matrices as involution forms: it writes
 each ``Mat`` column by column, finding each partner filling by its tuple.
 ``commute_holds`` is the slot criterion that decided a far commutation of
 two involution forms before ``modules._check`` asked for constancy along
-the pairs.
+the pairs.  ``involution_form`` is the reader that took a form off the rows
+of a matrix that kept none, before such a matrix was left to products.
 """
 
 from __future__ import annotations
@@ -343,3 +344,20 @@ def commute_holds(f, g) -> bool:
     last = list(map(mul, C, at(D, P)))
     return (last == list(map(mul, D, at(C, Q)))
             and list(compress(at(Q, P), last)) == list(compress(at(P, Q), last)))
+
+
+def involution_form(m: Mat) -> tuple[list[int], list[int], list[int], int] | None:
+    """(P, A, C, m.den) with row p of m's integer rows A[p] e_p + C[p] e_{P[p]}
+    and C[p] = 0 exactly where P[p] = p; None when an entry is not an int, a
+    row holds an entry outside {p, P[p]}, or P is not an involution.  The
+    checks once read a matrix that kept no form this way; the tests use it
+    to hand their matrices to the checks as kept forms."""
+    dim = m.nrows
+    P, A, C = list(range(dim)), [0] * dim, [0] * dim
+    for p, row in m.rows.items():
+        off = [(q, x) for q, x in row.items() if q != p]
+        if len(off) > 1 or any(x.__class__ is not int for x in row.values()):
+            return None
+        A[p] = row.get(p, 0)
+        P[p], C[p] = off[0] if off else (p, 0)
+    return (P, A, C, m.den) if [P[q] for q in P] == list(range(dim)) else None

@@ -247,7 +247,7 @@ def test_cyc_reads_ell_and_coeffs_strictly():
         with pytest.raises(ValueError, match=message):
             Cyc.from_json({"ell": bad, "coeffs": ["1"]})
         for make in (lambda: Cyc.from_rational(bad, 5), lambda: Cyc.zero(bad),
-                     lambda: Cyc.one(bad)):
+                     lambda: Cyc.one(bad), lambda: root_of_unity(bad, 1)):
             with pytest.raises(ValueError, match=message):
                 make()
     for bad in ("12", 12, None, {"0": "1"}):

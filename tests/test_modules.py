@@ -34,7 +34,7 @@ from heckemod import (
     weight_of,
 )
 from heckemod.linalg import block_diag
-from heckemod.modules import _views
+from heckemod.modules import _FormMat, _views
 
 
 def module_21():
@@ -103,7 +103,7 @@ def test_verify_relations_isolates_corruption():
     bad_s = list(M.mat_s)
     m = bad_s[1].copy()
     m[0, 1] = -m[0, 1]
-    bad_s[1] = m
+    bad_s[1] = _kept(m)
     bad = dataclasses.replace(M, mat_s=tuple(bad_s))
     report = verify_relations(bad)
     assert not report.ok
@@ -453,25 +453,36 @@ def _outcome(fn, module):
         return type(exc)
 
 
+def _kept(m):
+    """m as a ``_FormMat`` keeping the involution form read off its rows, so
+    that the checks decide it on that form; m itself where its rows hold
+    none, so that products decide it."""
+    import module_reference as ref
+
+    form = ref.involution_form(m)
+    return m if form is None else _FormMat(m.ell, form)
+
+
 def _zeta_conjugated(M, rng):
     """M in a basis rescaled by powers of zeta: each s-matrix becomes
     D s D^-1 for D = diag(zeta^k_t) with random exponents.  The weights do
-    not change, the module stays sound, and its s-entries leave Q."""
+    not change, the module stays sound, and its s-entries leave Q (a
+    diagonal s-matrix stays rational, and keeps its form)."""
     exponents = [rng.randrange(M.ell) for _ in range(M.dim)]
     d = Mat.diagonal(M.ell, [root_of_unity(M.ell, k) for k in exponents])
     d_inv = Mat.diagonal(M.ell, [root_of_unity(M.ell, -k) for k in exponents])
-    return dataclasses.replace(M, mat_s=tuple(d * m * d_inv for m in M.mat_s))
+    return dataclasses.replace(M, mat_s=tuple(_kept(d * m * d_inv) for m in M.mat_s))
 
 
 def _rescaled(M, rng):
     """M in a basis rescaled by D = diag(d_t) with random positive integers
     d_t: each s-matrix becomes D s D^-1.  Its entries stay rational, so it
-    keeps its involution form, but an off-diagonal entry (p, q) is scaled by
-    d_p / d_q, so it need not stay constant along another s_j's pairs.  The
-    module stays sound."""
+    keeps the involution form read off its rows, but an off-diagonal entry
+    (p, q) is scaled by d_p / d_q, so it need not stay constant along another
+    s_j's pairs.  The module stays sound."""
     ds = [rng.randint(1, 3) for _ in range(M.dim)]
     d, d_inv = Mat.diagonal(M.ell, ds), Mat.diagonal(M.ell, [Fraction(1, x) for x in ds])
-    return dataclasses.replace(M, mat_s=tuple(d * m * d_inv for m in M.mat_s))
+    return dataclasses.replace(M, mat_s=tuple(_kept(d * m * d_inv) for m in M.mat_s))
 
 
 def _corrupted(M, rng, kind):
@@ -479,7 +490,8 @@ def _corrupted(M, rng, kind):
     Kind "outside" sets an s entry (p, q) with q neither p nor the partner
     of p, and "unpaired" clears the mirror (q, p) of an off-diagonal entry
     (p, q), so that no partner list reads the s-matrix: both leave the
-    involution form.  Where M has no such entry, it is returned as it is."""
+    involution form.  Where M has no such entry, it is returned as it is.  A
+    changed s-matrix keeps the form read off its rows, if it has one."""
     if kind in ("outside", "unpaired"):
         for k in rng.sample(range(len(M.mat_s)), len(M.mat_s)):
             m = M.mat_s[k].copy()
@@ -497,7 +509,7 @@ def _corrupted(M, rng, kind):
         m = M.mat_s[k].copy()
         key = rng.choice(sorted(m.data))
         m[key] = m[key] + rng.choice([1, -1, Fraction(1, 2)])
-        return dataclasses.replace(M, mat_s=M.mat_s[:k] + (m,) + M.mat_s[k + 1:])
+        return dataclasses.replace(M, mat_s=M.mat_s[:k] + (_kept(m),) + M.mat_s[k + 1:])
     t, i = rng.randrange(M.dim), rng.randrange(M.n)
     w = M.weights[t]
     if kind == "zeta" and M.ell > 1:
@@ -620,6 +632,14 @@ def test_matches_matrix_reference(monkeypatch):
         M = _rescaled(build_module(partition_shape(ell, parts)), rng_scale)
         assert None not in _views(M)[0]
         assert check(M) and verify_relations(M).ok
+    # plain-Mat copies keep no form: products decide every far commutation,
+    # and every report is still the oracle's
+    plain = [dataclasses.replace(M, mat_s=tuple(m.copy() for m in M.mat_s))
+             for M in modules[::41] + sums[:3]]
+    assert sum(M.n > 3 for M in plain) > 3
+    for M in plain:
+        assert all(f is None for f in _views(M)[0])
+        assert check(M) == {(i, j) for i in range(M.n - 1) for j in range(i + 2, M.n - 1)}
     # the corruptions reach failing reports and both guarded exceptions
     assert len(sums) > 10
     assert {True, False, ZeroDivisionError, NotScalar} <= seen
@@ -630,12 +650,12 @@ def _sheared(M):
     X commutes with every u and zeta, as both copies carry the same weights,
     so the module stays sound; but X s X^-1 holds D s - s D off the diagonal
     blocks, so an s-matrix with an off-diagonal entry leaves the involution
-    form."""
+    form; the others keep the form read off their rows."""
     S, d = direct_sum(M, M), M.dim
     x, x_inv = Mat.identity(M.ell, 2 * d), Mat.identity(M.ell, 2 * d)
     for t in range(d):
         x[t, d + t], x_inv[t, d + t] = t + 1, -(t + 1)
-    return dataclasses.replace(S, mat_s=tuple(x * m * x_inv for m in S.mat_s))
+    return dataclasses.replace(S, mat_s=tuple(_kept(x * m * x_inv) for m in S.mat_s))
 
 
 def test_sheared_sums_are_decided_by_products():
@@ -677,7 +697,7 @@ def test_forms_confirm_only_what_their_keys_show():
             m = Mat.zero(1, dim)
             for p, q in enumerate(perm):
                 m[p, q] = 1
-            mats.append(m)
+            mats.append(_kept(m))
         return ModuleRep(1, n, dim, tuple(mats), (Weight((Fraction(0),) * n, (0,) * n),) * dim)
 
     for M, failing in ((perm_module(3, [(1, 0, 3, 2), (2, 3, 0, 1)]), "s1s2s1=s2s1s2"),
@@ -765,7 +785,7 @@ def test_commutant_counts_components_of_the_support():
             for p, q in sorted(key for key in m.data if key[0] < key[1]):
                 cut = m.copy()
                 cut[p, q] = cut[q, p] = 0
-                N = dataclasses.replace(M, mat_s=M.mat_s[:k] + (cut,) + M.mat_s[k + 1:])
+                N = dataclasses.replace(M, mat_s=M.mat_s[:k] + (_kept(cut),) + M.mat_s[k + 1:])
                 dim = commutant_dimension(N)
                 assert dim == ref.commutant_dimension(N)
                 split += dim > 1
@@ -1016,7 +1036,7 @@ def test_a_checked_module_stores_its_forms_and_verdicts_only():
 def test_forms_move_exactly_the_rows_with_an_off_diagonal_entry():
     # C[p] = 0 exactly where P p = p, on every form the checks read: built on
     # the n <= 5 corpus and half-offset shapes, joined by direct sums, reordered
-    # by rho-twists, and read off the rows of rescaled copies
+    # by rho-twists, and read off the rows of rescaled copies by the tests' reader
     import random
 
     from test_acceptance import half_offset_shapes
@@ -1034,5 +1054,33 @@ def test_forms_move_exactly_the_rows_with_an_off_diagonal_entry():
             P, _, C, _ = f
             assert [c == 0 for c in C] == [p == q for p, q in enumerate(P)]
             forms += 1
-    assert all(type(m) is Mat for M in rescaled for m in M.mat_s)
+    assert all(type(m) is _FormMat for M in rescaled for m in M.mat_s)
     assert forms > 20000
+
+
+def test_module_rep_refuses_inconsistent_sizes():
+    # a module is made with n - 1 dim x dim s-matrices over its ell and dim
+    # weights, or not at all: one missing s_2 would get commutant dimension 2,
+    # one with a spare s-matrix would pass every check.  A weight without n
+    # entries is refused where the checks first read the weights
+    M = module_21()
+    s1, s2 = M.mat_s
+    w = M.weights
+    for fields in ({"mat_s": ()}, {"mat_s": (s1,)}, {"mat_s": (s1, s2, s1)},
+                   {"mat_s": (s1, Mat.zero(1, 3))}, {"mat_s": (s1, Mat.zero(1, 2, 3))},
+                   {"mat_s": (s1, Mat.zero(2, 2))}, {"mat_s": (s1, s2.form)},
+                   {"weights": w[:1]}, {"weights": w + w[:1]}):
+        with pytest.raises(DimensionMismatch):
+            dataclasses.replace(M, **fields)
+    message = "^n=1 and dim=1 need 0 s-matrices and 1 weights, got 1 and 1$"
+    with pytest.raises(DimensionMismatch, match=message):
+        ModuleRep(1, 1, 1, (Mat.zero(1, 1),), (Weight((Fraction(0),), (0,)),))
+    with pytest.raises(DimensionMismatch, match="^s2 is not a 2x2 Mat over ell=1: "):
+        ModuleRep(1, 3, 2, (s1, Mat.zero(1, 3)), w)
+    checks = (verify_relations, verify_intertwiners, commutant_dimension, central_character,
+              jm_consistency, lambda N: generator_matrix(N, "u", 1))
+    for short in (Weight(w[1].a[:2], w[1].b), Weight(w[1].a, w[1].b + (0,))):
+        N = dataclasses.replace(M, weights=(w[0], short))
+        for check in checks:
+            with pytest.raises(DimensionMismatch, match="^weight 1 has"):
+                check(N)

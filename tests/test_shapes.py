@@ -814,3 +814,35 @@ def test_tableau_roundtrips_and_path(t):
     for i in path:
         cur = apply_transposition(cur, i)
     assert cur == reading
+
+
+def test_enumeration_refuses_a_bad_ell_or_window(monkeypatch):
+    # ell is checked as a shape's is, and a negative window is refused as the
+    # CLI refuses --window -1, before a connected class is grown
+    def refuse(*args):
+        raise AssertionError("the catalogue was started")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(shapes, "_connected_classes", refuse)
+        for fn in (enumerate_shapes, shape_count):
+            for ell in (0, -1, True, 2.0):
+                with pytest.raises(ValueError, match="^shape field 'ell' must be a positive integer"):
+                    fn(ell, 1, 1)
+            with pytest.raises(ValueError, match="^window must be at least 0, got -1$"):
+                fn(1, 1, -1)
+    assert len(enumerate_shapes(2, 1, 0)) == shape_count(2, 1, 0) == 2
+
+
+def test_tableau_path_refuses_non_standard_fillings():
+    # a filling whose labels are not 1..n increasing along rows and columns is
+    # refused at either end, as tableau_from_json refuses it, before any swap
+    D = shape_21()
+    t = row_reading_tableau(D)
+    cases = [(((3, 2, 1),), "do not increase"), (((2, 1, 3),), "do not increase"),
+             (((1, 2, 4),), "not a bijection"), (((1, 1, 2),), "not a bijection"),
+             (((1, 2),), "not a bijection")]
+    for labels, text in cases:
+        bad = Tableau(D, labels)
+        for ends in ((bad, t), (t, bad), (bad, bad)):
+            with pytest.raises(NotStandard, match=text):
+                tableau_path(*ends)
