@@ -15,15 +15,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cyclo import _checked_ell, fraction_to_str
+from .cyclo import fraction_to_str
 from .errors import ConditionFailed, EmptyShape, NoAddablePosition
 from .modules import RelationCheck, VerificationReport
-from .shapes import Component, SkewShapeL, Tableau, Weight
+from .shapes import _ZERO, Component, SkewShapeL, Tableau, Weight, _normalize_weight
 
 ADJACENT_EQUAL = "AdjacentEqual"
 MISSING_UP = "MissingUpStep"
 MISSING_DOWN = "MissingDownStep"
-_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -42,27 +41,6 @@ class ConditionViolation:
         if self.required_a is not None:
             data["required_a"] = fraction_to_str(self.required_a)
         return data
-
-
-def _normalize_weight(w: Weight, ell: int) -> list[tuple[int, int, int]]:
-    """Type-check ``ell``, the lengths, ``b`` (ints) and ``a`` (ints or Fractions) in
-    turn; entry k becomes (p, q, b_k mod ell), a_k = p/q in lowest terms."""
-    _checked_ell(ell, "weight")
-    if len(w.a) != len(w.b):
-        raise ValueError("weight field 'b' must have as many entries as 'a'")
-    entries = []
-    for x, y in zip(w.a, w.b):
-        if y.__class__ is not int:
-            raise ValueError(f"weight field 'b' must hold integers, got {w.b!r}")
-        cls = x.__class__
-        if cls is int:
-            entries.append((x, 1, y % ell))
-        elif cls is Fraction:
-            p, q = x.as_integer_ratio()
-            entries.append((p, q, y % ell))
-    if len(entries) < len(w.a):  # an entry of 'a' was skipped; every 'b' passed
-        raise ValueError(f"weight field 'a' must hold integers or Fractions, got {w.a!r}")
-    return entries
 
 
 def _first_violation(entries: list[tuple[int, int, int]], ell: int) -> ConditionViolation | None:

@@ -23,8 +23,8 @@ from operator import add, is_, lt, mul, sub
 from .cyclo import Cyc, fraction_from_str, root_of_unity
 from .errors import DimensionMismatch, HeckemodError, NotAPartition, NotScalar
 from .linalg import Mat, _diagonal, _new, block_diag, nullspace_dim
-from .shapes import (SkewShapeL, Weight, enumerate_syt, is_partition_shape, shape_to_json,
-                     tableau_to_json, weight_to_json)
+from .shapes import (SkewShapeL, Weight, _normalize_weight, enumerate_syt, is_partition_shape,
+                     shape_to_json, tableau_to_json, weight_to_json)
 
 
 class _FormMat(Mat):
@@ -74,7 +74,8 @@ class ModuleRep:
     zeta^``weights[t].b[i-1]`` (b in 0..ell-1).  ``mat_s`` is a tuple of n - 1
     dim x dim ``Mat``s over ell and ``weights`` one of dim weights, else
     ``DimensionMismatch`` (for a weight without n entries, once ``_scaled``
-    reads it).  The s-matrices of ``build_module``, its ``twist``s and direct
+    reads it, which then reads each entry as the weight readers do, else
+    ValueError).  The s-matrices of ``build_module``, its ``twist``s and direct
     sums keep their involution forms and write their rows only when read (by
     ``generator_matrix``, ``module_to_json`` with matrices, or a product
     deciding what the forms do not confirm); products decide the checks of a
@@ -107,15 +108,15 @@ class ModuleRep:
     def _scaled(self) -> tuple[list[list[int]], int, list[list[int]]]:
         """U, den and B: u_{i+1} acts on basis vector t by U[i][t] / den, den
         the lcm of the u-denominators, and zeta_{i+1} by zeta^B[i][t]."""
-        ell, n, weights = self.ell, self.n, self.weights
-        for t, w in enumerate(weights):
+        n = self.n
+        for t, w in enumerate(self.weights):
             if len(w.a) != n or len(w.b) != n:
                 raise DimensionMismatch(f"weight {t} has {len(w.a)} u- and {len(w.b)} "
                                         f"zeta-entries, not n={n}")
-        den = lcm(*(x.denominator for w in weights for x in w.a))
-        u = [[w.a[i].numerator * (den // w.a[i].denominator) for w in weights]
-             for i in range(n)]
-        return u, den, [[w.b[i] % ell for w in weights] for i in range(n)]
+        entries = [_normalize_weight(w, self.ell) for w in self.weights]  # (p, q, b) each
+        den = lcm(*(q for row in entries for _, q, _ in row))
+        return ([[row[i][0] * (den // row[i][1]) for row in entries] for i in range(n)], den,
+                [[row[i][2] for row in entries] for i in range(n)])
 
 
 @dataclass(frozen=True)
@@ -400,12 +401,6 @@ def _correction(module: ModuleRep, i: int) -> tuple[list[int], int]:
     return [pi * den * (scale // gap) if pi else 0 for pi, gap in zip(pis, gaps)], scale
 
 
-def _tau(module: ModuleRep, i: int) -> tuple[Mat, Mat]:
-    """tau_i = s_i - c and its correction c (``_correction``) as matrices."""
-    c = _diagonal(module.ell, *_correction(module, i))
-    return module.mat_s[i - 1] - c, c
-
-
 def _roots(ell: int, exponents: list[int]) -> Mat:
     """diag(zeta^b) over the color exponents b, each root built once."""
     roots = {k: root_of_unity(ell, k) for k in set(exponents)}
@@ -424,7 +419,8 @@ def generator_matrix(module: ModuleRep, kind: str, i: int) -> Mat:
     if kind in ("s", "tau", "pi"):
         if not 1 <= i <= n - 1:
             raise IndexError(f"{kind}_{i} out of range for n={n}")
-        return (module.mat_s[i - 1].copy() if kind == "s" else _tau(module, i)[0] if kind == "tau"
+        return (module.mat_s[i - 1].copy() if kind == "s"
+                else module.mat_s[i - 1] - _diagonal(ell, *_correction(module, i)) if kind == "tau"
                 else Mat.diagonal(ell, _pi(module, i - 1)))
     raise ValueError(f"unknown generator kind {kind!r}")
 
@@ -508,21 +504,24 @@ def verify_intertwiners(module: ModuleRep) -> VerificationReport:
     (c) the braid relation for tau.
 
     tau_i = s_i - c for c from ``_correction``, whose guard runs for every i
-    first; tau_i^2 should be 1 - c^2, and tau_i's form is s_i's minus c over
-    lcm(L_i, scale), decided as in ``verify_relations`` (fallback: ``_tau``)."""
-    ell, n, dim = module.ell, module.n, module.dim
+    first.  Each tau_i is made once: its form, s_i's minus c over lcm(L_i,
+    scale), decided as in ``verify_relations``; its matrix for the products,
+    a ``_FormMat`` of that form (s_i - c where s_i keeps no form); and the
+    diagonal 1 - c^2 its square should be, which the form check and the
+    products both compare against."""
+    ell, n = module.ell, module.n
     corrections = [_correction(module, i) for i in range(1, n)]
-    tau = lru_cache(None)(lambda x: _tau(module, x + 1))
-    view, forms, squares = _views(module), [], []  # tau_i's form; tau_i^2 = 1 - c^2 on it
-    for form, (vals, scale) in zip(view[0], corrections):
+    view, forms, squares, mats, targets = _views(module), [], [], [], []
+    for s, form, (vals, scale) in zip(module.mat_s, view[0], corrections):
         P, A, C, L = form or (None, (), (), 1)
         top = lcm(L, scale)
         f, g = top // L, top // scale
+        targets.append(([top * top - (x * g) ** 2 for x in vals], top * top))
         forms.append(form and (P, [a * f - x * g for a, x in zip(A, vals)], _scaled_by(C, f), top))
-        squares.append(form is not None and _square_holds(forms[-1], [top * top - (x * g) ** 2
-                                                                       for x in vals]))
-    return _check(module, _table(ell, n)[1], view, (forms, squares, lambda x: tau(x)[0],
-                  lambda x: Mat.identity(ell, dim) - tau(x)[1] * tau(x)[1]))
+        squares.append(form is not None and _square_holds(forms[-1], targets[-1][0]))
+        mats.append(_FormMat(ell, forms[-1]) if form else s - _diagonal(ell, vals, scale))
+    return _check(module, _table(ell, n)[1], view, (forms, squares, mats.__getitem__,
+                  lambda x: _diagonal(ell, *targets[x])))
 
 
 def _components(size: int, edges) -> int:

@@ -40,6 +40,7 @@ from .errors import (DegenerateShape, EmptyShape, NotAPartition, NotConnected,
                      NotSkew, NotStandard)
 
 Cell = tuple[int, int]  # (row, integer content part)
+_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -84,6 +85,27 @@ class Tableau:
 class Weight:
     a: tuple[Fraction, ...]
     b: tuple[int, ...]
+
+
+def _normalize_weight(w: Weight, ell: int) -> list[tuple[int, int, int]]:
+    """Type-check ``ell``, the lengths, ``b`` (ints) and ``a`` (ints or Fractions) in
+    turn; entry k becomes (p, q, b_k mod ell), a_k = p/q in lowest terms."""
+    _checked_ell(ell, "weight")
+    if len(w.a) != len(w.b):
+        raise ValueError("weight field 'b' must have as many entries as 'a'")
+    entries = []
+    for x, y in zip(w.a, w.b):
+        if y.__class__ is not int:
+            raise ValueError(f"weight field 'b' must hold integers, got {w.b!r}")
+        cls = x.__class__
+        if cls is int:
+            entries.append((x, 1, y % ell))
+        elif cls is Fraction:
+            p, q = x.as_integer_ratio()
+            entries.append((p, q, y % ell))
+    if len(entries) < len(w.a):  # an entry of 'a' was skipped; every 'b' passed
+        raise ValueError(f"weight field 'a' must hold integers or Fractions, got {w.a!r}")
+    return entries
 
 
 # ---------------------------------------------------------------------------
@@ -208,19 +230,6 @@ def _check_coset_gaps(comps: list[Component]):
                 f"[{lo2 + off},{hi2 + off}] in one coordinate are closer than 2")
 
 
-def _assemble(ell: int, comps: list[Component]) -> SkewShapeL:
-    _checked_ell(ell, "shape")
-    if not comps:
-        raise EmptyShape("a shape needs at least one box")
-    cosets: dict = {}
-    for comp in comps:
-        cosets.setdefault((comp.beta, comp.offset), []).append(comp)
-    for group in cosets.values():
-        if len(group) > 1:
-            _check_coset_gaps(group)
-    return SkewShapeL(ell, tuple(sorted(comps, key=Component.sort_key)))
-
-
 def validate_and_canonicalize(ell: int, components) -> SkewShapeL:
     """Check raw component data and return the canonical shape.
 
@@ -228,14 +237,19 @@ def validate_and_canonicalize(ell: int, components) -> SkewShapeL:
     triple with cells ``(row, c)``.  Raises NotSkew / NotConnected /
     DegenerateShape / EmptyShape as appropriate.
     """
-    comps = []
+    _checked_ell(ell, "shape")
+    cosets: dict = {}
     for comp in components:
         if isinstance(comp, Component):
-            beta, offset, cells = comp.beta, comp.offset, comp.cells
-        else:
-            beta, offset, cells = comp
-        comps.append(_component_checked(ell, beta, offset, cells))
-    return _assemble(ell, comps)
+            comp = comp.beta, comp.offset, comp.cells
+        comp = _component_checked(ell, *comp)
+        cosets.setdefault((comp.beta, comp.offset), []).append(comp)
+    if not cosets:
+        raise EmptyShape("a shape needs at least one box")
+    for group in cosets.values():
+        _check_coset_gaps(group)
+    comps = chain.from_iterable(cosets.values())
+    return SkewShapeL(ell, tuple(sorted(comps, key=Component.sort_key)))
 
 
 def shift_contents(shape: SkewShapeL, delta) -> SkewShapeL:
@@ -265,14 +279,13 @@ def _partition_rows(ell: int, partitions) -> list[list[int]]:
 
 def partition_shape(ell: int, partitions) -> SkewShapeL:
     """Shape of a tuple of partitions, one per coordinate, each anchored with
-    its corner box at content 0."""
-    comps = []
-    for beta, lam in enumerate(_partition_rows(ell, partitions)):
-        if lam:
-            cells = [(r + 1, x - (r + 1)) for r, row_len in enumerate(lam)
-                     for x in range(1, row_len + 1)]
-            comps.append(_component_checked(ell, beta, Fraction(0), cells))
-    return _assemble(ell, comps)
+    its corner box at content 0, built canonical from the checked rows."""
+    comps = tuple(Component(beta, _ZERO, tuple((r, x - r) for r, row_len in enumerate(lam, 1)
+                                               for x in range(1, row_len + 1)))
+                  for beta, lam in enumerate(_partition_rows(ell, partitions)) if lam)
+    if not comps:
+        raise EmptyShape("a shape needs at least one box")
+    return SkewShapeL(ell, comps)
 
 
 def partitions_of(shape: SkewShapeL) -> list[list[int]] | None:
@@ -390,6 +403,8 @@ def enumerate_shapes(ell: int, n: int, window: int) -> tuple[SkewShapeL, ...]:
 
 
 def _shapes_of(ell: int, n: int, catalog: list) -> tuple[SkewShapeL, ...]:
+    """The shapes, built canonical, not validated: colors ascending, anchors
+    ascending at gaps >= 2, offsets 0, so (beta, cells) sorts as ``sort_key``."""
     shapes = []
     partial = [((), n)]  # (components of the colors so far, boxes left > 0)
     for beta in range(ell):
@@ -398,15 +413,14 @@ def _shapes_of(ell: int, n: int, catalog: list) -> tuple[SkewShapeL, ...]:
             for m in range(remaining + 1):
                 for fill in catalog[m]:
                     more = comps + tuple(
-                        Component(beta, Fraction(0),
-                                  tuple(sorted((r, c + anchor) for r, c in cls)))
+                        Component(beta, _ZERO, tuple(sorted((r, c + anchor) for r, c in cls)))
                         for anchor, cls in fill)
                     if m == remaining:
-                        shapes.append(_assemble(ell, list(more)))
+                        shapes.append(SkewShapeL(ell, more))
                     else:
                         grown.append((more, remaining - m))
         partial = grown
-    shapes.sort(key=lambda s: tuple(c.sort_key() for c in s.components))
+    shapes.sort(key=lambda s: tuple((c.beta, c.cells) for c in s.components))
     return tuple(shapes)
 
 
@@ -451,10 +465,13 @@ class _ShapeContext:
         return self.rank[b1] < self.rank[b2]
 
     def positions_of(self, tab: Tableau) -> tuple[int, ...]:
-        pos = [0] * len(self.boxes)
-        for b, lab in enumerate(chain.from_iterable(tab.labels)):
-            pos[lab - 1] = b
-        return tuple(pos)
+        """The label->box tuple of tab's filling, the one reader of its labels:
+        NotStandard unless they are a bijection onto 1..n."""
+        flat = list(chain.from_iterable(tab.labels))
+        pos = tuple(map(dict(zip(flat, range(len(flat)))).get, range(1, len(self.boxes) + 1)))
+        if len(flat) != len(self.boxes) or None in pos:
+            raise NotStandard("entries are not a bijection onto 1..n")
+        return pos
 
     def split(self, flat) -> tuple[tuple[int, ...], ...]:
         """Labels by box number, cut into one tuple per component."""
@@ -517,11 +534,14 @@ def row_reading_tableau(shape: SkewShapeL) -> Tableau:
 
 
 def is_standard(tab: Tableau) -> bool:
-    """Every label exceeds its left (r, c-1) and upper (r-1, c+1) neighbors
-    within its component, the shape's ``before`` boxes."""
-    flat = tuple(chain.from_iterable(tab.labels))
-    return all(flat[q] < lab for lab, before in zip(flat, tab.shape._ctx.before)
-               for q in before)
+    """The labels are 1..n, and every label exceeds its left (r, c-1) and
+    upper (r-1, c+1) neighbors within its component, the shape's ``before``
+    boxes."""
+    try:
+        _checked_standard(tab)
+    except NotStandard:
+        return False
+    return True
 
 
 def weight_of(tab: Tableau) -> Weight:
@@ -542,12 +562,12 @@ def inversion_set(tab: Tableau) -> frozenset[tuple[int, int]]:
 
 
 def apply_transposition(tab: Tableau, i: int) -> Tableau:
-    """Swap labels i and i+1; NotStandard if they are row- or
-    column-adjacent in one component."""
+    """Swap labels i and i+1; NotStandard unless tab is standard, and if they
+    are row- or column-adjacent in one component."""
     ctx = tab.shape._ctx
     if not 1 <= i < len(ctx.boxes):
         raise IndexError(f"transposition index {i} out of range")
-    pos = list(ctx.positions_of(tab))
+    pos = list(ctx.positions_of(_checked_standard(tab)))
     b1, b2 = pos[i - 1], pos[i]
     if b2 in ctx.blocked[b1]:
         raise NotStandard(f"labels {i} and {i + 1} are adjacent in a row or column")
@@ -662,11 +682,11 @@ def tableau_from_json(data: dict) -> Tableau:
 
 
 def _checked_standard(tab: Tableau) -> Tableau:
-    """tab, or NotStandard unless its labels are 1..n increasing along rows and columns."""
-    flat = list(chain.from_iterable(tab.labels))
-    if len(flat) != tab.shape.n or set(flat) != set(range(1, tab.shape.n + 1)):
-        raise NotStandard("entries are not a bijection onto 1..n")
-    if not is_standard(tab):
+    """tab, or NotStandard unless its labels are 1..n (``positions_of``)
+    increasing along rows and columns."""
+    ctx, flat = tab.shape._ctx, tuple(chain.from_iterable(tab.labels))
+    ctx.positions_of(tab)
+    if not all(flat[q] < lab for lab, before in zip(flat, ctx.before) for q in before):
         raise NotStandard("entries do not increase along rows and columns")
     return tab
 

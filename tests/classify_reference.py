@@ -25,7 +25,8 @@ from heckemod.classify import (ADJACENT_EQUAL, MISSING_DOWN, MISSING_UP,
                                ConditionViolation)
 from heckemod.errors import ConditionFailed, EmptyShape, NoAddablePosition
 from heckemod.modules import RelationCheck, VerificationReport
-from heckemod.shapes import Component, SkewShapeL, Tableau, Weight, enumerate_syt, weight_of
+from heckemod.shapes import (Component, SkewShapeL, Tableau, Weight, _normalize_weight,
+                             enumerate_syt, weight_of)
 
 
 def first_violation(w: Weight, ell: int) -> ConditionViolation | None:
@@ -71,7 +72,7 @@ def reconstruct(w: Weight, ell: int) -> tuple[SkewShapeL, Tableau]:
     of content m+1; else a fresh component.  The condition check is
     ``heckemod.classify._first_violation``, looked up at call time, so a
     test that switches it off there switches it off here too."""
-    entries = classify._normalize_weight(w, ell)
+    entries = _normalize_weight(w, ell)
     if (violation := classify._first_violation(entries, ell)) is not None:
         raise ConditionFailed(violation)
     if not entries:

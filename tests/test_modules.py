@@ -1084,3 +1084,13 @@ def test_module_rep_refuses_inconsistent_sizes():
         for check in checks:
             with pytest.raises(DimensionMismatch, match="^weight 1 has"):
                 check(N)
+    # then each entry as the weight readers read it: a float or a string is
+    # no u-eigenvalue, and a bool no colour exponent
+    for bad, field in ((Weight((0.5,) + w[1].a[1:], w[1].b), "'a' must hold integers or Fractions"),
+                       (Weight(("1/2",) + w[1].a[1:], w[1].b), "'a' must hold integers or Fractions"),
+                       (Weight(w[1].a, (True,) + w[1].b[1:]), "'b' must hold integers")):
+        N = dataclasses.replace(M, weights=(w[0], bad))
+        for check in checks:
+            with pytest.raises(ValueError, match=f"^weight field {field}") as info:
+                check(N)
+            assert type(info.value) is ValueError

@@ -323,6 +323,13 @@ def test_enumerate_shapes_against_grid_subsets():
         expect = brute_force_shapes(ell, n, n)
         got = set(enumerate_shapes(ell, n, n))
         assert got == expect, (ell, n, len(got), len(expect))
+    # the shapes are built canonical, not validated: each is what the
+    # validator makes of its own components, in the validator's order
+    for case in [(ell, n, n) for ell in (1, 2, 3) for n in range(1, 6)] + [(2, 6, 6)]:
+        got = enumerate_shapes(*case)
+        assert all(D == validate_and_canonicalize(D.ell, D.components) for D in got), case
+        keys = [tuple(c.sort_key() for c in D.components) for D in got]
+        assert keys == sorted(keys) and len(set(keys)) == len(keys), case
 
 
 def test_enumerate_shapes_window_widens():
@@ -465,11 +472,23 @@ def test_hook_dimension_counts_tableaux():
 
 def test_partition_shape_rejects_non_partition():
     with pytest.raises(NotAPartition):
-        partition_shape(1, [[1, 2]])
-    with pytest.raises(NotAPartition):
         partition_shape(1, [[2, -1]])
-    with pytest.raises(ValueError):
-        partition_shape(2, [[1]])  # wrong number of coordinates
+    for ell, parts, error, message in (
+            (1, [[]], EmptyShape, "a shape needs at least one box"),
+            (1, [[1, 2]], NotAPartition, "[1, 2] is not a weakly decreasing list of positive ints"),
+            (2, [[1]], NotAPartition, "expected 2 partitions, got 1")):  # wrong number of coordinates
+        with pytest.raises(error, match=f"^{re.escape(message)}$") as info:
+            partition_shape(ell, parts)
+        assert type(info.value) is error
+    # built canonical, not validated: each is what the validator makes of
+    # its cells, rows from 1 and the corner box at content 0
+    for ell in (1, 2, 3):
+        for n in range(1, 6):
+            for parts in multipartitions(ell, n):
+                cells = [(beta, 0, [(r, x - r) for r, row_len in enumerate(lam, 1)
+                                    for x in range(1, row_len + 1)])
+                         for beta, lam in enumerate(parts) if lam]
+                assert partition_shape(ell, parts) == validate_and_canonicalize(ell, cells), parts
 
 
 def test_repeated_cells_are_malformed():
@@ -498,6 +517,8 @@ def test_repeated_cells_are_malformed():
     (lambda: partition_shape(2.0, [[1], [1]]), "'ell'"),
     (lambda: hook_dimension(2.0, [[1], [1]]), "'ell'"),
     (lambda: hook_dimension(True, [[2, 1]]), "'ell'"),
+    # ell is read before the components, not compared with a colour
+    (lambda: validate_and_canonicalize("2", [(0, 0, [(1, 0)])]), "'ell'"),
 ])
 def test_library_shapes_are_strict(build, field):
     # worded as in the shape JSON reader, and not a mathematical rejection
@@ -846,3 +867,18 @@ def test_tableau_path_refuses_non_standard_fillings():
         for ends in ((bad, t), (t, bad), (bad, bad)):
             with pytest.raises(NotStandard, match=text):
                 tableau_path(*ends)
+        # and by every other reader of the labels: is_standard says no, the
+        # readers that need 1..n refuse it, and a swap starts from no such filling
+        assert not is_standard(bad)
+        readers = [lambda: apply_transposition(bad, 1), lambda: apply_transposition(bad, 2)]
+        if text == "not a bijection":
+            readers += [lambda: weight_of(bad), lambda: inversion_set(bad)]
+        for read in readers:
+            with pytest.raises(NotStandard, match=text):
+                read()
+    # the swap of 1 and 2 in (3, 2, 1) would be legal, and gave (3, 1, 2)
+    with pytest.raises(NotStandard, match="^entries do not increase along rows and columns$"):
+        apply_transposition(Tableau(D, ((3, 2, 1),)), 1)
+    with pytest.raises(NotStandard, match="^entries are not a bijection onto 1..n$"):
+        weight_of(Tableau(D, ((1, 2, 4),)))
+    assert is_standard(Tableau(D, ((1, 2, 4),))) is False
