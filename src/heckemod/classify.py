@@ -5,9 +5,10 @@ A weight is a pair of lists (a_1..a_n, b_1..b_n): rational u-eigenvalues
 (ints or Fractions) and integer color exponents, normalised once to integer
 triples.  ``check_weight_condition`` tests the pairwise criterion (equal
 entries need intermediate +ell and -ell steps in the same color class) in
-one pass; ``reconstruct`` reads each component off its diagonals, with no
-search, and builds the canonical shape and tableau directly, on the integer
-placement core ``_place`` that ``classify_roundtrip`` shares.
+one pass.  ``reconstruct`` and ``classify_roundtrip`` decide by ``_place``
+alone, which reads each component off its diagonals; the condition names
+a refusal only.  A placement proves it: end diagonals hold one box and
+neighbouring diagonals alternate, so equal entries enclose their +-ell steps.
 """
 
 from __future__ import annotations
@@ -92,7 +93,9 @@ def violation_holds(w: Weight, ell: int, violation: ConditionViolation) -> bool:
 # ---------------------------------------------------------------------------
 # reconstruction
 
-def _no_box(entries: list[tuple[int, int, int]], ell: int, i: int) -> NoAddablePosition:
+def _refusal(entries: list[tuple[int, int, int]], ell: int, i: int) -> Exception:
+    if (violation := _first_violation(entries, ell)) is not None:
+        return ConditionFailed(violation)
     p, q, b = entries[i - 1]
     return NoAddablePosition(f"reconstruct: label {i}: no legal box of content "
                              f"{Fraction(p, q * ell)} in coordinate {b}")
@@ -116,7 +119,7 @@ def _place(entries: list[tuple[int, int, int]], ell: int) -> list:
             prev = diagonals.get(m - 1)
             last = m + 1 not in diagonals
             if (prev is None or last) and len(diag) > 1:  # an end diagonal holds one box
-                raise _no_box(entries, ell, diag[1])
+                raise _refusal(entries, ell, diag[1])
             if prev is None:
                 top = 0
             else:
@@ -125,7 +128,7 @@ def _place(entries: list[tuple[int, int, int]], ell: int) -> list:
                     first = diag if above else prev
                     odd = sorted(prev + diag)[0::2]  # the zigzag's 1st, 3rd, ... labels
                     if odd != first:
-                        raise _no_box(entries, ell, min(set(odd).symmetric_difference(first)))
+                        raise _refusal(entries, ell, min(set(odd).symmetric_difference(first)))
                 top -= above
             if len(diag) == 1:
                 boxes.append((top, m, diag[0]))
@@ -137,22 +140,19 @@ def _place(entries: list[tuple[int, int, int]], ell: int) -> list:
                 placed.append((key, tuple([(r + shift, c) for r, c, _ in boxes]),
                                tuple([label for _, _, label in boxes])))
                 boxes = []
-    if len(groups) > 1:  # by (b, offset), offset rem/(q ell); a group's components are in order
-        placed.sort(key=lambda comp: (comp[0][0], comp[0][2] if comp[0][1] == 1
-                                      else Fraction(comp[0][2], comp[0][1])))
+    placed.sort(key=lambda comp: (comp[0][0], comp[0][2] if comp[0][1] == 1  # (b, offset), stably
+                                  else Fraction(comp[0][2], comp[0][1])))
     return placed
 
 
 def reconstruct(w: Weight, ell: int) -> tuple[SkewShapeL, Tableau]:
     """Rebuild the unique (shape, tableau) with the given weight, unchecked
-    (the tests check it against is_standard and weight_of).  Raises
-    ConditionFailed when the condition fails, and a ValueError naming the
-    entry when an offset's denominator has more digits than ``str`` writes.
-    By the classification theorem a passing weight has end diagonals of one
-    box and alternating neighbours, so NoAddablePosition is an internal fault."""
+    (the tests check it against is_standard and weight_of).  Placement is the
+    verdict: a refusal raises ConditionFailed with the condition's first
+    violation, or NoAddablePosition, which the classification theorem rules
+    out, if there is none.  A ValueError names the entry when an offset's
+    denominator has more digits than ``str`` writes."""
     entries = _normalize_weight(w, ell)
-    if (violation := _first_violation(entries, ell)) is not None:
-        raise ConditionFailed(violation)
     if not entries:
         raise EmptyShape("a shape needs at least one box")
     comps, labels, key = [], [], None
@@ -183,21 +183,20 @@ def classify_roundtrip(shape: SkewShapeL) -> VerificationReport:
     """For every standard tableau of the shape: the weight passes the
     condition and reconstructs to exactly this (shape, tableau), decided on
     the integer core: each box's (p, q, b) and each component's (group key,
-    cells) are read once, and each filling's entries go through
-    ``_first_violation`` and ``_place``."""
+    cells) are read once, and each filling's entries go through ``_place``
+    alone, whose success proves the condition; a refusal names its violation."""
     ell, ctx = shape.ell, shape._ctx
     box = [(*a.as_integer_ratio(), b) for a, b in zip(ctx.a, ctx.beta)]
     own = [((c.beta, (ell * c.offset).denominator, (ell * c.offset).numerator), c.cells)
            for c in shape.components]  # ell * offset = rem / q
     checks = []
     for t_index, pos in enumerate(ctx.all_positions(), start=1):
-        entries = [box[b] for b in pos]
-        if (violation := _first_violation(entries, ell)) is not None:
-            witness = f"condition: {violation}"
-        else:
+        try:
+            placed = _place([box[b] for b in pos], ell)
             expected = [(key, cells, labs) for (key, cells), labs in zip(own, ctx.labels_of(pos))]
-            witness = (None if _place(entries, ell) == expected
-                       else "reconstructed a different pair")
+            witness = None if placed == expected else "reconstructed a different pair"
+        except ConditionFailed as exc:
+            witness = f"condition: {exc.violation}"
         checks.append(RelationCheck(f"T{t_index}", witness is None,
                                     None if witness is None else (t_index, 0, witness)))
     return VerificationReport(tuple(checks))

@@ -323,7 +323,7 @@ class Cyc:
 
 def root_of_unity(ell: int, k: int) -> Cyc:
     """zeta_ell**k as a canonical field element (k taken modulo ell)."""
-    k %= _checked_ell(ell, "Cyc")
+    k = _checked_int(k, "k") % _checked_ell(ell, "Cyc")
     return Cyc(ell, [0] * k + [1])
 
 
@@ -331,6 +331,12 @@ def _checked_ell(ell, kind: str) -> int:
     if type(ell) is not int or ell < 1:  # type(True) is bool: bools are rejected
         raise ValueError(f"{kind} field 'ell' must be a positive integer, got {ell!r}")
     return ell
+
+
+def _checked_int(value, name: str) -> int:
+    if type(value) is not int:  # type(True) is bool: bools are refused
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
 
 
 def fraction_to_str(q) -> str:

@@ -35,7 +35,7 @@ from functools import cached_property
 from itertools import accumulate, chain, pairwise
 from operator import itemgetter
 
-from .cyclo import _checked_ell, fraction_from_str, fraction_to_str
+from .cyclo import _checked_ell, _checked_int, fraction_from_str, fraction_to_str
 from .errors import (DegenerateShape, EmptyShape, NotAPartition, NotConnected,
                      NotSkew, NotStandard)
 
@@ -353,9 +353,9 @@ def _one_coordinate_catalog(n: int, window: int) -> list[tuple[tuple, ...]]:
     """Entry m <= n: all ways to fill one coordinate with m boxes, as tuples of
     (content_anchor, connected class), anchors ascending from 0, consecutive
     content gaps >= 2, max content <= window."""
-    if n < 1:
+    if _checked_int(n, "n") < 1:
         raise EmptyShape("n must be positive")
-    if window < 0:
+    if _checked_int(window, "window") < 0:
         raise ValueError(f"window must be at least 0, got {window}")
     classes = _connected_classes(n, window)
 
@@ -471,6 +471,8 @@ class _ShapeContext:
         pos = tuple(map(dict(zip(flat, range(len(flat)))).get, range(1, len(self.boxes) + 1)))
         if len(flat) != len(self.boxes) or None in pos:
             raise NotStandard("entries are not a bijection onto 1..n")
+        if list(map(len, tab.labels)) != [j - i for i, j in self.spans]:
+            raise NotStandard("entries per component do not match the component sizes")
         return pos
 
     def split(self, flat) -> tuple[tuple[int, ...], ...]:
@@ -649,6 +651,8 @@ def shape_from_json(data: dict) -> SkewShapeL:
 
 
 def tableau_to_json(tab: Tableau) -> dict:
+    if list(map(len, tab.labels)) != [len(c.cells) for c in tab.shape.components]:
+        raise NotStandard("entries per component do not match the component sizes")
     data = shape_to_json(tab.shape)
     data["entries"] = [[r, c, k, lab] for k, comp in enumerate(tab.shape.components)
                        for (r, c), lab in zip(comp.cells, tab.labels[k])]

@@ -167,10 +167,39 @@ def test_reconstruct_inverts_weight_of_exhaustively():
             assert got_D == D and got_T == T
 
 
+def _grid():
+    """(ell, weight) over a grid: integral and half-integral a, mixed colours."""
+    for ell, entries, max_n in (
+            (1, [(x, 0) for x in range(-2, 3)], 6),
+            (2, [(x, b) for x in range(-2, 3) for b in (0, 1)]
+             + [(Fraction(x, 2), 0) for x in (-1, 1, 3)], 4),
+            (3, [(x, b) for x in (-3, 0, 3) for b in (0, 1, 2)] + [(Fraction(3, 2), 0)], 4)):
+        for n in range(1, max_n + 1):
+            for entry in itertools.product(entries, repeat=n):
+                a, b = zip(*entry)
+                yield ell, w(a, b)
+
+
 def test_reconstruct_matches_incremental_reference(monkeypatch):
+    # placement is the verdict: it refuses exactly the weights of the grid
+    # that fail the condition, naming the condition's own witness, and
+    # rebuilds every other one to the incremental oracle's pair
+    refused = rebuilt = 0
+    for ell, weight in _grid():
+        violation = check_weight_condition(weight, ell)
+        try:
+            got = reconstruct(weight, ell)
+        except ConditionFailed as exc:
+            assert violation is not None and exc.violation == violation, (ell, weight)
+            refused += 1
+        else:
+            assert violation is None and got == reference_reconstruct(weight, ell), (ell, weight)
+            rebuilt += 1
+    assert (refused, rebuilt) == (36074, 25506)
+
     # with the condition check switched off, every weight of the grid either
     # faults in both the diagonal rule and the incremental oracle, or gives
-    # both the same pair: integral and half-integral a, mixed colours
+    # both the same pair
     monkeypatch.setattr("heckemod.classify._first_violation", lambda entries, ell: None)
 
     def outcome(rebuild, weight, ell):
@@ -179,21 +208,30 @@ def test_reconstruct_matches_incremental_reference(monkeypatch):
         except NoAddablePosition:
             return None
 
-    grid = [(1, [(x, 0) for x in range(-2, 3)], 6),
-            (2, [(x, b) for x in range(-2, 3) for b in (0, 1)]
-             + [(Fraction(x, 2), 0) for x in (-1, 1, 3)], 4),
-            (3, [(x, b) for x in (-3, 0, 3) for b in (0, 1, 2)] + [(Fraction(3, 2), 0)], 4)]
     faults = rebuilt = 0
-    for ell, entries, max_n in grid:
-        for n in range(1, max_n + 1):
-            for entry in itertools.product(entries, repeat=n):
-                a, b = zip(*entry)
-                weight = w(a, b)
-                got = outcome(reconstruct, weight, ell)
-                assert got == outcome(reference_reconstruct, weight, ell), (ell, weight)
-                faults += got is None
-                rebuilt += got is not None
+    for ell, weight in _grid():
+        got = outcome(reconstruct, weight, ell)
+        assert got == outcome(reference_reconstruct, weight, ell), (ell, weight)
+        faults += got is None
+        rebuilt += got is not None
     assert (faults, rebuilt) == (36074, 25506)
+
+
+def test_accepting_does_not_scan_the_condition(monkeypatch):
+    # a successful placement proves the condition, so neither reconstruct nor
+    # classify_roundtrip runs the scan on a weight it accepts
+    accepted = {(ell, weight): reconstruct(weight, ell) for ell, weight in _grid()
+                if check_weight_condition(weight, ell) is None}
+    assert len(accepted) == 25506
+
+    def scan(entries, ell):
+        raise AssertionError("the condition was scanned on an accepted weight")
+
+    monkeypatch.setattr("heckemod.classify._first_violation", scan)
+    for (ell, weight), pair in accepted.items():
+        assert reconstruct(weight, ell) == pair
+    shapes = [D for ell in (1, 2, 3) for n in range(1, 5) for D in enumerate_shapes(ell, n, n)]
+    assert all(classify_roundtrip(D).ok for D in shapes)
 
 
 def test_classify_roundtrip_reports():
@@ -388,9 +426,9 @@ def test_passing_weights_reconstruct_canonically(args):
 
 
 def test_classify_roundtrip_names_its_two_witnesses(monkeypatch):
-    # every tableau weight passes the condition and reconstructs to its own
-    # pair, so both witnesses are reached only with the classifier patched;
-    # the placement keeps its cells but reverses its labels, which count too
+    # every tableau weight is placed, to its own pair, so both witnesses are
+    # reached only with the placement patched: first it keeps its cells but
+    # reverses its labels, which count too, then it refuses with a violation
     D = partition_shape(1, [[2, 1]])
     place = classify._place
     with monkeypatch.context() as patch:
@@ -401,7 +439,11 @@ def test_classify_roundtrip_names_its_two_witnesses(monkeypatch):
         ("T1", False, (1, 0, "reconstructed a different pair")),
         ("T2", False, (2, 0, "reconstructed a different pair"))]
     violation = ConditionViolation(ADJACENT_EQUAL, 1, 2)
-    monkeypatch.setattr("heckemod.classify._first_violation", lambda entries, ell: violation)
+
+    def refuse(entries, ell):
+        raise ConditionFailed(violation)
+
+    monkeypatch.setattr("heckemod.classify._place", refuse)
     report = classify_roundtrip(D)
     assert not report.ok and [c.witness for c in report.checks] == [
         (t, 0, f"condition: {violation}") for t in (1, 2)]

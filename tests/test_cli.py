@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from heckemod import Weight, partition_shape, shape_from_json, shape_to_json, tableau_from_json, weight_to_json
+from heckemod import (ConditionFailed, Weight, partition_shape, shape_from_json, shape_to_json,
+                      tableau_from_json, weight_to_json)
 from heckemod.classify import ADJACENT_EQUAL, ConditionViolation
 from heckemod.cli import _SHAPES_MAX_COUNT, console_main, main
 from heckemod.shapes import _ShapeContext, shape_count
@@ -157,10 +158,14 @@ def test_classify_no_addable_position_is_an_internal_fault(capsys, tmp_path, mon
 
 
 def test_twist_condition_failure_is_an_internal_fault(capsys, shape_file, monkeypatch):
-    # the weights of a twisted module always reconstruct, so a failed
-    # condition there is reached only with the condition check forced to fail
+    # the weights of a twisted module are always placed, so a failed
+    # condition there is reached only with the placement forced to refuse
     violation = ConditionViolation(ADJACENT_EQUAL, 1, 2)
-    monkeypatch.setattr("heckemod.classify._first_violation", lambda entries, ell: violation)
+
+    def refuse(entries, ell):
+        raise ConditionFailed(violation)
+
+    monkeypatch.setattr("heckemod.classify._place", refuse)
     assert main(["twist", "--shape", shape_file, "--rho"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -257,6 +257,10 @@ def test_cyc_reads_ell_and_coeffs_strictly():
     with pytest.raises(ValueError, match=r"^Cyc field 'coeffs' must be a rational .*, got 0\.5$"):
         Cyc.from_json({"ell": 3, "coeffs": ["1", 0.5]})
     assert Cyc.from_json({"ell": 3, "coeffs": ["1", 2]}) == Cyc(3, [1, 2])
+    # the exponent of root_of_unity is an int too, and a bool is refused
+    for bad in (1.5, 2.0, True, "1", None):
+        with pytest.raises(ValueError, match=f"^k must be an integer, got {re.escape(repr(bad))}$"):
+            root_of_unity(3, bad)
 
 
 def test_fraction_to_str_writes_only_exact_rationals():

@@ -838,8 +838,9 @@ def test_tableau_roundtrips_and_path(t):
 
 
 def test_enumeration_refuses_a_bad_ell_or_window(monkeypatch):
-    # ell is checked as a shape's is, and a negative window is refused as the
-    # CLI refuses --window -1, before a connected class is grown
+    # ell is checked as a shape's is, n and window must be ints (not bools),
+    # and a negative window is refused as the CLI refuses --window -1, all
+    # before a connected class is grown
     def refuse(*args):
         raise AssertionError("the catalogue was started")
 
@@ -851,6 +852,12 @@ def test_enumeration_refuses_a_bad_ell_or_window(monkeypatch):
                     fn(ell, 1, 1)
             with pytest.raises(ValueError, match="^window must be at least 0, got -1$"):
                 fn(1, 1, -1)
+            for bad in (2.0, "2", True, None):
+                got = re.escape(repr(bad))
+                with pytest.raises(ValueError, match=f"^n must be an integer, got {got}$"):
+                    fn(1, bad, 2)
+                with pytest.raises(ValueError, match=f"^window must be an integer, got {got}$"):
+                    fn(1, 2, bad)
     assert len(enumerate_shapes(2, 1, 0)) == shape_count(2, 1, 0) == 2
 
 
@@ -861,7 +868,9 @@ def test_tableau_path_refuses_non_standard_fillings():
     t = row_reading_tableau(D)
     cases = [(((3, 2, 1),), "do not increase"), (((2, 1, 3),), "do not increase"),
              (((1, 2, 4),), "not a bijection"), (((1, 1, 2),), "not a bijection"),
-             (((1, 2),), "not a bijection")]
+             (((1, 2),), "not a bijection"),
+             # all of 1..n, but cut unlike the one component: ((1, 2, 3),) differs
+             (((1, 2), (3,)), "component sizes")]
     for labels, text in cases:
         bad = Tableau(D, labels)
         for ends in ((bad, t), (t, bad), (bad, bad)):
@@ -871,7 +880,7 @@ def test_tableau_path_refuses_non_standard_fillings():
         # readers that need 1..n refuse it, and a swap starts from no such filling
         assert not is_standard(bad)
         readers = [lambda: apply_transposition(bad, 1), lambda: apply_transposition(bad, 2)]
-        if text == "not a bijection":
+        if text != "do not increase":
             readers += [lambda: weight_of(bad), lambda: inversion_set(bad)]
         for read in readers:
             with pytest.raises(NotStandard, match=text):
@@ -882,3 +891,6 @@ def test_tableau_path_refuses_non_standard_fillings():
     with pytest.raises(NotStandard, match="^entries are not a bijection onto 1..n$"):
         weight_of(Tableau(D, ((1, 2, 4),)))
     assert is_standard(Tableau(D, ((1, 2, 4),))) is False
+    # the writer refuses a miscut filling by its lengths alone
+    with pytest.raises(NotStandard, match="^entries per component do not match the component sizes$"):
+        tableau_to_json(Tableau(D, ((1, 2), (3,))))
